@@ -13,9 +13,9 @@ from .errors import (AlphabetMismatch, AmbiguousLabel, BudgetExceeded,
                      DimensionMismatch, GenerationFailed, InvalidEvent,
                      NotACounterexample, NotClosed, ParseError, SingularBasis,
                      SwitchLearnError, ValidationError)
-from .learner import (LearnResult, ObservationStore, agree_on_tests,
-                      build_hypothesis, close_store, find_closure_defect,
-                      is_separable, learn, process_counterexample)
+from .learner import (LearnResult, ObservationStore, build_hypothesis,
+                      close_store, is_separable, learn, process_counterexample,
+                      row)
 from .linalg import (LABEL_TOL, PIVOT_TOL, identity, is_full_rank,
                      mat_approx_eq, mat_mul, recover_transform)
 from .oracle import (BoundedTestingEquivalenceOracle, EquivalenceOracle,

@@ -116,13 +116,28 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+GRID_KEYS = ("nodes", "events", "labels", "dim", "seed")
+
+
+def _check_grid(grid) -> None:
+    if not isinstance(grid, list):
+        raise CliError("grid must be a JSON list of config objects")
+    for i, entry in enumerate(grid):
+        if not isinstance(entry, dict):
+            raise CliError(f"grid entry {i} ({json.dumps(entry)}) is not an "
+                           f"object with keys {', '.join(GRID_KEYS)}")
+        missing = [key for key in GRID_KEYS if key not in entry]
+        if missing:
+            raise CliError(f"grid entry {i} ({json.dumps(entry)}) has no "
+                           f"{', '.join(missing)}")
+
+
 def cmd_bench(args) -> int:
     try:
         grid = json.loads(Path(args.grid).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read grid {args.grid}: {exc}") from exc
-    if not isinstance(grid, list):
-        raise CliError("grid must be a JSON list of config objects")
+    _check_grid(grid)
     rows = []
     for entry in grid:
         config = GenConfig(num_nodes=entry["nodes"], num_events=entry["events"],
@@ -132,12 +147,11 @@ def cmd_bench(args) -> int:
         obs = WhiteBoxObservationOracle(hidden)
         eq = WhiteBoxEquivalenceOracle(hidden, tol=args.tol)
         result = learn(obs, eq, hidden.fa.alphabet, label_tol=args.tol)
-        rows.append({"nodes": entry["nodes"], "events": entry["events"],
-                     "labels": entry["labels"], "dim": entry["dim"],
-                     "seed": entry["seed"], **result.stats_dict()})
+        rows.append({**{key: entry[key] for key in GRID_KEYS},
+                     **result.stats_dict()})
     with open(args.out, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]) if rows else
-                                ["nodes", "events", "labels", "dim", "seed"])
+                                list(GRID_KEYS))
         writer.writeheader()
         writer.writerows(rows)
     return 0

@@ -1,13 +1,16 @@
 """Active learning loop for event-driven switched linear systems.
 
 The learner maintains two word lists: access words, each believed to reach a
-distinct node of the hidden automaton, and test words, whose output labels
-tell access words apart. The loop closes the access set under one-event
-extensions, builds a hypothesis system, asks the equivalence oracle, and on
-a counterexample locates (by binary search over output labels along the
-hypothesis run) one new access word and one new test word. Access words only
-ever grow, and their number is bounded by the hidden node count, so the loop
-terminates with a language-equivalent system.
+distinct node of the hidden automaton, and test words. A word's row is the
+tuple of output labels of the word followed by each test word, as in an L*
+observation table; two words are told apart exactly when their rows differ.
+The loop indexes access words by row, closes the access set under one-event
+extensions (an extension whose row is not in the index becomes a new access
+word), builds a hypothesis whose transitions are row-index lookups, asks the
+equivalence oracle, and on a counterexample locates (by binary search over
+output labels along the hypothesis run) one new access word and one new test
+word. Access words only ever grow, and their number is bounded by the hidden
+node count, so the loop terminates with a language-equivalent system.
 """
 
 import math
@@ -45,55 +48,50 @@ class LearnResult:
         return {**self.stats.as_dict(), "rounds": self.rounds, "wall_ms": self.wall_ms}
 
 
-def agree_on_tests(u: Word, v: Word, test_words: list[Word], query) -> bool:
-    """True iff u and v get the same output label under every test word."""
-    return all(query(u + t) == query(v + t) for t in test_words)
+def row(word: Word, test_words: list[Word], query) -> tuple[int, ...]:
+    """Output labels of word followed by each test word, in test-word order.
+    Two words are equivalent under the current tests iff their rows are equal."""
+    return tuple(query(word + t) for t in test_words)
+
+
+def row_index(store: ObservationStore, query) -> dict[tuple[int, ...], int]:
+    """Map from each access word's row to the first access word having it.
+    Built afresh by each caller: the store's lists are public and may be
+    appended to between calls."""
+    index: dict[tuple[int, ...], int] = {}
+    for i, word in enumerate(store.access_words):
+        index.setdefault(row(word, store.test_words, query), i)
+    return index
 
 
 def is_separable(store: ObservationStore, query) -> bool:
-    """True iff no two distinct access words agree on all test words."""
-    words = store.access_words
-    return not any(agree_on_tests(words[i], words[j], store.test_words, query)
-                   for i in range(len(words)) for j in range(i + 1, len(words)))
+    """True iff no two distinct access words have the same row."""
+    return len(row_index(store, query)) == len(store.access_words)
 
 
-def find_representative(store: ObservationStore, word: Word, query) -> int | None:
-    """Index of the access word that word agrees with, in insertion order."""
-    for i, candidate in enumerate(store.access_words):
-        if agree_on_tests(word, candidate, store.test_words, query):
-            return i
-    return None
-
-
-def find_closure_defect(store: ObservationStore, alphabet: EventAlphabet,
-                        query) -> tuple[Word, int] | None:
-    """First (access word, event) whose extension has no representative."""
-    for word in store.access_words:
-        for e in range(len(alphabet)):
-            if find_representative(store, word + (e,), query) is None:
-                return word, e
-    return None
+def find_representative(index: dict[tuple[int, ...], int], word: Word,
+                        test_words: list[Word], query) -> int | None:
+    """Index of the first access word whose row equals word's row."""
+    return index.get(row(word, test_words, query))
 
 
 def close_store(store: ObservationStore, alphabet: EventAlphabet, query,
-                on_mutation=None, max_additions: int | None = None) -> None:
+                on_mutation=None) -> None:
     """Add one-event extensions to the access words until every extension
-    has a representative. Each added extension was inequivalent to all
-    access words, so separability is preserved."""
-    added = 0
-    while True:
-        defect = find_closure_defect(store, alphabet, query)
-        if defect is None:
-            return
-        if max_additions is not None and added >= max_additions:
-            raise BudgetExceeded(
-                f"closing added {added} access words without converging; "
-                "the label tolerance is likely misconfigured")
-        word, e = defect
-        store.access_words.append(word + (e,))
-        added += 1
-        if on_mutation is not None:
-            on_mutation(store, query)
+    has a representative. Each added extension has a row unlike every access
+    word, so separability is preserved. The test words stay fixed, so an
+    addition never takes a representative away from an earlier extension,
+    and one pass over the growing access list suffices."""
+    index = row_index(store, query)
+    for word in store.access_words:  # also visits words appended below
+        for e in range(len(alphabet)):
+            extension = word + (e,)
+            extension_row = row(extension, store.test_words, query)
+            if extension_row not in index:
+                index[extension_row] = len(store.access_words)
+                store.access_words.append(extension)
+                if on_mutation is not None:
+                    on_mutation(store, query)
 
 
 def build_hypothesis(store: ObservationStore, registry: LabelRegistry,
@@ -101,16 +99,17 @@ def build_hypothesis(store: ObservationStore, registry: LabelRegistry,
     """Hypothesis system over the current words: one node per access word
     (empty word initial), transitions to the representative of each
     one-event extension, node labels taken from the word's own output."""
+    index = row_index(store, query)
     delta = []
     for word in store.access_words:
-        row = []
+        targets = []
         for e in range(len(alphabet)):
-            target = find_representative(store, word + (e,), query)
+            target = find_representative(index, word + (e,), store.test_words, query)
             if target is None:
                 raise NotClosed(f"extension of {word!r} by event {e} has "
                                 "no representative; close the store first")
-            row.append(target)
-        delta.append(tuple(row))
+            targets.append(target)
+        delta.append(tuple(targets))
     gamma = tuple(query(word) for word in store.access_words)
     fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
             delta=tuple(delta), gamma=gamma)
@@ -174,7 +173,8 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
     cache: dict[Word, int] = {}
 
     def query(word: Word) -> int:
-        if max_outputs is not None and obs.stats.output_computations - out0 >= max_outputs:
+        if (max_outputs is not None and word not in cache
+                and obs.stats.output_computations - out0 >= max_outputs):
             raise BudgetExceeded(f"more than {max_outputs} output computations")
         return cached_output(obs, registry, cache, word)
 

@@ -172,6 +172,20 @@ def test_bench_grid(tmp_path):
             assert first[key] == second[key]
 
 
+@pytest.mark.parametrize("grid, named", [
+    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2}], ["entry 0", "seed"]),
+    ([3], ["entry 0", "3"]),
+])
+def test_bench_rejects_malformed_grid_entry(tmp_path, capsys, grid, named):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--grid", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert all(text in err for text in named)
+    assert not out.exists()
+
+
 def test_missing_model_is_runtime_error(tmp_path):
     assert main(["simulate", "--model", str(tmp_path / "nope.json"),
                  "--x0", "1,0", "--word", ""]) == 3

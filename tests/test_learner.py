@@ -7,10 +7,10 @@ from switchlearn import (BudgetExceeded, EventAlphabet, Fa, GenConfig,
                          LabelRegistry, NotACounterexample, NotClosed,
                          ObservationStore, SwitchedSystem,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         agree_on_tests, build_hypothesis, cached_output,
-                         close_store, find_closure_defect, is_separable,
-                         learn, mat_approx_eq, process_counterexample,
-                         random_system, run, validate)
+                         build_hypothesis, cached_output, close_store,
+                         is_separable, learn, mat_approx_eq,
+                         process_counterexample, random_system, row, run,
+                         validate)
 from switchlearn.learner import max_outputs_for_counterexample
 
 from conftest import DEMO2D_MATRICES
@@ -42,15 +42,17 @@ def minimal_state_count(fa):
         part = refined
 
 
-def test_agree_on_tests_reflexive(demo2d_system):
+def test_row_reflexive(demo2d_system):
     _, _, query = fresh_query(demo2d_system)
-    assert agree_on_tests((E1,), (E1,), [()], query)
+    tests = [(), (E2,)]
+    assert row((E1,), tests, query) == row((E1,), tests, query)
+    assert len(row((E1,), tests, query)) == len(tests)
 
 
 def test_one_event_word_distinguished_from_empty(demo2d_system):
     # reading e1 lands on a node with a different label than the start node
     _, _, query = fresh_query(demo2d_system)
-    assert not agree_on_tests((E1,), (), [()], query)
+    assert row((E1,), [()], query) != row((), [()], query)
 
 
 def states_language_equal(fa, s1, s2):
@@ -68,17 +70,25 @@ def states_language_equal(fa, s1, s2):
     return True
 
 
+DIAG_POOL = tuple(np.diag([float(k + 1), float(k + 2)]) for k in range(3))
+
+
+def random_diag_system(rng, max_nodes):
+    num_nodes = int(rng.integers(1, max_nodes + 1))
+    fa = Fa(num_nodes=num_nodes, initial=0,
+            alphabet=EventAlphabet(("e1", "e2")),
+            delta=tuple(tuple(int(t) for t in rng.integers(0, num_nodes, 2))
+                        for _ in range(num_nodes)),
+            gamma=tuple(int(g) for g in rng.integers(0, len(DIAG_POOL), num_nodes)))
+    return SwitchedSystem(fa=fa, matrices=DIAG_POOL, d=2)
+
+
 def test_agreement_on_all_short_tests_matches_state_equality():
-    pool = tuple(np.diag([float(k + 1), float(k + 2)]) for k in range(3))
     rng = np.random.default_rng(5)
     for trial in range(20):
-        num_nodes = int(rng.integers(1, 5))
-        fa = Fa(num_nodes=num_nodes, initial=0,
-                alphabet=EventAlphabet(("e1", "e2")),
-                delta=tuple(tuple(int(t) for t in rng.integers(0, num_nodes, 2))
-                            for _ in range(num_nodes)),
-                gamma=tuple(int(g) for g in rng.integers(0, len(pool), num_nodes)))
-        system = SwitchedSystem(fa=fa, matrices=pool, d=2)
+        system = random_diag_system(rng, 4)
+        fa = system.fa
+        num_nodes = fa.num_nodes
         _, _, query = fresh_query(system)
         tests = [w for n in range(num_nodes + 1)
                  for w in itertools.product((0, 1), repeat=n)]
@@ -86,13 +96,17 @@ def test_agreement_on_all_short_tests_matches_state_equality():
             u = tuple(int(e) for e in rng.integers(0, 2, rng.integers(0, 5)))
             v = tuple(int(e) for e in rng.integers(0, 2, rng.integers(0, 5)))
             expected = states_language_equal(fa, run(fa, u)[-1], run(fa, v)[-1])
-            assert agree_on_tests(u, v, tests, query) == expected
+            assert (row(u, tests, query) == row(v, tests, query)) == expected
 
 
 def test_fresh_store_first_defect(demo2d_system):
+    # closing a fresh store adds (E1,) first, one word per mutation
     _, _, query = fresh_query(demo2d_system)
     store = ObservationStore()
-    assert find_closure_defect(store, demo2d_system.fa.alphabet, query) == ((), E1)
+    added = []
+    close_store(store, demo2d_system.fa.alphabet, query,
+                on_mutation=lambda s, q: added.append(s.access_words[-1]))
+    assert added == [(E1,), (E2,)]
 
 
 def test_single_node_system_is_closed_immediately():
@@ -101,15 +115,47 @@ def test_single_node_system_is_closed_immediately():
     system = SwitchedSystem(fa=fa, matrices=(DEMO2D_MATRICES[0],), d=2)
     _, _, query = fresh_query(system)
     store = ObservationStore()
-    assert find_closure_defect(store, fa.alphabet, query) is None
+    mutations = []
+    close_store(store, fa.alphabet, query,
+                on_mutation=lambda s, q: mutations.append(s))
+    assert store.access_words == [()]
+    assert mutations == []
 
 
 def test_close_collects_both_one_event_words(demo2d_system):
-    _, _, query = fresh_query(demo2d_system)
+    _, registry, query = fresh_query(demo2d_system)
     store = ObservationStore()
     close_store(store, demo2d_system.fa.alphabet, query)
     assert store.access_words == [(), (E1,), (E2,)]
-    assert find_closure_defect(store, demo2d_system.fa.alphabet, query) is None
+    hyp = build_hypothesis(store, registry, demo2d_system.fa.alphabet, query)
+    assert hyp.fa.num_nodes == 3
+
+
+def restart_close(store, alphabet, query):
+    """Reference closure: append the first extension, in access-word then
+    event order, whose row matches no access word; rescan from the start."""
+    while True:
+        rows = [row(w, store.test_words, query) for w in store.access_words]
+        defects = [w + (e,) for w in store.access_words
+                   for e in range(len(alphabet))
+                   if row(w + (e,), store.test_words, query) not in rows]
+        if not defects:
+            return
+        store.access_words.append(defects[0])
+
+
+def test_close_matches_restart_from_zero_closure():
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        system = random_diag_system(rng, 8)
+        _, _, query = fresh_query(system)
+        tests = [tuple(int(e) for e in rng.integers(0, 2, n))
+                 for n in rng.integers(1, 4, rng.integers(0, 5))]
+        one_pass = ObservationStore(test_words=[()] + tests)
+        restarted = ObservationStore(test_words=[()] + tests)
+        close_store(one_pass, system.fa.alphabet, query)
+        restart_close(restarted, system.fa.alphabet, query)
+        assert one_pass.access_words == restarted.access_words
 
 
 def test_close_leaves_closed_store_unchanged(demo2d_system):
@@ -262,14 +308,23 @@ def test_learn_round_budget(demo2d_system):
 
 
 def test_learn_output_budget(demo2d_system):
-    with pytest.raises(BudgetExceeded):
-        learn(WhiteBoxObservationOracle(demo2d_system),
-              WhiteBoxEquivalenceOracle(demo2d_system),
-              demo2d_system.fa.alphabet, max_outputs=2)
+    # the demo model needs exactly 14 output computations; cache hits after
+    # the 14th are free
+    def learn_with(budget):
+        return learn(WhiteBoxObservationOracle(demo2d_system),
+                     WhiteBoxEquivalenceOracle(demo2d_system),
+                     demo2d_system.fa.alphabet, max_outputs=budget)
+
+    assert learn_with(14).stats.output_computations == 14
+    for budget in (2, 13):
+        with pytest.raises(BudgetExceeded, match=f"more than {budget} "):
+            learn_with(budget)
 
 
 def test_learn_random_systems_end_to_end():
     rng = np.random.default_rng(99)
+    totals = {"io_queries": 0, "output_computations": 0,
+              "equivalence_queries": 0, "rounds": 0}
     for trial in range(30):
         config = GenConfig(num_nodes=int(rng.integers(1, 13)),
                            num_events=int(rng.integers(2, 5)),
@@ -295,6 +350,12 @@ def test_learn_random_systems_end_to_end():
         assert validate(result.system) == []
         for length, outputs in result.counterexample_costs:
             assert outputs <= max_outputs_for_counterexample(length)
+        for key in totals:
+            totals[key] += result.stats_dict()[key]
+    # the learner asks exactly these queries; a change to them is a change
+    # of algorithm, not of representation
+    assert totals == {"io_queries": 9702, "output_computations": 1714,
+                      "equivalence_queries": 86, "rounds": 86}
 
 
 def test_learned_labels_match_queried_outputs(demo2d_system):
