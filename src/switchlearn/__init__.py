@@ -17,7 +17,7 @@ from .learner import (LearnResult, ObservationStore, build_hypothesis,
                       close_store, is_separable, learn, process_counterexample,
                       row)
 from .linalg import (LABEL_TOL, PIVOT_TOL, identity, is_full_rank,
-                     mat_approx_eq, mat_mul, recover_transform)
+                     mat_approx_eq, recover_transform)
 from .oracle import (BoundedTestingEquivalenceOracle, EquivalenceOracle,
                      ObservationOracle, QueryStats, WhiteBoxEquivalenceOracle,
                      WhiteBoxObservationOracle)

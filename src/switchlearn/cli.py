@@ -7,6 +7,7 @@ Exit codes: 0 success (or equivalent), 1 not equivalent, 2 usage error,
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +51,36 @@ def _parse_cli_word(text: str, alphabet):
         raise CliError(str(exc), code=USAGE_ERROR) from exc
 
 
+def _label_tol(text: str) -> float:
+    """argparse type for --tol: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"label tolerance must be positive and finite, got {text!r}")
+    return value
+
+
+def _parse_x0(text: str, d: int) -> np.ndarray:
+    entries = text.split(",")
+    values = []
+    for i, entry in enumerate(entries):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise CliError(f"--x0 entry {i} ({entry!r}) is not a finite number",
+                           code=USAGE_ERROR)
+        values.append(value)
+    if len(values) != d:
+        raise CliError(f"--x0 has {len(values)} entries, model dimension is "
+                       f"{d}", code=USAGE_ERROR)
+    return np.array(values)
+
+
 def cmd_gen(args) -> int:
     config = GenConfig(num_nodes=args.nodes, num_events=args.events,
                        num_labels=args.labels, dim=args.dim, seed=args.seed,
@@ -61,10 +92,7 @@ def cmd_gen(args) -> int:
 def cmd_simulate(args) -> int:
     system = _load_model(args.model)
     word = _parse_cli_word(args.word, system.fa.alphabet)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
-    if x0.shape[0] != system.d:
-        raise CliError(f"--x0 has {x0.shape[0]} entries, model dimension is "
-                       f"{system.d}", code=USAGE_ERROR)
+    x0 = _parse_x0(args.x0, system.d)
     for state in execute(system, x0, word):
         print(" ".join(_fmt(v, args.precision) for v in state))
     return 0
@@ -194,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn_cmd.add_argument("--L", type=int, default=None,
                            help="search depth for --eq bounded "
                                 "(default 2*nodes+1)")
-    learn_cmd.add_argument("--tol", type=float, default=LABEL_TOL)
+    learn_cmd.add_argument("--tol", type=_label_tol, default=LABEL_TOL)
     learn_cmd.add_argument("--out", required=True)
     learn_cmd.add_argument("--stats", default=None)
     learn_cmd.set_defaults(func=cmd_learn)
@@ -202,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     equiv = sub.add_parser("equiv", help="compare two models")
     equiv.add_argument("--a", required=True)
     equiv.add_argument("--b", required=True)
-    equiv.add_argument("--tol", type=float, default=LABEL_TOL)
+    equiv.add_argument("--tol", type=_label_tol, default=LABEL_TOL)
     equiv.set_defaults(func=cmd_equiv)
 
     export = sub.add_parser("export-dot", help="write a Graphviz view of a model")
@@ -214,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--grid", required=True,
                        help="JSON list of {nodes,events,labels,dim,seed}")
     bench.add_argument("--out", required=True)
-    bench.add_argument("--tol", type=float, default=LABEL_TOL)
+    bench.add_argument("--tol", type=_label_tol, default=LABEL_TOL)
     bench.set_defaults(func=cmd_bench)
     return parser
 

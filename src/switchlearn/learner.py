@@ -158,11 +158,15 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
           max_outputs: int | None = None, on_mutation=None) -> LearnResult:
     """Learn a system language-equivalent to the one behind the oracles.
 
+    label_tol must be positive and finite (ValueError otherwise).
     max_rounds caps hypothesis/equivalence iterations (default
     10 * |alphabet| * (|access words| + 1), re-evaluated each round);
-    max_outputs caps total output computations. Exceeding either raises
-    BudgetExceeded. on_mutation(store, query), when given, is invoked after
-    every change to the word lists.
+    max_outputs caps total output computations on obs, including those of an
+    equivalence oracle that shares obs. Exceeding either raises
+    BudgetExceeded. The learner's own output computations are refused before
+    they run; an equivalence check is not interrupted, and BudgetExceeded is
+    raised as soon as it returns past the cap. on_mutation(store, query),
+    when given, is invoked after every change to the word lists.
     """
     t0 = time.perf_counter()
     io0 = obs.stats.io_queries
@@ -172,9 +176,11 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
     registry = LabelRegistry(tol=label_tol)
     cache: dict[Word, int] = {}
 
+    def spent() -> int:
+        return obs.stats.output_computations - out0
+
     def query(word: Word) -> int:
-        if (max_outputs is not None and word not in cache
-                and obs.stats.output_computations - out0 >= max_outputs):
+        if max_outputs is not None and word not in cache and spent() >= max_outputs:
             raise BudgetExceeded(f"more than {max_outputs} output computations")
         return cached_output(obs, registry, cache, word)
 
@@ -190,13 +196,15 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
         hypothesis = build_hypothesis(store, registry, alphabet, query)
         rounds += 1
         counterexample = eq.check(hypothesis)
+        if max_outputs is not None and spent() > max_outputs:
+            raise BudgetExceeded(f"more than {max_outputs} output computations "
+                                 f"({spent()} after an equivalence check)")
         if counterexample is None:
             break
-        before = obs.stats.output_computations
+        before = spent()
         new_access, new_test = process_counterexample(
             counterexample, hypothesis, store, query)
-        counterexample_costs.append(
-            (len(counterexample), obs.stats.output_computations - before))
+        counterexample_costs.append((len(counterexample), spent() - before))
         # one mutation step: the new access word is only separable from its
         # current representative once the new test word is present too
         store.access_words.append(new_access)
@@ -207,7 +215,7 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
 
     stats = QueryStats()
     stats.io_queries = obs.stats.io_queries - io0
-    stats.output_computations = obs.stats.output_computations - out0
+    stats.output_computations = spent()
     stats.equivalence_queries = eq.stats.equivalence_queries - eq0
     return LearnResult(system=hypothesis, stats=stats, rounds=rounds,
                        wall_ms=(time.perf_counter() - t0) * 1000.0,

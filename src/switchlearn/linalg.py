@@ -1,5 +1,5 @@
-"""Minimal dense real-matrix kernels: products, rank tests, and recovery of a
-linear map from its action on a basis.
+"""Minimal dense real-matrix kernels: rank tests, and recovery of a linear
+map from its action on a basis.
 
 Matrices are plain float64 numpy arrays. Everything here is a pure function;
 no operand is modified in place.
@@ -20,63 +20,32 @@ def identity(d: int) -> np.ndarray:
     return np.eye(d)
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b; b may be a vector or a matrix of columns.
-
-    The shared index is accumulated in a fixed left-to-right order so the
-    result is bit-identical to a plain triple-loop product (no BLAS
-    reassociation), which keeps repeated runs and cross-checks exact.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    if b.ndim == 1:
-        out = np.zeros(a.shape[0])
-        for k in range(a.shape[1]):
-            out += a[:, k] * b[k]
-    else:
-        out = np.zeros((a.shape[0], b.shape[1]))
-        for k in range(a.shape[1]):
-            out += a[:, k, None] * b[k, :]
-    return out
-
-
-def _forward_eliminate(a: np.ndarray, b: np.ndarray | None, tol: float) -> None:
-    """Row-reduce a (and b alongside) in place with partial pivoting."""
+def _forward_eliminate(a: np.ndarray, tol: float) -> None:
+    """Row-reduce a in place with partial pivoting, leaving its upper
+    triangle; raise SingularBasis at the first pivot whose magnitude is not
+    above tol."""
     n = a.shape[0]
     for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= tol:
+        p = col + int(np.abs(a[col:, col]).argmax())
+        pivot = a[p, col]
+        if abs(pivot) <= tol:
             raise SingularBasis(
-                f"pivot magnitude {abs(a[p, col]):.3e} at column {col} "
+                f"pivot magnitude {abs(pivot):.3e} at column {col} "
                 f"is not above tolerance {tol:g}"
             )
         if p != col:
             a[[col, p]] = a[[p, col]]
-            if b is not None:
-                b[[col, p]] = b[[p, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        if factors.size:
-            a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-            if b is not None:
-                b[col + 1 :] -= np.outer(factors, b[col])
-
-
-def _back_substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
+        # column col below the pivot is never read again, so it is left as is
+        a[col + 1 :, col + 1 :] -= (a[col + 1 :, col] / pivot)[:, None] * a[col, col + 1 :]
 
 
 def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_TOL) -> np.ndarray:
     """Solve M @ basis == image for the square matrix M.
 
-    basis must have linearly independent columns; its transpose is factored
-    once and all d right-hand sides are solved against it. Raises
-    SingularBasis when a pivot falls below tol.
+    basis must have linearly independent columns: SingularBasis is raised
+    when partial-pivoting elimination of its transpose meets a pivot not
+    above tol. Only then are all d right-hand sides solved against it with
+    LAPACK's LU solver.
     """
     basis = np.asarray(basis, dtype=float)
     image = np.asarray(image, dtype=float)
@@ -84,10 +53,8 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
         raise DimensionMismatch(f"basis must be square, got shape {basis.shape}")
     if image.shape != basis.shape:
         raise DimensionMismatch(f"image shape {image.shape} != basis shape {basis.shape}")
-    at = basis.T.copy()
-    bt = image.T.copy()
-    _forward_eliminate(at, bt, tol)
-    return _back_substitute(at, bt).T
+    _forward_eliminate(basis.T.copy(), tol)
+    return np.linalg.solve(basis.T, image.T).T
 
 
 def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:
@@ -96,7 +63,7 @@ def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     try:
-        _forward_eliminate(m.copy(), None, tol)
+        _forward_eliminate(m.copy(), tol)
     except SingularBasis:
         return False
     return True

@@ -1,12 +1,16 @@
 """Recovering the matrix that acted last on a trace, and turning recovered
 matrices into discrete label ids.
 
-The last-applied matrix of a word is obtained from two trace queries started
-at the identity: the final states of the word minus its last event form a
-basis (all subsystem matrices are full-rank), and the final states of the
-full word are their image under the wanted matrix.
+The last-applied matrix of a non-empty word is obtained from one trace query
+started at the identity: its second-to-last states are the final states of
+the word minus its last event and form a basis (all subsystem matrices are
+full-rank), and its last states are their image under the wanted matrix.
+A trace query of a prefix computes the same products in the same order, so
+the basis is bit-identical to the final states of a separate query of the
+word minus its last event.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,35 +23,45 @@ from .linalg import LABEL_TOL, PIVOT_TOL, identity, recover_transform
 def compute_output(obs, word: Word, tol: float = PIVOT_TOL) -> np.ndarray:
     """Matrix labelling the node reached by word, from trace queries alone.
 
-    Costs two d-column trace queries (one for the empty word). Raises
-    SingularBasis if the intermediate states do not span the space, which
-    means some subsystem matrix is rank-deficient.
+    Costs one d-column trace query. Raises SingularBasis if the
+    intermediate states do not span the space, which means some subsystem
+    matrix is rank-deficient or their product is numerically singular.
     """
-    d = obs.dimension()
     obs.stats.output_computations += 1
+    states = obs.exec_query(identity(obs.dimension()), word)
     if len(word) == 0:
-        return obs.exec_query(identity(d), ())[-1]
-    basis = obs.exec_query(identity(d), word[:-1])[-1]
-    image = obs.exec_query(identity(d), word)[-1]
-    return recover_transform(basis, image, tol)
+        return states[-1]
+    return recover_transform(states[-2], states[-1], tol)
 
 
 @dataclass
 class LabelRegistry:
     """Interns recovered matrices into dense label ids.
 
-    Two matrices within tol of each other get the same id. Canonical
-    matrices must stay pairwise separated by more than 2*tol, otherwise
-    classification becomes ambiguous and AmbiguousLabel is raised.
+    Two matrices within tol (max-abs entrywise) of each other get the same
+    id; tol must be positive and finite. Canonical matrices must stay
+    pairwise separated by more than 2*tol, otherwise classification becomes
+    ambiguous and AmbiguousLabel is raised.
     """
 
     tol: float = LABEL_TOL
     canonical: list[np.ndarray] = field(default_factory=list)
+    # canonical stacked into one (k, d, d) array, rebuilt when k changes
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"label tolerance must be positive and finite, "
+                             f"got {self.tol!r}")
 
     def classify(self, matrix: np.ndarray) -> int:
         matrix = np.asarray(matrix, dtype=float)
-        hits = [i for i, known in enumerate(self.canonical)
-                if np.max(np.abs(known - matrix)) <= self.tol]
+        hits = []
+        if self.canonical:
+            if self._stack is None or len(self._stack) != len(self.canonical):
+                self._stack = np.stack(self.canonical)
+            distance = np.max(np.abs(self._stack - matrix), axis=(1, 2))
+            hits = np.flatnonzero(distance <= self.tol).tolist()
         if len(hits) > 1:
             raise AmbiguousLabel(
                 f"matrix matches labels {hits} at tolerance {self.tol:g}; "

@@ -13,7 +13,7 @@ import numpy as np
 
 from .automaton import EventAlphabet, Fa, Word, language_of
 from .errors import DimensionMismatch, ParseError, ValidationError
-from .linalg import PIVOT_TOL, is_full_rank, mat_mul
+from .linalg import PIVOT_TOL, is_full_rank
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
             f"initial state has shape {x.shape}, expected {system.d} rows")
     states = [x]
     for label in language_of(system.fa, word):
-        x = mat_mul(system.matrices[label], x)
+        x = system.matrices[label] @ x
         states.append(x)
     return states
 

@@ -64,6 +64,18 @@ def test_simulate_rejects_wrong_x0_length(demo_model, capsys):
                  "--word", "e1"]) == 2
 
 
+@pytest.mark.parametrize("x0, named", [("a,1", "entry 0 ('a')"),
+                                       ("1,nan", "entry 1 ('nan')"),
+                                       ("inf,0", "entry 0 ('inf')"),
+                                       ("1,", "entry 1 ('')")])
+def test_simulate_rejects_bad_x0_entry(demo_model, capsys, x0, named):
+    assert main(["simulate", "--model", demo_model, "--x0", x0,
+                 "--word", "e1"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_rejects_unknown_event(demo_model):
     assert main(["simulate", "--model", demo_model, "--x0", "1,0",
                  "--word", "e9"]) == 2
@@ -189,6 +201,21 @@ def test_bench_rejects_malformed_grid_entry(tmp_path, capsys, grid, named):
 def test_missing_model_is_runtime_error(tmp_path):
     assert main(["simulate", "--model", str(tmp_path / "nope.json"),
                  "--x0", "1,0", "--word", ""]) == 3
+
+
+@pytest.mark.parametrize("command", ["learn", "bench", "equiv"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])
+def test_nonpositive_tol_is_usage_error(demo_model, tmp_path, capsys,
+                                        command, tol):
+    args = {"learn": ["--model", demo_model, "--out", str(tmp_path / "o.json")],
+            "bench": ["--grid", str(tmp_path / "grid.json"),
+                      "--out", str(tmp_path / "o.csv")],
+            "equiv": ["--a", demo_model, "--b", demo_model]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "demo.json"]
 
 
 def test_usage_error_exit_code():

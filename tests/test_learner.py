@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from switchlearn import (BudgetExceeded, EventAlphabet, Fa, GenConfig,
+from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
+                         EventAlphabet, Fa, GenConfig,
                          LabelRegistry, NotACounterexample, NotClosed,
                          ObservationStore, SwitchedSystem,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
@@ -321,6 +322,48 @@ def test_learn_output_budget(demo2d_system):
             learn_with(budget)
 
 
+def test_learn_output_budget_counts_shared_equivalence_oracle(demo2d_system):
+    # the bounded oracle shares obs, so its output computations count toward
+    # max_outputs: the second check (no counterexample up to length 9) runs
+    # to completion, then learn refuses instead of returning
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    eq = BoundedTestingEquivalenceOracle(obs, 9)
+    with pytest.raises(BudgetExceeded, match="more than 30 "):
+        learn(obs, eq, demo2d_system.fa.alphabet, max_outputs=30)
+    assert eq.stats.equivalence_queries == 2
+    assert obs.stats.output_computations > 2 ** 10
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_learn_rejects_bad_label_tol(demo2d_system, tol):
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    with pytest.raises(ValueError, match="label tolerance"):
+        learn(obs, WhiteBoxEquivalenceOracle(demo2d_system),
+              demo2d_system.fa.alphabet, label_tol=tol)
+    assert obs.stats.io_queries == 0
+
+
+def test_learn_is_deterministic_within_a_process():
+    hidden = random_system(GenConfig(num_nodes=12, num_events=3, num_labels=4,
+                                     dim=5, seed=17))
+
+    def learn_once():
+        return learn(WhiteBoxObservationOracle(hidden),
+                     WhiteBoxEquivalenceOracle(hidden), hidden.fa.alphabet)
+
+    first, second = learn_once(), learn_once()
+    assert first.rounds > 1
+    assert first.system.fa == second.system.fa
+    assert len(first.system.matrices) == len(second.system.matrices)
+    for a, b in zip(first.system.matrices, second.system.matrices):
+        assert np.array_equal(a, b)
+    assert first.access_words == second.access_words
+    assert first.test_words == second.test_words
+    assert first.counterexample_costs == second.counterexample_costs
+    counts = lambda r: {k: v for k, v in r.stats_dict().items() if k != "wall_ms"}
+    assert counts(first) == counts(second)
+
+
 def test_learn_random_systems_end_to_end():
     rng = np.random.default_rng(99)
     totals = {"io_queries": 0, "output_computations": 0,
@@ -354,7 +397,7 @@ def test_learn_random_systems_end_to_end():
             totals[key] += result.stats_dict()[key]
     # the learner asks exactly these queries; a change to them is a change
     # of algorithm, not of representation
-    assert totals == {"io_queries": 9702, "output_computations": 1714,
+    assert totals == {"io_queries": 4896, "output_computations": 1714,
                       "equivalence_queries": 86, "rounds": 86}
 
 

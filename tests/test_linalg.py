@@ -1,26 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from switchlearn import (DimensionMismatch, SingularBasis, identity,
-                         is_full_rank, mat_approx_eq, mat_mul,
-                         recover_transform)
+                         is_full_rank, mat_approx_eq, recover_transform)
 
 from conftest import DEMO2D_MATRICES, FAULT_MATRICES
-
-
-def triple_loop_product(a, b):
-    n, k = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for x in range(k):
-                acc += a[i, x] * b[x, j]
-            out[i, j] = acc
-    return out
 
 
 def test_identity_small():
@@ -36,39 +20,7 @@ def test_identity_rejects_nonpositive():
 def test_identity_is_left_neutral():
     rng = np.random.default_rng(3)
     m = rng.uniform(-1, 1, (3, 3))
-    assert np.array_equal(mat_mul(identity(3), m), m)
-
-
-def test_mat_mul_vector():
-    result = mat_mul(DEMO2D_MATRICES[0], np.array([0.5, 0.5]))
-    assert np.allclose(result, [0.65, 0.95], atol=1e-12)
-
-
-def test_mat_mul_identity_neutral():
-    for m in DEMO2D_MATRICES:
-        assert np.array_equal(mat_mul(identity(2), m), m)
-
-
-def test_mat_mul_associative():
-    rng = np.random.default_rng(11)
-    a, b, c = (rng.uniform(-1, 1, (4, 4)) for _ in range(3))
-    left = mat_mul(mat_mul(a, b), c)
-    right = mat_mul(a, mat_mul(b, c))
-    assert np.max(np.abs(left - right)) <= 1e-9
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        mat_mul(np.eye(2), np.eye(3))
-
-
-@settings(max_examples=60, deadline=None)
-@given(d=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 10_000))
-def test_mat_mul_matches_triple_loop_exactly(d, m, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-10, 10, (d, d))
-    b = rng.uniform(-10, 10, (d, m))
-    assert np.array_equal(mat_mul(a, b), triple_loop_product(a, b))
+    assert np.array_equal(identity(3) @ m, m)
 
 
 def test_recover_transform_two_step_trace():
@@ -91,7 +43,7 @@ def test_recover_transform_round_trip(d):
         basis = rng.uniform(-1, 1, (d, d))
         if not (is_full_rank(a) and is_full_rank(basis)):
             continue
-        recovered = recover_transform(basis, mat_mul(a, basis), 1e-12)
+        recovered = recover_transform(basis, a @ basis, 1e-12)
         assert mat_approx_eq(recovered, a, 1e-8)
 
 
@@ -142,3 +94,14 @@ def test_recovered_label_matches_stored():
     basis = np.array([[1.69, 1.2], [1.67, 0.6]])
     image = np.array([[2.012, 0.96], [-0.181, -0.48]])
     assert mat_approx_eq(recover_transform(basis, image), DEMO2D_MATRICES[1], 1e-9)
+
+
+def test_recover_transform_keeps_pivot_threshold():
+    # LAPACK would solve against this basis; the pivot test refuses it first
+    basis = np.diag([1.0, 1e-13])
+    m = np.array([[2.0, 1.0], [0.5, -3.0]])
+    with pytest.raises(SingularBasis):
+        recover_transform(basis, m @ basis)
+    assert mat_approx_eq(recover_transform(basis, m @ basis, tol=1e-14), m, 1e-12)
+    with pytest.raises(SingularBasis):
+        recover_transform(np.zeros((3, 3)), np.zeros((3, 3)))

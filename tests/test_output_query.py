@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig,
                          LabelRegistry, SingularBasis, SwitchedSystem,
                          WhiteBoxObservationOracle, cached_output,
-                         compute_output, mat_approx_eq, output_of,
-                         random_system, run)
+                         compute_output, identity, mat_approx_eq, output_of,
+                         random_system, recover_transform, run)
 
 from conftest import DEMO2D_MATRICES
 
@@ -30,8 +32,27 @@ def test_query_cost_is_constant(demo2d_system):
     assert obs.stats.io_queries == 2  # d columns for the empty word
     assert obs.stats.output_computations == 1
     compute_output(obs, (E1, E2, E2))
-    assert obs.stats.io_queries == 6  # 2d columns for any non-empty word
+    assert obs.stats.io_queries == 4  # d columns for any non-empty word too
     assert obs.stats.output_computations == 2
+
+
+def two_trace_output(obs, word):
+    """Output recovery from separate trace queries of word minus its last
+    event and of word."""
+    d = obs.dimension()
+    basis = obs.exec_query(identity(d), word[:-1])[-1]
+    return recover_transform(basis, obs.exec_query(identity(d), word)[-1])
+
+
+def test_one_trace_recovery_equals_two_trace_recovery(demo2d_system):
+    rng = np.random.default_rng(5)
+    for system in (demo2d_system, conditioned_system(6, 3, 4, 5, seed=11)):
+        obs = WhiteBoxObservationOracle(system)
+        for length in range(1, 13):
+            word = tuple(int(e) for e in rng.integers(
+                0, len(system.fa.alphabet), length))
+            assert np.array_equal(compute_output(obs, word),
+                                  two_trace_output(obs, word))
 
 
 def conditioned_system(num_nodes, num_events, num_labels, dim, seed):
@@ -114,6 +135,48 @@ def test_registry_ambiguity_detected():
     registry.classify(np.full((2, 2), 1.5))
     with pytest.raises(AmbiguousLabel):
         registry.classify(np.full((2, 2), 0.75))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_registry_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="label tolerance"):
+        LabelRegistry(tol=tol)
+
+
+def classify_by_loop(canonical, matrix, tol):
+    """Reference interning: one max-abs comparison per canonical matrix."""
+    hits = [i for i, known in enumerate(canonical)
+            if np.max(np.abs(known - matrix)) <= tol]
+    if len(hits) > 1:
+        return "ambiguous"
+    return hits[0] if hits else len(canonical)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 4), tol=st.sampled_from([1e-6, 0.25]),
+       offsets=st.lists(st.integers(-4, 4), max_size=6),
+       probe=st.integers(-4, 4),
+       nudge=st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]),
+       seed=st.integers(0, 1000))
+def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probe,
+                                                   nudge, seed):
+    # canonical matrices and the probe sit at multiples of tol/2 from one
+    # centre, so probes land just inside, on, or just outside tol of one or
+    # two labels
+    rng = np.random.default_rng(seed)
+    centre = rng.uniform(-2, 2, (d, d))
+    direction = np.zeros((d, d))
+    direction[rng.integers(d), rng.integers(d)] = 1.0
+    canonical = [centre + k * tol / 2 * direction for k in offsets]
+    matrix = centre + probe * nudge * tol / 2 * direction
+    expected = classify_by_loop(canonical, matrix, tol)
+    registry = LabelRegistry(tol=tol, canonical=list(canonical))
+    if expected == "ambiguous":
+        with pytest.raises(AmbiguousLabel):
+            registry.classify(matrix)
+    else:
+        assert registry.classify(matrix) == expected
+        assert len(registry) == max(len(canonical), expected + 1)
 
 
 def test_cached_output_no_extra_queries(demo2d_system):

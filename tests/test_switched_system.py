@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (DimensionMismatch, InvalidEvent, ParseError,
-                         SwitchedSystem, ValidationError, execute, load_json,
-                         save_json, validate)
+                         SwitchedSystem, ValidationError, execute, language_of,
+                         load_json, save_json, validate)
 
 from conftest import DEMO2D_MATRICES, make_demo2d_system
 
@@ -60,11 +60,30 @@ def test_execute_length_and_columns(indices, k):
     x0 = np.random.default_rng(k).uniform(-1, 1, (2, k))
     states = execute(system, x0, word)
     assert len(states) == len(word) + 2
-    # executing the block equals executing each column independently
+    # executing the block equals executing each column independently, up to
+    # rounding: BLAS does not promise that a block product and its column
+    # products sum in the same order
     for col in range(k):
         column_states = execute(system, x0[:, col], word)
         for block, single in zip(states, column_states):
-            assert np.array_equal(block[:, col], single)
+            np.testing.assert_allclose(block[:, col], single, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(single)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=10))
+def test_execute_final_state_is_label_product(indices):
+    # from the identity, the final states are the product of the matrices
+    # along the run, the last-applied one leftmost; execute groups it from
+    # the right, this reference from the left
+    system = make_demo2d_system()
+    word = tuple(indices)
+    product = np.eye(2)
+    for label in reversed(language_of(system.fa, word)):
+        product = product @ system.matrices[label]
+    final = execute(system, np.eye(2), word)[-1]
+    np.testing.assert_allclose(final, product, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(product)))
 
 
 @settings(max_examples=50, deadline=None)
