@@ -17,11 +17,12 @@ from .learner import (LearnResult, ObservationStore, build_hypothesis,
                       close_store, is_separable, learn, process_counterexample,
                       row)
 from .linalg import (LABEL_TOL, PIVOT_TOL, identity, is_full_rank,
-                     mat_approx_eq, recover_transform)
+                     mat_approx_eq, recover_transform, recover_transforms)
 from .oracle import (BoundedTestingEquivalenceOracle, EquivalenceOracle,
                      ObservationOracle, QueryStats, WhiteBoxEquivalenceOracle,
                      WhiteBoxObservationOracle)
-from .output_query import LabelRegistry, cached_output, compute_output
+from .output_query import (LabelRegistry, cached_output, cached_outputs,
+                           compute_output)
 from .switched_system import (SwitchedSystem, Violation, execute, load_json,
                               save_json, validate)
 

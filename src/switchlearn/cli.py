@@ -63,6 +63,19 @@ def _label_tol(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag that must be at least minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _parse_x0(text: str, d: int) -> np.ndarray:
     entries = text.split(",")
     values = []
@@ -158,6 +171,10 @@ def _check_grid(grid) -> None:
         if missing:
             raise CliError(f"grid entry {i} ({json.dumps(entry)}) has no "
                            f"{', '.join(missing)}")
+        for key in GRID_KEYS:
+            if not isinstance(entry[key], int) or isinstance(entry[key], bool):
+                raise CliError(f"grid entry {i} ({json.dumps(entry)}) has "
+                               f"{key} {json.dumps(entry[key])}, not an integer")
 
 
 def cmd_bench(args) -> int:
@@ -192,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random system")
-    gen.add_argument("--nodes", type=int, required=True)
-    gen.add_argument("--events", type=int, required=True)
-    gen.add_argument("--labels", type=int, required=True)
-    gen.add_argument("--dim", type=int, required=True)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--nodes", type=_int_at_least(1), required=True)
+    gen.add_argument("--events", type=_int_at_least(1), required=True)
+    gen.add_argument("--labels", type=_int_at_least(1), required=True)
+    gen.add_argument("--dim", type=_int_at_least(1), required=True)
+    gen.add_argument("--seed", type=_int_at_least(0), required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--allow-unreachable", action="store_true")
     gen.set_defaults(func=cmd_gen)
@@ -207,19 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated initial state, e.g. '0.5,0.5'")
     simulate.add_argument("--word", required=True,
                           help="space-separated event names, '' for the empty word")
-    simulate.add_argument("--precision", type=int, default=6)
+    simulate.add_argument("--precision", type=_int_at_least(0), default=6)
     simulate.set_defaults(func=cmd_simulate)
 
     output = sub.add_parser("output", help="recover the last-applied matrix of a word")
     output.add_argument("--model", required=True)
     output.add_argument("--word", required=True)
-    output.add_argument("--precision", type=int, default=6)
+    output.add_argument("--precision", type=_int_at_least(0), default=6)
     output.set_defaults(func=cmd_output)
 
     learn_cmd = sub.add_parser("learn", help="learn the model behind the oracles")
     learn_cmd.add_argument("--model", required=True)
     learn_cmd.add_argument("--eq", choices=("exact", "bounded"), default="exact")
-    learn_cmd.add_argument("--L", type=int, default=None,
+    learn_cmd.add_argument("--L", type=_int_at_least(0), default=None,
                            help="search depth for --eq bounded "
                                 "(default 2*nodes+1)")
     learn_cmd.add_argument("--tol", type=_label_tol, default=LABEL_TOL)

@@ -21,7 +21,7 @@ from .automaton import EPSILON, EventAlphabet, Fa, Word, run
 from .errors import BudgetExceeded, NotACounterexample, NotClosed
 from .linalg import LABEL_TOL
 from .oracle import EquivalenceOracle, ObservationOracle, QueryStats
-from .output_query import LabelRegistry, cached_output
+from .output_query import LabelRegistry, cached_output, cached_outputs
 from .switched_system import SwitchedSystem
 
 
@@ -76,14 +76,31 @@ def find_representative(index: dict[tuple[int, ...], int], word: Word,
 
 
 def close_store(store: ObservationStore, alphabet: EventAlphabet, query,
-                on_mutation=None) -> None:
+                on_mutation=None, prefetch=None) -> None:
     """Add one-event extensions to the access words until every extension
     has a representative. Each added extension has a row unlike every access
     word, so separability is preserved. The test words stay fixed, so an
     addition never takes a representative away from an earlier extension,
-    and one pass over the growing access list suffices."""
+    and one pass over the growing access list suffices.
+
+    prefetch(words), when given, computes the labels of an iterable of
+    words together, in order, so that query finds them cached. It is called
+    with the cells the pass will certainly query, in the order it queries
+    them: access x tests, then, on reaching the first access word not yet
+    covered, the extensions of it and every later access word x tests.
+    Access words are only appended, so the pass queries the same words in
+    the same order with or without prefetch, and labels and counts are the
+    same, unless on_mutation queries words outside the table.
+    """
+    if prefetch is not None:
+        prefetch(w + t for w in store.access_words for t in store.test_words)
     index = row_index(store, query)
-    for word in store.access_words:  # also visits words appended below
+    fetched = 0  # access words whose extension cells were prefetched
+    for i, word in enumerate(store.access_words):  # also visits words appended below
+        if prefetch is not None and i == fetched:
+            fetched = len(store.access_words)
+            prefetch(w + (e,) + t for w in store.access_words[i:]
+                     for e in range(len(alphabet)) for t in store.test_words)
         for e in range(len(alphabet)):
             extension = word + (e,)
             extension_row = row(extension, store.test_words, query)
@@ -184,6 +201,11 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
             raise BudgetExceeded(f"more than {max_outputs} output computations")
         return cached_output(obs, registry, cache, word)
 
+    def prefetch(words) -> None:
+        # capped at the budget, so query refuses the same word as without it
+        limit = None if max_outputs is None else max(0, max_outputs - spent())
+        cached_outputs(obs, registry, cache, words, limit)
+
     store = ObservationStore()
     rounds = 0
     counterexample_costs: list[tuple[int, int]] = []
@@ -192,7 +214,7 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
                else 10 * len(alphabet) * (len(store.access_words) + 1))
         if rounds >= cap:
             raise BudgetExceeded(f"no equivalent hypothesis after {rounds} rounds")
-        close_store(store, alphabet, query, on_mutation=on_mutation)
+        close_store(store, alphabet, query, on_mutation=on_mutation, prefetch=prefetch)
         hypothesis = build_hypothesis(store, registry, alphabet, query)
         rounds += 1
         counterexample = eq.check(hypothesis)

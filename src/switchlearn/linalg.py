@@ -20,6 +20,11 @@ def identity(d: int) -> np.ndarray:
     return np.eye(d)
 
 
+def _singular(pivot: float, col: int, tol: float) -> SingularBasis:
+    return SingularBasis(f"pivot magnitude {abs(pivot):.3e} at column {col} "
+                         f"is not above tolerance {tol:g}")
+
+
 def _forward_eliminate(a: np.ndarray, tol: float) -> None:
     """Row-reduce a in place with partial pivoting, leaving its upper
     triangle; raise SingularBasis at the first pivot whose magnitude is not
@@ -29,10 +34,7 @@ def _forward_eliminate(a: np.ndarray, tol: float) -> None:
         p = col + int(np.abs(a[col:, col]).argmax())
         pivot = a[p, col]
         if abs(pivot) <= tol:
-            raise SingularBasis(
-                f"pivot magnitude {abs(pivot):.3e} at column {col} "
-                f"is not above tolerance {tol:g}"
-            )
+            raise _singular(pivot, col, tol)
         if p != col:
             a[[col, p]] = a[[p, col]]
         # column col below the pivot is never read again, so it is left as is
@@ -55,6 +57,53 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
         raise DimensionMismatch(f"image shape {image.shape} != basis shape {basis.shape}")
     _forward_eliminate(basis.T.copy(), tol)
     return np.linalg.solve(basis.T, image.T).T
+
+
+def _forward_eliminate_stack(a: np.ndarray, tol: float) -> tuple[int, SingularBasis | None]:
+    """Row-reduce every matrix a[:, :, r] of the (n, n, k) stack a in place
+    with the same elementwise partial-pivoting arithmetic as
+    _forward_eliminate, so each matrix meets bit-identical pivots. The stack
+    index is the last axis so that every numpy call runs over k contiguous
+    matrices at once. Returns the number j of leading matrices whose pivots
+    are all above tol, and the SingularBasis that _forward_eliminate raises
+    on matrix j (None when j == k)."""
+    n = a.shape[0]
+    stack = np.arange(a.shape[2])
+    error = None
+    for col in range(n):
+        p = col + np.abs(a[col:, col]).argmax(axis=0)
+        pivot = a[p, col, stack]
+        bad = np.abs(pivot) <= tol
+        if bad.any():
+            # an earlier matrix may still fail at a later column, so keep
+            # eliminating the ones before the first failure
+            j = int(bad.argmax())
+            error = _singular(pivot[j], col, tol)
+            a, stack, p, pivot = a[..., :j], stack[:j], p[:j], pivot[:j]
+        top = a[col, col:].copy()
+        a[col, col:] = a[p, col:, stack].T
+        a[p, col:, stack] = top.T
+        a[col + 1 :, col + 1 :] -= (a[col + 1 :, col] / pivot)[:, None] * a[col, col + 1 :]
+    return len(stack), error
+
+
+def recover_transforms(bases: np.ndarray, images: np.ndarray,
+                       tol: float = PIVOT_TOL) -> tuple[np.ndarray, SingularBasis | None]:
+    """recover_transform over a (k, d, d) stack of bases and images.
+
+    Returns the matrices recovered for the leading bases that pass the
+    pivot test, bit-identical to recover_transform on each, and the
+    SingularBasis recover_transform raises on the first basis that fails
+    (None when every basis passes). A stack of one is slower than
+    recover_transform, so single recoveries should keep using it.
+    """
+    if bases.ndim != 3 or bases.shape[1] != bases.shape[2] or images.shape != bases.shape:
+        raise DimensionMismatch(f"expected two equal (k, d, d) stacks, got shapes "
+                                f"{bases.shape} and {images.shape}")
+    # matrix r of the (d, d, k) stack is bases[r].T, as recover_transform eliminates
+    good, error = _forward_eliminate_stack(bases.transpose(2, 1, 0).copy(), tol)
+    bases_t, images_t = bases[:good].transpose(0, 2, 1), images[:good].transpose(0, 2, 1)
+    return np.linalg.solve(bases_t, images_t).transpose(0, 2, 1), error
 
 
 def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:

@@ -112,6 +112,8 @@ def load_json(text: str, rank_tol: float = PIVOT_TOL) -> SwitchedSystem:
                         and all(isinstance(v, (int, float)) for v in r)
                         for r in rows),
                 f"matrix {k} must be a list of numeric rows")
+        _expect(len({len(r) for r in rows}) <= 1,
+                f"matrix {k} has rows of different lengths")
         matrix = np.array(rows, dtype=float)
         if matrix.ndim != 2:
             raise ValidationError([Violation("bad_dimension", k)])

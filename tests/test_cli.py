@@ -187,6 +187,17 @@ def test_bench_grid(tmp_path):
 @pytest.mark.parametrize("grid, named", [
     ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2}], ["entry 0", "seed"]),
     ([3], ["entry 0", "3"]),
+    ([{"nodes": "3", "events": 2, "labels": 2, "dim": 2, "seed": 1}],
+     ["entry 0", "nodes"]),
+    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2, "seed": 1},
+      {"nodes": 2.5, "events": 2, "labels": 2, "dim": 2, "seed": 1}],
+     ["entry 1", "nodes"]),
+    ([{"nodes": 3, "events": 2, "labels": 2, "dim": True, "seed": 1}],
+     ["entry 0", "dim"]),
+    ([{"nodes": 3, "events": 2, "labels": None, "dim": 2, "seed": 1}],
+     ["entry 0", "labels"]),
+    ([{"nodes": 3, "events": [2], "labels": 2, "dim": 2, "seed": 1}],
+     ["entry 0", "events"]),
 ])
 def test_bench_rejects_malformed_grid_entry(tmp_path, capsys, grid, named):
     path = tmp_path / "grid.json"
@@ -216,6 +227,32 @@ def test_nonpositive_tol_is_usage_error(demo_model, tmp_path, capsys,
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "demo.json"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("learn", "--L", "-1"),
+    ("gen", "--nodes", "0"),
+    ("gen", "--events", "0"),
+    ("gen", "--labels", "-2"),
+    ("gen", "--dim", "0"),
+    ("gen", "--seed", "-1"),
+    ("gen", "--nodes", "2.5"),
+    ("output", "--precision", "-1"),
+    ("simulate", "--precision", "-1"),
+])
+def test_out_of_range_integer_flag_is_usage_error(demo_model, tmp_path, capsys,
+                                                  command, flag, value):
+    out = tmp_path / "o.json"
+    args = {"learn": ["--model", demo_model, "--eq", "bounded", "--out", str(out)],
+            "gen": ["--nodes", "3", "--events", "2", "--labels", "2", "--dim", "2",
+                    "--seed", "1", "--out", str(out)],
+            "output": ["--model", demo_model, "--word", "e1"],
+            "simulate": ["--model", demo_model, "--x0", "1,0", "--word", "e1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

@@ -8,7 +8,8 @@ from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          LabelRegistry, NotACounterexample, NotClosed,
                          ObservationStore, SwitchedSystem,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         build_hypothesis, cached_output, close_store,
+                         build_hypothesis, cached_output, cached_outputs,
+                         close_store,
                          is_separable, learn, mat_approx_eq,
                          process_counterexample, random_system, row, run,
                          validate)
@@ -157,6 +158,48 @@ def test_close_matches_restart_from_zero_closure():
         close_store(one_pass, system.fa.alphabet, query)
         restart_close(restarted, system.fa.alphabet, query)
         assert one_pass.access_words == restarted.access_words
+
+
+def closure_trace(system, test_rounds, batched):
+    """Access words, canonical labels and query counts after closing a
+    store once per list of test words in test_rounds, adding those words
+    before each closure, with or without prefetch."""
+    obs = WhiteBoxObservationOracle(system)
+    registry = LabelRegistry()
+    cache = {}
+    prefetch = None
+    if batched:
+        prefetch = lambda words: cached_outputs(obs, registry, cache, words)
+    store = ObservationStore()
+    for tests in test_rounds:
+        store.test_words.extend(t for t in tests if t not in store.test_words)
+        close_store(store, system.fa.alphabet,
+                    lambda w: cached_output(obs, registry, cache, w),
+                    prefetch=prefetch)
+    return store.access_words, registry.canonical, obs.stats.as_dict()
+
+
+def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
+    rng = np.random.default_rng(5)
+    cases = [(demo2d_system, [[], [(E2,)], [(E1, E2), (E2, E2)]])]
+    for seed in range(8):
+        system = random_system(GenConfig(num_nodes=int(rng.integers(2, 25)),
+                                         num_events=int(rng.integers(2, 5)),
+                                         num_labels=int(rng.integers(1, 7)), dim=5,
+                                         seed=seed, full_rank_threshold=0.3))
+        events = len(system.fa.alphabet)
+        cases.append((system, [[tuple(int(e) for e in rng.integers(0, events, n))
+                                for n in rng.integers(1, 4, rng.integers(0, 4))]
+                               for _ in range(3)]))
+    for system, test_rounds in cases:
+        words, labels, stats = closure_trace(system, test_rounds, batched=False)
+        batched_words, batched_labels, batched_stats = closure_trace(
+            system, test_rounds, batched=True)
+        assert batched_words == words
+        assert batched_stats == stats
+        assert len(batched_labels) == len(labels)
+        for a, b in zip(batched_labels, labels):
+            assert np.array_equal(a, b)
 
 
 def test_close_leaves_closed_store_unchanged(demo2d_system):
@@ -320,6 +363,18 @@ def test_learn_output_budget(demo2d_system):
     for budget in (2, 13):
         with pytest.raises(BudgetExceeded, match=f"more than {budget} "):
             learn_with(budget)
+
+
+def test_learn_output_budget_refuses_at_the_budget(demo2d_system):
+    # closure computes cells in batches; they stop at the budget, so the
+    # refusal comes with exactly the budget spent, as word by word
+    for budget in range(14):
+        obs = WhiteBoxObservationOracle(demo2d_system)
+        with pytest.raises(BudgetExceeded):
+            learn(obs, WhiteBoxEquivalenceOracle(demo2d_system),
+                  demo2d_system.fa.alphabet, max_outputs=budget)
+        assert obs.stats.output_computations == budget
+        assert obs.stats.io_queries == 2 * budget  # d = 2 columns each
 
 
 def test_learn_output_budget_counts_shared_equivalence_oracle(demo2d_system):

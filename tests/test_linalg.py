@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlearn import (DimensionMismatch, SingularBasis, identity,
-                         is_full_rank, mat_approx_eq, recover_transform)
+                         is_full_rank, mat_approx_eq, recover_transform,
+                         recover_transforms)
 
 from conftest import DEMO2D_MATRICES, FAULT_MATRICES
 
@@ -105,3 +108,57 @@ def test_recover_transform_keeps_pivot_threshold():
     assert mat_approx_eq(recover_transform(basis, m @ basis, tol=1e-14), m, 1e-12)
     with pytest.raises(SingularBasis):
         recover_transform(np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+def recover_by_loop(bases, images, tol):
+    """Reference for recover_transforms: recover_transform on each basis in
+    turn, stopping at the first SingularBasis."""
+    recovered = []
+    for basis, image in zip(bases, images):
+        try:
+            recovered.append(recover_transform(basis, image, tol))
+        except SingularBasis as exc:
+            return recovered, str(exc)
+    return recovered, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 20), k=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       degenerate=st.sampled_from([0.0, 0.1, 0.3]),
+       tol=st.sampled_from([1e-12, 1e-9]))
+def test_recover_transforms_matches_single_recoveries(d, k, seed, degenerate, tol):
+    # some bases get a column that nearly or exactly repeats another, or a
+    # tiny column, so stacks fail at varied matrices and columns
+    rng = np.random.default_rng(seed)
+    bases = rng.uniform(-1, 1, (k, d, d))
+    images = rng.uniform(-1, 1, (k, d, d))
+    for basis in bases:
+        if rng.random() < degenerate:
+            c, c2 = rng.integers(d), rng.integers(d)
+            scale = rng.choice([0.0, 1.0, 1 + 1e-13, 1 + 1e-10])
+            basis[:, c2] = (basis[:, c] if c != c2 else 1e-11) * scale
+    expected, expected_error = recover_by_loop(bases, images, tol)
+    recovered, error = recover_transforms(bases, images, tol)
+    assert len(recovered) == len(expected)
+    for got, want in zip(recovered, expected):
+        assert np.array_equal(got, want)
+    assert (str(error) if error else None) == expected_error
+    assert (error is None) == (len(recovered) == k)
+
+
+def test_recover_transforms_reports_first_failing_basis():
+    # basis 2 fails at column 1, basis 0 only at its last column
+    bases = np.stack([np.diag([1.0, 1.0, 1e-13]), np.eye(3), np.diag([1.0, 0.0, 1.0])])
+    recovered, error = recover_transforms(bases, bases)
+    assert len(recovered) == 0
+    assert "at column 2" in str(error)
+    recovered, error = recover_transforms(bases[1:], bases[1:])
+    assert np.array_equal(recovered[0], np.eye(3))
+    assert "at column 1" in str(error)
+
+
+def test_recover_transforms_shape_checks():
+    with pytest.raises(DimensionMismatch):
+        recover_transforms(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        recover_transforms(np.ones((2, 3, 3)), np.ones((1, 3, 3)))

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig,
                          LabelRegistry, SingularBasis, SwitchedSystem,
                          WhiteBoxObservationOracle, cached_output,
-                         compute_output, identity, mat_approx_eq, output_of,
-                         random_system, recover_transform, run)
+                         cached_outputs, compute_output, identity,
+                         mat_approx_eq, output_of, random_system,
+                         recover_transform, run)
+from switchlearn.output_query import RECOVERY_BATCH
 
 from conftest import DEMO2D_MATRICES
 
@@ -217,3 +219,67 @@ def test_registry_never_exceeds_hidden_label_count():
             assert mat_approx_eq(registry.canonical[lid],
                                  system.matrices[true_label], 1e-6)
         assert len(registry) <= len(system.matrices)
+
+
+def test_cached_outputs_matches_cached_output_word_by_word():
+    # more words than one stack, with duplicates, the empty word and words
+    # cached beforehand
+    for seed in range(5):
+        system = random_system(GenConfig(num_nodes=8, num_events=3, num_labels=4,
+                                         dim=5, seed=seed))
+        rng = np.random.default_rng(seed)
+        words = [tuple(int(e) for e in rng.integers(0, 3, rng.integers(0, 6)))
+                 for _ in range(3 * RECOVERY_BATCH)]
+        one, many = WhiteBoxObservationOracle(system), WhiteBoxObservationOracle(system)
+        one_registry, many_registry = LabelRegistry(), LabelRegistry()
+        one_cache, many_cache = {}, {}
+        for w in words[:5]:
+            cached_output(many, many_registry, many_cache, w)
+        cached_outputs(many, many_registry, many_cache, words)
+        ids = [cached_output(one, one_registry, one_cache, w) for w in words]
+        assert [many_cache[w] for w in words] == ids
+        assert one.stats.as_dict() == many.stats.as_dict()
+        assert len(one_registry) == len(many_registry)
+        for a, b in zip(one_registry.canonical, many_registry.canonical):
+            assert np.array_equal(a, b)
+
+
+def test_cached_outputs_limit_counts_uncached_words(demo2d_system):
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    cache = {}
+    cached_output(obs, LabelRegistry(), cache, (E1,))
+    words = [(E1,), (E2,), (E2,), (E1, E2), (E2, E1)]
+    cached_outputs(obs, LabelRegistry(), cache, words, limit=2)
+    assert list(cache) == [(E1,), (E2,), (E1, E2)]
+    assert obs.stats.output_computations == 3
+    cached_outputs(obs, LabelRegistry(), cache, words, limit=0)
+    assert obs.stats.output_computations == 3
+
+
+def ambiguous_then_singular():
+    """A 1-D system where (b,) recovers label 0, (a,) recovers 0.75,
+    ambiguous between labels 0 and 1.5 at tol 1, and (b, a) has the zero
+    state as its basis."""
+    fa = Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(("a", "b")),
+            delta=((0, 1), (1, 1)), gamma=(0, 1))
+    system = SwitchedSystem(fa=fa, matrices=(np.array([[0.75]]), np.array([[0.0]])), d=1)
+    registry = LabelRegistry(tol=1.0, canonical=[np.zeros((1, 1)), np.full((1, 1), 1.5)])
+    return WhiteBoxObservationOracle(system), registry
+
+
+@pytest.mark.parametrize("words, error", [
+    ([(1,), (0,), (1, 0)], AmbiguousLabel),
+    ([(1,), (1, 0), (0,)], SingularBasis),
+])
+def test_cached_outputs_raises_the_first_error_in_word_order(words, error):
+    # the whole stack is recovered before any word is classified; the error
+    # of the earlier word still wins, after the same output computations
+    obs, registry = ambiguous_then_singular()
+    with pytest.raises(error):
+        cached_outputs(obs, registry, {}, words)
+    one, one_registry = ambiguous_then_singular()
+    with pytest.raises(error):
+        for w in words:
+            cached_output(one, one_registry, {}, w)
+    assert obs.stats.output_computations == one.stats.output_computations == 2
+    assert len(registry) == len(one_registry) == 2

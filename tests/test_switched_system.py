@@ -160,6 +160,13 @@ def test_load_rejects_bad_transition(demo2d_system):
         load_json(json.dumps(obj))
 
 
+def test_load_rejects_ragged_matrix_rows(demo2d_system):
+    obj = json.loads(save_json(demo2d_system))
+    obj["matrices"][1] = [[1.0, 2.0], [3.0]]
+    with pytest.raises(ParseError, match="matrix 1"):
+        load_json(json.dumps(obj))
+
+
 def test_load_rejects_garbage():
     with pytest.raises(ParseError):
         load_json("not json at all {")
