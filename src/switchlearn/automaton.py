@@ -81,10 +81,11 @@ class Fa:
 
 
 def _check_word(fa: Fa, word: Word) -> None:
+    num_events = len(fa.alphabet)
     for e in word:
-        if not 0 <= e < len(fa.alphabet):
+        if not 0 <= e < num_events:
             raise InvalidEvent(f"event index {e} out of range for "
-                               f"{len(fa.alphabet)} events")
+                               f"{num_events} events")
 
 
 def run(fa: Fa, word: Word) -> list[int]:

@@ -175,6 +175,10 @@ def _check_grid(grid) -> None:
             if not isinstance(entry[key], int) or isinstance(entry[key], bool):
                 raise CliError(f"grid entry {i} ({json.dumps(entry)}) has "
                                f"{key} {json.dumps(entry[key])}, not an integer")
+            minimum = 0 if key == "seed" else 1
+            if entry[key] < minimum:
+                raise CliError(f"grid entry {i} ({json.dumps(entry)}) has "
+                               f"{key} {entry[key]}, must be >= {minimum}")
 
 
 def cmd_bench(args) -> int:

@@ -4,16 +4,22 @@ checking, each with query accounting.
 The white-box implementations wrap a known system and exist for testing and
 benchmarking; the bounded-testing equivalence checker works purely through
 trace queries and demonstrates the fully black-box mode (its "equivalent"
-verdict is only as strong as the search depth).
+verdict is only as strong as the search depth). It reads the outputs of a
+whole chain of words w, w·0, w·0·0, ... off one trace query and recovers
+them in stacks, so a full search to depth L over |events| events costs
+|events|^L trace queries instead of one per word; verdicts, counterexamples
+and output computations are those of computing each word's output in turn.
 """
 
 import itertools
 
 import numpy as np
 
-from .automaton import Word, language_equivalent, output_of
-from .linalg import LABEL_TOL, mat_approx_eq
-from .output_query import compute_output
+from .automaton import Word, language_equivalent
+from .errors import DimensionMismatch
+from .linalg import LABEL_TOL, identity, mat_approx_eq, recover_transforms
+# compute_output is looked up in this namespace by callers that wrap it
+from .output_query import RECOVERY_BATCH, compute_output  # noqa: F401
 from .switched_system import SwitchedSystem, execute
 
 
@@ -89,32 +95,125 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
             lambda i, j: self._label_eq(hidden.matrices[i], hypothesis.matrices[j]))
 
 
+class _ChainedTraces:
+    """Output matrices of words taken in length-lex order up to l_max, read
+    off one trace query per chain w, w·0, w·0·0, ... of length l_max.
+
+    A word w whose output is not at hand traces w·0^(l_max-|w|) from the
+    identity. By the prefix property of traces, states |w|+j and |w|+j+1 of
+    that trace are the basis and image of w·0^j, bit-identical to a trace of
+    w·0^j alone. Only the unconsumed tail of a trace is kept, keyed by the
+    next word of its chain, and it is dropped once that word is reached.
+    A search to depth L over |events| events holds up to about
+    |events|^(L-1) pending states (the word-by-word search held one).
+    """
+
+    def __init__(self, obs: ObservationOracle, l_max: int):
+        self._obs = obs
+        self._l_max = l_max
+        d = obs.dimension()
+        self._eye = identity(d)
+        self._bases = np.empty((RECOVERY_BATCH, d, d))
+        self._images = np.empty((RECOVERY_BATCH, d, d))
+        self._tails: dict[Word, list[np.ndarray]] = {}
+
+    def outputs(self, words: list[Word]) -> tuple[np.ndarray, Exception | None]:
+        """Output matrices of the leading words (up to RECOVERY_BATCH, all of
+        one length) whose outputs can be computed, and the error computing
+        the next one raises: any exception of a trace query, or the
+        SingularBasis of recover_transform (None when every output was
+        computed)."""
+        length, error = len(words[0]), None
+        for i, word in enumerate(words):
+            states = self._tails.pop(word, None)
+            if states is None:
+                try:
+                    trace = self._obs.exec_query(
+                        self._eye, word + (0,) * (self._l_max - length))
+                except Exception as exc:  # raised once the words before it are compared
+                    words, error = words[:i], exc
+                    break
+                states = trace[length:]
+            if length < self._l_max:
+                self._tails[word + (0,)] = states[1:]
+            self._bases[i], self._images[i] = states[0], states[1]
+        k = len(words)
+        if length == 0:  # as in compute_output, the empty word's output is its image
+            return self._images[:k], error
+        matrices, singular = recover_transforms(self._bases[:k], self._images[:k])
+        return matrices, error if singular is None else singular
+
+
 class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     """Black-box equivalence testing by exhaustive word enumeration.
 
     Words are tried by increasing length, lexicographic in event index, up
     to l_max (l_max 0 tests only the empty word); the first word whose
-    recovered output matrix disagrees with the hypothesis is returned.
-    Exhausting the search yields None, which is an unsound "equivalent"
-    verdict if the shortest counterexample is longer than l_max.
+    recovered output matrix differs from the hypothesis's by more than tol
+    (max-abs entrywise, NaN never agreeing) is returned. Exhausting the
+    search yields None, which is an unsound "equivalent" verdict if the
+    shortest counterexample is longer than l_max.
+
+    Outputs are computed in bulk, with the verdict, counterexample, errors
+    and output computations of compute_output on each word in turn:
+    - one trace query per chain w, w·0, w·0·0, ... (_ChainedTraces), so a
+      full search makes |events|^l_max d-column trace queries instead of one
+      per word, (|events|^(l_max+1) - 1) / (|events| - 1): half as many for
+      two events. This relies on the trace oracle's prefix property (a trace
+      of w·u starts with the trace of w);
+    - one recover_transforms call and one comparison per run of up to
+      RECOVERY_BATCH words of one length.
+    One output computation is counted per compared word, through the
+    counterexample. When an output cannot be computed, the words before it
+    are compared first; then it is counted and its error (SingularBasis for
+    a singular basis, or whatever the trace query raised) raised. Up to
+    RECOVERY_BATCH - 1 later words of the last run may have been traced and
+    recovered without being compared or counted. The pending chain states
+    take up to about |events|^(l_max-1) d x d states of memory. A hypothesis
+    with any matrix that is not d x d is rejected with DimensionMismatch
+    before any query.
     """
 
-    def __init__(self, obs: ObservationOracle, l_max: int,
-                 label_eq=None, tol: float = LABEL_TOL):
+    def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
         super().__init__()
+        if not isinstance(l_max, int) or isinstance(l_max, bool):
+            raise ValueError(f"l_max must be an integer, got {l_max!r}")
         if l_max < 0:
             raise ValueError(f"l_max must be >= 0, got {l_max}")
         self._obs = obs
         self._l_max = l_max
-        self._label_eq = label_eq or (lambda a, b: mat_approx_eq(a, b, tol))
+        self._tol = tol
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
-        num_events = len(hypothesis.fa.alphabet)
+        fa, stats = hypothesis.fa, self._obs.stats
+        d = self._obs.dimension()
+        for label, matrix in enumerate(hypothesis.matrices):
+            if np.shape(matrix) != (d, d):
+                raise DimensionMismatch(f"hypothesis label {label} has shape {np.shape(matrix)}, "
+                                        f"hidden states have dimension {d}")
+        claims = np.stack(hypothesis.matrices)
+        delta, gamma = np.array(fa.delta), np.array(fa.gamma)
+        traces = _ChainedTraces(self._obs, self._l_max)
+        # hypothesis nodes reached by the words of one length, in lex order
+        nodes = np.array([fa.initial])
         for length in range(self._l_max + 1):
-            for word in itertools.product(range(num_events), repeat=length):
-                observed = compute_output(self._obs, word)
-                claimed = hypothesis.matrices[output_of(hypothesis.fa, word)]
-                if not self._label_eq(observed, claimed):
-                    return word
+            if length:
+                nodes = delta[nodes].reshape(-1)
+            words = itertools.product(range(len(fa.alphabet)), repeat=length)
+            for start in range(0, len(nodes), RECOVERY_BATCH):
+                batch = list(itertools.islice(words, RECOVERY_BATCH))
+                observed, error = traces.outputs(batch)
+                claimed = claims[gamma[nodes[start:start + len(observed)]]]
+                # initial: observed is empty when the first word fails
+                distance = np.abs(observed - claimed).max(axis=(1, 2), initial=0.0)
+                agree = distance <= self._tol
+                if not agree.all():
+                    first = int(agree.argmin())
+                    stats.output_computations += first + 1
+                    return batch[first]
+                stats.output_computations += len(observed)
+                if error is not None:
+                    stats.output_computations += 1
+                    raise error
         return None

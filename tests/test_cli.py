@@ -198,6 +198,19 @@ def test_bench_grid(tmp_path):
      ["entry 0", "labels"]),
     ([{"nodes": 3, "events": [2], "labels": 2, "dim": 2, "seed": 1}],
      ["entry 0", "events"]),
+    ([{"nodes": 0, "events": 2, "labels": 2, "dim": 2, "seed": 1}],
+     ["entry 0", "nodes 0", ">= 1"]),
+    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2, "seed": 1},
+      {"nodes": 0, "events": 2, "labels": 2, "dim": 2, "seed": 1}],
+     ["entry 1", "nodes 0", ">= 1"]),
+    ([{"nodes": 3, "events": 0, "labels": 2, "dim": 2, "seed": 1}],
+     ["entry 0", "events 0", ">= 1"]),
+    ([{"nodes": 3, "events": 2, "labels": -1, "dim": 2, "seed": 1}],
+     ["entry 0", "labels -1", ">= 1"]),
+    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 0, "seed": 1}],
+     ["entry 0", "dim 0", ">= 1"]),
+    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2, "seed": -1}],
+     ["entry 0", "seed -1", ">= 0"]),
 ])
 def test_bench_rejects_malformed_grid_entry(tmp_path, capsys, grid, named):
     path = tmp_path / "grid.json"
