@@ -5,6 +5,8 @@ Matrices are plain float64 numpy arrays. Everything here is a pure function;
 no operand is modified in place.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, SingularBasis
@@ -20,9 +22,21 @@ def identity(d: int) -> np.ndarray:
     return np.eye(d)
 
 
+def check_label_tol(tol: float) -> float:
+    """tol itself when it is positive and finite; ValueError otherwise."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"label tolerance must be positive and finite, got {tol!r}")
+    return tol
+
+
 def _singular(pivot: float, col: int, tol: float) -> SingularBasis:
     return SingularBasis(f"pivot magnitude {abs(pivot):.3e} at column {col} "
                          f"is not above tolerance {tol:g}")
+
+
+def _lapack_singular(exc: np.linalg.LinAlgError) -> SingularBasis:
+    return SingularBasis(f"basis passed the pivot test but LAPACK found it "
+                         f"singular ({exc})")
 
 
 def _forward_eliminate(a: np.ndarray, tol: float) -> None:
@@ -47,7 +61,8 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
     basis must have linearly independent columns: SingularBasis is raised
     when partial-pivoting elimination of its transpose meets a pivot not
     above tol. Only then are all d right-hand sides solved against it with
-    LAPACK's LU solver.
+    LAPACK's LU solver; a basis that LAPACK still finds singular raises
+    SingularBasis too, never numpy's LinAlgError.
     """
     basis = np.asarray(basis, dtype=float)
     image = np.asarray(image, dtype=float)
@@ -56,7 +71,10 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
     if image.shape != basis.shape:
         raise DimensionMismatch(f"image shape {image.shape} != basis shape {basis.shape}")
     _forward_eliminate(basis.T.copy(), tol)
-    return np.linalg.solve(basis.T, image.T).T
+    try:
+        return np.linalg.solve(basis.T, image.T).T
+    except np.linalg.LinAlgError as exc:
+        raise _lapack_singular(exc) from None
 
 
 def _forward_eliminate_stack(a: np.ndarray, tol: float) -> tuple[int, SingularBasis | None]:
@@ -92,9 +110,9 @@ def recover_transforms(bases: np.ndarray, images: np.ndarray,
     """recover_transform over a (k, d, d) stack of bases and images.
 
     Returns the matrices recovered for the leading bases that pass the
-    pivot test, bit-identical to recover_transform on each, and the
-    SingularBasis recover_transform raises on the first basis that fails
-    (None when every basis passes). A stack of one is slower than
+    pivot test and LAPACK's solve, bit-identical to recover_transform on
+    each, and the SingularBasis recover_transform raises on the first basis
+    that fails (None when every basis passes). A stack of one is slower than
     recover_transform, so single recoveries should keep using it.
     """
     if bases.ndim != 3 or bases.shape[1] != bases.shape[2] or images.shape != bases.shape:
@@ -103,7 +121,19 @@ def recover_transforms(bases: np.ndarray, images: np.ndarray,
     # matrix r of the (d, d, k) stack is bases[r].T, as recover_transform eliminates
     good, error = _forward_eliminate_stack(bases.transpose(2, 1, 0).copy(), tol)
     bases_t, images_t = bases[:good].transpose(0, 2, 1), images[:good].transpose(0, 2, 1)
-    return np.linalg.solve(bases_t, images_t).transpose(0, 2, 1), error
+    try:
+        return np.linalg.solve(bases_t, images_t).transpose(0, 2, 1), error
+    except np.linalg.LinAlgError:
+        pass
+    # LAPACK solves each matrix of a stack on its own, so the first one it
+    # cannot factor is found by solving them one at a time
+    for r in range(good):
+        try:
+            np.linalg.solve(bases_t[r], images_t[r])
+        except np.linalg.LinAlgError as exc:
+            good, error = r, _lapack_singular(exc)
+            break
+    return np.linalg.solve(bases_t[:good], images_t[:good]).transpose(0, 2, 1), error
 
 
 def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:

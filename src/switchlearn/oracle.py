@@ -17,7 +17,7 @@ import numpy as np
 
 from .automaton import Word, language_equivalent
 from .errors import DimensionMismatch
-from .linalg import LABEL_TOL, identity, mat_approx_eq, recover_transforms
+from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq, recover_transforms
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import RECOVERY_BATCH, compute_output  # noqa: F401
 from .switched_system import SwitchedSystem, execute
@@ -79,11 +79,13 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
     """Exact equivalence via product search; returns shortest counterexamples.
 
     Labels of the two systems are compared as matrices under label_eq, which
-    defaults to max-abs closeness at tol.
+    defaults to max-abs closeness at tol (positive and finite, ValueError
+    otherwise).
     """
 
     def __init__(self, hidden: SwitchedSystem, label_eq=None, tol: float = LABEL_TOL):
         super().__init__()
+        check_label_tol(tol)
         self._hidden = hidden
         self._label_eq = label_eq or (lambda a, b: mat_approx_eq(a, b, tol))
 
@@ -150,7 +152,8 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     Words are tried by increasing length, lexicographic in event index, up
     to l_max (l_max 0 tests only the empty word); the first word whose
     recovered output matrix differs from the hypothesis's by more than tol
-    (max-abs entrywise, NaN never agreeing) is returned. Exhausting the
+    (max-abs entrywise, NaN never agreeing; tol must be positive and
+    finite) is returned. Exhausting the
     search yields None, which is an unsound "equivalent" verdict if the
     shortest counterexample is longer than l_max.
 
@@ -182,7 +185,7 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
             raise ValueError(f"l_max must be >= 0, got {l_max}")
         self._obs = obs
         self._l_max = l_max
-        self._tol = tol
+        self._tol = check_label_tol(tol)
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1

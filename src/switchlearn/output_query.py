@@ -9,20 +9,22 @@ A trace query of a prefix computes the same products in the same order, so
 the basis is bit-identical to the final states of a separate query of the
 word minus its last event.
 
-cached_outputs recovers many words at once: one trace query per word as
-above, then one stacked pivot test and LAPACK solve per RECOVERY_BATCH
-words, with the same matrices, labels, counts and errors as cached_output
-on each word in turn.
+cached_outputs recovers many words at once, with the same matrices, labels,
+output computations and errors as cached_output on each word in turn. By
+the same prefix property, a word that is a proper prefix of another word
+of the batch is read off that word's trace, so there is one trace query
+per maximal word. Each RECOVERY_BATCH words take one stacked pivot test
+and LAPACK solve and one LabelRegistry.classify_stack pass.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .automaton import Word
 from .errors import AmbiguousLabel
-from .linalg import LABEL_TOL, PIVOT_TOL, identity, recover_transform, recover_transforms
+from .linalg import (LABEL_TOL, PIVOT_TOL, check_label_tol, identity, recover_transform,
+                     recover_transforms)
 
 # Words recovered per stacked pivot test and solve. The stacked test costs
 # about twice a single one on a stack of one and much less per word on a
@@ -48,38 +50,61 @@ def compute_output(obs, word: Word, tol: float = PIVOT_TOL) -> np.ndarray:
 class LabelRegistry:
     """Interns recovered matrices into dense label ids.
 
-    Two matrices within tol (max-abs entrywise) of each other get the same
-    id; tol must be positive and finite. Canonical matrices must stay
-    pairwise separated by more than 2*tol, otherwise classification becomes
-    ambiguous and AmbiguousLabel is raised.
+    Two matrices within tol (max-abs entrywise, NaN never agreeing) of each
+    other get the same id; tol must be positive and finite. Canonical
+    matrices must stay pairwise separated by more than 2*tol, otherwise
+    classification becomes ambiguous and AmbiguousLabel is raised.
     """
 
     tol: float = LABEL_TOL
     canonical: list[np.ndarray] = field(default_factory=list)
-    # canonical stacked into one (k, d, d) array, rebuilt when k changes
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"label tolerance must be positive and finite, "
-                             f"got {self.tol!r}")
+        check_label_tol(self.tol)
 
     def classify(self, matrix: np.ndarray) -> int:
-        matrix = np.asarray(matrix, dtype=float)
-        hits = []
-        if self.canonical:
-            if self._stack is None or len(self._stack) != len(self.canonical):
-                self._stack = np.stack(self.canonical)
-            distance = np.max(np.abs(self._stack - matrix), axis=(1, 2))
-            hits = np.flatnonzero(distance <= self.tol).tolist()
-        if len(hits) > 1:
-            raise AmbiguousLabel(
-                f"matrix matches labels {hits} at tolerance {self.tol:g}; "
-                "label tolerance is too coarse for this system")
-        if hits:
-            return hits[0]
-        self.canonical.append(matrix.copy())
-        return len(self.canonical) - 1
+        """Id of the one label matrix agrees with, or of a new label for it
+        when it agrees with none; AmbiguousLabel when it agrees with more."""
+        ids, error = self.classify_stack(np.asarray(matrix, dtype=float)[None])
+        if error is not None:
+            raise error
+        return ids[0]
+
+    def classify_stack(self, matrices: np.ndarray) -> tuple[list[int], AmbiguousLabel | None]:
+        """classify over a (k, d, d) stack, row by row in order.
+
+        Returns the ids of the leading rows that classify, with the labels
+        that classify would have added on the way, and the AmbiguousLabel
+        it raises on the first ambiguous row (None when every row
+        classifies). Each label is compared with the whole stack in one
+        numpy call.
+        """
+        stack = np.asarray(matrices, dtype=float)
+        agree = np.array([self._agrees(stack, known) for known in self.canonical],
+                         dtype=bool).reshape(len(self.canonical), len(stack))
+        ids: list[int] = []
+        hits = first = None
+        for r in range(len(stack)):
+            if hits is None:  # per row: labels agreeing, and the first of them
+                hits = agree.sum(axis=0).tolist()
+                # with no label yet, every row has 0 hits and first is unread
+                first = agree.argmax(axis=0).tolist() if len(agree) else hits
+            if hits[r] > 1:
+                labels = np.flatnonzero(agree[:, r]).tolist()
+                return ids, AmbiguousLabel(
+                    f"matrix matches labels {labels} at tolerance {self.tol:g}; "
+                    "label tolerance is too coarse for this system")
+            if hits[r] == 1:
+                ids.append(first[r])
+                continue
+            self.canonical.append(stack[r].copy())
+            agree = np.vstack((agree, self._agrees(stack, stack[r])))
+            hits = None
+            ids.append(len(self.canonical) - 1)
+        return ids, None
+
+    def _agrees(self, stack: np.ndarray, known: np.ndarray) -> np.ndarray:
+        return np.abs(stack - known).max(axis=(1, 2)) <= self.tol
 
     def __len__(self) -> int:
         return len(self.canonical)
@@ -96,6 +121,20 @@ def cached_output(obs, registry: LabelRegistry, cache: OutputCache, word: Word) 
     return cache[word]
 
 
+def _covers(words: list[Word]) -> list[int]:
+    """For each of the distinct words, the index of the word whose trace it
+    is read off: the first word after it in lexicographic order that is not
+    a proper prefix of another. In that order the words extending a word
+    directly follow it, so each word takes the cover of its successor when
+    that successor extends it."""
+    order = sorted(range(len(words)), key=words.__getitem__)
+    covers = list(range(len(words)))
+    for i, j in zip(reversed(order[:-1]), reversed(order[1:])):
+        if words[j][:len(words[i])] == words[i]:
+            covers[i] = covers[j]
+    return covers
+
+
 def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
                    limit: int | None = None) -> None:
     """cached_output for each word in turn, recovered in stacks.
@@ -103,30 +142,58 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     The uncached words, in order and without duplicates, are computed and
     cached; only the first limit of them when limit is given. Labels are
     assigned in word order, so the registry ends as after cached_output on
-    each word. Each word costs one trace query, taken a stack at a time: if
-    a basis is singular, the words before it are classified and then the
-    SingularBasis cached_output would raise is raised, after the trace
-    queries of the rest of its stack (at most RECOVERY_BATCH - 1) were made.
+    each word, and so do the output computations.
+
+    Only the maximal words, those no other of these words extends, are
+    traced: one trace query each, made when the first word read off it is
+    reached. A word w read off the trace of a longer word takes states |w|
+    and |w|+1 of it as basis and image, bit-identical to a trace of w alone
+    because the trace oracle has the prefix property (a trace of w·u starts
+    with the trace of w). Only the (basis, image) pairs of words still to
+    come are kept, never whole traces.
+
+    If a basis is singular or a label ambiguous, the words before it are
+    classified, it is counted, and the error cached_output would raise is
+    raised; the rest of its stack (at most RECOVERY_BATCH - 1 words) may
+    have been traced, so a failure can cost extra trace queries.
     """
     uncached = (w for w in map(tuple, words) if w not in cache)
     pending = list(dict.fromkeys(uncached))[:limit]
     if not pending:
         return
+    covers = _covers(pending)
+    readers: dict[int, list[int]] = {}  # cover -> the words read off its trace
+    for i, cover in enumerate(covers):
+        readers.setdefault(cover, []).append(i)
     d = obs.dimension()
     eye = identity(d)
     bases = np.empty((RECOVERY_BATCH, d, d))
     images = np.empty((RECOVERY_BATCH, d, d))
+    kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for start in range(0, len(pending), RECOVERY_BATCH):
         chunk = pending[start:start + RECOVERY_BATCH]
-        for i, word in enumerate(chunk):
-            states = obs.exec_query(eye, word)
-            bases[i], images[i] = states[-2], states[-1]
+        for k, word in enumerate(chunk):
+            i = start + k
+            if i in kept:
+                bases[k], images[k] = kept.pop(i)
+                continue
+            # the first reader of a trace is reached first
+            states = obs.exec_query(eye, pending[covers[i]])
+            for j in readers[covers[i]][1:]:
+                n = len(pending[j])
+                kept[j] = states[n], states[n + 1]
+            bases[k], images[k] = states[len(word)], states[len(word) + 1]
         k = len(chunk)
-        matrices, error = recover_transforms(bases[:k], images[:k])
-        for i, matrix in enumerate(matrices):
-            obs.stats.output_computations += 1
-            # as in compute_output, the empty word's output is its last state
-            cache[chunk[i]] = registry.classify(matrix if chunk[i] else images[i])
+        matrices, singular = recover_transforms(bases[:k], images[:k])
+        empty = chunk.index(()) if () in chunk else k
+        if empty < len(matrices):  # as in compute_output, the empty word's output is its image
+            matrices[empty] = images[empty]
+        ids, error = registry.classify_stack(matrices)
+        for word, label in zip(chunk, ids):
+            cache[word] = label
+        obs.stats.output_computations += len(ids)
+        if error is None:
+            error = singular
         if error is not None:
             obs.stats.output_computations += 1
             raise error

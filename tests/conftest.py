@@ -20,6 +20,14 @@ FAULT_MATRICES = (
 )
 
 
+def count_maximal(words) -> int:
+    """Number of distinct words that are not a proper prefix of another of
+    them: the trace queries cached_outputs makes for them."""
+    words = set(words)
+    return sum(not any(len(v) > len(w) and v[:len(w)] == w for v in words)
+               for w in words)
+
+
 def make_demo2d_fa() -> Fa:
     return Fa(num_nodes=4, initial=0, alphabet=EventAlphabet(("e1", "e2")),
               delta=((3, 1), (2, 0), (1, 3), (0, 2)),

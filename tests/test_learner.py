@@ -15,7 +15,7 @@ from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          validate)
 from switchlearn.learner import max_outputs_for_counterexample
 
-from conftest import DEMO2D_MATRICES
+from conftest import DEMO2D_MATRICES, count_maximal
 
 E1, E2 = 0, 1
 F, G = 0, 1
@@ -161,22 +161,28 @@ def test_close_matches_restart_from_zero_closure():
 
 
 def closure_trace(system, test_rounds, batched):
-    """Access words, canonical labels and query counts after closing a
+    """Access words, canonical labels, query counts and the number of
+    maximal words among the cells each prefetch computes, after closing a
     store once per list of test words in test_rounds, adding those words
     before each closure, with or without prefetch."""
     obs = WhiteBoxObservationOracle(system)
     registry = LabelRegistry()
     cache = {}
     prefetch = None
+    maximal = 0
     if batched:
-        prefetch = lambda words: cached_outputs(obs, registry, cache, words)
+        def prefetch(words):
+            nonlocal maximal
+            pending = [w for w in dict.fromkeys(words) if w not in cache]
+            maximal += count_maximal(pending)
+            cached_outputs(obs, registry, cache, pending)
     store = ObservationStore()
     for tests in test_rounds:
         store.test_words.extend(t for t in tests if t not in store.test_words)
         close_store(store, system.fa.alphabet,
                     lambda w: cached_output(obs, registry, cache, w),
                     prefetch=prefetch)
-    return store.access_words, registry.canonical, obs.stats.as_dict()
+    return store.access_words, registry.canonical, obs.stats.as_dict(), maximal
 
 
 def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
@@ -192,11 +198,14 @@ def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
                                 for n in rng.integers(1, 4, rng.integers(0, 4))]
                                for _ in range(3)]))
     for system, test_rounds in cases:
-        words, labels, stats = closure_trace(system, test_rounds, batched=False)
-        batched_words, batched_labels, batched_stats = closure_trace(
+        words, labels, stats, _ = closure_trace(system, test_rounds, batched=False)
+        batched_words, batched_labels, batched_stats, maximal = closure_trace(
             system, test_rounds, batched=True)
         assert batched_words == words
-        assert batched_stats == stats
+        # every cell is prefetched, and a prefetch traces only its maximal
+        # cells: the others are read off the trace of a cell extending them
+        assert batched_stats == {**stats, "io_queries": system.d * maximal}
+        assert maximal < stats["output_computations"]
         assert len(batched_labels) == len(labels)
         for a, b in zip(batched_labels, labels):
             assert np.array_equal(a, b)
@@ -374,7 +383,10 @@ def test_learn_output_budget_refuses_at_the_budget(demo2d_system):
             learn(obs, WhiteBoxEquivalenceOracle(demo2d_system),
                   demo2d_system.fa.alphabet, max_outputs=budget)
         assert obs.stats.output_computations == budget
-        assert obs.stats.io_queries == 2 * budget  # d = 2 columns each
+        # d = 2 columns per trace, one trace per computed cell, except that
+        # the last closure prefetch reads (E1, E2, E1), the 12th cell, off
+        # the trace of (E1, E2, E1, E2), the 13th, once both are in budget
+        assert obs.stats.io_queries == 2 * budget - 2 * (budget == 13)
 
 
 def test_learn_output_budget_counts_shared_equivalence_oracle(demo2d_system):
@@ -452,7 +464,7 @@ def test_learn_random_systems_end_to_end():
             totals[key] += result.stats_dict()[key]
     # the learner asks exactly these queries; a change to them is a change
     # of algorithm, not of representation
-    assert totals == {"io_queries": 4896, "output_computations": 1714,
+    assert totals == {"io_queries": 4247, "output_computations": 1714,
                       "equivalence_queries": 86, "rounds": 86}
 
 

@@ -359,3 +359,13 @@ def test_bounded_oracle_rejects_bad_depth(demo2d_system, l_max):
     obs = WhiteBoxObservationOracle(demo2d_system)
     with pytest.raises(ValueError, match="l_max"):
         BoundedTestingEquivalenceOracle(obs, l_max)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_equivalence_oracles_reject_bad_tol(demo2d_system, tol):
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    with pytest.raises(ValueError, match="label tolerance"):
+        BoundedTestingEquivalenceOracle(obs, 3, tol=tol)
+    with pytest.raises(ValueError, match="label tolerance"):
+        WhiteBoxEquivalenceOracle(demo2d_system, tol=tol)
+    assert obs.stats.io_queries == 0

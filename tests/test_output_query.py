@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig,
                          LabelRegistry, SingularBasis, SwitchedSystem,
-                         WhiteBoxObservationOracle, cached_output,
-                         cached_outputs, compute_output, identity,
-                         mat_approx_eq, output_of, random_system,
-                         recover_transform, run)
+                         SwitchLearnError, WhiteBoxObservationOracle,
+                         cached_output, cached_outputs, compute_output,
+                         identity, mat_approx_eq, output_of, random_system,
+                         recover_transform, recover_transforms, run)
 from switchlearn.output_query import RECOVERY_BATCH
 
-from conftest import DEMO2D_MATRICES
+from conftest import DEMO2D_MATRICES, count_maximal
 
 E1, E2 = 0, 1
 
@@ -157,28 +157,50 @@ def classify_by_loop(canonical, matrix, tol):
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 4), tol=st.sampled_from([1e-6, 0.25]),
        offsets=st.lists(st.integers(-4, 4), max_size=6),
-       probe=st.integers(-4, 4),
-       nudge=st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]),
+       probes=st.lists(st.tuples(st.integers(-4, 4),
+                                 st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9])),
+                       min_size=1, max_size=6),
        seed=st.integers(0, 1000))
-def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probe,
-                                                   nudge, seed):
-    # canonical matrices and the probe sit at multiples of tol/2 from one
+def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probes, seed):
+    # canonical matrices and the probes sit at multiples of tol/2 from one
     # centre, so probes land just inside, on, or just outside tol of one or
-    # two labels
+    # two labels, and a label added by one probe may take later ones
     rng = np.random.default_rng(seed)
     centre = rng.uniform(-2, 2, (d, d))
     direction = np.zeros((d, d))
     direction[rng.integers(d), rng.integers(d)] = 1.0
     canonical = [centre + k * tol / 2 * direction for k in offsets]
-    matrix = centre + probe * nudge * tol / 2 * direction
-    expected = classify_by_loop(canonical, matrix, tol)
+    stack = np.array([centre + k * nudge * tol / 2 * direction for k, nudge in probes])
+    expected, labels, ambiguous = [], list(canonical), False
+    for matrix in stack:
+        label = classify_by_loop(labels, matrix, tol)
+        if label == "ambiguous":
+            ambiguous = True
+            break
+        if label == len(labels):
+            labels.append(matrix)
+        expected.append(label)
     registry = LabelRegistry(tol=tol, canonical=list(canonical))
-    if expected == "ambiguous":
-        with pytest.raises(AmbiguousLabel):
-            registry.classify(matrix)
-    else:
-        assert registry.classify(matrix) == expected
-        assert len(registry) == max(len(canonical), expected + 1)
+    ids, error = registry.classify_stack(stack)
+    assert ids == expected
+    assert isinstance(error, AmbiguousLabel) if ambiguous else error is None
+    assert len(registry) == len(labels)
+    for a, b in zip(registry.canonical, labels):
+        assert np.array_equal(a, b)
+    one_by_one = LabelRegistry(tol=tol, canonical=list(canonical))
+    for matrix, label in zip(stack, expected):
+        assert one_by_one.classify(matrix) == label
+    if ambiguous:
+        with pytest.raises(AmbiguousLabel) as single:
+            one_by_one.classify(stack[len(expected)])
+        assert str(single.value) == str(error)
+
+
+def test_registry_nan_never_agrees():
+    registry = LabelRegistry(tol=1e-6, canonical=[np.zeros((2, 2))])
+    nan = np.array([[0.0, np.nan], [0.0, 0.0]])
+    ids, error = registry.classify_stack(np.stack([nan, nan, np.zeros((2, 2))]))
+    assert (ids, error) == ([1, 2, 0], None)
 
 
 def test_cached_output_no_extra_queries(demo2d_system):
@@ -235,13 +257,145 @@ def test_cached_outputs_matches_cached_output_word_by_word():
         one_cache, many_cache = {}, {}
         for w in words[:5]:
             cached_output(many, many_registry, many_cache, w)
+        pending = [w for w in words if w not in many_cache]
+        io = many.stats.io_queries + 5 * count_maximal(pending)
         cached_outputs(many, many_registry, many_cache, words)
         ids = [cached_output(one, one_registry, one_cache, w) for w in words]
         assert [many_cache[w] for w in words] == ids
-        assert one.stats.as_dict() == many.stats.as_dict()
+        assert many.stats.as_dict() == {**one.stats.as_dict(), "io_queries": io}
+        assert many.stats.io_queries < one.stats.io_queries
         assert len(one_registry) == len(many_registry)
         for a, b in zip(one_registry.canonical, many_registry.canonical):
             assert np.array_equal(a, b)
+
+
+def test_cached_outputs_reads_prefixes_off_one_trace(demo2d_system):
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    cache = {}
+    cached_outputs(obs, LabelRegistry(), cache, [(), (E1,), (E1, E2)])
+    assert obs.stats.io_queries == 2  # one trace of (E1, E2), d = 2 columns
+    assert obs.stats.output_computations == 3
+    assert cache == {(): 0, (E1,): 1, (E1, E2): 2}
+
+
+def test_cached_outputs_empty_word_output_is_its_image():
+    # as in compute_output, not a solve against the identity basis, which
+    # differs from the image once entries are not finite
+    fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(("a",)), delta=((0,),), gamma=(0,))
+    system = SwitchedSystem(fa=fa, matrices=(np.array([[np.inf, 1.0], [1.0, 1.0]]),), d=2)
+    registry = LabelRegistry()
+    with np.errstate(invalid="ignore"):
+        cached_outputs(WhiteBoxObservationOracle(system), registry, {}, [(), (0,)])
+        image = compute_output(WhiteBoxObservationOracle(system), ())
+    assert np.array_equal(registry.canonical[0], image, equal_nan=True)
+
+
+@st.composite
+def word_lists(draw):
+    """Words over events 0..2, with prefixes of earlier or later words, the
+    empty word and duplicates inserted among them."""
+    words = draw(st.lists(st.lists(st.integers(0, 2), max_size=6).map(tuple),
+                          max_size=45))
+    for source, cut, at in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 6),
+                                                   st.integers(0, 99)), max_size=30)):
+        if words:
+            words.insert(at % (len(words) + 1), words[source % len(words)][:cut])
+    return words
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 5), events=st.integers(1, 3), labels=st.integers(1, 4),
+       seed=st.integers(0, 10_000), degenerate=st.booleans(),
+       tol=st.sampled_from([1e-6, 0.4, 1.0]), words=word_lists(),
+       cached=st.lists(st.integers(0, 99), max_size=5),
+       limit=st.none() | st.integers(0, 60))
+def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, degenerate,
+                                                       tol, words, cached, limit):
+    system = conditioned_system(6, events, labels, d, seed)
+    if degenerate:  # the last label loses rank: its words raise SingularBasis
+        matrices = list(system.matrices)
+        matrices[-1] = matrices[-1] * np.r_[np.ones(d - 1), 0.0]
+        system = SwitchedSystem(fa=system.fa, matrices=tuple(matrices), d=d)
+    words = [tuple(e % events for e in w) for w in words]
+    sides = []
+    for _ in range(2):
+        obs, registry, cache = WhiteBoxObservationOracle(system), LabelRegistry(tol), {}
+        for i in cached:
+            if words:
+                try:
+                    cached_output(obs, registry, cache, words[i % len(words)])
+                except SwitchLearnError:
+                    pass
+        sides.append((obs, registry, cache))
+    (one, one_registry, one_cache), (many, many_registry, many_cache) = sides
+    pending = list(dict.fromkeys(w for w in words if w not in one_cache))[:limit]
+    expected = None
+    for w in pending:
+        try:
+            cached_output(one, one_registry, one_cache, w)
+        except SwitchLearnError as exc:
+            expected = exc
+            break
+    io = many.stats.io_queries
+    try:
+        cached_outputs(many, many_registry, many_cache, words, limit)
+        error = None
+    except SwitchLearnError as exc:
+        error = exc
+    assert type(error) is type(expected)
+    assert str(error) == str(expected)
+    assert many_cache == one_cache
+    assert many.stats.output_computations == one.stats.output_computations
+    assert len(many_registry) == len(one_registry)
+    for a, b in zip(many_registry.canonical, one_registry.canonical):
+        assert np.array_equal(a, b)
+    traced = many.stats.io_queries - io
+    if error is None:
+        assert traced == d * count_maximal(pending)
+    else:  # later traces of the failing stack may have been made
+        assert traced <= d * count_maximal(pending)
+
+
+def lapack_singular_word():
+    """A generator system and a length-80 word whose basis passes the pivot
+    test but that LAPACK's LU factorization finds exactly singular."""
+    system = random_system(GenConfig(10, 3, 4, 5, 1))
+    draws = np.random.default_rng(0).integers(0, 3, (10, 80))
+    return system, tuple(int(e) for e in draws[7])
+
+
+def test_lapack_singular_basis_raises_singular_basis():
+    system, word = lapack_singular_word()
+    with pytest.raises(SingularBasis, match="LAPACK"):
+        compute_output(WhiteBoxObservationOracle(system), word)
+
+
+def test_lapack_singular_basis_mid_stack():
+    system, bad = lapack_singular_word()
+    rng = np.random.default_rng(3)
+    good = [tuple(int(e) for e in rng.integers(0, 3, 6)) for _ in range(4)]
+    words = good[:2] + [bad] + good[2:]
+    obs = WhiteBoxObservationOracle(system)
+    traces = [obs.exec_query(identity(5), w) for w in words]
+    bases = np.array([t[-2] for t in traces])
+    images = np.array([t[-1] for t in traces])
+    matrices, error = recover_transforms(bases, images)
+    assert len(matrices) == 2
+    for i in range(2):
+        assert np.array_equal(matrices[i], recover_transform(bases[i], images[i]))
+    with pytest.raises(SingularBasis) as single:
+        recover_transform(bases[2], images[2])
+    assert isinstance(error, SingularBasis) and str(error) == str(single.value)
+
+    one, many = WhiteBoxObservationOracle(system), WhiteBoxObservationOracle(system)
+    one_registry, one_cache, many_cache = LabelRegistry(), {}, {}
+    with pytest.raises(SingularBasis, match="LAPACK"):
+        cached_outputs(many, LabelRegistry(), many_cache, words)
+    with pytest.raises(SingularBasis, match="LAPACK"):
+        for w in words:
+            cached_output(one, one_registry, one_cache, w)
+    assert many_cache == one_cache and len(many_cache) == 2
+    assert many.stats.output_computations == one.stats.output_computations == 3
 
 
 def test_cached_outputs_limit_counts_uncached_words(demo2d_system):
