@@ -192,6 +192,7 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
 
     registry = LabelRegistry(tol=label_tol)
     cache: dict[Word, int] = {}
+    known: set[bytes] = set()  # bases that passed the pivot test in this call
 
     def spent() -> int:
         return obs.stats.output_computations - out0
@@ -204,7 +205,7 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
     def prefetch(words) -> None:
         # capped at the budget, so query refuses the same word as without it
         limit = None if max_outputs is None else max(0, max_outputs - spent())
-        cached_outputs(obs, registry, cache, words, limit)
+        cached_outputs(obs, registry, cache, words, limit, known)
 
     store = ObservationStore()
     rounds = 0

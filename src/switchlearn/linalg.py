@@ -39,6 +39,12 @@ def _lapack_singular(exc: np.linalg.LinAlgError) -> SingularBasis:
                          f"singular ({exc})")
 
 
+def _non_finite(matrix: np.ndarray) -> SingularBasis:
+    i, j = np.argwhere(~np.isfinite(matrix))[0]
+    return SingularBasis(f"recovered matrix is not finite: entry ({i}, {j}) is "
+                         f"{matrix[i, j]}")
+
+
 def _forward_eliminate(a: np.ndarray, tol: float) -> None:
     """Row-reduce a in place with partial pivoting, leaving its upper
     triangle; raise SingularBasis at the first pivot whose magnitude is not
@@ -62,7 +68,8 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
     when partial-pivoting elimination of its transpose meets a pivot not
     above tol. Only then are all d right-hand sides solved against it with
     LAPACK's LU solver; a basis that LAPACK still finds singular raises
-    SingularBasis too, never numpy's LinAlgError.
+    SingularBasis too, never numpy's LinAlgError, and so does a solution
+    with a non-finite entry (states that overflowed or went NaN).
     """
     basis = np.asarray(basis, dtype=float)
     image = np.asarray(image, dtype=float)
@@ -72,9 +79,12 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
         raise DimensionMismatch(f"image shape {image.shape} != basis shape {basis.shape}")
     _forward_eliminate(basis.T.copy(), tol)
     try:
-        return np.linalg.solve(basis.T, image.T).T
+        matrix = np.linalg.solve(basis.T, image.T).T
     except np.linalg.LinAlgError as exc:
         raise _lapack_singular(exc) from None
+    if not np.isfinite(matrix).all():
+        raise _non_finite(matrix)
+    return matrix
 
 
 def _forward_eliminate_stack(a: np.ndarray, tol: float) -> tuple[int, SingularBasis | None]:
@@ -98,6 +108,8 @@ def _forward_eliminate_stack(a: np.ndarray, tol: float) -> tuple[int, SingularBa
             j = int(bad.argmax())
             error = _singular(pivot[j], col, tol)
             a, stack, p, pivot = a[..., :j], stack[:j], p[:j], pivot[:j]
+        if col == n - 1:  # the swap and update would touch no entry read again
+            break
         top = a[col, col:].copy()
         a[col, col:] = a[p, col:, stack].T
         a[p, col:, stack] = top.T
@@ -105,35 +117,73 @@ def _forward_eliminate_stack(a: np.ndarray, tol: float) -> tuple[int, SingularBa
     return len(stack), error
 
 
-def recover_transforms(bases: np.ndarray, images: np.ndarray,
-                       tol: float = PIVOT_TOL) -> tuple[np.ndarray, SingularBasis | None]:
+def recover_transforms(bases: np.ndarray, images: np.ndarray, tol: float = PIVOT_TOL,
+                       known: set[bytes] | None = None
+                       ) -> tuple[np.ndarray, SingularBasis | None]:
     """recover_transform over a (k, d, d) stack of bases and images.
 
     Returns the matrices recovered for the leading bases that pass the
-    pivot test and LAPACK's solve, bit-identical to recover_transform on
-    each, and the SingularBasis recover_transform raises on the first basis
-    that fails (None when every basis passes). A stack of one is slower than
-    recover_transform, so single recoveries should keep using it.
+    pivot test, LAPACK's solve and the finiteness check, bit-identical to
+    recover_transform on each, and the SingularBasis recover_transform
+    raises on the first basis that fails (None when every basis passes).
+    A stack of one is slower than recover_transform, so single recoveries
+    should keep using it.
+
+    known holds the exact bytes (basis.tobytes()) of bases that passed the
+    pivot test at this tol, and is updated in place with the bases of the
+    recovered matrices; a failing basis never enters it. Only the first
+    occurrence of each basis not in it is pivot-tested, in one stacked
+    elimination. The caller owns it and decides how long it lives: without
+    it, repeats are only shared within the stack.
     """
     if bases.ndim != 3 or bases.shape[1] != bases.shape[2] or images.shape != bases.shape:
         raise DimensionMismatch(f"expected two equal (k, d, d) stacks, got shapes "
                                 f"{bases.shape} and {images.shape}")
-    # matrix r of the (d, d, k) stack is bases[r].T, as recover_transform eliminates
-    good, error = _forward_eliminate_stack(bases.transpose(2, 1, 0).copy(), tol)
-    bases_t, images_t = bases[:good].transpose(0, 2, 1), images[:good].transpose(0, 2, 1)
+    known = set() if known is None else known
+    k, d = len(bases), bases.shape[1]
+    # basis.tobytes() of every basis, from one call: each row of the
+    # (k, d*d) view is one opaque item whose tolist() value is its bytes
+    keys = np.ascontiguousarray(bases).reshape(k, d * d).view(
+        f"V{bases.itemsize * d * d}").ravel().tolist()
+    fresh: dict[bytes, int] = {}  # first position of each basis to test, in stack order
+    for r, key in enumerate(keys):
+        if key not in known:
+            fresh.setdefault(key, r)
+    good, error = k, None
+    if fresh:
+        first = list(fresh.values())
+        tested = bases if len(first) == k else bases[first]
+        # matrix r of the (d, d, k) stack is tested[r].T, as recover_transform
+        # eliminates; every basis before the first failing one is known or passed
+        passed, error = _forward_eliminate_stack(tested.transpose(2, 1, 0).copy(), tol)
+        if error is not None:
+            good = first[passed]
+    matrices, solve_error = _solve_stack(bases[:good], images[:good])
+    known.update(keys[:len(matrices)])
+    return matrices, error if solve_error is None else solve_error
+
+
+def _solve_stack(bases: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, SingularBasis | None]:
+    """The leading matrices M with M @ basis == image that LAPACK solves to
+    finite entries, and the SingularBasis of the first basis that fails."""
+    bases_t, images_t = bases.transpose(0, 2, 1), images.transpose(0, 2, 1)
+    good, error = len(bases), None
     try:
-        return np.linalg.solve(bases_t, images_t).transpose(0, 2, 1), error
+        matrices = np.linalg.solve(bases_t, images_t).transpose(0, 2, 1)
     except np.linalg.LinAlgError:
-        pass
-    # LAPACK solves each matrix of a stack on its own, so the first one it
-    # cannot factor is found by solving them one at a time
-    for r in range(good):
-        try:
-            np.linalg.solve(bases_t[r], images_t[r])
-        except np.linalg.LinAlgError as exc:
-            good, error = r, _lapack_singular(exc)
-            break
-    return np.linalg.solve(bases_t[:good], images_t[:good]).transpose(0, 2, 1), error
+        # LAPACK solves each matrix of a stack on its own, so the first one
+        # it cannot factor is found by solving them one at a time
+        for r in range(good):
+            try:
+                np.linalg.solve(bases_t[r], images_t[r])
+            except np.linalg.LinAlgError as exc:
+                good, error = r, _lapack_singular(exc)
+                break
+        matrices = np.linalg.solve(bases_t[:good], images_t[:good]).transpose(0, 2, 1)
+    if not np.isfinite(matrices).all():
+        good = int(np.isfinite(matrices).all(axis=(1, 2)).argmin())
+        matrices, error = matrices[:good], _non_finite(matrices[good])
+    return matrices, error
 
 
 def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:

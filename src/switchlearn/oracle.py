@@ -108,6 +108,10 @@ class _ChainedTraces:
     next word of its chain, and it is dropped once that word is reached.
     A search to depth L over |events| events holds up to about
     |events|^(L-1) pending states (the word-by-word search held one).
+
+    The bases that passed the pivot test are kept, by their bytes, for as
+    long as the object lives (one check), so each distinct basis is
+    pivot-tested once, at d*d*8 bytes each.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int):
@@ -118,6 +122,7 @@ class _ChainedTraces:
         self._bases = np.empty((RECOVERY_BATCH, d, d))
         self._images = np.empty((RECOVERY_BATCH, d, d))
         self._tails: dict[Word, list[np.ndarray]] = {}
+        self._known: set[bytes] = set()
 
     def outputs(self, words: list[Word]) -> tuple[np.ndarray, Exception | None]:
         """Output matrices of the leading words (up to RECOVERY_BATCH, all of
@@ -142,7 +147,8 @@ class _ChainedTraces:
         k = len(words)
         if length == 0:  # as in compute_output, the empty word's output is its image
             return self._images[:k], error
-        matrices, singular = recover_transforms(self._bases[:k], self._images[:k])
+        matrices, singular = recover_transforms(self._bases[:k], self._images[:k],
+                                                known=self._known)
         return matrices, error if singular is None else singular
 
 
@@ -165,7 +171,8 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
       two events. This relies on the trace oracle's prefix property (a trace
       of w·u starts with the trace of w);
     - one recover_transforms call and one comparison per run of up to
-      RECOVERY_BATCH words of one length.
+      RECOVERY_BATCH words of one length, pivot-testing only the bases not
+      seen earlier in the same check.
     One output computation is counted per compared word, through the
     counterexample. When an output cannot be computed, the words before it
     are compared first; then it is counted and its error (SingularBasis for

@@ -14,10 +14,9 @@ output computations and errors as cached_output on each word in turn. By
 the same prefix property, a word that is a proper prefix of another word
 of the batch is read off that word's trace, so there is one trace query
 per maximal word. Each RECOVERY_BATCH words take one stacked pivot test
-and LAPACK solve and one LabelRegistry.classify_stack pass.
+of the bases not seen before, one LAPACK solve and one
+LabelRegistry.classify_stack pass.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +29,13 @@ from .linalg import (LABEL_TOL, PIVOT_TOL, check_label_tol, identity, recover_tr
 # about twice a single one on a stack of one and much less per word on a
 # full stack; larger stacks raise peak memory for little further gain.
 RECOVERY_BATCH = 32
+
+# Up to this many compared entries (labels x rows x d*d), classification
+# compares every (row, label) pair in one broadcast call, which costs less
+# than the fixed numpy calls of screening on entry [0, 0] first (the two
+# break even between about 1,500 and 3,000 entries; at d=20 with 10 labels
+# and 32 rows the screen is 5 to 25 times cheaper).
+SCREEN_MIN_ENTRIES = 2048
 
 
 def compute_output(obs, word: Word, tol: float = PIVOT_TOL) -> np.ndarray:
@@ -46,21 +52,23 @@ def compute_output(obs, word: Word, tol: float = PIVOT_TOL) -> np.ndarray:
     return recover_transform(states[-2], states[-1], tol)
 
 
-@dataclass
 class LabelRegistry:
     """Interns recovered matrices into dense label ids.
 
     Two matrices within tol (max-abs entrywise, NaN never agreeing) of each
     other get the same id; tol must be positive and finite. Canonical
     matrices must stay pairwise separated by more than 2*tol, otherwise
-    classification becomes ambiguous and AmbiguousLabel is raised.
+    classification becomes ambiguous and AmbiguousLabel is raised. The
+    labels are held as one (labels, d, d) stack; canonical lists them.
     """
 
-    tol: float = LABEL_TOL
-    canonical: list[np.ndarray] = field(default_factory=list)
+    def __init__(self, tol: float = LABEL_TOL, canonical=()):
+        self.tol = check_label_tol(tol)
+        self._labels = np.array(canonical, dtype=float)  # shape (0,) until d is known
 
-    def __post_init__(self):
-        check_label_tol(self.tol)
+    @property
+    def canonical(self) -> list[np.ndarray]:
+        return list(self._labels)
 
     def classify(self, matrix: np.ndarray) -> int:
         """Id of the one label matrix agrees with, or of a new label for it
@@ -76,12 +84,27 @@ class LabelRegistry:
         Returns the ids of the leading rows that classify, with the labels
         that classify would have added on the way, and the AmbiguousLabel
         it raises on the first ambiguous row (None when every row
-        classifies). Each label is compared with the whole stack in one
-        numpy call.
+        classifies). Entry [0, 0] of every row is screened against every
+        known label in one numpy call, and only the surviving (row, label)
+        pairs get the full max-abs comparison, in one gathered call; up to
+        SCREEN_MIN_ENTRIES compared entries, every pair is compared in one
+        broadcast call instead. A label added by a row is compared with the
+        whole stack in one call.
         """
         stack = np.asarray(matrices, dtype=float)
-        agree = np.array([self._agrees(stack, known) for known in self.canonical],
-                         dtype=bool).reshape(len(self.canonical), len(stack))
+        if not len(self._labels):
+            self._labels = np.empty((0,) + stack.shape[1:])
+        # (labels, rows) mask of the pairs within tol
+        if self._labels.size * len(stack) <= SCREEN_MIN_ENTRIES:
+            agree = np.abs(stack - self._labels[:, None]).max(axis=(2, 3)) <= self.tol
+        else:
+            # |m00 - c00| is one term of the max-abs distance, so a pair it
+            # puts above tol (or NaN) cannot agree
+            agree = np.abs(stack[:, 0, 0] - self._labels[:, 0, 0, None]) <= self.tol
+            label, row = agree.nonzero()
+            if len(label):
+                agree[label, row] = (np.abs(stack[row] - self._labels[label]).max(axis=(1, 2))
+                                     <= self.tol)
         ids: list[int] = []
         hits = first = None
         for r in range(len(stack)):
@@ -97,17 +120,14 @@ class LabelRegistry:
             if hits[r] == 1:
                 ids.append(first[r])
                 continue
-            self.canonical.append(stack[r].copy())
-            agree = np.vstack((agree, self._agrees(stack, stack[r])))
+            self._labels = np.concatenate((self._labels, stack[r:r + 1]))
+            agree = np.vstack((agree, np.abs(stack - stack[r]).max(axis=(1, 2)) <= self.tol))
             hits = None
-            ids.append(len(self.canonical) - 1)
+            ids.append(len(self._labels) - 1)
         return ids, None
 
-    def _agrees(self, stack: np.ndarray, known: np.ndarray) -> np.ndarray:
-        return np.abs(stack - known).max(axis=(1, 2)) <= self.tol
-
     def __len__(self) -> int:
-        return len(self.canonical)
+        return len(self._labels)
 
 
 OutputCache = dict[Word, int]
@@ -136,7 +156,7 @@ def _covers(words: list[Word]) -> list[int]:
 
 
 def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
-                   limit: int | None = None) -> None:
+                   limit: int | None = None, known: set[bytes] | None = None) -> None:
     """cached_output for each word in turn, recovered in stacks.
 
     The uncached words, in order and without duplicates, are computed and
@@ -152,11 +172,19 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     with the trace of w). Only the (basis, image) pairs of words still to
     come are kept, never whole traces.
 
+    Each stack of RECOVERY_BATCH words is recovered by recover_transforms
+    with the set known of bases that passed the pivot test, so each distinct
+    basis is pivot-tested once for as long as the caller keeps the set
+    (learn keeps one per call; without it, one per call of this function).
+    Matrices are bit-identical either way, and the set holds d*d*8 bytes
+    per distinct basis.
+
     If a basis is singular or a label ambiguous, the words before it are
     classified, it is counted, and the error cached_output would raise is
     raised; the rest of its stack (at most RECOVERY_BATCH - 1 words) may
     have been traced, so a failure can cost extra trace queries.
     """
+    known = set() if known is None else known
     uncached = (w for w in map(tuple, words) if w not in cache)
     pending = list(dict.fromkeys(uncached))[:limit]
     if not pending:
@@ -184,10 +212,13 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
                 kept[j] = states[n], states[n + 1]
             bases[k], images[k] = states[len(word)], states[len(word) + 1]
         k = len(chunk)
-        matrices, singular = recover_transforms(bases[:k], images[:k])
         empty = chunk.index(()) if () in chunk else k
-        if empty < len(matrices):  # as in compute_output, the empty word's output is its image
-            matrices[empty] = images[empty]
+        if empty < k:  # as in compute_output, the empty word's output is its image,
+            output = images[empty].copy()  # so its identity basis recovers itself
+            images[empty] = bases[empty]
+        matrices, singular = recover_transforms(bases[:k], images[:k], known=known)
+        if empty < len(matrices):
+            matrices[empty] = output
         ids, error = registry.classify_stack(matrices)
         for word, label in zip(chunk, ids):
             cache[word] = label

@@ -6,13 +6,14 @@ import pytest
 from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          EventAlphabet, Fa, GenConfig,
                          LabelRegistry, NotACounterexample, NotClosed,
-                         ObservationStore, SwitchedSystem,
+                         ObservationStore, SingularBasis, SwitchedSystem,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          build_hypothesis, cached_output, cached_outputs,
                          close_store,
                          is_separable, learn, mat_approx_eq,
                          process_counterexample, random_system, row, run,
                          validate)
+from switchlearn import linalg
 from switchlearn.learner import max_outputs_for_counterexample
 
 from conftest import DEMO2D_MATRICES, count_maximal
@@ -429,6 +430,46 @@ def test_learn_is_deterministic_within_a_process():
     assert first.counterexample_costs == second.counterexample_costs
     counts = lambda r: {k: v for k, v in r.stats_dict().items() if k != "wall_ms"}
     assert counts(first) == counts(second)
+
+
+@pytest.mark.parametrize("eq_kind", ["exact", "bounded"])
+def test_learn_refuses_overflowing_outputs(eq_kind):
+    # the output of (a,) overflows to inf; recovered as a label, every such
+    # output would be new, and so would the access word, without end (the
+    # budget turns that into BudgetExceeded)
+    fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(("a",)), delta=((0,),), gamma=(0,))
+    hidden = SwitchedSystem(fa=fa, matrices=(np.array([[1e200, 1.0], [1.0, 1e200]]),), d=2)
+    obs = WhiteBoxObservationOracle(hidden)
+    eq = (WhiteBoxEquivalenceOracle(hidden) if eq_kind == "exact"
+          else BoundedTestingEquivalenceOracle(obs, 3))
+    with np.errstate(over="ignore"), pytest.raises(SingularBasis, match="not finite"):
+        learn(obs, eq, fa.alphabet, max_outputs=200)
+    assert obs.stats.output_computations == 2
+
+
+@pytest.mark.parametrize("eq_kind", ["exact", "bounded"])
+def test_relearning_on_the_same_oracles_pivot_tests_as_many_bases(eq_kind, monkeypatch):
+    # the set of bases known to pass lives for one learn and one check, so a
+    # second learn on the same oracle objects does the same elimination work
+    tested = []
+    eliminate = linalg._forward_eliminate_stack
+
+    def counting(a, tol):
+        tested[-1] += a.shape[2]
+        return eliminate(a, tol)
+
+    monkeypatch.setattr(linalg, "_forward_eliminate_stack", counting)
+    hidden = random_system(GenConfig(num_nodes=5, num_events=2, num_labels=3, dim=3, seed=0))
+    obs = WhiteBoxObservationOracle(hidden)
+    eq = (WhiteBoxEquivalenceOracle(hidden) if eq_kind == "exact"
+          else BoundedTestingEquivalenceOracle(obs, 2 * hidden.fa.num_nodes + 1))
+    results = []
+    for _ in range(2):
+        tested.append(0)
+        results.append(learn(obs, eq, hidden.fa.alphabet))
+    assert tested[0] == tested[1] > 0
+    assert tested[0] < results[0].stats.output_computations
+    assert results[0].system.fa == results[1].system.fa
 
 
 def test_learn_random_systems_end_to_end():

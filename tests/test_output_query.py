@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig,
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
                          recover_transform, recover_transforms, run)
+from switchlearn import output_query
 from switchlearn.output_query import RECOVERY_BATCH
 
 from conftest import DEMO2D_MATRICES, count_maximal
@@ -154,46 +158,66 @@ def classify_by_loop(canonical, matrix, tol):
     return hits[0] if hits else len(canonical)
 
 
+def comparing_by_screen(screen: bool):
+    """Classification through the [0, 0] screen or through the broadcast
+    comparison, whatever the size of the stack."""
+    return mock.patch.object(output_query, "SCREEN_MIN_ENTRIES", -1 if screen else 10 ** 9)
+
+
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 4), tol=st.sampled_from([1e-6, 0.25]),
        offsets=st.lists(st.integers(-4, 4), max_size=6),
        probes=st.lists(st.tuples(st.integers(-4, 4),
                                  st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9])),
                        min_size=1, max_size=6),
-       seed=st.integers(0, 1000))
-def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probes, seed):
+       seed=st.integers(0, 1000), where=st.sampled_from(["corner", "elsewhere", "both"]),
+       screen=st.booleans())
+def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probes, seed, where, screen):
     # canonical matrices and the probes sit at multiples of tol/2 from one
     # centre, so probes land just inside, on, or just outside tol of one or
-    # two labels, and a label added by one probe may take later ones
+    # two labels, and a label added by one probe may take later ones. The
+    # offset is at entry [0, 0] (the screened one), elsewhere (all labels
+    # share [0, 0], so every label passes the screen), or at both, with
+    # half the step at [0, 0] (the screen admits labels that then fail)
     rng = np.random.default_rng(seed)
     centre = rng.uniform(-2, 2, (d, d))
     direction = np.zeros((d, d))
-    direction[rng.integers(d), rng.integers(d)] = 1.0
-    canonical = [centre + k * tol / 2 * direction for k in offsets]
-    stack = np.array([centre + k * nudge * tol / 2 * direction for k, nudge in probes])
-    expected, labels, ambiguous = [], list(canonical), False
-    for matrix in stack:
-        label = classify_by_loop(labels, matrix, tol)
-        if label == "ambiguous":
-            ambiguous = True
-            break
-        if label == len(labels):
-            labels.append(matrix)
-        expected.append(label)
-    registry = LabelRegistry(tol=tol, canonical=list(canonical))
-    ids, error = registry.classify_stack(stack)
-    assert ids == expected
-    assert isinstance(error, AmbiguousLabel) if ambiguous else error is None
-    assert len(registry) == len(labels)
-    for a, b in zip(registry.canonical, labels):
-        assert np.array_equal(a, b)
-    one_by_one = LabelRegistry(tol=tol, canonical=list(canonical))
-    for matrix, label in zip(stack, expected):
-        assert one_by_one.classify(matrix) == label
-    if ambiguous:
-        with pytest.raises(AmbiguousLabel) as single:
-            one_by_one.classify(stack[len(expected)])
-        assert str(single.value) == str(error)
+    if where != "corner" and d > 1:
+        i, j = rng.integers(d), rng.integers(1, d)
+        direction[(i, j) if rng.random() < 0.5 else (j, i)] = 1.0
+    direction[0, 0] = {"corner": 1.0, "elsewhere": 0.0, "both": 0.5}[where] if d > 1 else 1.0
+    with comparing_by_screen(screen):
+        canonical = [centre + k * tol / 2 * direction for k in offsets]
+        stack = np.array([centre + k * nudge * tol / 2 * direction for k, nudge in probes])
+        expected, labels, ambiguous = [], list(canonical), False
+        for matrix in stack:
+            label = classify_by_loop(labels, matrix, tol)
+            if label == "ambiguous":
+                ambiguous = True
+                break
+            if label == len(labels):
+                labels.append(matrix)
+            expected.append(label)
+        registry = LabelRegistry(tol=tol, canonical=list(canonical))
+        ids, error = registry.classify_stack(stack)
+        assert ids == expected
+        assert isinstance(error, AmbiguousLabel) if ambiguous else error is None
+        assert len(registry) == len(labels)
+        for a, b in zip(registry.canonical, labels):
+            assert np.array_equal(a, b)
+        one_by_one = LabelRegistry(tol=tol, canonical=list(canonical))
+        for matrix, label in zip(stack, expected):
+            assert one_by_one.classify(matrix) == label
+        if ambiguous:
+            with pytest.raises(AmbiguousLabel) as single:
+                one_by_one.classify(stack[len(expected)])
+            assert str(single.value) == str(error)
+
+
+def non_finite_at(entry, value):
+    matrix = np.zeros((2, 2))
+    matrix[entry] = value
+    return matrix
 
 
 def test_registry_nan_never_agrees():
@@ -201,6 +225,18 @@ def test_registry_nan_never_agrees():
     nan = np.array([[0.0, np.nan], [0.0, 0.0]])
     ids, error = registry.classify_stack(np.stack([nan, nan, np.zeros((2, 2))]))
     assert (ids, error) == ([1, 2, 0], None)
+    # at [0, 0] the screen rejects the pair, elsewhere the full comparison
+    # does; inf - inf is NaN, so an inf label takes no later inf either
+    for value, screen in itertools.product((np.nan, np.inf, -np.inf), (False, True)):
+        probes = [non_finite_at(entry, value) for entry in ((0, 0), (0, 0), (1, 0), (1, 0))]
+        stack = np.stack(probes + [non_finite_at((0, 0), 0.5e-6)])
+        canonical = [np.zeros((2, 2)), non_finite_at((0, 0), value),
+                     non_finite_at((1, 0), value)]
+        with np.errstate(invalid="ignore"), comparing_by_screen(screen):
+            ids, error = LabelRegistry(tol=1e-6, canonical=canonical).classify_stack(stack)
+            one_by_one = LabelRegistry(tol=1e-6, canonical=canonical)
+            assert [one_by_one.classify(m) for m in stack] == ids == [3, 4, 5, 6, 0]
+        assert error is None and len(one_by_one) == 7
 
 
 def test_cached_output_no_extra_queries(demo2d_system):
@@ -280,13 +316,16 @@ def test_cached_outputs_reads_prefixes_off_one_trace(demo2d_system):
 
 def test_cached_outputs_empty_word_output_is_its_image():
     # as in compute_output, not a solve against the identity basis, which
-    # differs from the image once entries are not finite
+    # differs from the image once entries are not finite; the NaN output of
+    # (0,) is refused after () is classified
     fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(("a",)), delta=((0,),), gamma=(0,))
     system = SwitchedSystem(fa=fa, matrices=(np.array([[np.inf, 1.0], [1.0, 1.0]]),), d=2)
     registry = LabelRegistry()
     with np.errstate(invalid="ignore"):
-        cached_outputs(WhiteBoxObservationOracle(system), registry, {}, [(), (0,)])
+        with pytest.raises(SingularBasis, match="not finite"):
+            cached_outputs(WhiteBoxObservationOracle(system), registry, {}, [(), (0,)])
         image = compute_output(WhiteBoxObservationOracle(system), ())
+    assert len(registry) == 1
     assert np.array_equal(registry.canonical[0], image, equal_nan=True)
 
 

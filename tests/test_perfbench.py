@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["scaled-100", "blackbox-bounded"])
+@pytest.mark.parametrize("workload", ["scaled-100", "suite-small", "blackbox-bounded"])
 def test_perfbench_traced_run(workload):
     run = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
