@@ -80,7 +80,9 @@ class Fa:
                 raise ValueError(f"negative label id {label}")
 
 
-def _check_word(fa: Fa, word: Word) -> None:
+def check_word(fa: Fa, word: Word) -> None:
+    """InvalidEvent naming the first event of word that is not an event
+    index of fa."""
     num_events = len(fa.alphabet)
     for e in word:
         if not 0 <= e < num_events:
@@ -90,7 +92,7 @@ def _check_word(fa: Fa, word: Word) -> None:
 
 def run(fa: Fa, word: Word) -> list[int]:
     """Node sequence visited while reading word; length |word| + 1."""
-    _check_word(fa, word)
+    check_word(fa, word)
     node = fa.initial
     nodes = [node]
     for e in word:

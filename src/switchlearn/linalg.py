@@ -45,6 +45,24 @@ def _non_finite(matrix: np.ndarray) -> SingularBasis:
                          f"{matrix[i, j]}")
 
 
+def check_finite(matrix: np.ndarray) -> np.ndarray:
+    """matrix itself when every entry is finite; otherwise SingularBasis
+    naming the first non-finite entry (states that overflowed or went NaN)."""
+    if not np.isfinite(matrix).all():
+        raise _non_finite(matrix)
+    return matrix
+
+
+def finite_prefix(matrices: np.ndarray) -> tuple[np.ndarray, SingularBasis | None]:
+    """The leading matrices of a (k, d, d) stack that are finite, and the
+    SingularBasis check_finite raises on the first one that is not (None
+    when all are)."""
+    if np.isfinite(matrices).all():
+        return matrices, None
+    good = int(np.isfinite(matrices).all(axis=(1, 2)).argmin())
+    return matrices[:good], _non_finite(matrices[good])
+
+
 def _forward_eliminate(a: np.ndarray, tol: float) -> None:
     """Row-reduce a in place with partial pivoting, leaving its upper
     triangle; raise SingularBasis at the first pivot whose magnitude is not
@@ -82,9 +100,7 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
         matrix = np.linalg.solve(basis.T, image.T).T
     except np.linalg.LinAlgError as exc:
         raise _lapack_singular(exc) from None
-    if not np.isfinite(matrix).all():
-        raise _non_finite(matrix)
-    return matrix
+    return check_finite(matrix)
 
 
 def _forward_eliminate_stack(a: np.ndarray, tol: float) -> tuple[int, SingularBasis | None]:
@@ -180,10 +196,8 @@ def _solve_stack(bases: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, Sin
                 good, error = r, _lapack_singular(exc)
                 break
         matrices = np.linalg.solve(bases_t[:good], images_t[:good]).transpose(0, 2, 1)
-    if not np.isfinite(matrices).all():
-        good = int(np.isfinite(matrices).all(axis=(1, 2)).argmin())
-        matrices, error = matrices[:good], _non_finite(matrices[good])
-    return matrices, error
+    matrices, finite_error = finite_prefix(matrices)
+    return matrices, error if finite_error is None else finite_error
 
 
 def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .automaton import Word, language_equivalent
 from .errors import DimensionMismatch
-from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq, recover_transforms
+from .linalg import (LABEL_TOL, check_label_tol, finite_prefix, identity, mat_approx_eq,
+                     recover_transforms)
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import RECOVERY_BATCH, compute_output  # noqa: F401
 from .switched_system import SwitchedSystem, execute
@@ -70,8 +71,9 @@ class WhiteBoxObservationOracle(ObservationOracle):
         return self._hidden.d
 
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
-        x0 = np.asarray(x0, dtype=float)
-        self.stats.io_queries += 1 if x0.ndim == 1 else x0.shape[1]
+        # charged before execute checks x0, so a refused query still counts
+        shape = np.shape(x0)
+        self.stats.io_queries += shape[1] if len(shape) == 2 else 1
         return execute(self._hidden, x0, word)
 
 
@@ -128,8 +130,8 @@ class _ChainedTraces:
         """Output matrices of the leading words (up to RECOVERY_BATCH, all of
         one length) whose outputs can be computed, and the error computing
         the next one raises: any exception of a trace query, or the
-        SingularBasis of recover_transform (None when every output was
-        computed)."""
+        SingularBasis of compute_output for a singular basis or a
+        non-finite output (None when every output was computed)."""
         length, error = len(words[0]), None
         for i, word in enumerate(words):
             states = self._tails.pop(word, None)
@@ -146,9 +148,10 @@ class _ChainedTraces:
             self._bases[i], self._images[i] = states[0], states[1]
         k = len(words)
         if length == 0:  # as in compute_output, the empty word's output is its image
-            return self._images[:k], error
-        matrices, singular = recover_transforms(self._bases[:k], self._images[:k],
-                                                known=self._known)
+            matrices, singular = finite_prefix(self._images[:k])
+        else:
+            matrices, singular = recover_transforms(self._bases[:k], self._images[:k],
+                                                    known=self._known)
         return matrices, error if singular is None else singular
 
 

@@ -21,9 +21,9 @@ LabelRegistry.classify_stack pass.
 import numpy as np
 
 from .automaton import Word
-from .errors import AmbiguousLabel
-from .linalg import (LABEL_TOL, PIVOT_TOL, check_label_tol, identity, recover_transform,
-                     recover_transforms)
+from .errors import AmbiguousLabel, SingularBasis
+from .linalg import (LABEL_TOL, PIVOT_TOL, check_finite, check_label_tol, identity,
+                     recover_transform, recover_transforms)
 
 # Words recovered per stacked pivot test and solve. The stacked test costs
 # about twice a single one on a stack of one and much less per word on a
@@ -43,12 +43,14 @@ def compute_output(obs, word: Word, tol: float = PIVOT_TOL) -> np.ndarray:
 
     Costs one d-column trace query. Raises SingularBasis if the
     intermediate states do not span the space, which means some subsystem
-    matrix is rank-deficient or their product is numerically singular.
+    matrix is rank-deficient or their product is numerically singular, or
+    if the output has a non-finite entry (the empty word's output, the
+    image of the identity, included).
     """
     obs.stats.output_computations += 1
     states = obs.exec_query(identity(obs.dimension()), word)
     if len(word) == 0:
-        return states[-1]
+        return check_finite(states[-1])
     return recover_transform(states[-2], states[-1], tol)
 
 
@@ -179,10 +181,11 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     Matrices are bit-identical either way, and the set holds d*d*8 bytes
     per distinct basis.
 
-    If a basis is singular or a label ambiguous, the words before it are
-    classified, it is counted, and the error cached_output would raise is
-    raised; the rest of its stack (at most RECOVERY_BATCH - 1 words) may
-    have been traced, so a failure can cost extra trace queries.
+    If a basis is singular, an output not finite or a label ambiguous, the
+    words before it are classified, it is counted, and the error
+    cached_output would raise is raised; the rest of its stack (at most
+    RECOVERY_BATCH - 1 words) may have been traced, so a failure can cost
+    extra trace queries.
     """
     known = set() if known is None else known
     uncached = (w for w in map(tuple, words) if w not in cache)
@@ -218,7 +221,10 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
             images[empty] = bases[empty]
         matrices, singular = recover_transforms(bases[:k], images[:k], known=known)
         if empty < len(matrices):
-            matrices[empty] = output
+            try:
+                matrices[empty] = check_finite(output)
+            except SingularBasis as exc:
+                matrices, singular = matrices[:empty], exc
         ids, error = registry.classify_stack(matrices)
         for word, label in zip(chunk, ids):
             cache[word] = label

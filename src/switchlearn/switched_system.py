@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import EventAlphabet, Fa, Word, language_of
+from .automaton import EventAlphabet, Fa, Word, check_word
 from .errors import DimensionMismatch, ParseError, ValidationError
 from .linalg import PIVOT_TOL, is_full_rank
 
@@ -36,15 +36,27 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     """State sequence from x0 under word; length |word| + 2.
 
     x0 may be a single state (1-D, d entries) or a matrix of k column
-    states; every state in the result has the same shape as x0.
+    states; every state in the result has the same shape as x0, and the
+    first is x0 as a float array. The word is validated before any step,
+    as run does (InvalidEvent on its first out-of-range event). Each step
+    is matrix.dot(x), the same BLAS product as matrix @ x and bit-equal to
+    it, without the ufunc dispatch that @ pays per call; the automaton is
+    walked in the same loop.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
+    fa, matrices = system.fa, system.matrices
+    check_word(fa, word)
+    delta, gamma = fa.delta, fa.gamma
+    node = fa.initial
     states = [x]
-    for label in language_of(system.fa, word):
-        x = system.matrices[label] @ x
+    x = matrices[gamma[node]].dot(x)
+    states.append(x)
+    for e in word:
+        node = delta[node][e]
+        x = matrices[gamma[node]].dot(x)
         states.append(x)
     return states
 

@@ -38,6 +38,12 @@ def test_io_queries_count_columns(demo2d_system):
     assert obs.stats.io_queries == 2
     obs.exec_query(np.array([1.0, 0.0]), (E1,))
     assert obs.stats.io_queries == 3
+    # a refused query is charged as perfbench counts its columns
+    with pytest.raises(DimensionMismatch):
+        obs.exec_query(np.float64(1.0), (E1,))
+    with pytest.raises(InvalidEvent):
+        obs.exec_query([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], (7,))
+    assert obs.stats.io_queries == 3 + 1 + 3
 
 
 def test_repeated_queries_identical(demo2d_system):
@@ -339,6 +345,20 @@ def test_singular_basis_before_untraceable_word_wins():
     chained, _ = assert_same_search(one_node(("a", "b")), one_node(("a", "b", "c")), 2)
     (error, _), outputs, _ = chained
     assert error is SingularBasis and outputs == 2
+
+
+def test_bounded_oracle_refuses_non_finite_empty_word_output():
+    fa = Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(("a",)), delta=((1,), (0,)),
+            gamma=(0, 1))
+    hidden = SwitchedSystem(fa=fa, matrices=(np.array([[1.0, -np.inf], [0.0, 1.0]]),
+                                             np.eye(2)), d=2)
+    hypothesis = SwitchedSystem(fa=fa, matrices=(np.eye(2), np.eye(2)), d=2)
+    for claimed in (hidden, hypothesis):
+        with np.errstate(invalid="ignore"):
+            chained, _ = assert_same_search(hidden, claimed, 3)
+        # the image of the identity: -inf * 0 makes entry (0, 0) NaN
+        assert chained[:2] == ((SingularBasis, "recovered matrix is not finite: "
+                                "entry (0, 0) is nan"), 1)
 
 
 def test_bounded_oracle_rejects_hypothesis_of_other_dimension(demo2d_system):

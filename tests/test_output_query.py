@@ -314,19 +314,35 @@ def test_cached_outputs_reads_prefixes_off_one_trace(demo2d_system):
     assert cache == {(): 0, (E1,): 1, (E1, E2): 2}
 
 
-def test_cached_outputs_empty_word_output_is_its_image():
-    # as in compute_output, not a solve against the identity basis, which
-    # differs from the image once entries are not finite; the NaN output of
-    # (0,) is refused after () is classified
+def one_node_system(matrix):
     fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(("a",)), delta=((0,),), gamma=(0,))
-    system = SwitchedSystem(fa=fa, matrices=(np.array([[np.inf, 1.0], [1.0, 1.0]]),), d=2)
+    return SwitchedSystem(fa=fa, matrices=(np.array(matrix, dtype=float),), d=len(matrix))
+
+
+def test_cached_outputs_empty_word_output_is_its_image():
+    # as in compute_output, not a solve against the identity basis
+    system = one_node_system([[1.0, 0.3], [0.7, 1.2]])
     registry = LabelRegistry()
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(SingularBasis, match="not finite"):
-            cached_outputs(WhiteBoxObservationOracle(system), registry, {}, [(), (0,)])
-        image = compute_output(WhiteBoxObservationOracle(system), ())
-    assert len(registry) == 1
-    assert np.array_equal(registry.canonical[0], image, equal_nan=True)
+    cached_outputs(WhiteBoxObservationOracle(system), registry, {}, [(), (0,)])
+    image = compute_output(WhiteBoxObservationOracle(system), ())
+    assert np.array_equal(registry.canonical[0], image)
+    # a non-finite image is refused like any non-finite output: nothing is
+    # interned, and the refused word is counted
+    system = one_node_system([[np.inf, 1.0], [1.0, 1.0]])
+    obs = WhiteBoxObservationOracle(system)
+    registry, cache = LabelRegistry(), {}
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SingularBasis, match=r"not finite: entry \(0, 0\) is inf"):
+        cached_outputs(obs, registry, cache, [(), (0,)])
+    assert len(registry) == 0 and cache == {}
+    assert obs.stats.output_computations == 1
+
+
+def test_compute_output_refuses_non_finite_empty_word_output():
+    obs = WhiteBoxObservationOracle(one_node_system([[1.0, 1.0], [np.nan, 1.0]]))
+    with pytest.raises(SingularBasis, match=r"not finite: entry \(1, 0\) is nan"):
+        compute_output(obs, ())
+    assert obs.stats.output_computations == 1
 
 
 @st.composite

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchlearn import (DimensionMismatch, InvalidEvent, ParseError,
+from switchlearn import (DimensionMismatch, GenConfig, InvalidEvent, ParseError,
                          SwitchedSystem, ValidationError, execute, language_of,
-                         load_json, save_json, validate)
+                         load_json, random_system, save_json, validate)
 
 from conftest import DEMO2D_MATRICES, make_demo2d_system
 
@@ -50,6 +50,49 @@ def test_execute_checks_dimensions(demo2d_system):
         execute(demo2d_system, np.zeros(3), (E1,))
     with pytest.raises(InvalidEvent):
         execute(demo2d_system, np.zeros(2), (9,))
+    # a bad event anywhere in the word is refused, and the first one named
+    for bad in (2, 9, -1):
+        for at in range(3):
+            word = [E1, E2, E1]
+            word[at] = bad
+            with pytest.raises(InvalidEvent, match=f"event index {bad} out of range"):
+                execute(demo2d_system, np.eye(2), tuple(word) + (-5,))
+    x0 = np.array([2.0, -1.0])
+    states = execute(demo2d_system, x0, ())
+    assert len(states) == 2
+    assert np.array_equal(states[0], x0)
+    assert np.array_equal(states[1], DEMO2D_MATRICES[0] @ x0)
+
+
+def reference_execute(system, x0, word):
+    """The states of word from x0, one `@` product per label of its run."""
+    states = [x0]
+    for label in language_of(system.fa, word):
+        states.append(system.matrices[label] @ states[-1])
+    return states
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 20), num_events=st.integers(1, 3),
+       data=st.data(),
+       x0_kind=st.sampled_from(["identity", "vector", "columns", "fortran columns"]))
+def test_execute_matches_matmul_reference_bit_for_bit(seed, d, num_events, data, x0_kind):
+    system = random_system(GenConfig(num_nodes=data.draw(st.integers(1, 6)),
+                                     num_events=num_events,
+                                     num_labels=data.draw(st.integers(1, 4)), dim=d,
+                                     seed=seed))
+    word = tuple(data.draw(st.lists(st.integers(0, num_events - 1), max_size=30)))
+    rng = np.random.default_rng(seed)
+    x0 = {"identity": lambda: np.eye(d),
+          "vector": lambda: rng.uniform(-1, 1, d),
+          "columns": lambda: rng.uniform(-1, 1, (d, int(rng.integers(1, 5)))),
+          "fortran columns": lambda: np.asfortranarray(rng.uniform(-1, 1, (d, 3)))}[x0_kind]()
+    states = execute(system, x0, word)
+    expected = reference_execute(system, x0, word)
+    assert len(states) == len(expected) == len(word) + 2
+    for state, want in zip(states, expected):
+        assert state.shape == want.shape and state.dtype == want.dtype
+        assert state.tobytes() == want.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
