@@ -5,7 +5,6 @@ Exit codes: 0 success (or equivalent), 1 not equivalent, 2 usage error,
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -157,55 +156,6 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-GRID_KEYS = ("nodes", "events", "labels", "dim", "seed")
-
-
-def _check_grid(grid) -> None:
-    if not isinstance(grid, list):
-        raise CliError("grid must be a JSON list of config objects")
-    for i, entry in enumerate(grid):
-        if not isinstance(entry, dict):
-            raise CliError(f"grid entry {i} ({json.dumps(entry)}) is not an "
-                           f"object with keys {', '.join(GRID_KEYS)}")
-        missing = [key for key in GRID_KEYS if key not in entry]
-        if missing:
-            raise CliError(f"grid entry {i} ({json.dumps(entry)}) has no "
-                           f"{', '.join(missing)}")
-        for key in GRID_KEYS:
-            if not isinstance(entry[key], int) or isinstance(entry[key], bool):
-                raise CliError(f"grid entry {i} ({json.dumps(entry)}) has "
-                               f"{key} {json.dumps(entry[key])}, not an integer")
-            minimum = 0 if key == "seed" else 1
-            if entry[key] < minimum:
-                raise CliError(f"grid entry {i} ({json.dumps(entry)}) has "
-                               f"{key} {entry[key]}, must be >= {minimum}")
-
-
-def cmd_bench(args) -> int:
-    try:
-        grid = json.loads(Path(args.grid).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read grid {args.grid}: {exc}") from exc
-    _check_grid(grid)
-    rows = []
-    for entry in grid:
-        config = GenConfig(num_nodes=entry["nodes"], num_events=entry["events"],
-                           num_labels=entry["labels"], dim=entry["dim"],
-                           seed=entry["seed"])
-        hidden = random_system(config)
-        obs = WhiteBoxObservationOracle(hidden)
-        eq = WhiteBoxEquivalenceOracle(hidden, tol=args.tol)
-        result = learn(obs, eq, hidden.fa.alphabet, label_tol=args.tol)
-        rows.append({**{key: entry[key] for key in GRID_KEYS},
-                     **result.stats_dict()})
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]) if rows else
-                                list(GRID_KEYS))
-        writer.writeheader()
-        writer.writerows(rows)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchlearn",
@@ -259,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", required=True)
     export.set_defaults(func=cmd_export_dot)
 
-    bench = sub.add_parser("bench", help="run a seeded benchmark grid to CSV")
-    bench.add_argument("--grid", required=True,
-                       help="JSON list of {nodes,events,labels,dim,seed}")
-    bench.add_argument("--out", required=True)
-    bench.add_argument("--tol", type=_label_tol, default=LABEL_TOL)
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -10,8 +10,12 @@ class DimensionMismatch(SwitchLearnError):
 
 
 class SingularBasis(SwitchLearnError):
-    """Gaussian elimination hit a pivot below tolerance; the state matrix
-    does not span the full space, so a subsystem matrix cannot be recovered."""
+    """An output matrix cannot be recovered from its trace: elimination
+    with partial pivoting met a basis pivot not above tolerance, LAPACK
+    found the basis singular, or the recovered matrix (the empty word's
+    output, its traced image, included) has a non-finite entry. Passing
+    these checks does not bound the recovery error; see the README's
+    "Tolerances and numerics"."""
 
 
 class InvalidEvent(SwitchLearnError):

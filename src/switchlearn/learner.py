@@ -200,7 +200,7 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
     def query(word: Word) -> int:
         if max_outputs is not None and word not in cache and spent() >= max_outputs:
             raise BudgetExceeded(f"more than {max_outputs} output computations")
-        return cached_output(obs, registry, cache, word)
+        return cached_output(obs, registry, cache, word, known=known)
 
     def prefetch(words) -> None:
         # capped at the budget, so query refuses the same word as without it

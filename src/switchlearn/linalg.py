@@ -53,16 +53,6 @@ def check_finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def finite_prefix(matrices: np.ndarray) -> tuple[np.ndarray, SingularBasis | None]:
-    """The leading matrices of a (k, d, d) stack that are finite, and the
-    SingularBasis check_finite raises on the first one that is not (None
-    when all are)."""
-    if np.isfinite(matrices).all():
-        return matrices, None
-    good = int(np.isfinite(matrices).all(axis=(1, 2)).argmin())
-    return matrices[:good], _non_finite(matrices[good])
-
-
 def _forward_eliminate(a: np.ndarray, tol: float) -> None:
     """Row-reduce a in place with partial pivoting, leaving its upper
     triangle; raise SingularBasis at the first pivot whose magnitude is not
@@ -196,8 +186,10 @@ def _solve_stack(bases: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, Sin
                 good, error = r, _lapack_singular(exc)
                 break
         matrices = np.linalg.solve(bases_t[:good], images_t[:good]).transpose(0, 2, 1)
-    matrices, finite_error = finite_prefix(matrices)
-    return matrices, error if finite_error is None else finite_error
+    if not np.isfinite(matrices).all():  # it precedes any basis LAPACK failed on
+        good = int(np.isfinite(matrices).all(axis=(1, 2)).argmin())
+        matrices, error = matrices[:good], _non_finite(matrices[good])
+    return matrices, error
 
 
 def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:

@@ -17,10 +17,9 @@ import numpy as np
 
 from .automaton import Word, language_equivalent
 from .errors import DimensionMismatch
-from .linalg import (LABEL_TOL, check_label_tol, finite_prefix, identity, mat_approx_eq,
-                     recover_transforms)
+from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
-from .output_query import RECOVERY_BATCH, compute_output  # noqa: F401
+from .output_query import RECOVERY_BATCH, compute_output, recover_outputs  # noqa: F401
 from .switched_system import SwitchedSystem, execute
 
 
@@ -146,12 +145,7 @@ class _ChainedTraces:
             if length < self._l_max:
                 self._tails[word + (0,)] = states[1:]
             self._bases[i], self._images[i] = states[0], states[1]
-        k = len(words)
-        if length == 0:  # as in compute_output, the empty word's output is its image
-            matrices, singular = finite_prefix(self._images[:k])
-        else:
-            matrices, singular = recover_transforms(self._bases[:k], self._images[:k],
-                                                    known=self._known)
+        matrices, singular = recover_outputs(words, self._bases, self._images, self._known)
         return matrices, error if singular is None else singular
 
 

@@ -10,20 +10,22 @@ the basis is bit-identical to the final states of a separate query of the
 word minus its last event.
 
 cached_outputs recovers many words at once, with the same matrices, labels,
-output computations and errors as cached_output on each word in turn. By
-the same prefix property, a word that is a proper prefix of another word
-of the batch is read off that word's trace, so there is one trace query
-per maximal word. Each RECOVERY_BATCH words take one stacked pivot test
-of the bases not seen before, one LAPACK solve and one
-LabelRegistry.classify_stack pass.
+output computations and errors as compute_output and LabelRegistry.classify
+on each word in turn. By the same prefix property, a word that is a proper
+prefix of another word of the batch is read off that word's trace, so there
+is one trace query per maximal word. Each RECOVERY_BATCH words take one
+stacked pivot test of the bases not seen before, one LAPACK solve and one
+LabelRegistry.classify_stack pass. cached_output computes a single miss the
+same way, so every label the learner uses comes from this one path;
+compute_output is the per-word reference and the CLI's `output`.
 """
 
 import numpy as np
 
 from .automaton import Word
 from .errors import AmbiguousLabel, SingularBasis
-from .linalg import (LABEL_TOL, PIVOT_TOL, check_finite, check_label_tol, identity,
-                     recover_transform, recover_transforms)
+from .linalg import (LABEL_TOL, check_finite, check_label_tol, identity, recover_transform,
+                     recover_transforms)
 
 # Words recovered per stacked pivot test and solve. The stacked test costs
 # about twice a single one on a stack of one and much less per word on a
@@ -38,7 +40,7 @@ RECOVERY_BATCH = 32
 SCREEN_MIN_ENTRIES = 2048
 
 
-def compute_output(obs, word: Word, tol: float = PIVOT_TOL) -> np.ndarray:
+def compute_output(obs, word: Word) -> np.ndarray:
     """Matrix labelling the node reached by word, from trace queries alone.
 
     Costs one d-column trace query. Raises SingularBasis if the
@@ -51,7 +53,7 @@ def compute_output(obs, word: Word, tol: float = PIVOT_TOL) -> np.ndarray:
     states = obs.exec_query(identity(obs.dimension()), word)
     if len(word) == 0:
         return check_finite(states[-1])
-    return recover_transform(states[-2], states[-1], tol)
+    return recover_transform(states[-2], states[-1])
 
 
 class LabelRegistry:
@@ -135,12 +137,40 @@ class LabelRegistry:
 OutputCache = dict[Word, int]
 
 
-def cached_output(obs, registry: LabelRegistry, cache: OutputCache, word: Word) -> int:
-    """Label id of word's output matrix, memoized by exact word."""
+def cached_output(obs, registry: LabelRegistry, cache: OutputCache, word: Word,
+                  known: set[bytes] | None = None) -> int:
+    """Label id of word's output matrix, memoized by exact word. A miss is
+    computed by cached_outputs on that one word, with the set known of bases
+    that passed the pivot test (see cached_outputs)."""
     word = tuple(word)
     if word not in cache:
-        cache[word] = registry.classify(compute_output(obs, word))
+        cached_outputs(obs, registry, cache, (word,), known=known)
     return cache[word]
+
+
+def recover_outputs(words: list[Word], bases: np.ndarray, images: np.ndarray,
+                    known: set[bytes]) -> tuple[np.ndarray, SingularBasis | None]:
+    """Output matrices of the leading words that compute_output recovers,
+    from the (basis, image) pair of each word in the first len(words) rows of
+    the stacks bases and images, and the SingularBasis compute_output raises
+    on the next word (None when every word is recovered).
+
+    As in compute_output, the empty word's output is its image, refused when
+    not finite; it is never solved against its identity basis, where an
+    infinite image entry would spread NaN over its row. Every other word is
+    recovered by recover_transforms with known.
+    """
+    k = len(words)
+    empty = words.index(()) if () in words else k
+    matrices, error = recover_transforms(bases[:empty], images[:empty], known=known)
+    if empty < k and error is None:
+        try:
+            check_finite(images[empty])
+        except SingularBasis as exc:
+            return matrices, exc
+        rest, error = recover_transforms(bases[empty + 1:k], images[empty + 1:k], known=known)
+        matrices = np.concatenate((matrices, images[empty:empty + 1], rest))
+    return matrices, error
 
 
 def _covers(words: list[Word]) -> list[int]:
@@ -159,12 +189,13 @@ def _covers(words: list[Word]) -> list[int]:
 
 def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
                    limit: int | None = None, known: set[bytes] | None = None) -> None:
-    """cached_output for each word in turn, recovered in stacks.
+    """Compute, classify and cache the outputs of words, in stacks.
 
     The uncached words, in order and without duplicates, are computed and
     cached; only the first limit of them when limit is given. Labels are
-    assigned in word order, so the registry ends as after cached_output on
-    each word, and so do the output computations.
+    assigned in word order, so the registry ends as after computing and
+    classifying each word's output in turn, and so do the output
+    computations.
 
     Only the maximal words, those no other of these words extends, are
     traced: one trace query each, made when the first word read off it is
@@ -172,20 +203,24 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     and |w|+1 of it as basis and image, bit-identical to a trace of w alone
     because the trace oracle has the prefix property (a trace of w·u starts
     with the trace of w). Only the (basis, image) pairs of words still to
-    come are kept, never whole traces.
+    come are kept, never whole traces. The words read off one trace are
+    prefixes of each other; when that trace query raises for a word other
+    than the traced one, they are read off the trace of the longest of them
+    other than the traced word instead, so a word fails only when its own
+    trace query would.
 
-    Each stack of RECOVERY_BATCH words is recovered by recover_transforms
+    Each stack of RECOVERY_BATCH words is recovered by recover_outputs
     with the set known of bases that passed the pivot test, so each distinct
     basis is pivot-tested once for as long as the caller keeps the set
     (learn keeps one per call; without it, one per call of this function).
     Matrices are bit-identical either way, and the set holds d*d*8 bytes
     per distinct basis.
 
-    If a basis is singular, an output not finite or a label ambiguous, the
-    words before it are classified, it is counted, and the error
-    cached_output would raise is raised; the rest of its stack (at most
-    RECOVERY_BATCH - 1 words) may have been traced, so a failure can cost
-    extra trace queries.
+    If a basis is singular, an output not finite, a label ambiguous or a
+    trace query raises, the words before it are classified and cached, it
+    is counted, and its error is raised (the first in word order); the rest
+    of its stack (at most RECOVERY_BATCH - 1 words) may have been traced,
+    so a failure can cost extra trace queries.
     """
     known = set() if known is None else known
     uncached = (w for w in map(tuple, words) if w not in cache)
@@ -201,36 +236,46 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     bases = np.empty((RECOVERY_BATCH, d, d))
     images = np.empty((RECOVERY_BATCH, d, d))
     kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def trace(i: int) -> None:
+        """Keep the pairs of the words read off the trace of word i's cover;
+        i is the first of them, so it is reached first."""
+        while True:
+            cover = covers[i]
+            try:
+                states = obs.exec_query(eye, pending[cover])
+                break
+            except Exception:
+                if cover == i:
+                    raise
+            chain = [j for j in readers.pop(cover) if j != cover]
+            longest = max(chain, key=lambda j: len(pending[j]))
+            readers[cover], readers[longest] = [cover], chain
+            for j in chain:
+                covers[j] = longest
+        for j in readers[cover]:
+            n = len(pending[j])
+            kept[j] = states[n], states[n + 1]
+
     for start in range(0, len(pending), RECOVERY_BATCH):
         chunk = pending[start:start + RECOVERY_BATCH]
-        for k, word in enumerate(chunk):
-            i = start + k
-            if i in kept:
-                bases[k], images[k] = kept.pop(i)
-                continue
-            # the first reader of a trace is reached first
-            states = obs.exec_query(eye, pending[covers[i]])
-            for j in readers[covers[i]][1:]:
-                n = len(pending[j])
-                kept[j] = states[n], states[n + 1]
-            bases[k], images[k] = states[len(word)], states[len(word) + 1]
-        k = len(chunk)
-        empty = chunk.index(()) if () in chunk else k
-        if empty < k:  # as in compute_output, the empty word's output is its image,
-            output = images[empty].copy()  # so its identity basis recovers itself
-            images[empty] = bases[empty]
-        matrices, singular = recover_transforms(bases[:k], images[:k], known=known)
-        if empty < len(matrices):
-            try:
-                matrices[empty] = check_finite(output)
-            except SingularBasis as exc:
-                matrices, singular = matrices[:empty], exc
-        ids, error = registry.classify_stack(matrices)
+        untraced = None
+        for k in range(len(chunk)):
+            if start + k not in kept:
+                try:
+                    trace(start + k)
+                except Exception as exc:  # raised once the words before it are cached
+                    chunk, untraced = chunk[:k], exc
+                    break
+            bases[k], images[k] = kept.pop(start + k)
+        matrices, singular = recover_outputs(chunk, bases, images, known)
+        ids, ambiguous = registry.classify_stack(matrices)
         for word, label in zip(chunk, ids):
             cache[word] = label
         obs.stats.output_computations += len(ids)
-        if error is None:
-            error = singular
-        if error is not None:
-            obs.stats.output_computations += 1
-            raise error
+        # in word order: classification stops before the first word not
+        # recovered, and recovery before the first word not traced
+        for error in (ambiguous, singular, untraced):
+            if error is not None:
+                obs.stats.output_computations += 1
+                raise error

@@ -13,7 +13,7 @@ import numpy as np
 
 from .automaton import EventAlphabet, Fa, Word, check_word
 from .errors import DimensionMismatch, ParseError, ValidationError
-from .linalg import PIVOT_TOL, is_full_rank
+from .linalg import is_full_rank
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     return states
 
 
-def validate(system: SwitchedSystem, rank_tol: float = PIVOT_TOL) -> list[Violation]:
+def validate(system: SwitchedSystem) -> list[Violation]:
     """All violations of the switched-system invariants; empty when valid."""
     violations = []
     for label in sorted(set(system.fa.gamma)):
@@ -70,7 +70,7 @@ def validate(system: SwitchedSystem, rank_tol: float = PIVOT_TOL) -> list[Violat
     for label, matrix in enumerate(system.matrices):
         if matrix.shape != (system.d, system.d):
             violations.append(Violation("bad_dimension", label))
-        elif not is_full_rank(matrix, rank_tol):
+        elif not is_full_rank(matrix):
             violations.append(Violation("rank_deficient_label", label))
     return violations
 
@@ -80,7 +80,13 @@ def _expect(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def load_json(text: str, rank_tol: float = PIVOT_TOL) -> SwitchedSystem:
+def _is_int(value) -> bool:
+    """True for a JSON integer: bool subclasses int, but JSON's true and
+    false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_json(text: str) -> SwitchedSystem:
     """Parse and validate a serialized system; rejects invalid models."""
     try:
         obj = json.loads(text)
@@ -89,21 +95,21 @@ def load_json(text: str, rank_tol: float = PIVOT_TOL) -> SwitchedSystem:
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("d", "events", "num_nodes", "initial", "delta", "gamma", "matrices"):
         _expect(key in obj, f"missing field {key!r}")
-    _expect(isinstance(obj["d"], int) and obj["d"] >= 1, "d must be a positive integer")
+    _expect(_is_int(obj["d"]) and obj["d"] >= 1, "d must be a positive integer")
     _expect(isinstance(obj["events"], list) and obj["events"]
             and all(isinstance(e, str) for e in obj["events"]),
             "events must be a non-empty list of strings")
-    _expect(isinstance(obj["num_nodes"], int) and obj["num_nodes"] >= 1,
+    _expect(_is_int(obj["num_nodes"]) and obj["num_nodes"] >= 1,
             "num_nodes must be a positive integer")
-    _expect(isinstance(obj["initial"], int), "initial must be an integer")
+    _expect(_is_int(obj["initial"]), "initial must be an integer")
     num_nodes, num_events = obj["num_nodes"], len(obj["events"])
     _expect(isinstance(obj["delta"], list) and len(obj["delta"]) == num_nodes
             and all(isinstance(row, list) and len(row) == num_events
-                    and all(isinstance(t, int) for t in row)
+                    and all(_is_int(t) for t in row)
                     for row in obj["delta"]),
             "delta must be a num_nodes x num_events table of integers")
     _expect(isinstance(obj["gamma"], list) and len(obj["gamma"]) == num_nodes
-            and all(isinstance(g, int) and g >= 0 for g in obj["gamma"]),
+            and all(_is_int(g) and g >= 0 for g in obj["gamma"]),
             "gamma must list one non-negative label id per node")
     _expect(isinstance(obj["matrices"], list), "matrices must be a list")
 
@@ -121,7 +127,7 @@ def load_json(text: str, rank_tol: float = PIVOT_TOL) -> SwitchedSystem:
     for k, rows in enumerate(obj["matrices"]):
         _expect(isinstance(rows, list)
                 and all(isinstance(r, list)
-                        and all(isinstance(v, (int, float)) for v in r)
+                        and all(_is_int(v) or isinstance(v, float) for v in r)
                         for r in rows),
                 f"matrix {k} must be a list of numeric rows")
         _expect(len({len(r) for r in rows}) <= 1,
@@ -141,7 +147,7 @@ def load_json(text: str, rank_tol: float = PIVOT_TOL) -> SwitchedSystem:
         matrices=tuple(matrices),
         d=obj["d"],
     )
-    violations = validate(system, rank_tol)
+    violations = validate(system)
     if violations:
         raise ValidationError(violations)
     return system

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchlearn import EventAlphabet, Fa, SwitchedSystem
+from switchlearn import EventAlphabet, Fa, SwitchedSystem, WhiteBoxObservationOracle
 
 # 2-D demo model: four nodes on two events, three distinct subsystem
 # matrices, the middle label shared by two nodes.
@@ -26,6 +26,16 @@ def count_maximal(words) -> int:
     words = set(words)
     return sum(not any(len(v) > len(w) and v[:len(w)] == w for v in words)
                for w in words)
+
+
+class OSErrorObservationOracle(WhiteBoxObservationOracle):
+    """A trace oracle whose queries of words containing event 1 fail with
+    an error from outside the package."""
+
+    def exec_query(self, x0, word):
+        if 1 in word:
+            raise OSError("trace lost")
+        return super().exec_query(x0, word)
 
 
 def make_demo2d_fa() -> Fa:

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import numpy as np
@@ -158,82 +157,16 @@ def test_export_dot(demo_model, tmp_path):
                for line in dot.splitlines()) == 8
 
 
-def test_bench_grid(tmp_path):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps([
-        {"nodes": 3, "events": 2, "labels": 2, "dim": 2, "seed": 1},
-        {"nodes": 4, "events": 2, "labels": 3, "dim": 2, "seed": 2},
-        {"nodes": 5, "events": 3, "labels": 3, "dim": 3, "seed": 3},
-    ]))
-    out = tmp_path / "results.csv"
-    assert main(["bench", "--grid", str(grid), "--out", str(out)]) == 0
-    with open(out) as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 3
-    assert {"nodes", "events", "labels", "dim", "seed", "io_queries",
-            "output_computations", "equivalence_queries", "rounds",
-            "wall_ms"} <= set(rows[0])
-
-    again = tmp_path / "again.csv"
-    assert main(["bench", "--grid", str(grid), "--out", str(again)]) == 0
-    with open(again) as handle:
-        rerun = list(csv.DictReader(handle))
-    for first, second in zip(rows, rerun):
-        for key in ("io_queries", "output_computations",
-                    "equivalence_queries", "rounds"):
-            assert first[key] == second[key]
-
-
-@pytest.mark.parametrize("grid, named", [
-    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2}], ["entry 0", "seed"]),
-    ([3], ["entry 0", "3"]),
-    ([{"nodes": "3", "events": 2, "labels": 2, "dim": 2, "seed": 1}],
-     ["entry 0", "nodes"]),
-    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2, "seed": 1},
-      {"nodes": 2.5, "events": 2, "labels": 2, "dim": 2, "seed": 1}],
-     ["entry 1", "nodes"]),
-    ([{"nodes": 3, "events": 2, "labels": 2, "dim": True, "seed": 1}],
-     ["entry 0", "dim"]),
-    ([{"nodes": 3, "events": 2, "labels": None, "dim": 2, "seed": 1}],
-     ["entry 0", "labels"]),
-    ([{"nodes": 3, "events": [2], "labels": 2, "dim": 2, "seed": 1}],
-     ["entry 0", "events"]),
-    ([{"nodes": 0, "events": 2, "labels": 2, "dim": 2, "seed": 1}],
-     ["entry 0", "nodes 0", ">= 1"]),
-    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2, "seed": 1},
-      {"nodes": 0, "events": 2, "labels": 2, "dim": 2, "seed": 1}],
-     ["entry 1", "nodes 0", ">= 1"]),
-    ([{"nodes": 3, "events": 0, "labels": 2, "dim": 2, "seed": 1}],
-     ["entry 0", "events 0", ">= 1"]),
-    ([{"nodes": 3, "events": 2, "labels": -1, "dim": 2, "seed": 1}],
-     ["entry 0", "labels -1", ">= 1"]),
-    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 0, "seed": 1}],
-     ["entry 0", "dim 0", ">= 1"]),
-    ([{"nodes": 3, "events": 2, "labels": 2, "dim": 2, "seed": -1}],
-     ["entry 0", "seed -1", ">= 0"]),
-])
-def test_bench_rejects_malformed_grid_entry(tmp_path, capsys, grid, named):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
-    out = tmp_path / "results.csv"
-    assert main(["bench", "--grid", str(path), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert all(text in err for text in named)
-    assert not out.exists()
-
-
 def test_missing_model_is_runtime_error(tmp_path):
     assert main(["simulate", "--model", str(tmp_path / "nope.json"),
                  "--x0", "1,0", "--word", ""]) == 3
 
 
-@pytest.mark.parametrize("command", ["learn", "bench", "equiv"])
+@pytest.mark.parametrize("command", ["learn", "equiv"])
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])
 def test_nonpositive_tol_is_usage_error(demo_model, tmp_path, capsys,
                                         command, tol):
     args = {"learn": ["--model", demo_model, "--out", str(tmp_path / "o.json")],
-            "bench": ["--grid", str(tmp_path / "grid.json"),
-                      "--out", str(tmp_path / "o.csv")],
             "equiv": ["--a", demo_model, "--b", demo_model]}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *args, "--tol", tol])

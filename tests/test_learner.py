@@ -12,8 +12,8 @@ from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          close_store,
                          is_separable, learn, mat_approx_eq,
                          process_counterexample, random_system, row, run,
-                         validate)
-from switchlearn import linalg
+                         save_json, validate)
+from switchlearn import linalg, output_query
 from switchlearn.learner import max_outputs_for_counterexample
 
 from conftest import DEMO2D_MATRICES, count_maximal
@@ -470,6 +470,30 @@ def test_relearning_on_the_same_oracles_pivot_tests_as_many_bases(eq_kind, monke
     assert tested[0] == tested[1] > 0
     assert tested[0] < results[0].stats.output_computations
     assert results[0].system.fa == results[1].system.fa
+
+
+@pytest.mark.parametrize("eq_kind", ["exact", "bounded"])
+def test_learn_never_computes_an_output_word_by_word(eq_kind, monkeypatch):
+    # every label the learner uses, counterexample splices included, comes
+    # from the stacked recovery; compute_output is only the per-word reference
+    hidden = random_system(GenConfig(num_nodes=5, num_events=2, num_labels=3, dim=3, seed=0))
+
+    def learn_once():
+        obs = WhiteBoxObservationOracle(hidden)
+        eq = (WhiteBoxEquivalenceOracle(hidden) if eq_kind == "exact"
+              else BoundedTestingEquivalenceOracle(obs, 2 * hidden.fa.num_nodes + 1))
+        result = learn(obs, eq, hidden.fa.alphabet)
+        counts = {k: v for k, v in result.stats_dict().items() if k != "wall_ms"}
+        return save_json(result.system), counts, result.counterexample_costs
+
+    expected = learn_once()
+
+    def refuse(obs, word):
+        raise AssertionError(f"compute_output called on {word!r}")
+
+    monkeypatch.setattr(output_query, "compute_output", refuse)
+    assert learn_once() == expected
+    assert expected[1]["rounds"] > 1 and expected[2]
 
 
 def test_learn_random_systems_end_to_end():

@@ -11,7 +11,8 @@ from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          compute_output, mat_approx_eq, output_of)
 
-from conftest import make_four_node_hypothesis, make_three_node_hypothesis
+from conftest import (OSErrorObservationOracle, make_four_node_hypothesis,
+                      make_three_node_hypothesis)
 
 E1, E2 = 0, 1
 
@@ -168,16 +169,6 @@ def word_by_word_check(obs, hypothesis, l_max, tol=1e-6):
             if not mat_approx_eq(observed, claimed, tol):
                 return word
     return None
-
-
-class OSErrorObservationOracle(WhiteBoxObservationOracle):
-    """A trace oracle whose queries of words containing event 1 fail with
-    an error from outside the package."""
-
-    def exec_query(self, x0, word):
-        if 1 in word:
-            raise OSError("trace lost")
-        return super().exec_query(x0, word)
 
 
 def search_outcome(check, hidden, make_obs=WhiteBoxObservationOracle):

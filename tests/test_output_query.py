@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig,
+from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig, InvalidEvent,
                          LabelRegistry, SingularBasis, SwitchedSystem,
                          SwitchLearnError, WhiteBoxObservationOracle,
                          cached_output, cached_outputs, compute_output,
@@ -15,7 +15,7 @@ from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig,
 from switchlearn import output_query
 from switchlearn.output_query import RECOVERY_BATCH
 
-from conftest import DEMO2D_MATRICES, count_maximal
+from conftest import DEMO2D_MATRICES, OSErrorObservationOracle, count_maximal
 
 E1, E2 = 0, 1
 
@@ -239,6 +239,14 @@ def test_registry_nan_never_agrees():
         assert error is None and len(one_by_one) == 7
 
 
+def reference_output(obs, registry, cache, word):
+    """Per-word reference for cached_output and cached_outputs: the label
+    of compute_output's matrix, memoized by word."""
+    if word not in cache:
+        cache[word] = registry.classify(compute_output(obs, word))
+    return cache[word]
+
+
 def test_cached_output_no_extra_queries(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
     registry = LabelRegistry()
@@ -296,7 +304,7 @@ def test_cached_outputs_matches_cached_output_word_by_word():
         pending = [w for w in words if w not in many_cache]
         io = many.stats.io_queries + 5 * count_maximal(pending)
         cached_outputs(many, many_registry, many_cache, words)
-        ids = [cached_output(one, one_registry, one_cache, w) for w in words]
+        ids = [reference_output(one, one_registry, one_cache, w) for w in words]
         assert [many_cache[w] for w in words] == ids
         assert many.stats.as_dict() == {**one.stats.as_dict(), "io_queries": io}
         assert many.stats.io_queries < one.stats.io_queries
@@ -360,26 +368,29 @@ def word_lists(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(d=st.integers(1, 5), events=st.integers(1, 3), labels=st.integers(1, 4),
-       seed=st.integers(0, 10_000), degenerate=st.booleans(),
+       seed=st.integers(0, 10_000), degenerate=st.booleans(), untraceable=st.booleans(),
        tol=st.sampled_from([1e-6, 0.4, 1.0]), words=word_lists(),
        cached=st.lists(st.integers(0, 99), max_size=5),
        limit=st.none() | st.integers(0, 60))
 def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, degenerate,
-                                                       tol, words, cached, limit):
+                                                       untraceable, tol, words, cached, limit):
     system = conditioned_system(6, events, labels, d, seed)
     if degenerate:  # the last label loses rank: its words raise SingularBasis
         matrices = list(system.matrices)
         matrices[-1] = matrices[-1] * np.r_[np.ones(d - 1), 0.0]
         system = SwitchedSystem(fa=system.fa, matrices=tuple(matrices), d=d)
     words = [tuple(e % events for e in w) for w in words]
+    # with untraceable, every trace of a word holding event 1 fails, so a
+    # word read off a longer word's trace may outlive that trace
+    oracle = OSErrorObservationOracle if untraceable else WhiteBoxObservationOracle
     sides = []
     for _ in range(2):
-        obs, registry, cache = WhiteBoxObservationOracle(system), LabelRegistry(tol), {}
+        obs, registry, cache = oracle(system), LabelRegistry(tol), {}
         for i in cached:
             if words:
                 try:
-                    cached_output(obs, registry, cache, words[i % len(words)])
-                except SwitchLearnError:
+                    reference_output(obs, registry, cache, words[i % len(words)])
+                except (SwitchLearnError, OSError):
                     pass
         sides.append((obs, registry, cache))
     (one, one_registry, one_cache), (many, many_registry, many_cache) = sides
@@ -387,15 +398,15 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
     expected = None
     for w in pending:
         try:
-            cached_output(one, one_registry, one_cache, w)
-        except SwitchLearnError as exc:
+            reference_output(one, one_registry, one_cache, w)
+        except (SwitchLearnError, OSError) as exc:
             expected = exc
             break
     io = many.stats.io_queries
     try:
         cached_outputs(many, many_registry, many_cache, words, limit)
         error = None
-    except SwitchLearnError as exc:
+    except (SwitchLearnError, OSError) as exc:
         error = exc
     assert type(error) is type(expected)
     assert str(error) == str(expected)
@@ -448,7 +459,7 @@ def test_lapack_singular_basis_mid_stack():
         cached_outputs(many, LabelRegistry(), many_cache, words)
     with pytest.raises(SingularBasis, match="LAPACK"):
         for w in words:
-            cached_output(one, one_registry, one_cache, w)
+            reference_output(one, one_registry, one_cache, w)
     assert many_cache == one_cache and len(many_cache) == 2
     assert many.stats.output_computations == one.stats.output_computations == 3
 
@@ -489,6 +500,36 @@ def test_cached_outputs_raises_the_first_error_in_word_order(words, error):
     one, one_registry = ambiguous_then_singular()
     with pytest.raises(error):
         for w in words:
-            cached_output(one, one_registry, {}, w)
+            reference_output(one, one_registry, {}, w)
     assert obs.stats.output_computations == one.stats.output_computations == 2
     assert len(registry) == len(one_registry) == 2
+
+
+def test_cached_outputs_caches_the_words_before_a_failing_trace():
+    # the hidden system has events 0 and 1, so the trace query of (2,) raises
+    system = random_system(GenConfig(3, 2, 2, 2, 0))
+    words = [(0,), (1,), (2,)]
+    many, many_registry, many_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
+    with pytest.raises(InvalidEvent) as stacked:
+        cached_outputs(many, many_registry, many_cache, words)
+    one, one_registry, one_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
+    with pytest.raises(InvalidEvent) as single:
+        for w in words:
+            reference_output(one, one_registry, one_cache, w)
+    assert str(stacked.value) == str(single.value)
+    assert many_cache == one_cache and list(many_cache) == [(0,), (1,)]
+    assert many.stats.as_dict() == one.stats.as_dict()
+    assert many.stats.output_computations == 3
+
+
+def test_cached_outputs_reads_the_prefixes_of_an_untraceable_word_off_another_trace(
+        demo2d_system):
+    # every word is read off the trace of (E1, E1, E2), which fails; the
+    # others are read off the trace of (E1, E1), and only (E1, E1, E2) fails
+    obs = OSErrorObservationOracle(demo2d_system)
+    cache = {}
+    with pytest.raises(OSError, match="trace lost"):
+        cached_outputs(obs, LabelRegistry(), cache, [(), (E1,), (E1, E1), (E1, E1, E2)])
+    assert list(cache) == [(), (E1,), (E1, E1)]
+    assert obs.stats.output_computations == 4
+    assert obs.stats.io_queries == 2  # one trace of (E1, E1), d = 2 columns

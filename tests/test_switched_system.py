@@ -219,3 +219,23 @@ def test_load_rejects_garbage():
         load_json(json.dumps({"d": 2, "events": [], "num_nodes": 1,
                               "initial": 0, "delta": [], "gamma": [],
                               "matrices": []}))
+
+
+def one_node_json(**fields):
+    return json.dumps({"d": 1, "events": ["a"], "num_nodes": 1, "initial": 0,
+                       "delta": [[0]], "gamma": [0], "matrices": [[[1.0]]], **fields})
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("d", True, "d must"),
+    ("num_nodes", True, "num_nodes must"),
+    ("initial", False, "initial must"),
+    ("delta", [[False]], "delta must"),
+    ("gamma", [False], "gamma must"),
+    ("matrices", [[[True]]], "matrix 0 must"),
+])
+def test_load_rejects_json_booleans_as_numbers(field, value, named):
+    # true and false would pass as 1 and 0, the values that load here
+    assert load_json(one_node_json()).d == 1
+    with pytest.raises(ParseError, match=named):
+        load_json(one_node_json(**{field: value}))
