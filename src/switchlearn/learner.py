@@ -1,12 +1,16 @@
 """Active learning loop for event-driven switched linear systems.
 
-The learner maintains two word lists: access words, each believed to reach a
-distinct node of the hidden automaton, and test words. A word's row is the
-tuple of output labels of the word followed by each test word, as in an L*
-observation table; two words are told apart exactly when their rows differ.
-The loop indexes access words by row, closes the access set under one-event
+The learner keeps one observation table per learn, as in L*: access words,
+each believed to reach a distinct node of the hidden automaton, and test
+words. A word's row is the tuple of output labels of the word followed by
+each test word; two words are told apart exactly when their rows differ.
+The table stores the row of every access word and every one-event extension
+it has read, and extends a row by one cell per test word added since, so
+each cell is read into the table once per learn. Its index maps each access
+row to the first access word having it, rebuilt from the stored rows when a
+test word is added. The loop closes the access set under one-event
 extensions (an extension whose row is not in the index becomes a new access
-word), builds a hypothesis whose transitions are row-index lookups, asks the
+word), builds a hypothesis whose transitions are index lookups, asks the
 equivalence oracle, and on a counterexample locates (by binary search over
 output labels along the hypothesis run) one new access word and one new test
 word. Access words only ever grow, and their number is bounded by the hidden
@@ -27,10 +31,60 @@ from .switched_system import SwitchedSystem
 
 @dataclass
 class ObservationStore:
-    """Insertion-ordered access and test words; the empty word leads both."""
+    """The observation table: insertion-ordered access and test words (the
+    empty word leads both), and the row of every word read so far.
+
+    Both word lists are public and append-only. A stored row is extended by
+    the cells it lacks when it is next read, so appending to either list
+    needs no further step, and each (word, test word) cell is read once.
+    Rows are those of one query function; reading with another starts the
+    table over.
+    """
 
     access_words: list[Word] = field(default_factory=lambda: [EPSILON])
     test_words: list[Word] = field(default_factory=lambda: [EPSILON])
+    _query: object = field(default=None, init=False, repr=False, compare=False)
+    _rows: dict[Word, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # the first access index of each row of the leading _indexed access
+    # words, under the first _width test words
+    _index: dict[tuple[int, ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    _width: int = field(default=0, init=False, repr=False, compare=False)
+
+    def _read_with(self, query) -> None:
+        if query is not self._query:
+            self._query, self._rows, self._width = query, {}, -1
+
+    def missing_cells(self, words, query):
+        """The cells the rows of words lack, word by word, each as the word
+        followed by the test word."""
+        self._read_with(query)
+        rows, tests = self._rows, self.test_words
+        return (w + t for w in words for t in tests[len(rows.get(w, ())):])
+
+    def row(self, word: Word, query) -> tuple[int, ...]:
+        """word's row: its stored cells, extended by the cells it lacks."""
+        self._read_with(query)
+        cells = self._rows.get(word, ())
+        if len(cells) < len(self.test_words):
+            cells += row(word, self.test_words[len(cells):], query)
+            self._rows[word] = cells
+        return cells
+
+    def index(self, query) -> dict[tuple[int, ...], int]:
+        """Map from each access word's row to the first access word having
+        it: extended by the access words added since the last call, and
+        rebuilt from the stored rows when a test word was added."""
+        self._read_with(query)
+        if self._width != len(self.test_words):
+            self._index, self._indexed, self._width = {}, 0, len(self.test_words)
+        while self._indexed < len(self.access_words):
+            self._index.setdefault(self.row(self.access_words[self._indexed], query),
+                                   self._indexed)
+            self._indexed += 1
+        return self._index
 
 
 @dataclass
@@ -54,25 +108,14 @@ def row(word: Word, test_words: list[Word], query) -> tuple[int, ...]:
     return tuple(query(word + t) for t in test_words)
 
 
-def row_index(store: ObservationStore, query) -> dict[tuple[int, ...], int]:
-    """Map from each access word's row to the first access word having it.
-    Built afresh by each caller: the store's lists are public and may be
-    appended to between calls."""
-    index: dict[tuple[int, ...], int] = {}
-    for i, word in enumerate(store.access_words):
-        index.setdefault(row(word, store.test_words, query), i)
-    return index
-
-
 def is_separable(store: ObservationStore, query) -> bool:
     """True iff no two distinct access words have the same row."""
-    return len(row_index(store, query)) == len(store.access_words)
+    return len(store.index(query)) == len(store.access_words)
 
 
-def find_representative(index: dict[tuple[int, ...], int], word: Word,
-                        test_words: list[Word], query) -> int | None:
+def find_representative(store: ObservationStore, word: Word, query) -> int | None:
     """Index of the first access word whose row equals word's row."""
-    return index.get(row(word, test_words, query))
+    return store.index(query).get(store.row(word, query))
 
 
 def close_store(store: ObservationStore, alphabet: EventAlphabet, query,
@@ -85,27 +128,28 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet, query,
 
     prefetch(words), when given, computes the labels of an iterable of
     words together, in order, so that query finds them cached. It is called
-    with the cells the pass will certainly query, in the order it queries
-    them: access x tests, then, on reaching the first access word not yet
-    covered, the extensions of it and every later access word x tests.
-    Access words are only appended, so the pass queries the same words in
-    the same order with or without prefetch, and labels and counts are the
-    same, unless on_mutation queries words outside the table.
+    with the cells the table lacks that the pass will certainly query, in
+    the order it queries them: those of the access rows, then, on reaching
+    the first access word not yet covered, those of the extensions of it
+    and every later access word. Access words are only appended, so the
+    pass queries the same words in the same order with or without prefetch,
+    and labels and counts are the same, unless on_mutation queries words
+    outside the table.
     """
     if prefetch is not None:
-        prefetch(w + t for w in store.access_words for t in store.test_words)
-    index = row_index(store, query)
+        prefetch(store.missing_cells(store.access_words, query))
+    # store the access rows, so that the extension prefetch below does not
+    # hand over again the cells of access words that are extensions too
+    store.index(query)
     fetched = 0  # access words whose extension cells were prefetched
     for i, word in enumerate(store.access_words):  # also visits words appended below
         if prefetch is not None and i == fetched:
             fetched = len(store.access_words)
-            prefetch(w + (e,) + t for w in store.access_words[i:]
-                     for e in range(len(alphabet)) for t in store.test_words)
+            prefetch(store.missing_cells((w + (e,) for w in store.access_words[i:]
+                                          for e in range(len(alphabet))), query))
         for e in range(len(alphabet)):
             extension = word + (e,)
-            extension_row = row(extension, store.test_words, query)
-            if extension_row not in index:
-                index[extension_row] = len(store.access_words)
+            if find_representative(store, extension, query) is None:
                 store.access_words.append(extension)
                 if on_mutation is not None:
                     on_mutation(store, query)
@@ -116,12 +160,11 @@ def build_hypothesis(store: ObservationStore, registry: LabelRegistry,
     """Hypothesis system over the current words: one node per access word
     (empty word initial), transitions to the representative of each
     one-event extension, node labels taken from the word's own output."""
-    index = row_index(store, query)
     delta = []
     for word in store.access_words:
         targets = []
         for e in range(len(alphabet)):
-            target = find_representative(index, word + (e,), store.test_words, query)
+            target = find_representative(store, word + (e,), query)
             if target is None:
                 raise NotClosed(f"extension of {word!r} by event {e} has "
                                 "no representative; close the store first")

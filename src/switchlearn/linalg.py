@@ -132,8 +132,9 @@ def recover_transforms(bases: np.ndarray, images: np.ndarray, tol: float = PIVOT
     pivot test, LAPACK's solve and the finiteness check, bit-identical to
     recover_transform on each, and the SingularBasis recover_transform
     raises on the first basis that fails (None when every basis passes).
-    A stack of one is slower than recover_transform, so single recoveries
-    should keep using it.
+    Every output the learner and the bounded equivalence oracle recover
+    comes from here, a single miss as a stack of one; recover_transform is
+    the per-word reference behind compute_output.
 
     known holds the exact bytes (basis.tobytes()) of bases that passed the
     pivot test at this tol, and is updated in place with the bases of the

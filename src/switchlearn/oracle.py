@@ -107,7 +107,9 @@ class _ChainedTraces:
     that trace are the basis and image of w·0^j, bit-identical to a trace of
     w·0^j alone. Only the unconsumed tail of a trace is kept, keyed by the
     next word of its chain, and it is dropped once that word is reached.
-    A search to depth L over |events| events holds up to about
+    When the trace query of a chain raises, w is traced alone, so it fails
+    only when its own trace does, as in compute_output; w·0 then traces its
+    own chain. A search to depth L over |events| events holds up to about
     |events|^(L-1) pending states (the word-by-word search held one).
 
     The bases that passed the pivot test are kept, by their bytes, for as
@@ -125,6 +127,17 @@ class _ChainedTraces:
         self._tails: dict[Word, list[np.ndarray]] = {}
         self._known: set[bytes] = set()
 
+    def _trace(self, word: Word) -> list[np.ndarray]:
+        """The trace of word's chain, or of word alone when the chain's
+        trace query raises."""
+        chain = word + (0,) * (self._l_max - len(word))
+        if chain != word:
+            try:
+                return self._obs.exec_query(self._eye, chain)
+            except Exception:
+                pass
+        return self._obs.exec_query(self._eye, word)
+
     def outputs(self, words: list[Word]) -> tuple[np.ndarray, Exception | None]:
         """Output matrices of the leading words (up to RECOVERY_BATCH, all of
         one length) whose outputs can be computed, and the error computing
@@ -136,13 +149,11 @@ class _ChainedTraces:
             states = self._tails.pop(word, None)
             if states is None:
                 try:
-                    trace = self._obs.exec_query(
-                        self._eye, word + (0,) * (self._l_max - length))
+                    states = self._trace(word)[length:]
                 except Exception as exc:  # raised once the words before it are compared
                     words, error = words[:i], exc
                     break
-                states = trace[length:]
-            if length < self._l_max:
+            if len(states) > 2:
                 self._tails[word + (0,)] = states[1:]
             self._bases[i], self._images[i] = states[0], states[1]
         matrices, singular = recover_outputs(words, self._bases, self._images, self._known)
@@ -173,9 +184,9 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     One output computation is counted per compared word, through the
     counterexample. When an output cannot be computed, the words before it
     are compared first; then it is counted and its error (SingularBasis for
-    a singular basis, or whatever the trace query raised) raised. Up to
-    RECOVERY_BATCH - 1 later words of the last run may have been traced and
-    recovered without being compared or counted. The pending chain states
+    a singular basis, or whatever the word's own trace query raised)
+    raised. Up to RECOVERY_BATCH - 1 later words of the last run may have
+    been traced and recovered without being compared or counted. The pending chain states
     take up to about |events|^(l_max-1) d x d states of memory. A hypothesis
     with any matrix that is not d x d is rejected with DimensionMismatch
     before any query.

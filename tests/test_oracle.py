@@ -327,6 +327,24 @@ def test_trace_error_raised_after_earlier_words_are_compared(demo2d_system):
     assert chained[:2] == ((0,), 2)
 
 
+class ShortTraceObservationOracle(WhiteBoxObservationOracle):
+    """A trace oracle that refuses words longer than 3 events."""
+
+    def exec_query(self, x0, word):
+        if len(word) > 3:
+            raise OSError("trace too long")
+        return super().exec_query(x0, word)
+
+
+def test_failing_chain_trace_is_not_charged_to_its_first_word(demo2d_system):
+    # every chain of the depth-5 search is longer than 3 events, yet each of
+    # the 15 words up to length 3 is traced alone and compared; the first
+    # word of length 4 fails on its own trace, as word by word
+    chained, _ = assert_same_search(demo2d_system, demo2d_system, 5,
+                                    ShortTraceObservationOracle)
+    assert chained[:2] == ((OSError, "trace too long"), 16)
+
+
 def test_singular_basis_before_untraceable_word_wins():
     # (0,) has a singular basis and (2,) cannot be traced; (0,) comes first
     def one_node(names):

@@ -1,0 +1,164 @@
+"""The observation table against the row-index closure it replaced.
+
+reference_close_store and reference_build_hypothesis rebuild every row from
+labels on every pass, as the learner did before it kept one table per
+learn. The learner must ask the same queries in the same order, and learn
+the same models, with either.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from switchlearn import (BoundedTestingEquivalenceOracle, Fa, GenConfig, NotClosed,
+                         SwitchedSystem, SwitchLearnError, WhiteBoxEquivalenceOracle,
+                         WhiteBoxObservationOracle, learn, learner, random_system, row,
+                         save_json)
+
+
+def reference_row_index(store, query):
+    """Map from each access word's row to the first access word having it."""
+    index = {}
+    for i, word in enumerate(store.access_words):
+        index.setdefault(row(word, store.test_words, query), i)
+    return index
+
+
+def reference_close_store(store, alphabet, query, on_mutation=None, prefetch=None):
+    """One pass over the growing access words, indexing them by row first;
+    prefetch gets every access and extension cell, cached or not."""
+    if prefetch is not None:
+        prefetch(w + t for w in store.access_words for t in store.test_words)
+    index = reference_row_index(store, query)
+    fetched = 0
+    for i, word in enumerate(store.access_words):
+        if prefetch is not None and i == fetched:
+            fetched = len(store.access_words)
+            prefetch(w + (e,) + t for w in store.access_words[i:]
+                     for e in range(len(alphabet)) for t in store.test_words)
+        for e in range(len(alphabet)):
+            extension = word + (e,)
+            extension_row = row(extension, store.test_words, query)
+            if extension_row not in index:
+                index[extension_row] = len(store.access_words)
+                store.access_words.append(extension)
+                if on_mutation is not None:
+                    on_mutation(store, query)
+
+
+def reference_build_hypothesis(store, registry, alphabet, query):
+    index = reference_row_index(store, query)
+    delta = []
+    for word in store.access_words:
+        targets = []
+        for e in range(len(alphabet)):
+            target = index.get(row(word + (e,), store.test_words, query))
+            if target is None:
+                raise NotClosed(f"extension of {word!r} by event {e} has no representative")
+            targets.append(target)
+        delta.append(tuple(targets))
+    gamma = tuple(query(word) for word in store.access_words)
+    fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
+            delta=tuple(delta), gamma=gamma)
+    return SwitchedSystem(fa=fa, matrices=tuple(registry.canonical),
+                          d=registry.canonical[0].shape[0])
+
+
+class RecordingObservationOracle(WhiteBoxObservationOracle):
+    """A white-box trace oracle that records each queried word in order."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.words = []
+
+    def exec_query(self, x0, word):
+        self.words.append(tuple(word))
+        return super().exec_query(x0, word)
+
+
+@contextmanager
+def table(reference):
+    """learn with the row-index reference closure and hypothesis when
+    reference is set, with the learner's own otherwise."""
+    if not reference:
+        yield
+        return
+    with mock.patch.object(learner, "close_store", reference_close_store), \
+            mock.patch.object(learner, "build_hypothesis", reference_build_hypothesis):
+        yield
+
+
+def learn_outcome(hidden, l_max, reference):
+    """Everything one learn shows: the words sent to exec_query in order,
+    and the model, label bytes, word lists, counterexample costs and
+    counts, or the error raised."""
+    obs = RecordingObservationOracle(hidden)
+    eq = (WhiteBoxEquivalenceOracle(hidden) if l_max is None
+          else BoundedTestingEquivalenceOracle(obs, l_max))
+    try:
+        with table(reference):
+            result = learn(obs, eq, hidden.fa.alphabet)
+    except SwitchLearnError as exc:
+        return obs.words, (type(exc), str(exc), obs.stats.as_dict())
+    counts = {k: v for k, v in result.stats_dict().items() if k != "wall_ms"}
+    labels = np.stack(result.system.matrices).tobytes()
+    return obs.words, (save_json(result.system), labels, result.access_words,
+                       result.test_words, result.counterexample_costs, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), num_nodes=st.integers(1, 12),
+       num_events=st.integers(2, 4), num_labels=st.integers(1, 6), dim=st.integers(1, 5),
+       l_max=st.one_of(st.none(), st.integers(0, 4)))
+def test_table_asks_the_reference_queries_in_order(seed, num_nodes, num_events,
+                                                   num_labels, dim, l_max):
+    # l_max None: exact equivalence; otherwise bounded testing to l_max
+    hidden = random_system(GenConfig(num_nodes, num_events, num_labels, dim, seed))
+    words, outcome = learn_outcome(hidden, l_max, reference=False)
+    reference_words, reference_outcome = learn_outcome(hidden, l_max, reference=True)
+    assert words == reference_words
+    assert outcome == reference_outcome
+
+
+def handed_words(hidden, reference):
+    """The words learn's closure prefetches hand to cached_outputs, those of
+    them not cached at the time, and the learn's result."""
+    handed, uncached = [], []
+    original = learner.cached_outputs
+
+    def recording(obs, registry, cache, words, *args):
+        words = list(words)
+        handed.extend(words)
+        uncached.extend(w for w in dict.fromkeys(words) if w not in cache)
+        return original(obs, registry, cache, words, *args)
+
+    with mock.patch.object(learner, "cached_outputs", recording), table(reference):
+        result = learn(WhiteBoxObservationOracle(hidden),
+                       WhiteBoxEquivalenceOracle(hidden), hidden.fa.alphabet)
+    return handed, uncached, result
+
+
+def test_prefetches_hand_over_each_table_cell_once():
+    # the north-star instance: each (row word, test word) cell of the final
+    # table, the access words and their one-event extensions under every
+    # test word, is handed over exactly once; the row-index closure handed
+    # over every cell of every row on every pass
+    hidden = random_system(GenConfig(num_nodes=100, num_events=5, num_labels=10,
+                                     dim=20, seed=2026))
+    handed, uncached, result = handed_words(hidden, reference=False)
+    events = range(len(hidden.fa.alphabet))
+    rows = dict.fromkeys(result.access_words + [w + (e,) for w in result.access_words
+                                                for e in events])
+    cells = [w + t for w in rows for t in result.test_words]
+    assert sorted(handed) == sorted(cells)
+    assert len(handed) == 2505
+    reference_handed, reference_uncached, reference_result = handed_words(hidden,
+                                                                          reference=True)
+    assert len(reference_handed) == 7697
+    # the words not cached when handed over are the same, in the same order
+    assert uncached == reference_uncached
+    assert len(uncached) == 2101
+    assert result.stats.as_dict() == reference_result.stats.as_dict()
