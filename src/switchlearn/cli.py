@@ -120,6 +120,8 @@ def cmd_output(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    if args.L is not None and args.eq != "bounded":
+        raise CliError("--L applies only with --eq bounded", code=USAGE_ERROR)
     hidden = _load_model(args.model)
     obs = WhiteBoxObservationOracle(hidden)
     if args.eq == "exact":

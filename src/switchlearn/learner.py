@@ -4,22 +4,25 @@ The learner keeps one observation table per learn, as in L*: access words,
 each believed to reach a distinct node of the hidden automaton, and test
 words. A word's row is the tuple of output labels of the word followed by
 each test word; two words are told apart exactly when their rows differ.
-The table stores the row of every access word and every one-event extension
-it has read, and extends a row by one cell per test word added since, so
-each cell is read into the table once per learn. Its index maps each access
-row to the first access word having it, rebuilt from the stored rows when a
-test word is added. The loop closes the access set under one-event
-extensions (an extension whose row is not in the index becomes a new access
-word), builds a hypothesis whose transitions are index lookups, asks the
-equivalence oracle, and on a counterexample locates (by binary search over
-output labels along the hypothesis run) one new access word and one new test
-word. Access words only ever grow, and their number is bounded by the hidden
-node count, so the loop terminates with a language-equivalent system.
+The table is also the learn's one membership path: every output label the
+learner uses is recovered, classified and cached through it, within the
+learn's output budget. It stores the row of every access word and every
+one-event extension it has read, and extends a row by one cell per test
+word added since, so each cell is read into the table once per learn. Its
+index maps each access row to the first access word having it, rebuilt from
+the stored rows when a test word is added. The loop closes the access set
+under one-event extensions (an extension whose row is not in the index
+becomes a new access word), builds a hypothesis whose transitions are index
+lookups, asks the equivalence oracle, and on a counterexample locates (by
+binary search over output labels along the hypothesis run) one new access
+word and one new test word. Access words only ever grow, and their number
+is bounded by the hidden node count, so the loop terminates with a
+language-equivalent system.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automaton import EPSILON, EventAlphabet, Fa, Word, run
 from .errors import BudgetExceeded, NotACounterexample, NotClosed
@@ -29,60 +32,82 @@ from .output_query import LabelRegistry, cached_output, cached_outputs
 from .switched_system import SwitchedSystem
 
 
-@dataclass
 class ObservationStore:
-    """The observation table: insertion-ordered access and test words (the
-    empty word leads both), and the row of every word read so far.
+    """The observation table of one learn: insertion-ordered access and test
+    words (the empty word leads both), the row of every word read so far,
+    and the outputs behind them.
 
     Both word lists are public and append-only. A stored row is extended by
     the cells it lacks when it is next read, so appending to either list
     needs no further step, and each (word, test word) cell is read once.
-    Rows are those of one query function; reading with another starts the
-    table over.
+
+    Labels are read from obs through label (one word) and fetch (many), into
+    one LabelRegistry at label_tol (positive and finite, ValueError
+    otherwise), one output cache, and one set of the bases that passed the
+    pivot test (see cached_outputs). max_outputs, when given, caps the
+    output computations on obs from the store's creation on (spent): label
+    refuses an uncached word once they are spent, before computing it.
     """
 
-    access_words: list[Word] = field(default_factory=lambda: [EPSILON])
-    test_words: list[Word] = field(default_factory=lambda: [EPSILON])
-    _query: object = field(default=None, init=False, repr=False, compare=False)
-    _rows: dict[Word, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # the first access index of each row of the leading _indexed access
-    # words, under the first _width test words
-    _index: dict[tuple[int, ...], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
-    _width: int = field(default=0, init=False, repr=False, compare=False)
+    def __init__(self, obs: ObservationOracle, *, access_words: list[Word] | None = None,
+                 test_words: list[Word] | None = None, label_tol: float = LABEL_TOL,
+                 max_outputs: int | None = None):
+        self.access_words = [EPSILON] if access_words is None else access_words
+        self.test_words = [EPSILON] if test_words is None else test_words
+        self.registry = LabelRegistry(tol=label_tol)
+        self.max_outputs = max_outputs
+        self._obs = obs
+        self._outputs0 = obs.stats.output_computations
+        self._cache: dict[Word, int] = {}
+        self._known: set[bytes] = set()
+        self._rows: dict[Word, tuple[int, ...]] = {}
+        # the first access index of each row of the leading _indexed access
+        # words, under the first _width test words
+        self._index: dict[tuple[int, ...], int] = {}
+        self._indexed = self._width = 0
 
-    def _read_with(self, query) -> None:
-        if query is not self._query:
-            self._query, self._rows, self._width = query, {}, -1
+    @property
+    def spent(self) -> int:
+        """Output computations on obs since the store was made."""
+        return self._obs.stats.output_computations - self._outputs0
 
-    def missing_cells(self, words, query):
+    def label(self, word: Word) -> int:
+        """Label id of word's output, computed when not cached; an uncached
+        word is refused with BudgetExceeded once the budget is spent."""
+        if (self.max_outputs is not None and word not in self._cache
+                and self.spent >= self.max_outputs):
+            raise BudgetExceeded(f"more than {self.max_outputs} output computations")
+        return cached_output(self._obs, self.registry, self._cache, word, known=self._known)
+
+    def fetch(self, words) -> None:
+        """Compute the labels of an iterable of words together, in order, so
+        that label finds them cached. Capped at the budget, so label refuses
+        the same word as without the fetch."""
+        limit = None if self.max_outputs is None else max(0, self.max_outputs - self.spent)
+        cached_outputs(self._obs, self.registry, self._cache, words, limit, self._known)
+
+    def missing_cells(self, words):
         """The cells the rows of words lack, word by word, each as the word
         followed by the test word."""
-        self._read_with(query)
         rows, tests = self._rows, self.test_words
         return (w + t for w in words for t in tests[len(rows.get(w, ())):])
 
-    def row(self, word: Word, query) -> tuple[int, ...]:
+    def row(self, word: Word) -> tuple[int, ...]:
         """word's row: its stored cells, extended by the cells it lacks."""
-        self._read_with(query)
         cells = self._rows.get(word, ())
         if len(cells) < len(self.test_words):
-            cells += row(word, self.test_words[len(cells):], query)
+            cells += tuple(self.label(word + t) for t in self.test_words[len(cells):])
             self._rows[word] = cells
         return cells
 
-    def index(self, query) -> dict[tuple[int, ...], int]:
+    def index(self) -> dict[tuple[int, ...], int]:
         """Map from each access word's row to the first access word having
         it: extended by the access words added since the last call, and
         rebuilt from the stored rows when a test word was added."""
-        self._read_with(query)
         if self._width != len(self.test_words):
             self._index, self._indexed, self._width = {}, 0, len(self.test_words)
         while self._indexed < len(self.access_words):
-            self._index.setdefault(self.row(self.access_words[self._indexed], query),
-                                   self._indexed)
+            self._index.setdefault(self.row(self.access_words[self._indexed]), self._indexed)
             self._indexed += 1
         return self._index
 
@@ -102,61 +127,50 @@ class LearnResult:
         return {**self.stats.as_dict(), "rounds": self.rounds, "wall_ms": self.wall_ms}
 
 
-def row(word: Word, test_words: list[Word], query) -> tuple[int, ...]:
-    """Output labels of word followed by each test word, in test-word order.
-    Two words are equivalent under the current tests iff their rows are equal."""
-    return tuple(query(word + t) for t in test_words)
-
-
-def is_separable(store: ObservationStore, query) -> bool:
+def is_separable(store: ObservationStore) -> bool:
     """True iff no two distinct access words have the same row."""
-    return len(store.index(query)) == len(store.access_words)
+    return len(store.index()) == len(store.access_words)
 
 
-def find_representative(store: ObservationStore, word: Word, query) -> int | None:
+def find_representative(store: ObservationStore, word: Word) -> int | None:
     """Index of the first access word whose row equals word's row."""
-    return store.index(query).get(store.row(word, query))
+    return store.index().get(store.row(word))
 
 
-def close_store(store: ObservationStore, alphabet: EventAlphabet, query,
-                on_mutation=None, prefetch=None) -> None:
+def close_store(store: ObservationStore, alphabet: EventAlphabet, on_mutation=None) -> None:
     """Add one-event extensions to the access words until every extension
     has a representative. Each added extension has a row unlike every access
     word, so separability is preserved. The test words stay fixed, so an
     addition never takes a representative away from an earlier extension,
     and one pass over the growing access list suffices.
 
-    prefetch(words), when given, computes the labels of an iterable of
-    words together, in order, so that query finds them cached. It is called
-    with the cells the table lacks that the pass will certainly query, in
-    the order it queries them: those of the access rows, then, on reaching
-    the first access word not yet covered, those of the extensions of it
-    and every later access word. Access words are only appended, so the
-    pass queries the same words in the same order with or without prefetch,
-    and labels and counts are the same, unless on_mutation queries words
-    outside the table.
+    The cells the table lacks that the pass will certainly read are fetched
+    together, in the order it reads them: those of the access rows, then, on
+    reaching the first access word not yet covered, those of the extensions
+    of it and every later access word. Access words are only appended, so
+    the pass computes the same words in the same order as reading each cell
+    on its own when first needed, and labels and counts are the same, unless
+    on_mutation(store) reads words outside the table.
     """
-    if prefetch is not None:
-        prefetch(store.missing_cells(store.access_words, query))
-    # store the access rows, so that the extension prefetch below does not
+    store.fetch(store.missing_cells(store.access_words))
+    # store the access rows, so that the extension fetch below does not
     # hand over again the cells of access words that are extensions too
-    store.index(query)
-    fetched = 0  # access words whose extension cells were prefetched
+    store.index()
+    fetched = 0  # access words whose extension cells were fetched
     for i, word in enumerate(store.access_words):  # also visits words appended below
-        if prefetch is not None and i == fetched:
+        if i == fetched:
             fetched = len(store.access_words)
-            prefetch(store.missing_cells((w + (e,) for w in store.access_words[i:]
-                                          for e in range(len(alphabet))), query))
+            store.fetch(store.missing_cells(w + (e,) for w in store.access_words[i:]
+                                            for e in range(len(alphabet))))
         for e in range(len(alphabet)):
             extension = word + (e,)
-            if find_representative(store, extension, query) is None:
+            if find_representative(store, extension) is None:
                 store.access_words.append(extension)
                 if on_mutation is not None:
-                    on_mutation(store, query)
+                    on_mutation(store)
 
 
-def build_hypothesis(store: ObservationStore, registry: LabelRegistry,
-                     alphabet: EventAlphabet, query) -> SwitchedSystem:
+def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> SwitchedSystem:
     """Hypothesis system over the current words: one node per access word
     (empty word initial), transitions to the representative of each
     one-event extension, node labels taken from the word's own output."""
@@ -164,21 +178,21 @@ def build_hypothesis(store: ObservationStore, registry: LabelRegistry,
     for word in store.access_words:
         targets = []
         for e in range(len(alphabet)):
-            target = find_representative(store, word + (e,), query)
+            target = find_representative(store, word + (e,))
             if target is None:
                 raise NotClosed(f"extension of {word!r} by event {e} has "
                                 "no representative; close the store first")
             targets.append(target)
         delta.append(tuple(targets))
-    gamma = tuple(query(word) for word in store.access_words)
+    gamma = tuple(store.label(word) for word in store.access_words)
     fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
             delta=tuple(delta), gamma=gamma)
-    d = registry.canonical[0].shape[0]
-    return SwitchedSystem(fa=fa, matrices=tuple(registry.canonical), d=d)
+    canonical = store.registry.canonical
+    return SwitchedSystem(fa=fa, matrices=tuple(canonical), d=canonical[0].shape[0])
 
 
 def process_counterexample(word: Word, hypothesis: SwitchedSystem,
-                           store: ObservationStore, query) -> tuple[Word, Word]:
+                           store: ObservationStore) -> tuple[Word, Word]:
     """Extract one new access word and one new test word from a counterexample.
 
     Along the hypothesis run of the counterexample, splice each visited
@@ -195,7 +209,7 @@ def process_counterexample(word: Word, hypothesis: SwitchedSystem,
 
     def spliced(i: int) -> int:
         if i not in labels:
-            labels[i] = query(store.access_words[nodes[i]] + word[i:])
+            labels[i] = store.label(store.access_words[nodes[i]] + word[i:])
         return labels[i]
 
     if spliced(0) == spliced(n):
@@ -218,6 +232,7 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
           max_outputs: int | None = None, on_mutation=None) -> LearnResult:
     """Learn a system language-equivalent to the one behind the oracles.
 
+    Each learn reads every output through one ObservationStore on obs.
     label_tol must be positive and finite (ValueError otherwise).
     max_rounds caps hypothesis/equivalence iterations (default
     10 * |alphabet| * (|access words| + 1), re-evaluated each round);
@@ -225,32 +240,13 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
     equivalence oracle that shares obs. Exceeding either raises
     BudgetExceeded. The learner's own output computations are refused before
     they run; an equivalence check is not interrupted, and BudgetExceeded is
-    raised as soon as it returns past the cap. on_mutation(store, query),
-    when given, is invoked after every change to the word lists.
+    raised as soon as it returns past the cap. on_mutation(store), when
+    given, is invoked after every change to the word lists.
     """
     t0 = time.perf_counter()
     io0 = obs.stats.io_queries
-    out0 = obs.stats.output_computations
     eq0 = eq.stats.equivalence_queries
-
-    registry = LabelRegistry(tol=label_tol)
-    cache: dict[Word, int] = {}
-    known: set[bytes] = set()  # bases that passed the pivot test in this call
-
-    def spent() -> int:
-        return obs.stats.output_computations - out0
-
-    def query(word: Word) -> int:
-        if max_outputs is not None and word not in cache and spent() >= max_outputs:
-            raise BudgetExceeded(f"more than {max_outputs} output computations")
-        return cached_output(obs, registry, cache, word, known=known)
-
-    def prefetch(words) -> None:
-        # capped at the budget, so query refuses the same word as without it
-        limit = None if max_outputs is None else max(0, max_outputs - spent())
-        cached_outputs(obs, registry, cache, words, limit, known)
-
-    store = ObservationStore()
+    store = ObservationStore(obs, label_tol=label_tol, max_outputs=max_outputs)
     rounds = 0
     counterexample_costs: list[tuple[int, int]] = []
     while True:
@@ -258,30 +254,29 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
                else 10 * len(alphabet) * (len(store.access_words) + 1))
         if rounds >= cap:
             raise BudgetExceeded(f"no equivalent hypothesis after {rounds} rounds")
-        close_store(store, alphabet, query, on_mutation=on_mutation, prefetch=prefetch)
-        hypothesis = build_hypothesis(store, registry, alphabet, query)
+        close_store(store, alphabet, on_mutation=on_mutation)
+        hypothesis = build_hypothesis(store, alphabet)
         rounds += 1
         counterexample = eq.check(hypothesis)
-        if max_outputs is not None and spent() > max_outputs:
+        if max_outputs is not None and store.spent > max_outputs:
             raise BudgetExceeded(f"more than {max_outputs} output computations "
-                                 f"({spent()} after an equivalence check)")
+                                 f"({store.spent} after an equivalence check)")
         if counterexample is None:
             break
-        before = spent()
-        new_access, new_test = process_counterexample(
-            counterexample, hypothesis, store, query)
-        counterexample_costs.append((len(counterexample), spent() - before))
+        before = store.spent
+        new_access, new_test = process_counterexample(counterexample, hypothesis, store)
+        counterexample_costs.append((len(counterexample), store.spent - before))
         # one mutation step: the new access word is only separable from its
         # current representative once the new test word is present too
         store.access_words.append(new_access)
         if new_test not in store.test_words:
             store.test_words.append(new_test)
         if on_mutation is not None:
-            on_mutation(store, query)
+            on_mutation(store)
 
     stats = QueryStats()
     stats.io_queries = obs.stats.io_queries - io0
-    stats.output_computations = spent()
+    stats.output_computations = store.spent
     stats.equivalence_queries = eq.stats.equivalence_queries - eq0
     return LearnResult(system=hypothesis, stats=stats, rounds=rounds,
                        wall_ms=(time.perf_counter() - t0) * 1000.0,

@@ -16,11 +16,11 @@ import itertools
 import numpy as np
 
 from .automaton import Word, language_equivalent
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import RECOVERY_BATCH, compute_output, recover_outputs  # noqa: F401
-from .switched_system import SwitchedSystem, execute
+from .switched_system import SwitchedSystem, Violation, execute
 
 
 class QueryStats:
@@ -76,12 +76,22 @@ class WhiteBoxObservationOracle(ObservationOracle):
         return execute(self._hidden, x0, word)
 
 
+def check_label_matrices(hypothesis: SwitchedSystem) -> None:
+    """ValidationError with a missing_matrix violation for each label the
+    hypothesis's nodes name that it has no matrix for."""
+    missing = [Violation("missing_matrix", label) for label in sorted(set(hypothesis.fa.gamma))
+               if label >= len(hypothesis.matrices)]
+    if missing:
+        raise ValidationError(missing)
+
+
 class WhiteBoxEquivalenceOracle(EquivalenceOracle):
     """Exact equivalence via product search; returns shortest counterexamples.
 
     Labels of the two systems are compared as matrices under label_eq, which
     defaults to max-abs closeness at tol (positive and finite, ValueError
-    otherwise).
+    otherwise). A hypothesis naming a label it has no matrix for is
+    rejected with ValidationError.
     """
 
     def __init__(self, hidden: SwitchedSystem, label_eq=None, tol: float = LABEL_TOL):
@@ -92,6 +102,7 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
+        check_label_matrices(hypothesis)
         hidden = self._hidden
         return language_equivalent(
             hidden.fa, hypothesis.fa,
@@ -188,7 +199,8 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     raised. Up to RECOVERY_BATCH - 1 later words of the last run may have
     been traced and recovered without being compared or counted. The pending chain states
     take up to about |events|^(l_max-1) d x d states of memory. A hypothesis
-    with any matrix that is not d x d is rejected with DimensionMismatch
+    naming a label it has no matrix for is rejected with ValidationError,
+    and one with any matrix that is not d x d with DimensionMismatch, both
     before any query.
     """
 
@@ -205,6 +217,7 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
         fa, stats = hypothesis.fa, self._obs.stats
+        check_label_matrices(hypothesis)
         d = self._obs.dimension()
         for label, matrix in enumerate(hypothesis.matrices):
             if np.shape(matrix) != (d, d):

@@ -192,10 +192,10 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     """Compute, classify and cache the outputs of words, in stacks.
 
     The uncached words, in order and without duplicates, are computed and
-    cached; only the first limit of them when limit is given. Labels are
-    assigned in word order, so the registry ends as after computing and
-    classifying each word's output in turn, and so do the output
-    computations.
+    cached; only the first limit of them when limit is given (ValueError
+    when it is negative). Labels are assigned in word order, so the
+    registry ends as after computing and classifying each word's output in
+    turn, and so do the output computations.
 
     Only the maximal words, those no other of these words extends, are
     traced: one trace query each, made when the first word read off it is
@@ -222,6 +222,8 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     of its stack (at most RECOVERY_BATCH - 1 words) may have been traced,
     so a failure can cost extra trace queries.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     known = set() if known is None else known
     uncached = (w for w in map(tuple, words) if w not in cache)
     pending = list(dict.fromkeys(uncached))[:limit]

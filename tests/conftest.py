@@ -28,6 +28,12 @@ def count_maximal(words) -> int:
                for w in words)
 
 
+def row(word, test_words, label) -> tuple[int, ...]:
+    """Reference row: the output labels of word followed by each test word,
+    in test-word order, each read by label."""
+    return tuple(label(word + t) for t in test_words)
+
+
 class OSErrorObservationOracle(WhiteBoxObservationOracle):
     """A trace oracle whose queries of words containing event 1 fail with
     an error from outside the package."""

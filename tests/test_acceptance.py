@@ -58,8 +58,8 @@ def random_suite():
                                  hidden.matrices[true], 1e-6):
                 record["classification_failures"] += 1
 
-        def on_mutation(store, query):
-            if not is_separable(store, query):
+        def on_mutation(store):
+            if not is_separable(store):
                 record["separability_violations"] += 1
 
         result = learn(obs, WhiteBoxEquivalenceOracle(hidden),

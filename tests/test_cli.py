@@ -127,6 +127,15 @@ def test_learn_bounded_oracle(demo_model, tmp_path):
     assert main(["equiv", "--a", demo_model, "--b", str(learned)]) == 0
 
 
+@pytest.mark.parametrize("eq", [[], ["--eq", "exact"]], ids=["default", "exact"])
+def test_learn_depth_without_bounded_oracle_is_usage_error(demo_model, tmp_path, capsys, eq):
+    learned = tmp_path / "learned.json"
+    assert main(["learn", "--model", demo_model, *eq, "--L", "6",
+                 "--out", str(learned)]) == 2
+    assert "--L" in capsys.readouterr().err
+    assert not learned.exists()
+
+
 def test_learn_fault_mode_model(tmp_path):
     model = tmp_path / "fault.json"
     model.write_text(save_json(make_fault_system()))

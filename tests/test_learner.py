@@ -1,32 +1,27 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
-                         EventAlphabet, Fa, GenConfig,
-                         LabelRegistry, NotACounterexample, NotClosed,
+                         EventAlphabet, Fa, GenConfig, NotACounterexample, NotClosed,
                          ObservationStore, SingularBasis, SwitchedSystem,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         build_hypothesis, cached_output, cached_outputs,
-                         close_store,
-                         is_separable, learn, mat_approx_eq,
-                         process_counterexample, random_system, row, run,
+                         build_hypothesis, close_store, is_separable, learn, learner,
+                         mat_approx_eq, process_counterexample, random_system, run,
                          save_json, validate)
 from switchlearn import linalg, output_query
-from switchlearn.learner import max_outputs_for_counterexample
+from switchlearn.learner import find_representative, max_outputs_for_counterexample
 
-from conftest import DEMO2D_MATRICES, count_maximal
+from conftest import DEMO2D_MATRICES, count_maximal, row
 
 E1, E2 = 0, 1
 F, G = 0, 1
 
 
-def fresh_query(system):
-    obs = WhiteBoxObservationOracle(system)
-    registry = LabelRegistry()
-    cache = {}
-    return obs, registry, lambda w: cached_output(obs, registry, cache, w)
+def fresh_store(system, **words):
+    return ObservationStore(WhiteBoxObservationOracle(system), **words)
 
 
 def minimal_state_count(fa):
@@ -46,16 +41,19 @@ def minimal_state_count(fa):
 
 
 def test_row_reflexive(demo2d_system):
-    _, _, query = fresh_query(demo2d_system)
-    tests = [(), (E2,)]
-    assert row((E1,), tests, query) == row((E1,), tests, query)
-    assert len(row((E1,), tests, query)) == len(tests)
+    store = fresh_store(demo2d_system, test_words=[(), (E2,)])
+    assert store.row((E1,)) == row((E1,), store.test_words, store.label)
+    assert store.row((E1,)) == store.row((E1,))
+    assert len(store.row((E1,))) == len(store.test_words)
+    # a stored row gains the cell of a test word added since
+    store.test_words.append((E1,))
+    assert store.row((E1,)) == row((E1,), store.test_words, store.label)
 
 
 def test_one_event_word_distinguished_from_empty(demo2d_system):
     # reading e1 lands on a node with a different label than the start node
-    _, _, query = fresh_query(demo2d_system)
-    assert row((E1,), [()], query) != row((), [()], query)
+    store = fresh_store(demo2d_system)
+    assert store.row((E1,)) != store.row(())
 
 
 def states_language_equal(fa, s1, s2):
@@ -92,23 +90,22 @@ def test_agreement_on_all_short_tests_matches_state_equality():
         system = random_diag_system(rng, 4)
         fa = system.fa
         num_nodes = fa.num_nodes
-        _, _, query = fresh_query(system)
         tests = [w for n in range(num_nodes + 1)
                  for w in itertools.product((0, 1), repeat=n)]
+        store = fresh_store(system, test_words=tests)
         for _ in range(6):
             u = tuple(int(e) for e in rng.integers(0, 2, rng.integers(0, 5)))
             v = tuple(int(e) for e in rng.integers(0, 2, rng.integers(0, 5)))
             expected = states_language_equal(fa, run(fa, u)[-1], run(fa, v)[-1])
-            assert (row(u, tests, query) == row(v, tests, query)) == expected
+            assert (store.row(u) == store.row(v)) == expected
 
 
 def test_fresh_store_first_defect(demo2d_system):
     # closing a fresh store adds (E1,) first, one word per mutation
-    _, _, query = fresh_query(demo2d_system)
-    store = ObservationStore()
+    store = fresh_store(demo2d_system)
     added = []
-    close_store(store, demo2d_system.fa.alphabet, query,
-                on_mutation=lambda s, q: added.append(s.access_words[-1]))
+    close_store(store, demo2d_system.fa.alphabet,
+                on_mutation=lambda s: added.append(s.access_words[-1]))
     assert added == [(E1,), (E2,)]
 
 
@@ -116,32 +113,29 @@ def test_single_node_system_is_closed_immediately():
     fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(("e1", "e2")),
             delta=((0, 0),), gamma=(0,))
     system = SwitchedSystem(fa=fa, matrices=(DEMO2D_MATRICES[0],), d=2)
-    _, _, query = fresh_query(system)
-    store = ObservationStore()
+    store = fresh_store(system)
     mutations = []
-    close_store(store, fa.alphabet, query,
-                on_mutation=lambda s, q: mutations.append(s))
+    close_store(store, fa.alphabet, on_mutation=mutations.append)
     assert store.access_words == [()]
     assert mutations == []
 
 
 def test_close_collects_both_one_event_words(demo2d_system):
-    _, registry, query = fresh_query(demo2d_system)
-    store = ObservationStore()
-    close_store(store, demo2d_system.fa.alphabet, query)
+    store = fresh_store(demo2d_system)
+    close_store(store, demo2d_system.fa.alphabet)
     assert store.access_words == [(), (E1,), (E2,)]
-    hyp = build_hypothesis(store, registry, demo2d_system.fa.alphabet, query)
+    hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     assert hyp.fa.num_nodes == 3
 
 
-def restart_close(store, alphabet, query):
+def restart_close(store, alphabet):
     """Reference closure: append the first extension, in access-word then
     event order, whose row matches no access word; rescan from the start."""
     while True:
-        rows = [row(w, store.test_words, query) for w in store.access_words]
+        rows = [row(w, store.test_words, store.label) for w in store.access_words]
         defects = [w + (e,) for w in store.access_words
                    for e in range(len(alphabet))
-                   if row(w + (e,), store.test_words, query) not in rows]
+                   if row(w + (e,), store.test_words, store.label) not in rows]
         if not defects:
             return
         store.access_words.append(defects[0])
@@ -151,39 +145,51 @@ def test_close_matches_restart_from_zero_closure():
     rng = np.random.default_rng(11)
     for trial in range(30):
         system = random_diag_system(rng, 8)
-        _, _, query = fresh_query(system)
         tests = [tuple(int(e) for e in rng.integers(0, 2, n))
                  for n in rng.integers(1, 4, rng.integers(0, 5))]
-        one_pass = ObservationStore(test_words=[()] + tests)
-        restarted = ObservationStore(test_words=[()] + tests)
-        close_store(one_pass, system.fa.alphabet, query)
-        restart_close(restarted, system.fa.alphabet, query)
+        one_pass = fresh_store(system, test_words=[()] + tests)
+        restarted = fresh_store(system, test_words=[()] + tests)
+        close_store(one_pass, system.fa.alphabet)
+        restart_close(restarted, system.fa.alphabet)
         assert one_pass.access_words == restarted.access_words
 
 
-def closure_trace(system, test_rounds, batched):
+def word_by_word_close(store, alphabet):
+    """Reference closure without fetches: one pass over the growing access
+    words, indexing them by row first, each cell computed by store.label
+    when first read."""
+    index = {}
+    for i, word in enumerate(store.access_words):
+        index.setdefault(row(word, store.test_words, store.label), i)
+    for word in store.access_words:
+        for e in range(len(alphabet)):
+            extension_row = row(word + (e,), store.test_words, store.label)
+            if extension_row not in index:
+                index[extension_row] = len(store.access_words)
+                store.access_words.append(word + (e,))
+
+
+def closure_trace(system, test_rounds, close):
     """Access words, canonical labels, query counts and the number of
-    maximal words among the cells each prefetch computes, after closing a
-    store once per list of test words in test_rounds, adding those words
-    before each closure, with or without prefetch."""
+    maximal words among the uncached cells each fetch hands over, after
+    closing a store with close once per list of test words in test_rounds,
+    adding those words before each closure."""
     obs = WhiteBoxObservationOracle(system)
-    registry = LabelRegistry()
-    cache = {}
-    prefetch = None
+    store = ObservationStore(obs)
     maximal = 0
-    if batched:
-        def prefetch(words):
-            nonlocal maximal
-            pending = [w for w in dict.fromkeys(words) if w not in cache]
-            maximal += count_maximal(pending)
-            cached_outputs(obs, registry, cache, pending)
-    store = ObservationStore()
-    for tests in test_rounds:
-        store.test_words.extend(t for t in tests if t not in store.test_words)
-        close_store(store, system.fa.alphabet,
-                    lambda w: cached_output(obs, registry, cache, w),
-                    prefetch=prefetch)
-    return store.access_words, registry.canonical, obs.stats.as_dict(), maximal
+    fetch = learner.cached_outputs
+
+    def counting(obs, registry, cache, words, *args):
+        nonlocal maximal
+        words = list(words)
+        maximal += count_maximal(w for w in words if w not in cache)
+        return fetch(obs, registry, cache, words, *args)
+
+    with mock.patch.object(learner, "cached_outputs", counting):
+        for tests in test_rounds:
+            store.test_words.extend(t for t in tests if t not in store.test_words)
+            close(store, system.fa.alphabet)
+    return store.access_words, store.registry.canonical, obs.stats.as_dict(), maximal
 
 
 def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
@@ -199,12 +205,14 @@ def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
                                 for n in rng.integers(1, 4, rng.integers(0, 4))]
                                for _ in range(3)]))
     for system, test_rounds in cases:
-        words, labels, stats, _ = closure_trace(system, test_rounds, batched=False)
+        words, labels, stats, unfetched = closure_trace(system, test_rounds,
+                                                        word_by_word_close)
+        assert unfetched == 0
         batched_words, batched_labels, batched_stats, maximal = closure_trace(
-            system, test_rounds, batched=True)
+            system, test_rounds, close_store)
         assert batched_words == words
-        # every cell is prefetched, and a prefetch traces only its maximal
-        # cells: the others are read off the trace of a cell extending them
+        # every cell is fetched, and a fetch traces only its maximal cells:
+        # the others are read off the trace of a cell extending them
         assert batched_stats == {**stats, "io_queries": system.d * maximal}
         assert maximal < stats["output_computations"]
         assert len(batched_labels) == len(labels)
@@ -213,39 +221,45 @@ def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
 
 
 def test_close_leaves_closed_store_unchanged(demo2d_system):
-    _, _, query = fresh_query(demo2d_system)
-    store = ObservationStore()
-    close_store(store, demo2d_system.fa.alphabet, query)
+    store = fresh_store(demo2d_system)
+    close_store(store, demo2d_system.fa.alphabet)
     before = list(store.access_words)
-    close_store(store, demo2d_system.fa.alphabet, query)
+    close_store(store, demo2d_system.fa.alphabet)
     assert store.access_words == before
 
 
 def test_close_extends_fault_mode_chain(fault_system):
-    _, _, query = fresh_query(fault_system)
-    store = ObservationStore(access_words=[(), (G,), (G, G)],
-                             test_words=[(), (G,)])
-    close_store(store, fault_system.fa.alphabet, query)
+    store = fresh_store(fault_system, access_words=[(), (G,), (G, G)],
+                        test_words=[(), (G,)])
+    close_store(store, fault_system.fa.alphabet)
     assert store.access_words == [(), (G,), (G, G), (G, G, G)]
 
 
 def test_closure_additions_preserve_separability(demo2d_system):
-    _, _, query = fresh_query(demo2d_system)
-    store = ObservationStore()
+    store = fresh_store(demo2d_system)
 
-    def check(mutated_store, q):
-        assert is_separable(mutated_store, q)
+    def check(mutated_store):
+        assert is_separable(mutated_store)
 
-    close_store(store, demo2d_system.fa.alphabet, query, on_mutation=check)
-    assert is_separable(store, query)
+    close_store(store, demo2d_system.fa.alphabet, on_mutation=check)
+    assert is_separable(store)
+
+
+def test_find_representative_is_the_first_access_word_with_the_row(demo2d_system):
+    # (E1, E2) and (E2,) reach nodes with the same label, told apart by (E2,)
+    store = fresh_store(demo2d_system, access_words=[(), (E1,), (E2,), (E1, E2)])
+    assert find_representative(store, (E2, E2)) == 0
+    assert find_representative(store, (E1, E2)) == 2
+    assert not is_separable(store)
+    store.test_words.append((E2,))
+    assert find_representative(store, (E1, E2)) == 3
+    assert is_separable(store)
 
 
 def test_build_three_node_hypothesis(demo2d_system):
-    _, _, query = fresh_query(demo2d_system)
-    store = ObservationStore()
-    registry_obs, registry, query = fresh_query(demo2d_system)
-    close_store(store, demo2d_system.fa.alphabet, query)
-    hyp = build_hypothesis(store, registry, demo2d_system.fa.alphabet, query)
+    store = fresh_store(demo2d_system)
+    close_store(store, demo2d_system.fa.alphabet)
+    hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     assert hyp.fa.num_nodes == 3
     assert hyp.fa.initial == 0
     assert hyp.fa.delta == ((1, 2), (0, 2), (2, 0))
@@ -255,10 +269,9 @@ def test_build_three_node_hypothesis(demo2d_system):
 
 
 def test_build_four_node_hypothesis_is_equivalent(demo2d_system):
-    _, registry, query = fresh_query(demo2d_system)
-    store = ObservationStore(access_words=[(), (E1,), (E2,), (E1, E2)],
-                             test_words=[(), (E2,)])
-    hyp = build_hypothesis(store, registry, demo2d_system.fa.alphabet, query)
+    store = fresh_store(demo2d_system, access_words=[(), (E1,), (E2,), (E1, E2)],
+                        test_words=[(), (E2,)])
+    hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     assert hyp.fa.num_nodes == 4
     assert WhiteBoxEquivalenceOracle(demo2d_system).check(hyp) is None
 
@@ -267,56 +280,51 @@ def test_build_single_node_hypothesis():
     fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(("e1", "e2")),
             delta=((0, 0),), gamma=(0,))
     system = SwitchedSystem(fa=fa, matrices=(DEMO2D_MATRICES[0],), d=2)
-    _, registry, query = fresh_query(system)
-    store = ObservationStore()
-    hyp = build_hypothesis(store, registry, fa.alphabet, query)
+    store = fresh_store(system)
+    hyp = build_hypothesis(store, fa.alphabet)
     assert hyp.fa.num_nodes == 1
     assert hyp.fa.delta == ((0, 0),)
 
 
 def test_build_hypothesis_requires_closed_store(demo2d_system):
-    _, registry, query = fresh_query(demo2d_system)
-    store = ObservationStore()
+    store = fresh_store(demo2d_system)
     with pytest.raises(NotClosed):
-        build_hypothesis(store, registry, demo2d_system.fa.alphabet, query)
+        build_hypothesis(store, demo2d_system.fa.alphabet)
 
 
 def test_counterexample_yields_access_and_test_word(demo2d_system):
-    _, registry, query = fresh_query(demo2d_system)
-    store = ObservationStore()
-    close_store(store, demo2d_system.fa.alphabet, query)
-    hyp = build_hypothesis(store, registry, demo2d_system.fa.alphabet, query)
+    store = fresh_store(demo2d_system)
+    close_store(store, demo2d_system.fa.alphabet)
+    hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     cex = WhiteBoxEquivalenceOracle(demo2d_system).check(hyp)
     assert cex == (E1, E2, E2)
-    new_access, new_test = process_counterexample(cex, hyp, store, query)
+    new_access, new_test = process_counterexample(cex, hyp, store)
     assert new_access == (E1, E2)
     assert new_test == (E2,)
     assert new_access not in store.access_words
     store.access_words.append(new_access)
     store.test_words.append(new_test)
-    assert is_separable(store, query)
+    assert is_separable(store)
 
 
 def test_counterexample_on_fault_mode_system(fault_system):
-    _, registry, query = fresh_query(fault_system)
-    store = ObservationStore()
-    close_store(store, fault_system.fa.alphabet, query)
-    hyp = build_hypothesis(store, registry, fault_system.fa.alphabet, query)
+    store = fresh_store(fault_system)
+    close_store(store, fault_system.fa.alphabet)
+    hyp = build_hypothesis(store, fault_system.fa.alphabet)
     assert hyp.fa.num_nodes == 2
     cex = WhiteBoxEquivalenceOracle(fault_system).check(hyp)
     assert cex == (G, G, G)
-    new_access, new_test = process_counterexample(cex, hyp, store, query)
+    new_access, new_test = process_counterexample(cex, hyp, store)
     assert new_access == (G, G)
     assert new_test == (G,)
 
 
 def test_non_counterexample_rejected(demo2d_system):
-    _, registry, query = fresh_query(demo2d_system)
-    store = ObservationStore()
-    close_store(store, demo2d_system.fa.alphabet, query)
-    hyp = build_hypothesis(store, registry, demo2d_system.fa.alphabet, query)
+    store = fresh_store(demo2d_system)
+    close_store(store, demo2d_system.fa.alphabet)
+    hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     with pytest.raises(NotACounterexample):
-        process_counterexample((E1, E1), hyp, store, query)
+        process_counterexample((E1, E1), hyp, store)
 
 
 def test_learn_demo_model(demo2d_system):
@@ -512,8 +520,8 @@ def test_learn_random_systems_end_to_end():
 
         violations = []
 
-        def check(store, query):
-            if not is_separable(store, query):
+        def check(store):
+            if not is_separable(store):
                 violations.append(list(store.access_words))
 
         result = learn(obs, eq, hidden.fa.alphabet, on_mutation=check)
@@ -537,7 +545,6 @@ def test_learned_labels_match_queried_outputs(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
     eq = WhiteBoxEquivalenceOracle(demo2d_system)
     result = learn(obs, eq, demo2d_system.fa.alphabet)
-    _, _, query = fresh_query(demo2d_system)
     hidden_matrix = {w: demo2d_system.matrices[
         demo2d_system.fa.gamma[run(demo2d_system.fa, w)[-1]]]
         for w in result.access_words}

@@ -474,6 +474,12 @@ def test_cached_outputs_limit_counts_uncached_words(demo2d_system):
     assert obs.stats.output_computations == 3
     cached_outputs(obs, LabelRegistry(), cache, words, limit=0)
     assert obs.stats.output_computations == 3
+    # a negative limit would slice from the end of the uncached words
+    with pytest.raises(ValueError, match="limit"):
+        cached_outputs(obs, LabelRegistry(), cache, words, limit=-1)
+    assert list(cache) == [(E1,), (E2,), (E1, E2)]
+    assert obs.stats.as_dict() == {"io_queries": 6, "output_computations": 3,
+                                   "equivalence_queries": 0}
 
 
 def ambiguous_then_singular():

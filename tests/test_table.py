@@ -15,56 +15,57 @@ from hypothesis import strategies as st
 
 from switchlearn import (BoundedTestingEquivalenceOracle, Fa, GenConfig, NotClosed,
                          SwitchedSystem, SwitchLearnError, WhiteBoxEquivalenceOracle,
-                         WhiteBoxObservationOracle, learn, learner, random_system, row,
+                         WhiteBoxObservationOracle, learn, learner, random_system,
                          save_json)
 
+from conftest import row
 
-def reference_row_index(store, query):
+
+def reference_row_index(store):
     """Map from each access word's row to the first access word having it."""
     index = {}
     for i, word in enumerate(store.access_words):
-        index.setdefault(row(word, store.test_words, query), i)
+        index.setdefault(row(word, store.test_words, store.label), i)
     return index
 
 
-def reference_close_store(store, alphabet, query, on_mutation=None, prefetch=None):
+def reference_close_store(store, alphabet, on_mutation=None):
     """One pass over the growing access words, indexing them by row first;
-    prefetch gets every access and extension cell, cached or not."""
-    if prefetch is not None:
-        prefetch(w + t for w in store.access_words for t in store.test_words)
-    index = reference_row_index(store, query)
+    each fetch gets every access and extension cell, cached or not."""
+    store.fetch(w + t for w in store.access_words for t in store.test_words)
+    index = reference_row_index(store)
     fetched = 0
     for i, word in enumerate(store.access_words):
-        if prefetch is not None and i == fetched:
+        if i == fetched:
             fetched = len(store.access_words)
-            prefetch(w + (e,) + t for w in store.access_words[i:]
-                     for e in range(len(alphabet)) for t in store.test_words)
+            store.fetch(w + (e,) + t for w in store.access_words[i:]
+                        for e in range(len(alphabet)) for t in store.test_words)
         for e in range(len(alphabet)):
             extension = word + (e,)
-            extension_row = row(extension, store.test_words, query)
+            extension_row = row(extension, store.test_words, store.label)
             if extension_row not in index:
                 index[extension_row] = len(store.access_words)
                 store.access_words.append(extension)
                 if on_mutation is not None:
-                    on_mutation(store, query)
+                    on_mutation(store)
 
 
-def reference_build_hypothesis(store, registry, alphabet, query):
-    index = reference_row_index(store, query)
+def reference_build_hypothesis(store, alphabet):
+    index = reference_row_index(store)
     delta = []
     for word in store.access_words:
         targets = []
         for e in range(len(alphabet)):
-            target = index.get(row(word + (e,), store.test_words, query))
+            target = index.get(row(word + (e,), store.test_words, store.label))
             if target is None:
                 raise NotClosed(f"extension of {word!r} by event {e} has no representative")
             targets.append(target)
         delta.append(tuple(targets))
-    gamma = tuple(query(word) for word in store.access_words)
+    gamma = tuple(store.label(word) for word in store.access_words)
     fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
             delta=tuple(delta), gamma=gamma)
-    return SwitchedSystem(fa=fa, matrices=tuple(registry.canonical),
-                          d=registry.canonical[0].shape[0])
+    canonical = store.registry.canonical
+    return SwitchedSystem(fa=fa, matrices=tuple(canonical), d=canonical[0].shape[0])
 
 
 class RecordingObservationOracle(WhiteBoxObservationOracle):
