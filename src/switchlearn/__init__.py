@@ -7,7 +7,8 @@ finite automaton through trace and equivalence queries.
 
 from .automaton import (EPSILON, EventAlphabet, Fa, Word, format_word,
                         language_equivalent, language_of, output_of,
-                        parse_word, reachable_part, run, to_dot)
+                        parse_word, reachable_nodes, reachable_part, run,
+                        to_dot)
 from .benchgen import GenConfig, random_system
 from .errors import (AlphabetMismatch, AmbiguousLabel, BudgetExceeded,
                      DimensionMismatch, GenerationFailed, InvalidEvent,

@@ -146,25 +146,29 @@ def language_equivalent(fa1: Fa, fa2: Fa, label_eq) -> Word | None:
     return None
 
 
+def reachable_nodes(delta, initial: int) -> list[int]:
+    """Nodes reachable from initial, in breadth-first discovery order with
+    events taken by index. delta[node] lists node's successors; a tuple
+    table and a 2-D integer array both work."""
+    order = [initial]
+    seen = {initial}
+    for node in order:  # also visits the nodes appended below
+        for target in map(int, delta[node]):
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return order
+
+
 def reachable_part(fa: Fa) -> Fa:
     """Restriction of fa to nodes reachable from the initial node.
 
-    Nodes are renumbered in breadth-first discovery order, so the initial
-    node becomes 0 and the language is unchanged.
+    Nodes are renumbered in breadth-first discovery order (reachable_nodes),
+    so the initial node becomes 0 and the language is unchanged.
     """
-    order = [fa.initial]
-    remap = {fa.initial: 0}
-    queue = deque([fa.initial])
-    while queue:
-        node = queue.popleft()
-        for e in range(len(fa.alphabet)):
-            target = fa.delta[node][e]
-            if target not in remap:
-                remap[target] = len(order)
-                order.append(target)
-                queue.append(target)
-    delta = tuple(tuple(remap[fa.delta[node][e]] for e in range(len(fa.alphabet)))
-                  for node in order)
+    order = reachable_nodes(fa.delta, fa.initial)
+    remap = {node: i for i, node in enumerate(order)}
+    delta = tuple(tuple(remap[target] for target in fa.delta[node]) for node in order)
     gamma = tuple(fa.gamma[node] for node in order)
     return Fa(num_nodes=len(order), initial=0, alphabet=fa.alphabet,
               delta=delta, gamma=gamma)
@@ -172,14 +176,16 @@ def reachable_part(fa: Fa) -> Fa:
 
 def to_dot(fa: Fa) -> str:
     """Graphviz digraph: nodes annotated 'q{i} / A{label}', an arrow-only
-    pseudo-node marking the initial node, edges labelled by event name."""
+    pseudo-node marking the initial node, edges labelled by event name
+    (with backslash and double quote escaped)."""
     lines = ["digraph fa {", "  rankdir=LR;",
              "  __start__ [shape=point];",
              f"  __start__ -> q{fa.initial};"]
     for node in range(fa.num_nodes):
         lines.append(f'  q{node} [shape=circle label="q{node} / A{fa.gamma[node]}"];')
+    names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in fa.alphabet.names]
     for node in range(fa.num_nodes):
-        for e, name in enumerate(fa.alphabet.names):
+        for e, name in enumerate(names):
             lines.append(f'  q{node} -> q{fa.delta[node][e]} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import EventAlphabet, Fa, reachable_part
+from .automaton import EventAlphabet, Fa, reachable_nodes, reachable_part
 from .errors import GenerationFailed
 from .linalg import is_full_rank
 from .switched_system import SwitchedSystem
@@ -35,19 +35,6 @@ class GenConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-def _all_reachable(delta: np.ndarray) -> bool:
-    num_nodes = delta.shape[0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for target in delta[node]:
-            if int(target) not in seen:
-                seen.add(int(target))
-                frontier.append(int(target))
-    return len(seen) == num_nodes
-
-
 def random_system(config: GenConfig) -> SwitchedSystem:
     """Deterministic-in-seed random system matching config.
 
@@ -64,7 +51,7 @@ def random_system(config: GenConfig) -> SwitchedSystem:
                          size=(config.num_nodes, config.num_events))
     if config.require_reachable:
         for _ in range(_DELTA_RETRIES):
-            if _all_reachable(delta):
+            if len(reachable_nodes(delta, 0)) == config.num_nodes:
                 break
             delta = rng.integers(0, config.num_nodes,
                                  size=(config.num_nodes, config.num_events))
@@ -73,7 +60,7 @@ def random_system(config: GenConfig) -> SwitchedSystem:
     fa = Fa(num_nodes=config.num_nodes, initial=0, alphabet=alphabet,
             delta=tuple(tuple(int(t) for t in row) for row in delta),
             gamma=tuple(int(g) for g in gamma))
-    if config.require_reachable and not _all_reachable(delta):
+    if config.require_reachable and len(reachable_nodes(delta, 0)) < config.num_nodes:
         fa = reachable_part(fa)
 
     used = sorted(set(fa.gamma))

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .automaton import format_word, language_equivalent, parse_word, to_dot
+from .automaton import format_word, parse_word, to_dot
 from .benchgen import GenConfig, random_system
 from .errors import InvalidEvent, SwitchLearnError
 from .learner import learn
-from .linalg import LABEL_TOL, mat_approx_eq
+from .linalg import LABEL_TOL, check_label_tol
 from .oracle import (BoundedTestingEquivalenceOracle, WhiteBoxEquivalenceOracle,
                      WhiteBoxObservationOracle)
 from .output_query import compute_output
@@ -51,15 +51,15 @@ def _parse_cli_word(text: str, alphabet):
 
 
 def _label_tol(text: str) -> float:
-    """argparse type for --tol: a positive finite float."""
+    """argparse type for --tol: a float that check_label_tol accepts."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"label tolerance must be positive and finite, got {text!r}")
-    return value
+    try:
+        return check_label_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_at_least(minimum: int):
@@ -141,9 +141,7 @@ def cmd_learn(args) -> int:
 def cmd_equiv(args) -> int:
     a = _load_model(args.a)
     b = _load_model(args.b)
-    counterexample = language_equivalent(
-        a.fa, b.fa,
-        lambda i, j: mat_approx_eq(a.matrices[i], b.matrices[j], args.tol))
+    counterexample = WhiteBoxEquivalenceOracle(a, tol=args.tol).check(b)
     if counterexample is None:
         print("equivalent")
         return 0

@@ -72,8 +72,10 @@ class ObservationStore:
         return self._obs.stats.output_computations - self._outputs0
 
     def label(self, word: Word) -> int:
-        """Label id of word's output, computed when not cached; an uncached
-        word is refused with BudgetExceeded once the budget is spent."""
+        """Label id of word's output (word: any sequence of event indices),
+        computed when not cached; an uncached word is refused with
+        BudgetExceeded once the budget is spent."""
+        word = tuple(word)
         if (self.max_outputs is not None and word not in self._cache
                 and self.spent >= self.max_outputs):
             raise BudgetExceeded(f"more than {self.max_outputs} output computations")
@@ -205,12 +207,9 @@ def process_counterexample(word: Word, hypothesis: SwitchedSystem,
     """
     n = len(word)
     nodes = run(hypothesis.fa, word)
-    labels: dict[int, int] = {}
 
     def spliced(i: int) -> int:
-        if i not in labels:
-            labels[i] = store.label(store.access_words[nodes[i]] + word[i:])
-        return labels[i]
+        return store.label(store.access_words[nodes[i]] + word[i:])
 
     if spliced(0) == spliced(n):
         raise NotACounterexample(

@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, ValidationError
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import RECOVERY_BATCH, compute_output, recover_outputs  # noqa: F401
-from .switched_system import SwitchedSystem, Violation, execute
+from .switched_system import SwitchedSystem, execute, missing_matrices
 
 
 class QueryStats:
@@ -76,15 +76,6 @@ class WhiteBoxObservationOracle(ObservationOracle):
         return execute(self._hidden, x0, word)
 
 
-def check_label_matrices(hypothesis: SwitchedSystem) -> None:
-    """ValidationError with a missing_matrix violation for each label the
-    hypothesis's nodes name that it has no matrix for."""
-    missing = [Violation("missing_matrix", label) for label in sorted(set(hypothesis.fa.gamma))
-               if label >= len(hypothesis.matrices)]
-    if missing:
-        raise ValidationError(missing)
-
-
 class WhiteBoxEquivalenceOracle(EquivalenceOracle):
     """Exact equivalence via product search; returns shortest counterexamples.
 
@@ -102,7 +93,8 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
-        check_label_matrices(hypothesis)
+        if missing := missing_matrices(hypothesis):
+            raise ValidationError(missing)
         hidden = self._hidden
         return language_equivalent(
             hidden.fa, hypothesis.fa,
@@ -217,7 +209,8 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
         fa, stats = hypothesis.fa, self._obs.stats
-        check_label_matrices(hypothesis)
+        if missing := missing_matrices(hypothesis):
+            raise ValidationError(missing)
         d = self._obs.dimension()
         for label, matrix in enumerate(hypothesis.matrices):
             if np.shape(matrix) != (d, d):

@@ -61,12 +61,16 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     return states
 
 
+def missing_matrices(system: SwitchedSystem) -> list[Violation]:
+    """A missing_matrix violation for each label, in increasing order, that
+    system's nodes name and system has no matrix for."""
+    return [Violation("missing_matrix", label) for label in sorted(set(system.fa.gamma))
+            if label >= len(system.matrices)]
+
+
 def validate(system: SwitchedSystem) -> list[Violation]:
     """All violations of the switched-system invariants; empty when valid."""
-    violations = []
-    for label in sorted(set(system.fa.gamma)):
-        if label >= len(system.matrices):
-            violations.append(Violation("missing_matrix", label))
+    violations = missing_matrices(system)
     for label, matrix in enumerate(system.matrices):
         if matrix.shape != (system.d, system.d):
             violations.append(Violation("bad_dimension", label))
@@ -87,7 +91,10 @@ def _is_int(value) -> bool:
 
 
 def load_json(text: str) -> SwitchedSystem:
-    """Parse and validate a serialized system; rejects invalid models."""
+    """Parse and validate a serialized system; rejects invalid models with
+    ParseError (malformed text or fields) or ValidationError. A violation of
+    the automaton's structure (initial node, transition targets, distinct
+    event names) is reported alone: only the first one found is named."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -113,15 +120,13 @@ def load_json(text: str) -> SwitchedSystem:
             "gamma must list one non-negative label id per node")
     _expect(isinstance(obj["matrices"], list), "matrices must be a list")
 
-    semantic = []
-    if not 0 <= obj["initial"] < num_nodes:
-        semantic.append(f"initial node {obj['initial']} out of range")
-    for row in obj["delta"]:
-        for target in row:
-            if not 0 <= target < num_nodes:
-                semantic.append(f"transition target {target} out of range")
-    if semantic:
-        raise ValidationError(semantic)
+    try:
+        fa = Fa(num_nodes=num_nodes, initial=obj["initial"],
+                alphabet=EventAlphabet(tuple(obj["events"])),
+                delta=tuple(tuple(row) for row in obj["delta"]),
+                gamma=tuple(obj["gamma"]))
+    except ValueError as exc:
+        raise ValidationError([str(exc)]) from exc
 
     matrices = []
     for k, rows in enumerate(obj["matrices"]):
@@ -139,14 +144,7 @@ def load_json(text: str) -> SwitchedSystem:
             raise ValidationError([f"matrix {k} has non-finite entries"])
         matrices.append(matrix)
 
-    system = SwitchedSystem(
-        fa=Fa(num_nodes=num_nodes, initial=obj["initial"],
-              alphabet=EventAlphabet(tuple(obj["events"])),
-              delta=tuple(tuple(row) for row in obj["delta"]),
-              gamma=tuple(obj["gamma"])),
-        matrices=tuple(matrices),
-        d=obj["d"],
-    )
+    system = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=obj["d"])
     violations = validate(system)
     if violations:
         raise ValidationError(violations)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from switchlearn import (EPSILON, AlphabetMismatch, EventAlphabet, Fa,
                          InvalidEvent, format_word, language_equivalent,
-                         language_of, output_of, parse_word, reachable_part,
-                         run, to_dot)
+                         language_of, output_of, parse_word, reachable_nodes,
+                         reachable_part, run, to_dot)
 
 from conftest import make_three_node_hypothesis
 
@@ -177,6 +177,27 @@ def test_reachable_part_drops_orphan(demo2d_fa):
     assert language_equivalent(padded, trimmed, lambda a, b: a == b) is None
 
 
+def test_reachable_nodes_in_discovery_order():
+    # node 1 is unreachable from 0; breadth-first order from 0 is 0, 2, 4, 3
+    delta = ((2, 0), (1, 1), (4, 3), (0, 2), (4, 4))
+    for table in (delta, np.array(delta)):
+        assert reachable_nodes(table, 0) == [0, 2, 4, 3]
+        assert reachable_nodes(table, 3) == [3, 0, 2, 4]
+        assert reachable_nodes(table, 1) == [1]
+    assert all(type(node) is int for node in reachable_nodes(np.array(delta), 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_fa())
+def test_reachable_part_renumbers_in_reachable_nodes_order(fa):
+    order = reachable_nodes(fa.delta, fa.initial)
+    assert reachable_nodes(np.array(fa.delta), fa.initial) == order
+    trimmed = reachable_part(fa)
+    assert trimmed.gamma == tuple(fa.gamma[node] for node in order)
+    assert trimmed.delta == tuple(tuple(order.index(t) for t in fa.delta[node])
+                                  for node in order)
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_fa())
 def test_reachable_part_preserves_language(fa):
@@ -209,6 +230,13 @@ def test_dot_export_shape(demo2d_fa):
     assert len(edge_lines) == 8
     assert "__start__ -> q0" in dot
     assert 'label="q0 / A0"' in dot
+
+
+def test_dot_export_escapes_event_names():
+    fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(('a"b', "c\\")),
+            delta=((0, 0),), gamma=(0,))
+    edges = [ln for ln in to_dot(fa).splitlines() if ln.startswith("  q0 -> ")]
+    assert edges == ['  q0 -> q0 [label="a\\"b"];', '  q0 -> q0 [label="c\\\\"];']
 
 
 def test_fa_validation_rejects_bad_tables():

@@ -148,9 +148,7 @@ def test_equiv_detects_mismatch(demo_model, tmp_path, capsys):
     other = tmp_path / "three.json"
     other.write_text(save_json(make_three_node_hypothesis()))
     assert main(["equiv", "--a", demo_model, "--b", str(other)]) == 1
-    out = capsys.readouterr().out
-    assert "not equivalent" in out
-    assert len(out.split(":")[-1].split()) == 3  # counterexample of length 3
+    assert capsys.readouterr().out == "not equivalent, counterexample: e1 e2 e2\n"
 
 
 def test_equiv_model_with_itself(demo_model):
@@ -180,7 +178,8 @@ def test_nonpositive_tol_is_usage_error(demo_model, tmp_path, capsys,
     with pytest.raises(SystemExit) as exc:
         main([command, *args, "--tol", tol])
     assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--tol" in err and tol in err
     assert list(tmp_path.iterdir()) == [tmp_path / "demo.json"]
 
 

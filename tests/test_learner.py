@@ -369,6 +369,14 @@ def test_learn_round_budget(demo2d_system):
               demo2d_system.fa.alphabet, max_rounds=1)
 
 
+@pytest.mark.parametrize("max_outputs", [None, 5])
+def test_store_label_takes_any_sequence_of_events(demo2d_system, max_outputs):
+    store = ObservationStore(WhiteBoxObservationOracle(demo2d_system),
+                             max_outputs=max_outputs)
+    assert store.label([E1, E2]) == store.label((E1, E2))
+    assert store.spent == 1
+
+
 def test_learn_output_budget(demo2d_system):
     # the demo model needs exactly 14 output computations; cache hits after
     # the 14th are free

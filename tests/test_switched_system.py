@@ -239,3 +239,16 @@ def test_load_rejects_json_booleans_as_numbers(field, value, named):
     assert load_json(one_node_json()).d == 1
     with pytest.raises(ParseError, match=named):
         load_json(one_node_json(**{field: value}))
+
+
+@pytest.mark.parametrize("fields, first", [
+    ({"num_nodes": 2, "delta": [[99], [77]], "gamma": [0, 0]},
+     "transition target 99 out of range"),
+    ({"initial": 5, "delta": [[-1]]}, "initial node 5 out of range"),
+    ({"events": ["a", "a"], "delta": [[0, 0]]}, "event names must be distinct"),
+])
+def test_load_names_the_first_structural_violation(fields, first):
+    with pytest.raises(ValidationError) as exc:
+        load_json(one_node_json(**fields))
+    assert len(exc.value.violations) == 1
+    assert exc.value.violations[0].startswith(first)
