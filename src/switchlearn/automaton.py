@@ -18,13 +18,18 @@ EPSILON: Word = ()
 
 @dataclass(frozen=True)
 class EventAlphabet:
-    """Ordered set of distinct event names; events are addressed by index."""
+    """Ordered set of distinct event names; events are addressed by index.
+    A name is non-empty and has no whitespace, so that parse_word can read
+    every word format_word writes."""
 
     names: tuple[str, ...]
 
     def __post_init__(self):
         if not self.names:
             raise ValueError("alphabet must contain at least one event")
+        for name in self.names:
+            if name.split() != [name]:
+                raise ValueError(f"event name {name!r} is empty or contains whitespace")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"event names must be distinct: {self.names}")
 

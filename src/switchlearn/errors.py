@@ -27,11 +27,12 @@ class AlphabetMismatch(SwitchLearnError):
 
 
 class ParseError(SwitchLearnError):
-    """Model text is not syntactically valid or misses required fields."""
+    """Model text is not JSON, or a field is missing or of the wrong type."""
 
 
 class ValidationError(SwitchLearnError):
-    """Model is well-formed but violates a semantic invariant."""
+    """Model is well-formed but violates an invariant; the object owning a
+    structural invariant raises this when it is made."""
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -54,6 +54,8 @@ class ObservationStore:
                  max_outputs: int | None = None):
         self.access_words = [EPSILON] if access_words is None else access_words
         self.test_words = [EPSILON] if test_words is None else test_words
+        if self.access_words[:1] != [EPSILON] or self.test_words[:1] != [EPSILON]:
+            raise ValueError("access and test words must both start with the empty word")
         self.registry = LabelRegistry(tol=label_tol)
         self.max_outputs = max_outputs
         self._obs = obs

@@ -16,11 +16,11 @@ import itertools
 import numpy as np
 
 from .automaton import Word, language_equivalent
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import RECOVERY_BATCH, compute_output, recover_outputs  # noqa: F401
-from .switched_system import SwitchedSystem, execute, missing_matrices
+from .switched_system import SwitchedSystem, execute
 
 
 class QueryStats:
@@ -81,8 +81,7 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
 
     Labels of the two systems are compared as matrices under label_eq, which
     defaults to max-abs closeness at tol (positive and finite, ValueError
-    otherwise). A hypothesis naming a label it has no matrix for is
-    rejected with ValidationError.
+    otherwise).
     """
 
     def __init__(self, hidden: SwitchedSystem, label_eq=None, tol: float = LABEL_TOL):
@@ -93,8 +92,6 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
-        if missing := missing_matrices(hypothesis):
-            raise ValidationError(missing)
         hidden = self._hidden
         return language_equivalent(
             hidden.fa, hypothesis.fa,
@@ -191,9 +188,8 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     raised. Up to RECOVERY_BATCH - 1 later words of the last run may have
     been traced and recovered without being compared or counted. The pending chain states
     take up to about |events|^(l_max-1) d x d states of memory. A hypothesis
-    naming a label it has no matrix for is rejected with ValidationError,
-    and one with any matrix that is not d x d with DimensionMismatch, both
-    before any query.
+    whose dimension is not the hidden one is rejected with
+    DimensionMismatch before any query.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
@@ -209,13 +205,10 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
         fa, stats = hypothesis.fa, self._obs.stats
-        if missing := missing_matrices(hypothesis):
-            raise ValidationError(missing)
         d = self._obs.dimension()
-        for label, matrix in enumerate(hypothesis.matrices):
-            if np.shape(matrix) != (d, d):
-                raise DimensionMismatch(f"hypothesis label {label} has shape {np.shape(matrix)}, "
-                                        f"hidden states have dimension {d}")
+        if hypothesis.d != d:
+            raise DimensionMismatch(f"hypothesis has dimension {hypothesis.d}, "
+                                    f"hidden states have dimension {d}")
         claims = np.stack(hypothesis.matrices)
         delta, gamma = np.array(fa.delta), np.array(fa.gamma)
         traces = _ChainedTraces(self._obs, self._l_max)

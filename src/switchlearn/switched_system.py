@@ -27,9 +27,25 @@ class Violation:
 
 @dataclass(frozen=True, eq=False)
 class SwitchedSystem:
+    """An automaton whose label ids index d x d matrices. Construction checks
+    that structure and raises ValidationError naming a d below 1 alone, else
+    each missing_matrix label (increasing), then each bad_dimension label.
+    Rank is left to validate: hidden systems may be degenerate on purpose."""
+
     fa: Fa
     matrices: tuple[np.ndarray, ...]
     d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValidationError([f"dimension d={self.d} is not positive"])
+        count, shape = len(self.matrices), (self.d, self.d)
+        violations = [Violation("missing_matrix", label)
+                      for label in sorted(set(self.fa.gamma)) if label >= count]
+        violations += [Violation("bad_dimension", label)
+                       for label, matrix in enumerate(self.matrices) if matrix.shape != shape]
+        if violations:
+            raise ValidationError(violations)
 
 
 def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarray]:
@@ -61,22 +77,12 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     return states
 
 
-def missing_matrices(system: SwitchedSystem) -> list[Violation]:
-    """A missing_matrix violation for each label, in increasing order, that
-    system's nodes name and system has no matrix for."""
-    return [Violation("missing_matrix", label) for label in sorted(set(system.fa.gamma))
-            if label >= len(system.matrices)]
-
-
 def validate(system: SwitchedSystem) -> list[Violation]:
-    """All violations of the switched-system invariants; empty when valid."""
-    violations = missing_matrices(system)
-    for label, matrix in enumerate(system.matrices):
-        if matrix.shape != (system.d, system.d):
-            violations.append(Violation("bad_dimension", label))
-        elif not is_full_rank(matrix):
-            violations.append(Violation("rank_deficient_label", label))
-    return violations
+    """A rank_deficient_label violation for each matrix, in label order,
+    that is not full rank at tolerance; empty when valid. The structure is
+    checked when the system is made."""
+    return [Violation("rank_deficient_label", label)
+            for label, matrix in enumerate(system.matrices) if not is_full_rank(matrix)]
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -91,10 +97,11 @@ def _is_int(value) -> bool:
 
 
 def load_json(text: str) -> SwitchedSystem:
-    """Parse and validate a serialized system; rejects invalid models with
-    ParseError (malformed text or fields) or ValidationError. A violation of
-    the automaton's structure (initial node, transition targets, distinct
-    event names) is reported alone: only the first one found is named."""
+    """Parse and validate a serialized system. ParseError: malformed text,
+    or a field missing or of the wrong JSON type. ValidationError: a
+    non-finite matrix entry (an integer too large for a float included), or
+    a violated invariant, raised by its owner: EventAlphabet and Fa (only
+    the first violation named), SwitchedSystem, then validate's rank check."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -102,26 +109,21 @@ def load_json(text: str) -> SwitchedSystem:
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("d", "events", "num_nodes", "initial", "delta", "gamma", "matrices"):
         _expect(key in obj, f"missing field {key!r}")
-    _expect(_is_int(obj["d"]) and obj["d"] >= 1, "d must be a positive integer")
-    _expect(isinstance(obj["events"], list) and obj["events"]
-            and all(isinstance(e, str) for e in obj["events"]),
-            "events must be a non-empty list of strings")
-    _expect(_is_int(obj["num_nodes"]) and obj["num_nodes"] >= 1,
-            "num_nodes must be a positive integer")
+    _expect(_is_int(obj["d"]), "d must be an integer")
+    _expect(isinstance(obj["events"], list) and all(isinstance(e, str) for e in obj["events"]),
+            "events must be a list of strings")
+    _expect(_is_int(obj["num_nodes"]), "num_nodes must be an integer")
     _expect(_is_int(obj["initial"]), "initial must be an integer")
-    num_nodes, num_events = obj["num_nodes"], len(obj["events"])
-    _expect(isinstance(obj["delta"], list) and len(obj["delta"]) == num_nodes
-            and all(isinstance(row, list) and len(row) == num_events
-                    and all(_is_int(t) for t in row)
+    _expect(isinstance(obj["delta"], list)
+            and all(isinstance(row, list) and all(_is_int(t) for t in row)
                     for row in obj["delta"]),
-            "delta must be a num_nodes x num_events table of integers")
-    _expect(isinstance(obj["gamma"], list) and len(obj["gamma"]) == num_nodes
-            and all(_is_int(g) and g >= 0 for g in obj["gamma"]),
-            "gamma must list one non-negative label id per node")
+            "delta must be a list of rows of integers")
+    _expect(isinstance(obj["gamma"], list) and all(_is_int(g) for g in obj["gamma"]),
+            "gamma must be a list of integers")
     _expect(isinstance(obj["matrices"], list), "matrices must be a list")
 
     try:
-        fa = Fa(num_nodes=num_nodes, initial=obj["initial"],
+        fa = Fa(num_nodes=obj["num_nodes"], initial=obj["initial"],
                 alphabet=EventAlphabet(tuple(obj["events"])),
                 delta=tuple(tuple(row) for row in obj["delta"]),
                 gamma=tuple(obj["gamma"]))
@@ -137,10 +139,12 @@ def load_json(text: str) -> SwitchedSystem:
                 f"matrix {k} must be a list of numeric rows")
         _expect(len({len(r) for r in rows}) <= 1,
                 f"matrix {k} has rows of different lengths")
-        matrix = np.array(rows, dtype=float)
-        if matrix.ndim != 2:
-            raise ValidationError([Violation("bad_dimension", k)])
-        if not np.all(np.isfinite(matrix)):
+        try:
+            matrix = np.array(rows, dtype=float)
+            finite = np.all(np.isfinite(matrix))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValidationError([f"matrix {k} has non-finite entries"])
         matrices.append(matrix)
 

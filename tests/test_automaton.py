@@ -239,6 +239,13 @@ def test_dot_export_escapes_event_names():
     assert edges == ['  q0 -> q0 [label="a\\"b"];', '  q0 -> q0 [label="c\\\\"];']
 
 
+@pytest.mark.parametrize("name", ["", "a b", " a", "a\t", "a\nb", "a\u00a0b"])
+def test_alphabet_rejects_names_no_word_can_use(name):
+    # parse_word splits on whitespace, so it could never read such a name
+    with pytest.raises(ValueError, match="empty or contains whitespace"):
+        EventAlphabet(("e1", name))
+
+
 def test_fa_validation_rejects_bad_tables():
     alphabet = EventAlphabet(("e1",))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,17 @@ def test_export_dot(demo_model, tmp_path):
 def test_missing_model_is_runtime_error(tmp_path):
     assert main(["simulate", "--model", str(tmp_path / "nope.json"),
                  "--x0", "1,0", "--word", ""]) == 3
+
+
+@pytest.mark.parametrize("entry", ["1e400", "1" + "0" * 400], ids=["1e400", "int-10^400"])
+def test_model_with_entry_beyond_float_range_is_runtime_error(demo_model, tmp_path,
+                                                              capsys, entry):
+    # exit 1 would read as equiv's "not equivalent"
+    text = Path(demo_model).read_text().replace("1.0", entry, 1)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["export-dot", "--model", str(path), "--out", str(tmp_path / "m.dot")]) == 3
+    assert "matrix 0 has non-finite entries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["learn", "equiv"])

@@ -369,6 +369,20 @@ def test_learn_round_budget(demo2d_system):
               demo2d_system.fa.alphabet, max_rounds=1)
 
 
+@pytest.mark.parametrize("words", [
+    {"access_words": [(E1,)]},
+    {"access_words": [(E1,), ()]},
+    {"access_words": []},
+    {"test_words": [(E2,)]},
+    {"test_words": []},
+], ids=["access-(e1)", "access-(e1)-()", "access-none", "test-(e2)", "test-none"])
+def test_store_word_lists_must_start_with_the_empty_word(demo2d_system, words):
+    # a table whose first access word is not the empty word would give the
+    # hypothesis's initial node the label of another node
+    with pytest.raises(ValueError, match="start with the empty word"):
+        fresh_store(demo2d_system, **words)
+
+
 @pytest.mark.parametrize("max_outputs", [None, 5])
 def test_store_label_takes_any_sequence_of_events(demo2d_system, max_outputs):
     store = ObservationStore(WhiteBoxObservationOracle(demo2d_system),

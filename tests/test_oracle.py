@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          DimensionMismatch, EventAlphabet, Fa, InvalidEvent,
                          SingularBasis, SwitchedSystem, SwitchLearnError,
-                         ValidationError, Violation, WhiteBoxEquivalenceOracle,
-                         WhiteBoxObservationOracle, compute_output, mat_approx_eq,
-                         output_of)
+                         WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
+                         compute_output, mat_approx_eq, output_of)
 
 from conftest import (OSErrorObservationOracle, make_four_node_hypothesis,
                       make_three_node_hypothesis)
@@ -374,28 +373,9 @@ def test_bounded_oracle_refuses_non_finite_empty_word_output():
 def test_bounded_oracle_rejects_hypothesis_of_other_dimension(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
     hypothesis = SwitchedSystem(fa=demo2d_system.fa, matrices=(np.eye(1),) * 3, d=1)
-    with pytest.raises(DimensionMismatch, match="dimension 2"):
+    with pytest.raises(DimensionMismatch,
+                       match="hypothesis has dimension 1, hidden states have dimension 2"):
         BoundedTestingEquivalenceOracle(obs, 3).check(hypothesis)
-    # mixed shapes, the odd one last
-    mixed = demo2d_system.matrices + (np.eye(3),)
-    hypothesis = SwitchedSystem(fa=demo2d_system.fa, matrices=mixed, d=2)
-    with pytest.raises(DimensionMismatch, match=r"label 3 has shape \(3, 3\)"):
-        BoundedTestingEquivalenceOracle(obs, 3).check(hypothesis)
-    assert obs.stats.io_queries == 0
-
-
-@pytest.mark.parametrize("eq_kind", ["exact", "bounded"])
-def test_equivalence_oracles_reject_hypothesis_missing_a_label_matrix(demo2d_system,
-                                                                      eq_kind):
-    # demo2d's nodes name labels 0, 1 and 2; the hypothesis has matrices
-    # for 0 and 1 only
-    obs = WhiteBoxObservationOracle(demo2d_system)
-    eq = (WhiteBoxEquivalenceOracle(demo2d_system) if eq_kind == "exact"
-          else BoundedTestingEquivalenceOracle(obs, 3))
-    hypothesis = SwitchedSystem(fa=demo2d_system.fa, matrices=demo2d_system.matrices[:2], d=2)
-    with pytest.raises(ValidationError, match=r"missing_matrix\(label=2\)") as exc:
-        eq.check(hypothesis)
-    assert exc.value.violations == [Violation("missing_matrix", 2)]
     assert obs.stats.io_queries == 0
 
 

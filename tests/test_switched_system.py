@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (DimensionMismatch, GenConfig, InvalidEvent, ParseError,
-                         SwitchedSystem, ValidationError, execute, language_of,
-                         load_json, random_system, save_json, validate)
+                         SwitchedSystem, ValidationError, Violation, execute,
+                         language_of, load_json, random_system, save_json, validate)
 
 from conftest import DEMO2D_MATRICES, make_demo2d_system
 
@@ -153,22 +153,36 @@ def test_validate_flags_rank_deficiency(demo2d_system):
     broken = SwitchedSystem(fa=demo2d_system.fa,
                             matrices=DEMO2D_MATRICES[:2] + (np.zeros((2, 2)),),
                             d=2)
-    kinds = [(v.kind, v.label) for v in validate(broken)]
-    assert ("rank_deficient_label", 2) in kinds
+    assert validate(broken) == [Violation("rank_deficient_label", 2)]
 
 
-def test_validate_flags_bad_dimension(demo2d_system):
-    broken = SwitchedSystem(fa=demo2d_system.fa,
-                            matrices=DEMO2D_MATRICES[:2] + (np.eye(3),),
-                            d=2)
-    kinds = [(v.kind, v.label) for v in validate(broken)]
-    assert ("bad_dimension", 2) in kinds
+def test_system_rejects_bad_dimension(demo2d_system):
+    with pytest.raises(ValidationError, match=r"bad_dimension\(label=2\)") as exc:
+        SwitchedSystem(fa=demo2d_system.fa, matrices=DEMO2D_MATRICES[:2] + (np.eye(3),), d=2)
+    assert exc.value.violations == [Violation("bad_dimension", 2)]
+    # a matrix no node names is still checked, and all are listed
+    with pytest.raises(ValidationError) as exc:
+        SwitchedSystem(fa=demo2d_system.fa,
+                       matrices=(np.eye(1),) + DEMO2D_MATRICES[1:] + (np.ones((2, 3)),), d=2)
+    assert exc.value.violations == [Violation("bad_dimension", 0), Violation("bad_dimension", 3)]
 
 
-def test_validate_flags_missing_matrix(demo2d_system):
-    broken = SwitchedSystem(fa=demo2d_system.fa, matrices=DEMO2D_MATRICES[:2], d=2)
-    kinds = [(v.kind, v.label) for v in validate(broken)]
-    assert ("missing_matrix", 2) in kinds
+def test_system_rejects_missing_matrix(demo2d_system):
+    # demo2d's nodes name labels 0, 1 and 2
+    with pytest.raises(ValidationError, match=r"missing_matrix\(label=2\)") as exc:
+        SwitchedSystem(fa=demo2d_system.fa, matrices=DEMO2D_MATRICES[:2], d=2)
+    assert exc.value.violations == [Violation("missing_matrix", 2)]
+    # missing labels first, in increasing order, then misshapen matrices
+    with pytest.raises(ValidationError) as exc:
+        SwitchedSystem(fa=demo2d_system.fa, matrices=(DEMO2D_MATRICES[0], np.eye(3)), d=2)
+    assert exc.value.violations == [Violation("missing_matrix", 2), Violation("bad_dimension", 1)]
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_system_rejects_nonpositive_dimension(demo2d_system, d):
+    with pytest.raises(ValidationError, match=f"dimension d={d} is not positive") as exc:
+        SwitchedSystem(fa=demo2d_system.fa, matrices=(np.zeros((0, 0)),) * 3, d=d)
+    assert len(exc.value.violations) == 1
 
 
 def test_json_round_trip(demo2d_system):
@@ -215,7 +229,8 @@ def test_load_rejects_garbage():
         load_json("not json at all {")
     with pytest.raises(ParseError):
         load_json(json.dumps({"d": 2}))
-    with pytest.raises(ParseError):
+    # well-formed JSON whose empty alphabet breaks an invariant
+    with pytest.raises(ValidationError):
         load_json(json.dumps({"d": 2, "events": [], "num_nodes": 1,
                               "initial": 0, "delta": [], "gamma": [],
                               "matrices": []}))
@@ -252,3 +267,28 @@ def test_load_names_the_first_structural_violation(fields, first):
         load_json(one_node_json(**fields))
     assert len(exc.value.violations) == 1
     assert exc.value.violations[0].startswith(first)
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"num_nodes": 0}, "automaton needs at least one node"),
+    ({"gamma": [-1]}, "negative label id -1"),
+    ({"events": ["a", "b"]}, "node 0 has 1 transitions, expected 2"),
+    ({"num_nodes": 2, "delta": [[0], [0]]}, "delta and gamma must have one entry per node"),
+    ({"events": [], "delta": [[]]}, "alphabet must contain at least one event"),
+    ({"events": ["a b"]}, "event name 'a b' is empty or contains whitespace"),
+    ({"d": 0}, "dimension d=0 is not positive"),
+    ({"matrices": [[]]}, r"bad_dimension\(label=0\)"),
+])
+def test_load_reports_well_formed_invariant_violations_as_validation_errors(fields, named):
+    with pytest.raises(ValidationError, match=named) as exc:
+        load_json(one_node_json(**fields))
+    assert len(exc.value.violations) == 1
+
+
+@pytest.mark.parametrize("entry", ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400],
+                         ids=["1e400", "-1e400", "int-10^400", "int--10^400"])
+def test_load_rejects_entries_beyond_the_float_range(entry):
+    # JSON reads 1e400 as inf, and an integer that long overflows float
+    text = one_node_json().replace("[[[1.0]]]", f"[[[{entry}]]]")
+    with pytest.raises(ValidationError, match="matrix 0 has non-finite entries"):
+        load_json(text)
