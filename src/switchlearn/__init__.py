@@ -15,7 +15,7 @@ from .errors import (AlphabetMismatch, AmbiguousLabel, BudgetExceeded,
                      NotACounterexample, NotClosed, ParseError, SingularBasis,
                      SwitchLearnError, ValidationError)
 from .learner import (LearnResult, ObservationStore, build_hypothesis,
-                      close_store, is_separable, learn, process_counterexample)
+                      close_store, learn, process_counterexample)
 from .linalg import (LABEL_TOL, PIVOT_TOL, identity, is_full_rank,
                      mat_approx_eq, recover_transform, recover_transforms)
 from .oracle import (BoundedTestingEquivalenceOracle, EquivalenceOracle,

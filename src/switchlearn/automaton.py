@@ -20,11 +20,16 @@ EPSILON: Word = ()
 class EventAlphabet:
     """Ordered set of distinct event names; events are addressed by index.
     A name is non-empty and has no whitespace, so that parse_word can read
-    every word format_word writes."""
+    every word format_word writes. Names given as any iterable are stored
+    as a tuple, so alphabets compare and hash by their names alone; a bare
+    string is refused rather than split into one-character events."""
 
     names: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.names, str):
+            raise ValueError(f"event names must be a sequence, not the string {self.names!r}")
+        object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise ValueError("alphabet must contain at least one event")
         for name in self.names:

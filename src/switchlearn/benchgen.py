@@ -33,6 +33,10 @@ class GenConfig:
         for name in ("num_nodes", "num_events", "num_labels", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # inf is allowed: no matrix passes, so generation fails with GenerationFailed
+        if not self.full_rank_threshold >= 0:
+            raise ValueError("full_rank_threshold must be >= 0, "
+                             f"got {self.full_rank_threshold}")
 
 
 def random_system(config: GenConfig) -> SwitchedSystem:
@@ -45,7 +49,7 @@ def random_system(config: GenConfig) -> SwitchedSystem:
     below num_labels.
     """
     rng = np.random.default_rng(config.seed)
-    alphabet = EventAlphabet(tuple(f"e{i + 1}" for i in range(config.num_events)))
+    alphabet = EventAlphabet(f"e{i + 1}" for i in range(config.num_events))
 
     delta = rng.integers(0, config.num_nodes,
                          size=(config.num_nodes, config.num_events))

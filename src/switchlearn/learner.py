@@ -131,17 +131,12 @@ class LearnResult:
         return {**self.stats.as_dict(), "rounds": self.rounds, "wall_ms": self.wall_ms}
 
 
-def is_separable(store: ObservationStore) -> bool:
-    """True iff no two distinct access words have the same row."""
-    return len(store.index()) == len(store.access_words)
-
-
 def find_representative(store: ObservationStore, word: Word) -> int | None:
     """Index of the first access word whose row equals word's row."""
     return store.index().get(store.row(word))
 
 
-def close_store(store: ObservationStore, alphabet: EventAlphabet, on_mutation=None) -> None:
+def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
     """Add one-event extensions to the access words until every extension
     has a representative. Each added extension has a row unlike every access
     word, so separability is preserved. The test words stay fixed, so an
@@ -153,8 +148,7 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet, on_mutation=No
     reaching the first access word not yet covered, those of the extensions
     of it and every later access word. Access words are only appended, so
     the pass computes the same words in the same order as reading each cell
-    on its own when first needed, and labels and counts are the same, unless
-    on_mutation(store) reads words outside the table.
+    on its own when first needed, and labels and counts are the same.
     """
     store.fetch(store.missing_cells(store.access_words))
     # store the access rows, so that the extension fetch below does not
@@ -170,8 +164,6 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet, on_mutation=No
             extension = word + (e,)
             if find_representative(store, extension) is None:
                 store.access_words.append(extension)
-                if on_mutation is not None:
-                    on_mutation(store)
 
 
 def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> SwitchedSystem:
@@ -230,19 +222,19 @@ def process_counterexample(word: Word, hypothesis: SwitchedSystem,
 
 def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet,
           *, label_tol: float = LABEL_TOL, max_rounds: int | None = None,
-          max_outputs: int | None = None, on_mutation=None) -> LearnResult:
+          max_outputs: int | None = None) -> LearnResult:
     """Learn a system language-equivalent to the one behind the oracles.
 
     Each learn reads every output through one ObservationStore on obs.
     label_tol must be positive and finite (ValueError otherwise).
-    max_rounds caps hypothesis/equivalence iterations (default
-    10 * |alphabet| * (|access words| + 1), re-evaluated each round);
-    max_outputs caps total output computations on obs, including those of an
-    equivalence oracle that shares obs. Exceeding either raises
-    BudgetExceeded. The learner's own output computations are refused before
-    they run; an equivalence check is not interrupted, and BudgetExceeded is
-    raised as soon as it returns past the cap. on_mutation(store), when
-    given, is invoked after every change to the word lists.
+    max_rounds, when given, caps hypothesis/equivalence iterations; without
+    it rounds are uncapped, since each counterexample adds one access word
+    and their number is bounded by the hidden node count. max_outputs caps
+    total output computations on obs, including those of an equivalence
+    oracle that shares obs. Exceeding either raises BudgetExceeded. The
+    learner's own output computations are refused before they run; an
+    equivalence check is not interrupted, and BudgetExceeded is raised as
+    soon as it returns past the cap.
     """
     t0 = time.perf_counter()
     io0 = obs.stats.io_queries
@@ -251,11 +243,9 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
     rounds = 0
     counterexample_costs: list[tuple[int, int]] = []
     while True:
-        cap = (max_rounds if max_rounds is not None
-               else 10 * len(alphabet) * (len(store.access_words) + 1))
-        if rounds >= cap:
+        if max_rounds is not None and rounds >= max_rounds:
             raise BudgetExceeded(f"no equivalent hypothesis after {rounds} rounds")
-        close_store(store, alphabet, on_mutation=on_mutation)
+        close_store(store, alphabet)
         hypothesis = build_hypothesis(store, alphabet)
         rounds += 1
         counterexample = eq.check(hypothesis)
@@ -272,8 +262,6 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
         store.access_words.append(new_access)
         if new_test not in store.test_words:
             store.test_words.append(new_test)
-        if on_mutation is not None:
-            on_mutation(store)
 
     stats = QueryStats()
     stats.io_queries = obs.stats.io_queries - io0

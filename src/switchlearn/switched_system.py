@@ -124,7 +124,7 @@ def load_json(text: str) -> SwitchedSystem:
 
     try:
         fa = Fa(num_nodes=obj["num_nodes"], initial=obj["initial"],
-                alphabet=EventAlphabet(tuple(obj["events"])),
+                alphabet=EventAlphabet(obj["events"]),
                 delta=tuple(tuple(row) for row in obj["delta"]),
                 gamma=tuple(obj["gamma"]))
     except ValueError as exc:

@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from switchlearn import EventAlphabet, Fa, SwitchedSystem, WhiteBoxObservationOracle
+from switchlearn import EventAlphabet, Fa, SwitchedSystem, WhiteBoxObservationOracle, learner
 
 # 2-D demo model: four nodes on two events, three distinct subsystem
 # matrices, the middle label shared by two nodes.
@@ -32,6 +35,32 @@ def row(word, test_words, label) -> tuple[int, ...]:
     """Reference row: the output labels of word followed by each test word,
     in test-word order, each read by label."""
     return tuple(label(word + t) for t in test_words)
+
+
+def is_separable(store) -> bool:
+    """True iff no two distinct access words have the same row."""
+    return len(store.index()) == len(store.access_words)
+
+
+class NotSeparable(AssertionError):
+    """Two access words of the observation table have the same row."""
+
+
+@contextmanager
+def separability_checked():
+    """Within the block, learn checks at each hypothesis that the table is
+    separable and raises NotSeparable otherwise. Between hypotheses the test
+    words are fixed and access words only appended, so this also covers
+    every earlier change to the table in that round."""
+    build = learner.build_hypothesis
+
+    def checked(store, alphabet):
+        if not is_separable(store):
+            raise NotSeparable(f"access words sharing a row: {store.access_words!r}")
+        return build(store, alphabet)
+
+    with mock.patch.object(learner, "build_hypothesis", checked):
+        yield
 
 
 class OSErrorObservationOracle(WhiteBoxObservationOracle):

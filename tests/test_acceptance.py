@@ -9,11 +9,12 @@ import pytest
 
 from switchlearn import (GenConfig, LabelRegistry, WhiteBoxEquivalenceOracle,
                          WhiteBoxObservationOracle, cached_output,
-                         compute_output, execute, identity, is_separable,
-                         learn, mat_approx_eq, output_of, random_system)
+                         compute_output, execute, identity, learn,
+                         mat_approx_eq, output_of, random_system)
 from switchlearn.learner import max_outputs_for_counterexample
 
-from conftest import make_demo2d_system, make_fault_system
+from conftest import (NotSeparable, make_demo2d_system, make_fault_system,
+                      separability_checked)
 
 E1, E2 = 0, 1
 F, G = 0, 1
@@ -33,7 +34,7 @@ def criterion(tag):
 def random_suite():
     """200 seeded reachable systems (nodes <= 12, events in 2..4,
     labels <= 6, dim <= 5) with per-word classification checks, full
-    learning runs, and separability instrumentation."""
+    learning runs, and the table checked separable at each hypothesis."""
     rng = np.random.default_rng(20260811)
     record = {"classification_failures": 0, "equivalence_failures": 0,
               "node_bound_failures": 0, "separability_violations": 0,
@@ -58,12 +59,13 @@ def random_suite():
                                  hidden.matrices[true], 1e-6):
                 record["classification_failures"] += 1
 
-        def on_mutation(store):
-            if not is_separable(store):
-                record["separability_violations"] += 1
-
-        result = learn(obs, WhiteBoxEquivalenceOracle(hidden),
-                       hidden.fa.alphabet, on_mutation=on_mutation)
+        try:
+            with separability_checked():
+                result = learn(obs, WhiteBoxEquivalenceOracle(hidden),
+                               hidden.fa.alphabet)
+        except NotSeparable:
+            record["separability_violations"] += 1
+            continue
         if WhiteBoxEquivalenceOracle(hidden).check(result.system) is not None:
             record["equivalence_failures"] += 1
         if result.system.fa.num_nodes > hidden.fa.num_nodes:

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (EPSILON, AlphabetMismatch, EventAlphabet, Fa,
-                         InvalidEvent, format_word, language_equivalent,
-                         language_of, output_of, parse_word, reachable_nodes,
-                         reachable_part, run, to_dot)
+                         InvalidEvent, SwitchedSystem, WhiteBoxEquivalenceOracle,
+                         WhiteBoxObservationOracle, format_word, language_equivalent,
+                         language_of, learn, load_json, output_of, parse_word,
+                         reachable_nodes, reachable_part, run, save_json, to_dot)
 
-from conftest import make_three_node_hypothesis
+from conftest import DEMO2D_MATRICES, make_three_node_hypothesis
 
 E1, E2 = 0, 1
 
@@ -244,6 +245,31 @@ def test_alphabet_rejects_names_no_word_can_use(name):
     # parse_word splits on whitespace, so it could never read such a name
     with pytest.raises(ValueError, match="empty or contains whitespace"):
         EventAlphabet(("e1", name))
+
+
+def test_alphabet_from_any_sequence_is_a_tuple():
+    listed = EventAlphabet(["e1", "e2"])
+    assert listed.names == ("e1", "e2")
+    assert listed == EventAlphabet(("e1", "e2"))
+    assert hash(listed) == hash(EventAlphabet(("e1", "e2")))
+    assert EventAlphabet(name for name in ("e1", "e2")) == listed
+
+
+def test_alphabet_rejects_a_bare_string():
+    # a string is a sequence of characters, so it would become one event each
+    with pytest.raises(ValueError, match="not the string 'e1'"):
+        EventAlphabet("e1")
+
+
+def test_list_alphabet_learns_against_a_loaded_model(demo2d_fa):
+    fa = Fa(num_nodes=demo2d_fa.num_nodes, initial=0, alphabet=EventAlphabet(["e1", "e2"]),
+            delta=demo2d_fa.delta, gamma=demo2d_fa.gamma)
+    hidden = SwitchedSystem(fa=fa, matrices=DEMO2D_MATRICES, d=2)
+    loaded = load_json(save_json(hidden))
+    result = learn(WhiteBoxObservationOracle(hidden), WhiteBoxEquivalenceOracle(loaded),
+                   fa.alphabet)
+    assert result.system.fa.alphabet == loaded.fa.alphabet
+    assert WhiteBoxEquivalenceOracle(loaded).check(result.system) is None
 
 
 def test_fa_validation_rejects_bad_tables():

@@ -87,6 +87,14 @@ def test_config_rejects_bad_counts():
         GenConfig(num_nodes=1, num_events=1, num_labels=1, dim=0, seed=0)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, -float("inf")])
+def test_config_rejects_a_threshold_every_matrix_passes(threshold):
+    # is_full_rank calls even the zero matrix full-rank at such a threshold
+    with pytest.raises(ValueError, match="full_rank_threshold must be >= 0"):
+        GenConfig(num_nodes=1, num_events=1, num_labels=1, dim=1, seed=0,
+                  full_rank_threshold=threshold)
+
+
 def test_impossible_threshold_fails():
     config = GenConfig(num_nodes=1, num_events=1, num_labels=1, dim=1,
                        seed=0, full_rank_threshold=1e6)

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from switchlearn import load_json, save_json
+import switchlearn
+from switchlearn import SwitchedSystem, load_json, reachable_nodes, save_json
 from switchlearn.cli import main
 
-from conftest import (make_demo2d_system, make_fault_system,
+from conftest import (DEMO2D_MATRICES, make_demo2d_system, make_fault_system,
                       make_three_node_hypothesis)
 
 
@@ -42,6 +46,54 @@ def test_gen_large_shape(tmp_path):
     system = load_json(out.read_text())
     assert system.fa.num_nodes == 2000
     assert system.d == 100
+
+
+@pytest.mark.parametrize("flag, reachable", [([], 6), (["--allow-unreachable"], 3)],
+                         ids=["default", "allow-unreachable"])
+def test_gen_allow_unreachable_keeps_unreachable_nodes(tmp_path, flag, reachable):
+    # at seed 0 the first transition table reaches 3 of its 6 nodes; by
+    # default the generator draws again until every node is reachable
+    out = tmp_path / "sys.json"
+    assert main(["gen", "--nodes", "6", "--events", "2", "--labels", "3",
+                 "--dim", "2", "--seed", "0", "--out", str(out), *flag]) == 0
+    system = load_json(out.read_text())
+    assert system.fa.num_nodes == 6
+    assert len(reachable_nodes(system.fa.delta, system.fa.initial)) == reachable
+
+
+def test_learn_then_equiv_round_trip_on_unreachable_model(tmp_path, capsys):
+    model, learned = tmp_path / "sys.json", tmp_path / "learned.json"
+    assert main(["gen", "--nodes", "6", "--events", "2", "--labels", "3", "--dim", "2",
+                 "--seed", "0", "--out", str(model), "--allow-unreachable"]) == 0
+    assert main(["learn", "--model", str(model), "--out", str(learned)]) == 0
+    assert load_json(learned.read_text()).fa.num_nodes <= 3
+    capsys.readouterr()
+    assert main(["equiv", "--a", str(model), "--b", str(learned)]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+
+def test_module_entry_point_runs_gen_learn_equiv(tmp_path):
+    # the `python3 -m switchlearn.cli` form, in a fresh interpreter
+    src = str(Path(switchlearn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    model, learned = tmp_path / "sys.json", tmp_path / "learned.json"
+    other = tmp_path / "three.json"
+    other.write_text(save_json(make_three_node_hypothesis()))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "switchlearn.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    assert cli("gen", "--nodes", "4", "--events", "2", "--labels", "3", "--dim", "2",
+               "--seed", "7", "--out", str(model)).returncode == 0
+    assert cli("learn", "--model", str(model), "--out", str(learned)).returncode == 0
+    done = cli("equiv", "--a", str(model), "--b", str(learned))
+    assert (done.returncode, done.stdout) == (0, "equivalent\n")
+    assert cli("equiv", "--a", str(model), "--b", str(other)).returncode == 1
+    assert cli("gen", "--nodes", "4").returncode == 2
+    assert cli("learn", "--model", str(tmp_path / "nope.json"),
+               "--out", str(learned)).returncode == 3
 
 
 def test_simulate_five_event_trace(demo_model, capsys):
@@ -179,6 +231,14 @@ def test_model_with_entry_beyond_float_range_is_runtime_error(demo_model, tmp_pa
     path.write_text(text)
     assert main(["export-dot", "--model", str(path), "--out", str(tmp_path / "m.dot")]) == 3
     assert "matrix 0 has non-finite entries" in capsys.readouterr().err
+
+
+def test_model_with_rank_deficient_label_is_runtime_error(demo_model, tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(save_json(SwitchedSystem(
+        fa=make_demo2d_system().fa, matrices=DEMO2D_MATRICES[:2] + (np.zeros((2, 2)),), d=2)))
+    assert main(["equiv", "--a", demo_model, "--b", str(path)]) == 3
+    assert "rank_deficient_label(label=2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["learn", "equiv"])

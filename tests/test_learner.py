@@ -8,13 +8,14 @@ from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          EventAlphabet, Fa, GenConfig, NotACounterexample, NotClosed,
                          ObservationStore, SingularBasis, SwitchedSystem,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         build_hypothesis, close_store, is_separable, learn, learner,
+                         build_hypothesis, close_store, learn, learner,
                          mat_approx_eq, process_counterexample, random_system, run,
                          save_json, validate)
 from switchlearn import linalg, output_query
 from switchlearn.learner import find_representative, max_outputs_for_counterexample
 
-from conftest import DEMO2D_MATRICES, count_maximal, row
+from conftest import (DEMO2D_MATRICES, count_maximal, is_separable, row,
+                      separability_checked)
 
 E1, E2 = 0, 1
 F, G = 0, 1
@@ -101,12 +102,11 @@ def test_agreement_on_all_short_tests_matches_state_equality():
 
 
 def test_fresh_store_first_defect(demo2d_system):
-    # closing a fresh store adds (E1,) first, one word per mutation
+    # closing a fresh store adds (E1,) first; closure only appends, so the
+    # access words are in the order they were added
     store = fresh_store(demo2d_system)
-    added = []
-    close_store(store, demo2d_system.fa.alphabet,
-                on_mutation=lambda s: added.append(s.access_words[-1]))
-    assert added == [(E1,), (E2,)]
+    close_store(store, demo2d_system.fa.alphabet)
+    assert store.access_words[1:] == [(E1,), (E2,)]
 
 
 def test_single_node_system_is_closed_immediately():
@@ -114,10 +114,8 @@ def test_single_node_system_is_closed_immediately():
             delta=((0, 0),), gamma=(0,))
     system = SwitchedSystem(fa=fa, matrices=(DEMO2D_MATRICES[0],), d=2)
     store = fresh_store(system)
-    mutations = []
-    close_store(store, fa.alphabet, on_mutation=mutations.append)
+    close_store(store, fa.alphabet)
     assert store.access_words == [()]
-    assert mutations == []
 
 
 def test_close_collects_both_one_event_words(demo2d_system):
@@ -236,12 +234,11 @@ def test_close_extends_fault_mode_chain(fault_system):
 
 
 def test_closure_additions_preserve_separability(demo2d_system):
+    # the test words stay fixed and access words are only appended, so a
+    # separable table after closure was separable after every addition
     store = fresh_store(demo2d_system)
-
-    def check(mutated_store):
-        assert is_separable(mutated_store)
-
-    close_store(store, demo2d_system.fa.alphabet, on_mutation=check)
+    close_store(store, demo2d_system.fa.alphabet)
+    assert len(store.access_words) > 1
     assert is_separable(store)
 
 
@@ -539,15 +536,8 @@ def test_learn_random_systems_end_to_end():
         hidden = random_system(config)
         obs = WhiteBoxObservationOracle(hidden)
         eq = WhiteBoxEquivalenceOracle(hidden)
-
-        violations = []
-
-        def check(store):
-            if not is_separable(store):
-                violations.append(list(store.access_words))
-
-        result = learn(obs, eq, hidden.fa.alphabet, on_mutation=check)
-        assert violations == []
+        with separability_checked():
+            result = learn(obs, eq, hidden.fa.alphabet)
         assert WhiteBoxEquivalenceOracle(hidden).check(result.system) is None
         assert result.system.fa.num_nodes <= hidden.fa.num_nodes
         assert result.system.fa.num_nodes == minimal_state_count(hidden.fa)

@@ -71,6 +71,12 @@ def test_is_full_rank_basic():
     assert not is_full_rank(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_is_full_rank_requires_a_square_matrix(shape):
+    with pytest.raises(DimensionMismatch, match="expected a square matrix"):
+        is_full_rank(np.ones(shape))
+
+
 def test_is_full_rank_fixture_matrices():
     for m in DEMO2D_MATRICES + FAULT_MATRICES:
         assert is_full_rank(m)

@@ -217,6 +217,14 @@ def test_load_rejects_bad_transition(demo2d_system):
         load_json(json.dumps(obj))
 
 
+def test_load_rejects_rank_deficient_label(demo2d_system):
+    singular = SwitchedSystem(fa=demo2d_system.fa,
+                              matrices=DEMO2D_MATRICES[:2] + (np.zeros((2, 2)),), d=2)
+    with pytest.raises(ValidationError) as exc:
+        load_json(save_json(singular))
+    assert exc.value.violations == [Violation("rank_deficient_label", 2)]
+
+
 def test_load_rejects_ragged_matrix_rows(demo2d_system):
     obj = json.loads(save_json(demo2d_system))
     obj["matrices"][1] = [[1.0, 2.0], [3.0]]

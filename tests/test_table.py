@@ -29,7 +29,7 @@ def reference_row_index(store):
     return index
 
 
-def reference_close_store(store, alphabet, on_mutation=None):
+def reference_close_store(store, alphabet):
     """One pass over the growing access words, indexing them by row first;
     each fetch gets every access and extension cell, cached or not."""
     store.fetch(w + t for w in store.access_words for t in store.test_words)
@@ -46,8 +46,6 @@ def reference_close_store(store, alphabet, on_mutation=None):
             if extension_row not in index:
                 index[extension_row] = len(store.access_words)
                 store.access_words.append(extension)
-                if on_mutation is not None:
-                    on_mutation(store)
 
 
 def reference_build_hypothesis(store, alphabet):
