@@ -33,6 +33,8 @@ class EventAlphabet:
         if not self.names:
             raise ValueError("alphabet must contain at least one event")
         for name in self.names:
+            if not isinstance(name, str):
+                raise ValueError(f"event names must be strings, got {name!r}")
             if name.split() != [name]:
                 raise ValueError(f"event name {name!r} is empty or contains whitespace")
         if len(set(self.names)) != len(self.names):

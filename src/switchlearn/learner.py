@@ -5,8 +5,8 @@ each believed to reach a distinct node of the hidden automaton, and test
 words. A word's row is the tuple of output labels of the word followed by
 each test word; two words are told apart exactly when their rows differ.
 The table is also the learn's one membership path: every output label the
-learner uses is recovered, classified and cached through it, within the
-learn's output budget. It stores the row of every access word and every
+learner uses is read through it (see output_query.cached_outputs), within
+the learn's output budget. It stores the row of every access word and every
 one-event extension it has read, and extends a row by one cell per test
 word added since, so each cell is read into the table once per learn. Its
 index maps each access row to the first access word having it, rebuilt from
@@ -28,7 +28,7 @@ from .automaton import EPSILON, EventAlphabet, Fa, Word, run
 from .errors import BudgetExceeded, NotACounterexample, NotClosed
 from .linalg import LABEL_TOL
 from .oracle import EquivalenceOracle, ObservationOracle, QueryStats
-from .output_query import LabelRegistry, cached_output, cached_outputs
+from .output_query import LabelProbe, LabelRegistry, cached_output, cached_outputs, rederive
 from .switched_system import SwitchedSystem
 
 
@@ -43,10 +43,12 @@ class ObservationStore:
 
     Labels are read from obs through label (one word) and fetch (many), into
     one LabelRegistry at label_tol (positive and finite, ValueError
-    otherwise), one output cache, and one set of the bases that passed the
-    pivot test (see cached_outputs). max_outputs, when given, caps the
-    output computations on obs from the store's creation on (spent): label
-    refuses an uncached word once they are spent, before computing it.
+    otherwise), one output cache, and one LabelProbe (see cached_outputs).
+    max_outputs, when given, caps the output computations on obs from the
+    store's creation on (spent): label refuses an uncached word once they
+    are spent, before computing it. rederive re-derives words on d columns
+    outside the budget. When a re-derivation changes a cached label, the
+    stored rows and the index are rebuilt from the cache.
     """
 
     def __init__(self, obs: ObservationOracle, *, access_words: list[Word] | None = None,
@@ -61,7 +63,8 @@ class ObservationStore:
         self._obs = obs
         self._outputs0 = obs.stats.output_computations
         self._cache: dict[Word, int] = {}
-        self._known: set[bytes] = set()
+        self.probe = LabelProbe()
+        self._relabels = 0  # probe.relabels when the rows were last rebuilt
         self._rows: dict[Word, tuple[int, ...]] = {}
         # the first access index of each row of the leading _indexed access
         # words, under the first _width test words
@@ -81,14 +84,39 @@ class ObservationStore:
         if (self.max_outputs is not None and word not in self._cache
                 and self.spent >= self.max_outputs):
             raise BudgetExceeded(f"more than {self.max_outputs} output computations")
-        return cached_output(self._obs, self.registry, self._cache, word, known=self._known)
+        label = cached_output(self._obs, self.registry, self._cache, word, self.probe)
+        self._refresh()
+        return label
 
     def fetch(self, words) -> None:
         """Compute the labels of an iterable of words together, in order, so
         that label finds them cached. Capped at the budget, so label refuses
         the same word as without the fetch."""
         limit = None if self.max_outputs is None else max(0, self.max_outputs - self.spent)
-        cached_outputs(self._obs, self.registry, self._cache, words, limit, self._known)
+        cached_outputs(self._obs, self.registry, self._cache, words, limit, self.probe)
+        self._refresh()
+
+    def rederive(self, words) -> None:
+        """Re-derive the labels of words on d columns (see
+        output_query.rederive): trace queries, but no output computations."""
+        rederive(self._obs, self.registry, self._cache, self.probe, words)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Drop the stored rows and the index, to be read again from the
+        cache, when a re-derivation changed a cached label since."""
+        if self.probe.relabels != self._relabels:
+            self._rows.clear()
+            self._index, self._indexed = {}, 0
+            self._relabels = self.probe.relabels
+
+    def drop_shared_rows(self) -> None:
+        """Keep only the first access word of each row. Access rows become
+        equal only when a re-derivation changes a cached label."""
+        index = self.index()
+        if len(index) < len(self.access_words):
+            self.access_words[:] = [self.access_words[i] for i in sorted(index.values())]
+            self._index, self._indexed = {}, 0
 
     def missing_cells(self, words):
         """The cells the rows of words lack, word by word, each as the word
@@ -100,7 +128,10 @@ class ObservationStore:
         """word's row: its stored cells, extended by the cells it lacks."""
         cells = self._rows.get(word, ())
         if len(cells) < len(self.test_words):
+            relabels = self._relabels
             cells += tuple(self.label(word + t) for t in self.test_words[len(cells):])
+            if self._relabels != relabels:  # a cached label changed meanwhile
+                cells = tuple(self.label(word + t) for t in self.test_words)
             self._rows[word] = cells
         return cells
 
@@ -111,8 +142,11 @@ class ObservationStore:
         if self._width != len(self.test_words):
             self._index, self._indexed, self._width = {}, 0, len(self.test_words)
         while self._indexed < len(self.access_words):
-            self._index.setdefault(self.row(self.access_words[self._indexed]), self._indexed)
-            self._indexed += 1
+            relabels = self._relabels
+            row = self.row(self.access_words[self._indexed])
+            if self._relabels == relabels:  # else the index was dropped meanwhile
+                self._index.setdefault(row, self._indexed)
+                self._indexed += 1
         return self._index
 
 
@@ -126,9 +160,15 @@ class LearnResult:
     test_words: list[Word]
     # (counterexample length, output computations spent processing it)
     counterexample_costs: list[tuple[int, int]]
+    # words recovered on d columns, and the smallest residual of a label a
+    # probed word did not pass over its threshold (None: no such label)
+    label_fallbacks: int = 0
+    label_margin_min: float | None = None
 
     def stats_dict(self) -> dict:
-        return {**self.stats.as_dict(), "rounds": self.rounds, "wall_ms": self.wall_ms}
+        return {**self.stats.as_dict(), "rounds": self.rounds, "wall_ms": self.wall_ms,
+                "label_fallbacks": self.label_fallbacks,
+                "label_margin_min": self.label_margin_min}
 
 
 def find_representative(store: ObservationStore, word: Word) -> int | None:
@@ -139,31 +179,39 @@ def find_representative(store: ObservationStore, word: Word) -> int | None:
 def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
     """Add one-event extensions to the access words until every extension
     has a representative. Each added extension has a row unlike every access
-    word, so separability is preserved. The test words stay fixed, so an
-    addition never takes a representative away from an earlier extension,
-    and one pass over the growing access list suffices.
+    word when it is added. The test words stay fixed, so an addition never
+    takes a representative away from an earlier extension, and one pass over
+    the growing access list suffices unless a cached label changes: a
+    re-derivation (see ObservationStore) can show two access rows equal
+    after the fact. So each pass first keeps only the first access word of
+    each row, and a pass that changed a label is made again; the table is
+    left closed and separable.
 
-    The cells the table lacks that the pass will certainly read are fetched
+    The cells the table lacks that a pass will certainly read are fetched
     together, in the order it reads them: those of the access rows, then, on
     reaching the first access word not yet covered, those of the extensions
-    of it and every later access word. Access words are only appended, so
-    the pass computes the same words in the same order as reading each cell
-    on its own when first needed, and labels and counts are the same.
+    of it and every later access word. Access words are only appended within
+    a pass, so it computes the same words in the same order as reading each
+    cell on its own when first needed, and labels and counts are the same.
     """
-    store.fetch(store.missing_cells(store.access_words))
-    # store the access rows, so that the extension fetch below does not
-    # hand over again the cells of access words that are extensions too
-    store.index()
-    fetched = 0  # access words whose extension cells were fetched
-    for i, word in enumerate(store.access_words):  # also visits words appended below
-        if i == fetched:
-            fetched = len(store.access_words)
-            store.fetch(store.missing_cells(w + (e,) for w in store.access_words[i:]
-                                            for e in range(len(alphabet))))
-        for e in range(len(alphabet)):
-            extension = word + (e,)
-            if find_representative(store, extension) is None:
-                store.access_words.append(extension)
+    while True:
+        relabels = store.probe.relabels
+        store.fetch(store.missing_cells(store.access_words))
+        # store the access rows, so that the extension fetch below does not
+        # hand over again the cells of access words that are extensions too
+        store.drop_shared_rows()
+        fetched = 0  # access words whose extension cells were fetched
+        for i, word in enumerate(store.access_words):  # also visits words appended below
+            if i == fetched:
+                fetched = len(store.access_words)
+                store.fetch(store.missing_cells(w + (e,) for w in store.access_words[i:]
+                                                for e in range(len(alphabet))))
+            for e in range(len(alphabet)):
+                extension = word + (e,)
+                if find_representative(store, extension) is None:
+                    store.access_words.append(extension)
+        if store.probe.relabels == relabels:
+            return
 
 
 def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> SwitchedSystem:
@@ -195,9 +243,12 @@ def process_counterexample(word: Word, hypothesis: SwitchedSystem,
     node's access word with the remaining suffix and query its output label.
     The first and last labels differ, so a flip between adjacent positions
     exists; binary search on the range endpoints finds one with at most
-    ceil(log2(n)) queries beyond the two endpoints. The flip position yields
-    an access word not yet in the store and a suffix distinguishing it from
-    its current representative.
+    ceil(log2(n)) queries beyond the two endpoints. When the probe gives the
+    endpoints equal labels, both are re-derived on d columns (the probe may
+    have taken a new label for a known one), without output computations,
+    and NotACounterexample is raised only if they still agree. The flip
+    position yields an access word not yet in the store and a suffix
+    distinguishing it from its current representative.
     """
     n = len(word)
     nodes = run(hypothesis.fa, word)
@@ -205,6 +256,9 @@ def process_counterexample(word: Word, hypothesis: SwitchedSystem,
     def spliced(i: int) -> int:
         return store.label(store.access_words[nodes[i]] + word[i:])
 
+    if spliced(0) == spliced(n):
+        # a probe can take a new label for a known one: derive both on d columns
+        store.rederive([word, store.access_words[nodes[n]]])
     if spliced(0) == spliced(n):
         raise NotACounterexample(
             f"word {word!r} produces the hypothesis's own output label")
@@ -271,7 +325,9 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
                        wall_ms=(time.perf_counter() - t0) * 1000.0,
                        access_words=list(store.access_words),
                        test_words=list(store.test_words),
-                       counterexample_costs=counterexample_costs)
+                       counterexample_costs=counterexample_costs,
+                       label_fallbacks=store.probe.fallbacks,
+                       label_margin_min=store.probe.margin_min)
 
 
 def max_outputs_for_counterexample(length: int) -> int:

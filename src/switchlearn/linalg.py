@@ -132,9 +132,8 @@ def recover_transforms(bases: np.ndarray, images: np.ndarray, tol: float = PIVOT
     pivot test, LAPACK's solve and the finiteness check, bit-identical to
     recover_transform on each, and the SingularBasis recover_transform
     raises on the first basis that fails (None when every basis passes).
-    Every output the learner and the bounded equivalence oracle recover
-    comes from here, a single miss as a stack of one; recover_transform is
-    the per-word reference behind compute_output.
+    The bounded equivalence oracle recovers its outputs here; the learner
+    recovers its few new labels one by one with recover_transform.
 
     known holds the exact bytes (basis.tobytes()) of bases that passed the
     pivot test at this tol, and is updated in place with the bases of the

@@ -16,11 +16,17 @@ import itertools
 import numpy as np
 
 from .automaton import Word, language_equivalent
-from .errors import DimensionMismatch
-from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
+from .errors import DimensionMismatch, SingularBasis
+from .linalg import (LABEL_TOL, check_finite, check_label_tol, identity, mat_approx_eq,
+                     recover_transforms)
 # compute_output is looked up in this namespace by callers that wrap it
-from .output_query import RECOVERY_BATCH, compute_output, recover_outputs  # noqa: F401
+from .output_query import compute_output  # noqa: F401
 from .switched_system import SwitchedSystem, execute
+
+# Words recovered per stacked pivot test and solve by the bounded oracle. The
+# stacked test costs about twice a single one on a stack of one and much less
+# per word on a full stack; larger stacks raise peak memory for little gain.
+RECOVERY_BATCH = 32
 
 
 class QueryStats:
@@ -98,6 +104,32 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
             lambda i, j: self._label_eq(hidden.matrices[i], hypothesis.matrices[j]))
 
 
+def _recover_outputs(words: list[Word], bases: np.ndarray, images: np.ndarray,
+                    known: set[bytes]) -> tuple[np.ndarray, SingularBasis | None]:
+    """Output matrices of the leading words, recovered as compute_output
+    recovers them but never refined, from the (basis, image) pair of each
+    word in the first len(words) rows of the stacks bases and images, and
+    the SingularBasis raised on the next word (None when every word is
+    recovered).
+
+    As in compute_output, the empty word's output is its image, refused when
+    not finite; it is never solved against its identity basis, where an
+    infinite image entry would spread NaN over its row. Every other word is
+    recovered by recover_transforms with known.
+    """
+    k = len(words)
+    empty = words.index(()) if () in words else k
+    matrices, error = recover_transforms(bases[:empty], images[:empty], known=known)
+    if empty < k and error is None:
+        try:
+            check_finite(images[empty])
+        except SingularBasis as exc:
+            return matrices, exc
+        rest, error = recover_transforms(bases[empty + 1:k], images[empty + 1:k], known=known)
+        matrices = np.concatenate((matrices, images[empty:empty + 1], rest))
+    return matrices, error
+
+
 class _ChainedTraces:
     """Output matrices of words taken in length-lex order up to l_max, read
     off one trace query per chain w, w·0, w·0·0, ... of length l_max.
@@ -142,7 +174,7 @@ class _ChainedTraces:
         """Output matrices of the leading words (up to RECOVERY_BATCH, all of
         one length) whose outputs can be computed, and the error computing
         the next one raises: any exception of a trace query, or the
-        SingularBasis of compute_output for a singular basis or a
+        SingularBasis of recover_transform for a singular basis or a
         non-finite output (None when every output was computed)."""
         length, error = len(words[0]), None
         for i, word in enumerate(words):
@@ -156,7 +188,7 @@ class _ChainedTraces:
             if len(states) > 2:
                 self._tails[word + (0,)] = states[1:]
             self._bases[i], self._images[i] = states[0], states[1]
-        matrices, singular = recover_outputs(words, self._bases, self._images, self._known)
+        matrices, singular = _recover_outputs(words, self._bases, self._images, self._known)
         return matrices, error if singular is None else singular
 
 
@@ -172,7 +204,11 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     shortest counterexample is longer than l_max.
 
     Outputs are computed in bulk, with the verdict, counterexample, errors
-    and output computations of compute_output on each word in turn:
+    and output computations of recovering each word in turn from one
+    identity-seeded trace, as compute_output does but without its
+    refinement. So a word whose basis is ill-conditioned can come back
+    further from its true output than tol, and be returned as a
+    counterexample that the learner's refined label refutes:
     - one trace query per chain w, w·0, w·0·0, ... (_ChainedTraces), so a
       full search makes |events|^l_max d-column trace queries instead of one
       per word, (|events|^(l_max+1) - 1) / (|events| - 1): half as many for

@@ -1,59 +1,74 @@
-"""Recovering the matrix that acted last on a trace, and turning recovered
-matrices into discrete label ids.
+"""Output labels of words, read through trace queries.
 
-The last-applied matrix of a non-empty word is obtained from one trace query
-started at the identity: its second-to-last states are the final states of
-the word minus its last event and form a basis (all subsystem matrices are
-full-rank), and its last states are their image under the wanted matrix.
-A trace query of a prefix computes the same products in the same order, so
-the basis is bit-identical to the final states of a separate query of the
-word minus its last event.
+compute_output recovers the matrix that acted last on a word from one trace
+query started at the identity (d columns): its second-to-last states are
+the final states of the word minus its last event and form a basis (all
+subsystem matrices are full-rank), and its last states are their image
+under the wanted matrix. A trace query of a prefix computes the same
+products in the same order, so the basis is bit-identical to the final
+states of a separate query of the word minus its last event. When that
+recovery's error bound is not well inside the label tolerance, the word is
+traced again from the inverse of its basis and recovered from that trace
+(iterative refinement, see _derive).
 
-cached_outputs recovers many words at once, with the same matrices, labels,
-output computations and errors as compute_output and LabelRegistry.classify
-on each word in turn. By the same prefix property, a word that is a proper
-prefix of another word of the batch is read off that word's trace, so there
-is one trace query per maximal word. Each RECOVERY_BATCH words take one
-stacked pivot test of the bases not seen before, one LAPACK solve and one
-LabelRegistry.classify_stack pass. cached_output computes a single miss the
-same way, so every label the learner uses comes from this one path;
-compute_output is the per-word reference and the CLI's `output`.
+cached_outputs, the learner's one label path, mostly checks labels instead
+of recovering them, as Freivalds's randomized check of a matrix product
+does (Freivalds, 1977). A word traced from one random column has states x
+and y before and after its last step, and y = C x for its output C. Label
+C_j passes when the residual ||y - C_j x||_inf is at most tol * ||x||_1,
+the least bound that every matrix within tol of C_j (max-abs entrywise)
+meets. A word that exactly one label passes gets that label, with no
+inversion and no conditioning of a basis involved. Only a word that no
+label or several labels pass is recovered on d columns as compute_output
+does (a fallback), and the recovered matrix must pass the same check on the
+word's probe column before it is classified, or SingularBasis is raised.
+
+A passing label is only as sure as the spread of x and the gap between
+labels: a new label passes as a known one when every product along a word
+contracts the direction in which they differ, or when they differ by
+little more than tol. So the LabelProbe keeps the (x, y) pair of every word
+it accepted, and when a new label is interned it rescreens them all against
+it in one call; a word that passes the new label too is re-derived on d
+columns (rederive), and its cached label is replaced when that derivation
+disagrees. An accepted word's label is thus always the one interned label
+its pair passes: the true one whenever a label within tol of its output is
+interned. Re-derivations cost trace queries but no output computations.
 """
 
 import numpy as np
 
 from .automaton import Word
 from .errors import AmbiguousLabel, SingularBasis
-from .linalg import (LABEL_TOL, check_finite, check_label_tol, identity, recover_transform,
-                     recover_transforms)
+from .linalg import LABEL_TOL, check_finite, check_label_tol, identity, recover_transform
 
-# Words recovered per stacked pivot test and solve. The stacked test costs
-# about twice a single one on a stack of one and much less per word on a
-# full stack; larger stacks raise peak memory for little further gain.
-RECOVERY_BATCH = 32
+# Words classified per stacked probe check: the residuals of a stack are one
+# (labels, words, d) array, about 400 kB at d=20 with 10 labels.
+PROBE_BATCH = 256
 
-# Up to this many compared entries (labels x rows x d*d), classification
-# compares every (row, label) pair in one broadcast call, which costs less
-# than the fixed numpy calls of screening on entry [0, 0] first (the two
-# break even between about 1,500 and 3,000 entries; at d=20 with 10 labels
-# and 32 rows the screen is 5 to 25 times cheaper).
-SCREEN_MIN_ENTRIES = 2048
+# A recovery whose error bound, REFINE_FACTOR * d * EPS * cond(basis) * |M|
+# with cond(basis) bounded by |basis| |basis^-1|, may exceed half the label
+# tolerance is refined (see _derive).
+EPS = np.finfo(float).eps
+REFINE_FACTOR = 10
+
+# Seed of the probe columns: a fixed seed keeps runs on the same inputs identical.
+PROBE_SEED = 20260811
 
 
 def compute_output(obs, word: Word) -> np.ndarray:
-    """Matrix labelling the node reached by word, from trace queries alone.
+    """Matrix labelling the node reached by word, from trace queries alone,
+    refined when its recovery may be off by more than LABEL_TOL/2 (see
+    _derive).
 
-    Costs one d-column trace query. Raises SingularBasis if the
-    intermediate states do not span the space, which means some subsystem
-    matrix is rank-deficient or their product is numerically singular, or
-    if the output has a non-finite entry (the empty word's output, the
-    image of the identity, included).
+    Costs one d-column trace query, and one more when the recovery is
+    refined. Raises SingularBasis if the intermediate states do not span
+    the space, which means some subsystem matrix is rank-deficient or their
+    product is numerically singular, if the basis is too ill-conditioned to
+    refine, or if the output has a non-finite entry (the empty word's
+    output, the image of the identity, included).
     """
     obs.stats.output_computations += 1
-    states = obs.exec_query(identity(obs.dimension()), word)
-    if len(word) == 0:
-        return check_finite(states[-1])
-    return recover_transform(states[-2], states[-1])
+    return _derive(obs, word, LABEL_TOL)
 
 
 class LabelRegistry:
@@ -77,58 +92,17 @@ class LabelRegistry:
     def classify(self, matrix: np.ndarray) -> int:
         """Id of the one label matrix agrees with, or of a new label for it
         when it agrees with none; AmbiguousLabel when it agrees with more."""
-        ids, error = self.classify_stack(np.asarray(matrix, dtype=float)[None])
-        if error is not None:
-            raise error
-        return ids[0]
-
-    def classify_stack(self, matrices: np.ndarray) -> tuple[list[int], AmbiguousLabel | None]:
-        """classify over a (k, d, d) stack, row by row in order.
-
-        Returns the ids of the leading rows that classify, with the labels
-        that classify would have added on the way, and the AmbiguousLabel
-        it raises on the first ambiguous row (None when every row
-        classifies). Entry [0, 0] of every row is screened against every
-        known label in one numpy call, and only the surviving (row, label)
-        pairs get the full max-abs comparison, in one gathered call; up to
-        SCREEN_MIN_ENTRIES compared entries, every pair is compared in one
-        broadcast call instead. A label added by a row is compared with the
-        whole stack in one call.
-        """
-        stack = np.asarray(matrices, dtype=float)
+        matrix = np.asarray(matrix, dtype=float)
         if not len(self._labels):
-            self._labels = np.empty((0,) + stack.shape[1:])
-        # (labels, rows) mask of the pairs within tol
-        if self._labels.size * len(stack) <= SCREEN_MIN_ENTRIES:
-            agree = np.abs(stack - self._labels[:, None]).max(axis=(2, 3)) <= self.tol
-        else:
-            # |m00 - c00| is one term of the max-abs distance, so a pair it
-            # puts above tol (or NaN) cannot agree
-            agree = np.abs(stack[:, 0, 0] - self._labels[:, 0, 0, None]) <= self.tol
-            label, row = agree.nonzero()
-            if len(label):
-                agree[label, row] = (np.abs(stack[row] - self._labels[label]).max(axis=(1, 2))
-                                     <= self.tol)
-        ids: list[int] = []
-        hits = first = None
-        for r in range(len(stack)):
-            if hits is None:  # per row: labels agreeing, and the first of them
-                hits = agree.sum(axis=0).tolist()
-                # with no label yet, every row has 0 hits and first is unread
-                first = agree.argmax(axis=0).tolist() if len(agree) else hits
-            if hits[r] > 1:
-                labels = np.flatnonzero(agree[:, r]).tolist()
-                return ids, AmbiguousLabel(
-                    f"matrix matches labels {labels} at tolerance {self.tol:g}; "
-                    "label tolerance is too coarse for this system")
-            if hits[r] == 1:
-                ids.append(first[r])
-                continue
-            self._labels = np.concatenate((self._labels, stack[r:r + 1]))
-            agree = np.vstack((agree, np.abs(stack - stack[r]).max(axis=(1, 2)) <= self.tol))
-            hits = None
-            ids.append(len(self._labels) - 1)
-        return ids, None
+            self._labels = np.empty((0,) + matrix.shape)
+        hits = np.flatnonzero(np.abs(self._labels - matrix).max(axis=(1, 2)) <= self.tol)
+        if len(hits) > 1:
+            raise AmbiguousLabel(f"matrix matches labels {hits.tolist()} at tolerance "
+                                 f"{self.tol:g}; label tolerance is too coarse for this system")
+        if len(hits):
+            return int(hits[0])
+        self._labels = np.concatenate((self._labels, matrix[None]))
+        return len(self._labels) - 1
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -137,40 +111,162 @@ class LabelRegistry:
 OutputCache = dict[Word, int]
 
 
+def _ratios(matrices: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
+    """The probe check in one call: the residual ||y - C x||_inf over the
+    threshold tol * ||x||_1, for each matrix C of the (m, d, d) stack
+    matrices (rows) and each pair (x, y) of rows of the (k, d) arrays xs and
+    ys (columns). C passes when its ratio is at most 1; it is NaN or inf,
+    and never passes, where a state is not finite or x is zero."""
+    if not len(matrices):  # a registry with no label yet
+        return np.empty((0, len(xs)))
+    with np.errstate(all="ignore"):
+        return (np.abs(ys - xs @ matrices.transpose(0, 2, 1)).max(axis=2)
+                / (tol * np.abs(xs).sum(axis=1)))
+
+
+class LabelProbe:
+    """What the one-column label check keeps from one cached_outputs call to
+    the next: the generator of the probe columns (seeded, so runs on the
+    same inputs are identical), the (x, y) rows of the words it accepted,
+    16*d bytes each, and its health counters.
+
+    fallbacks counts the words recovered on d columns, fallbacks and
+    re-derivations alike; margin_min is the smallest residual of a label
+    that did not pass a word, as a multiple of that word's threshold (None
+    until one is seen); relabels counts the cached labels that a
+    re-derivation changed or dropped.
+    """
+
+    def __init__(self):
+        self.rng = np.random.default_rng(PROBE_SEED)
+        self.fallbacks = self.relabels = 0
+        self.margin_min: float | None = None
+        # (words, pairs): words accepted, and their (x, y) pairs as a
+        # (words, 2, d) array
+        self._kept: list[tuple[list[Word], np.ndarray]] = []
+
+    def _keep(self, words: list[Word], pairs: np.ndarray, rows: list[int]) -> None:
+        if rows:
+            self._kept.append(([words[i] for i in rows], pairs[rows]))
+
+    def _note(self, ratios: np.ndarray) -> None:
+        """Lower margin_min to the smallest of ratios that does not pass."""
+        margin = float(ratios.min(initial=np.inf, where=ratios > 1))
+        if margin < (np.inf if self.margin_min is None else self.margin_min):
+            self.margin_min = margin
+
+
+def _check(matrix: np.ndarray, pair: np.ndarray, tol: float) -> None:
+    """SingularBasis unless matrix passes the probe check on pair, (x, y)."""
+    ratio = _ratios(matrix[None], pair[:1], pair[1:], tol)[0, 0]
+    if not ratio <= 1:
+        raise SingularBasis(f"recovered matrix fails the probe check: its residual is "
+                            f"{ratio:.3g} times tol * |x|_1")
+
+
+def _derive(obs, word: Word, tol: float, pair=None) -> np.ndarray:
+    """word's output recovered on d columns, refined when that recovery may
+    be off by more than tol/2, then checked on the probe pair when given
+    (SingularBasis when the check fails). compute_output, the learner's
+    fallbacks and its re-derivations all recover through here, without
+    counting an output computation.
+
+    Recovery solves M P = Y for the traced basis P, so its error is at most
+    about d * eps * cond(P) * |M| (LU with partial pivoting; a factor 10
+    allows for pivot growth), with cond(P) bounded by |P| |P^-1| (Frobenius
+    norms). When that bound exceeds tol/2, as on long words whose products
+    are ill-conditioned, the word is recovered again by _refine.
+    """
+    states = obs.exec_query(identity(obs.dimension()), word)
+    if not word:  # the empty word's output is its image of the identity, exact
+        matrix = check_finite(states[-1])
+    else:
+        basis, matrix = states[-2], recover_transform(states[-2], states[-1])
+        try:
+            inverse = np.linalg.inv(basis)
+        except np.linalg.LinAlgError:
+            raise SingularBasis("basis passed the pivot test but LAPACK cannot invert it") \
+                from None
+        with np.errstate(all="ignore"):
+            bound = (REFINE_FACTOR * len(basis) * EPS * np.linalg.norm(basis)
+                     * np.linalg.norm(inverse) * np.linalg.norm(matrix))
+        if not bound <= tol / 2:
+            matrix = _refine(obs, word, inverse, bound)
+    if pair is not None:
+        _check(matrix, pair, tol)
+    return matrix
+
+
+def _refine(obs, word: Word, inverse: np.ndarray, bound: float) -> np.ndarray:
+    """word's output recovered from a trace started at the columns of its
+    basis's inverse (d more columns), whose own basis P P^-1 is close to
+    the identity: iterative refinement (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12). SingularBasis when that basis is more
+    than 1/2 from the identity (max row sum), which means P is too
+    ill-conditioned for float64."""
+    if not np.isfinite(inverse).all():
+        raise SingularBasis("inverse of the basis is not finite")
+    states = obs.exec_query(inverse, word)
+    with np.errstate(all="ignore"):
+        drift = np.abs(states[-2] - identity(len(inverse))).sum(axis=1).max()
+    if not drift <= 0.5:
+        raise SingularBasis(f"basis too ill-conditioned to recover from (error bound "
+                            f"{bound:.3g}): traced from its inverse, it is {drift:.3g} "
+                            f"from the identity")
+    return recover_transform(states[-2], states[-1])
+
+
+def _intern(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe,
+            matrix: np.ndarray) -> int:
+    """registry.classify(matrix), then, when that added a label, the
+    rescreen of every accepted pair against it."""
+    known = len(registry)
+    label = registry.classify(matrix)
+    if len(registry) > known and probe._kept:
+        pairs = np.concatenate([kept for _, kept in probe._kept])
+        again = _ratios(matrix[None], pairs[:, 0], pairs[:, 1], registry.tol)[0] <= 1
+        if again.any():
+            flags = again.tolist()
+            words = [w for kept, _ in probe._kept for w in kept]
+            probe._kept = [([w for w, a in zip(words, flags) if not a], pairs[~again])]
+            rederive(obs, registry, cache, probe, [w for w, a in zip(words, flags) if a],
+                     pairs[again])
+    return label
+
+
+def rederive(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe,
+             words, pairs: np.ndarray | None = None) -> None:
+    """Re-derive the labels of words on d columns (see _derive), each
+    checked on its (x, y) pair in pairs when given, and cache them;
+    probe.relabels counts the cached labels this changes. For words whose
+    probe label is in doubt: it costs trace queries and no output
+    computation. When one fails, it and the words after it are dropped
+    from the cache (relabels too) before the error is raised, so no label
+    in doubt stays cached."""
+    words = list(map(tuple, words))
+    done = 0
+    try:
+        for i, word in enumerate(words):
+            probe.fallbacks += 1
+            matrix = _derive(obs, word, registry.tol, None if pairs is None else pairs[i])
+            label = _intern(obs, registry, cache, probe, matrix)
+            if cache.get(word) != label:
+                cache[word] = label
+                probe.relabels += 1
+            done += 1
+    finally:
+        for word in words[done:]:
+            probe.relabels += cache.pop(word, None) is not None
+
+
 def cached_output(obs, registry: LabelRegistry, cache: OutputCache, word: Word,
-                  known: set[bytes] | None = None) -> int:
+                  probe: LabelProbe | None = None) -> int:
     """Label id of word's output matrix, memoized by exact word. A miss is
-    computed by cached_outputs on that one word, with the set known of bases
-    that passed the pivot test (see cached_outputs)."""
+    computed by cached_outputs on that one word with probe."""
     word = tuple(word)
     if word not in cache:
-        cached_outputs(obs, registry, cache, (word,), known=known)
+        cached_outputs(obs, registry, cache, (word,), None, probe)
     return cache[word]
-
-
-def recover_outputs(words: list[Word], bases: np.ndarray, images: np.ndarray,
-                    known: set[bytes]) -> tuple[np.ndarray, SingularBasis | None]:
-    """Output matrices of the leading words that compute_output recovers,
-    from the (basis, image) pair of each word in the first len(words) rows of
-    the stacks bases and images, and the SingularBasis compute_output raises
-    on the next word (None when every word is recovered).
-
-    As in compute_output, the empty word's output is its image, refused when
-    not finite; it is never solved against its identity basis, where an
-    infinite image entry would spread NaN over its row. Every other word is
-    recovered by recover_transforms with known.
-    """
-    k = len(words)
-    empty = words.index(()) if () in words else k
-    matrices, error = recover_transforms(bases[:empty], images[:empty], known=known)
-    if empty < k and error is None:
-        try:
-            check_finite(images[empty])
-        except SingularBasis as exc:
-            return matrices, exc
-        rest, error = recover_transforms(bases[empty + 1:k], images[empty + 1:k], known=known)
-        matrices = np.concatenate((matrices, images[empty:empty + 1], rest))
-    return matrices, error
 
 
 def _covers(words: list[Word]) -> list[int]:
@@ -187,44 +283,75 @@ def _covers(words: list[Word]) -> list[int]:
     return covers
 
 
+def _identify(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe,
+              words: list[Word], pairs: np.ndarray) -> None:
+    """Label the stack words, in order, from their probe pairs (the (words,
+    2, d) array pairs): the one label a word passes, or else a fallback.
+    Whenever a fallback adds a label, the words still to come are screened
+    again against every label. The pairs of accepted words go to probe."""
+    accepted: list[int] = []
+    known = -1
+    try:
+        for i, word in enumerate(words):
+            if len(registry) != known:
+                known, base = len(registry), i
+                ratios = _ratios(registry._labels, pairs[i:, 0], pairs[i:, 1], registry.tol)
+                probe._note(ratios)
+                passed = ratios <= 1
+                hits = passed.sum(axis=0).tolist()
+                first = passed.argmax(axis=0).tolist() if known else hits
+            obs.stats.output_computations += 1
+            if hits[i - base] == 1:
+                cache[word] = first[i - base]
+                accepted.append(i)
+                continue
+            # the accepted pairs are rescreened if this fallback adds a label
+            probe._keep(words, pairs, accepted)
+            accepted = []
+            probe.fallbacks += 1
+            matrix = _derive(obs, word, registry.tol, pairs[i])
+            cache[word] = _intern(obs, registry, cache, probe, matrix)
+    finally:
+        probe._keep(words, pairs, accepted)
+
+
 def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
-                   limit: int | None = None, known: set[bytes] | None = None) -> None:
-    """Compute, classify and cache the outputs of words, in stacks.
+                   limit: int | None = None, probe: LabelProbe | None = None) -> None:
+    """Compute, classify and cache the outputs of words, in stacks, with the
+    one-column label check (see the module docstring).
 
     The uncached words, in order and without duplicates, are computed and
     cached; only the first limit of them when limit is given (ValueError
-    when it is negative). Labels are assigned in word order, so the
-    registry ends as after computing and classifying each word's output in
-    turn, and so do the output computations.
+    when it is negative). Labels are assigned in word order, one output
+    computation per word. probe holds the probe columns' generator and the
+    accepted rows to rescreen; without it, a fresh LabelProbe serves this
+    call alone.
 
     Only the maximal words, those no other of these words extends, are
-    traced: one trace query each, made when the first word read off it is
-    reached. A word w read off the trace of a longer word takes states |w|
-    and |w|+1 of it as basis and image, bit-identical to a trace of w alone
-    because the trace oracle has the prefix property (a trace of w·u starts
-    with the trace of w). Only the (basis, image) pairs of words still to
-    come are kept, never whole traces. The words read off one trace are
-    prefixes of each other; when that trace query raises for a word other
-    than the traced one, they are read off the trace of the longest of them
-    other than the traced word instead, so a word fails only when its own
-    trace query would.
+    traced: one trace query each from its own random column, made when the
+    first word read off it is reached. A word w read off the trace of a
+    longer word takes states |w| and |w|+1 of it as its pair (x, y), equal
+    to those of a trace of w alone from the same column because the trace
+    oracle has the prefix property (a trace of w·u starts with the trace of
+    w). Only the pairs of words still to come are kept, never whole traces.
+    The words read off one trace are prefixes of each other; when that
+    trace query raises for a word other than the traced one, they are read
+    off the trace of the longest of them other than the traced word
+    instead, so a word fails only when its own trace query would.
 
-    Each stack of RECOVERY_BATCH words is recovered by recover_outputs
-    with the set known of bases that passed the pivot test, so each distinct
-    basis is pivot-tested once for as long as the caller keeps the set
-    (learn keeps one per call; without it, one per call of this function).
-    Matrices are bit-identical either way, and the set holds d*d*8 bytes
-    per distinct basis.
+    The words of each stack of PROBE_BATCH are checked against every label
+    in one call. A fallback, a word that no label or several labels pass,
+    costs one more trace query of d columns, and another when it is refined.
 
-    If a basis is singular, an output not finite, a label ambiguous or a
-    trace query raises, the words before it are classified and cached, it
-    is counted, and its error is raised (the first in word order); the rest
-    of its stack (at most RECOVERY_BATCH - 1 words) may have been traced,
-    so a failure can cost extra trace queries.
+    If a fallback's basis is singular, its output not finite or not passing
+    the probe check, its label ambiguous, or a trace query raises, the
+    words before it are classified and cached, it is counted, and its error
+    is raised (the first in word order); the rest of its stack may have been
+    traced, so a failure can cost extra trace queries.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    known = set() if known is None else known
+    probe = LabelProbe() if probe is None else probe
     uncached = (w for w in map(tuple, words) if w not in cache)
     pending = list(dict.fromkeys(uncached))[:limit]
     if not pending:
@@ -233,10 +360,9 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     readers: dict[int, list[int]] = {}  # cover -> the words read off its trace
     for i, cover in enumerate(covers):
         readers.setdefault(cover, []).append(i)
-    d = obs.dimension()
-    eye = identity(d)
-    bases = np.empty((RECOVERY_BATCH, d, d))
-    images = np.empty((RECOVERY_BATCH, d, d))
+    # the column a trace of pending[i] starts from, drawn for every word so
+    # that a word traced after its cover's trace failed has one too
+    columns = probe.rng.standard_normal((len(pending), obs.dimension()))
     kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def trace(i: int) -> None:
@@ -245,7 +371,7 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
         while True:
             cover = covers[i]
             try:
-                states = obs.exec_query(eye, pending[cover])
+                states = obs.exec_query(columns[cover], pending[cover])
                 break
             except Exception:
                 if cover == i:
@@ -259,8 +385,8 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
             n = len(pending[j])
             kept[j] = states[n], states[n + 1]
 
-    for start in range(0, len(pending), RECOVERY_BATCH):
-        chunk = pending[start:start + RECOVERY_BATCH]
+    for start in range(0, len(pending), PROBE_BATCH):
+        chunk = pending[start:start + PROBE_BATCH]
         untraced = None
         for k in range(len(chunk)):
             if start + k not in kept:
@@ -269,15 +395,9 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
                 except Exception as exc:  # raised once the words before it are cached
                     chunk, untraced = chunk[:k], exc
                     break
-            bases[k], images[k] = kept.pop(start + k)
-        matrices, singular = recover_outputs(chunk, bases, images, known)
-        ids, ambiguous = registry.classify_stack(matrices)
-        for word, label in zip(chunk, ids):
-            cache[word] = label
-        obs.stats.output_computations += len(ids)
-        # in word order: classification stops before the first word not
-        # recovered, and recovery before the first word not traced
-        for error in (ambiguous, singular, untraced):
-            if error is not None:
-                obs.stats.output_computations += 1
-                raise error
+        if chunk:
+            pairs = np.array([kept.pop(start + k) for k in range(len(chunk))])
+            _identify(obs, registry, cache, probe, chunk, pairs)
+        if untraced is not None:
+            obs.stats.output_computations += 1
+            raise untraced

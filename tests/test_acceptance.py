@@ -165,7 +165,7 @@ def test_scaled_benchmark():
         assert elapsed < 300.0, f"benchmark took {elapsed:.1f} s"
         stats = result.stats_dict()
         assert (stats["io_queries"], stats["output_computations"],
-                stats["equivalence_queries"], stats["rounds"]) == (35740, 2105, 5, 5)
+                stats["equivalence_queries"], stats["rounds"]) == (1987, 2105, 5, 5)
 
 
 def test_separability_invariant(random_suite):

@@ -261,6 +261,12 @@ def test_alphabet_rejects_a_bare_string():
         EventAlphabet("e1")
 
 
+@pytest.mark.parametrize("names", [[1, 2], ["e1", None], [b"e1"]])
+def test_alphabet_rejects_names_that_are_not_strings(names):
+    with pytest.raises(ValueError, match="must be strings"):
+        EventAlphabet(names)
+
+
 def test_list_alphabet_learns_against_a_loaded_model(demo2d_fa):
     fa = Fa(num_nodes=demo2d_fa.num_nodes, initial=0, alphabet=EventAlphabet(["e1", "e2"]),
             delta=demo2d_fa.delta, gamma=demo2d_fa.gamma)

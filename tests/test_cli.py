@@ -168,6 +168,8 @@ def test_learn_then_equiv_round_trip(demo_model, tmp_path, capsys):
     recorded = json.loads(stats.read_text())
     assert recorded["equivalence_queries"] == 2
     assert recorded["rounds"] == 2
+    assert recorded["label_fallbacks"] == 3  # one per label of the demo model
+    assert recorded["label_margin_min"] > 1
     capsys.readouterr()
     assert main(["equiv", "--a", demo_model, "--b", str(learned)]) == 0
     assert "equivalent" in capsys.readouterr().out

@@ -10,8 +10,8 @@ from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          build_hypothesis, close_store, learn, learner,
                          mat_approx_eq, process_counterexample, random_system, run,
-                         save_json, validate)
-from switchlearn import linalg, output_query
+                         validate)
+from switchlearn import linalg
 from switchlearn.learner import find_representative, max_outputs_for_counterexample
 
 from conftest import (DEMO2D_MATRICES, count_maximal, is_separable, row,
@@ -168,10 +168,10 @@ def word_by_word_close(store, alphabet):
 
 
 def closure_trace(system, test_rounds, close):
-    """Access words, canonical labels, query counts and the number of
-    maximal words among the uncached cells each fetch hands over, after
-    closing a store with close once per list of test words in test_rounds,
-    adding those words before each closure."""
+    """Access words, canonical labels, query counts, the number of maximal
+    words among the uncached cells each fetch hands over and the words
+    recovered on d columns, after closing a store with close once per list
+    of test words in test_rounds, adding those words before each closure."""
     obs = WhiteBoxObservationOracle(system)
     store = ObservationStore(obs)
     maximal = 0
@@ -187,7 +187,8 @@ def closure_trace(system, test_rounds, close):
         for tests in test_rounds:
             store.test_words.extend(t for t in tests if t not in store.test_words)
             close(store, system.fa.alphabet)
-    return store.access_words, store.registry.canonical, obs.stats.as_dict(), maximal
+    return (store.access_words, store.registry.canonical, obs.stats.as_dict(), maximal,
+            store.probe.fallbacks)
 
 
 def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
@@ -203,15 +204,17 @@ def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):
                                 for n in rng.integers(1, 4, rng.integers(0, 4))]
                                for _ in range(3)]))
     for system, test_rounds in cases:
-        words, labels, stats, unfetched = closure_trace(system, test_rounds,
-                                                        word_by_word_close)
+        words, labels, stats, unfetched, _ = closure_trace(system, test_rounds,
+                                                           word_by_word_close)
         assert unfetched == 0
-        batched_words, batched_labels, batched_stats, maximal = closure_trace(
+        batched_words, batched_labels, batched_stats, maximal, fallbacks = closure_trace(
             system, test_rounds, close_store)
         assert batched_words == words
-        # every cell is fetched, and a fetch traces only its maximal cells:
-        # the others are read off the trace of a cell extending them
-        assert batched_stats == {**stats, "io_queries": system.d * maximal}
+        # every cell is fetched, and a fetch traces only its maximal cells,
+        # one column each: the others are read off the trace of a cell
+        # extending them; each label is recovered once, on d columns
+        assert fallbacks == len(labels)
+        assert batched_stats == {**stats, "io_queries": maximal + system.d * fallbacks}
         assert maximal < stats["output_computations"]
         assert len(batched_labels) == len(labels)
         for a, b in zip(batched_labels, labels):
@@ -411,10 +414,12 @@ def test_learn_output_budget_refuses_at_the_budget(demo2d_system):
             learn(obs, WhiteBoxEquivalenceOracle(demo2d_system),
                   demo2d_system.fa.alphabet, max_outputs=budget)
         assert obs.stats.output_computations == budget
-        # d = 2 columns per trace, one trace per computed cell, except that
-        # the last closure prefetch reads (E1, E2, E1), the 12th cell, off
-        # the trace of (E1, E2, E1, E2), the 13th, once both are in budget
-        assert obs.stats.io_queries == 2 * budget - 2 * (budget == 13)
+        # one column per trace, one trace per computed cell, except that the
+        # last closure prefetch reads (E1, E2, E1), the 12th cell, off the
+        # trace of (E1, E2, E1, E2), the 13th, once both are in budget; and
+        # d = 2 columns more for each of the first three cells, which
+        # carry the model's three labels, each new when computed
+        assert obs.stats.io_queries == budget + 2 * min(budget, 3) - (budget == 13)
 
 
 def test_learn_output_budget_counts_shared_equivalence_oracle(demo2d_system):
@@ -476,20 +481,26 @@ def test_learn_refuses_overflowing_outputs(eq_kind):
 
 @pytest.mark.parametrize("eq_kind", ["exact", "bounded"])
 def test_relearning_on_the_same_oracles_pivot_tests_as_many_bases(eq_kind, monkeypatch):
-    # the set of bases known to pass lives for one learn and one check, so a
-    # second learn on the same oracle objects does the same elimination work
+    # the learner's probe state and the bounded oracle's set of bases known
+    # to pass live for one learn and one check, so a second learn on the
+    # same oracle objects does the same elimination work
     tested = []
-    eliminate = linalg._forward_eliminate_stack
+    eliminate, eliminate_stack = linalg._forward_eliminate, linalg._forward_eliminate_stack
 
     def counting(a, tol):
-        tested[-1] += a.shape[2]
+        tested[-1] += 1
         return eliminate(a, tol)
 
-    monkeypatch.setattr(linalg, "_forward_eliminate_stack", counting)
+    def counting_stack(a, tol):
+        tested[-1] += a.shape[2]
+        return eliminate_stack(a, tol)
+
     hidden = random_system(GenConfig(num_nodes=5, num_events=2, num_labels=3, dim=3, seed=0))
     obs = WhiteBoxObservationOracle(hidden)
     eq = (WhiteBoxEquivalenceOracle(hidden) if eq_kind == "exact"
           else BoundedTestingEquivalenceOracle(obs, 2 * hidden.fa.num_nodes + 1))
+    monkeypatch.setattr(linalg, "_forward_eliminate", counting)
+    monkeypatch.setattr(linalg, "_forward_eliminate_stack", counting_stack)
     results = []
     for _ in range(2):
         tested.append(0)
@@ -497,30 +508,42 @@ def test_relearning_on_the_same_oracles_pivot_tests_as_many_bases(eq_kind, monke
     assert tested[0] == tested[1] > 0
     assert tested[0] < results[0].stats.output_computations
     assert results[0].system.fa == results[1].system.fa
+    if eq_kind == "exact":
+        # only the learner's fallbacks pivot-test, one per label, except the
+        # empty word's: its output is the traced image of the identity
+        assert tested[0] + 1 == results[0].label_fallbacks == len(results[0].system.matrices)
+
+
+class MatrixQueryRecorder(WhiteBoxObservationOracle):
+    """A white-box trace oracle that records the words of its queries with
+    more than one column."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.recovered = []
+
+    def exec_query(self, x0, word):
+        if np.ndim(x0) == 2:
+            self.recovered.append(tuple(word))
+        return super().exec_query(x0, word)
 
 
 @pytest.mark.parametrize("eq_kind", ["exact", "bounded"])
-def test_learn_never_computes_an_output_word_by_word(eq_kind, monkeypatch):
+def test_learn_recovers_only_the_words_the_probe_cannot_label(eq_kind):
     # every label the learner uses, counterexample splices included, comes
-    # from the stacked recovery; compute_output is only the per-word reference
+    # from the one-column probe; a word is recovered on d columns only as a
+    # fallback, here once per label, when it is new (the bounded oracle
+    # traces through an oracle of its own)
     hidden = random_system(GenConfig(num_nodes=5, num_events=2, num_labels=3, dim=3, seed=0))
-
-    def learn_once():
-        obs = WhiteBoxObservationOracle(hidden)
-        eq = (WhiteBoxEquivalenceOracle(hidden) if eq_kind == "exact"
-              else BoundedTestingEquivalenceOracle(obs, 2 * hidden.fa.num_nodes + 1))
-        result = learn(obs, eq, hidden.fa.alphabet)
-        counts = {k: v for k, v in result.stats_dict().items() if k != "wall_ms"}
-        return save_json(result.system), counts, result.counterexample_costs
-
-    expected = learn_once()
-
-    def refuse(obs, word):
-        raise AssertionError(f"compute_output called on {word!r}")
-
-    monkeypatch.setattr(output_query, "compute_output", refuse)
-    assert learn_once() == expected
-    assert expected[1]["rounds"] > 1 and expected[2]
+    obs = MatrixQueryRecorder(hidden)
+    eq = (WhiteBoxEquivalenceOracle(hidden) if eq_kind == "exact"
+          else BoundedTestingEquivalenceOracle(WhiteBoxObservationOracle(hidden),
+                                               2 * hidden.fa.num_nodes + 1))
+    result = learn(obs, eq, hidden.fa.alphabet)
+    assert result.rounds > 1 and result.counterexample_costs
+    assert len(obs.recovered) == result.label_fallbacks == len(result.system.matrices)
+    assert obs.recovered == [(), (0,)]
+    assert result.stats.output_computations > 10 * len(obs.recovered)
 
 
 def test_learn_random_systems_end_to_end():
@@ -549,7 +572,7 @@ def test_learn_random_systems_end_to_end():
             totals[key] += result.stats_dict()[key]
     # the learner asks exactly these queries; a change to them is a change
     # of algorithm, not of representation
-    assert totals == {"io_queries": 4247, "output_computations": 1714,
+    assert totals == {"io_queries": 1704, "output_computations": 1714,
                       "equivalence_queries": 86, "rounds": 86}
 
 

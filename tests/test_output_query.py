@@ -1,19 +1,15 @@
-import itertools
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig, InvalidEvent,
-                         LabelRegistry, SingularBasis, SwitchedSystem,
+                         LabelProbe, LabelRegistry, SingularBasis, SwitchedSystem,
                          SwitchLearnError, WhiteBoxObservationOracle,
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
                          recover_transform, recover_transforms, run)
-from switchlearn import output_query
-from switchlearn.output_query import RECOVERY_BATCH
+from switchlearn.output_query import PROBE_BATCH, rederive
 
 from conftest import DEMO2D_MATRICES, OSErrorObservationOracle, count_maximal
 
@@ -158,27 +154,19 @@ def classify_by_loop(canonical, matrix, tol):
     return hits[0] if hits else len(canonical)
 
 
-def comparing_by_screen(screen: bool):
-    """Classification through the [0, 0] screen or through the broadcast
-    comparison, whatever the size of the stack."""
-    return mock.patch.object(output_query, "SCREEN_MIN_ENTRIES", -1 if screen else 10 ** 9)
-
-
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 4), tol=st.sampled_from([1e-6, 0.25]),
        offsets=st.lists(st.integers(-4, 4), max_size=6),
        probes=st.lists(st.tuples(st.integers(-4, 4),
                                  st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9])),
                        min_size=1, max_size=6),
-       seed=st.integers(0, 1000), where=st.sampled_from(["corner", "elsewhere", "both"]),
-       screen=st.booleans())
-def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probes, seed, where, screen):
+       seed=st.integers(0, 1000), where=st.sampled_from(["corner", "elsewhere", "both"]))
+def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probes, seed, where):
     # canonical matrices and the probes sit at multiples of tol/2 from one
     # centre, so probes land just inside, on, or just outside tol of one or
     # two labels, and a label added by one probe may take later ones. The
-    # offset is at entry [0, 0] (the screened one), elsewhere (all labels
-    # share [0, 0], so every label passes the screen), or at both, with
-    # half the step at [0, 0] (the screen admits labels that then fail)
+    # offset is at entry [0, 0], elsewhere (all labels share [0, 0]), or at
+    # both, with half the step at [0, 0]
     rng = np.random.default_rng(seed)
     centre = rng.uniform(-2, 2, (d, d))
     direction = np.zeros((d, d))
@@ -186,32 +174,22 @@ def test_registry_classify_matches_per_matrix_loop(d, tol, offsets, probes, seed
         i, j = rng.integers(d), rng.integers(1, d)
         direction[(i, j) if rng.random() < 0.5 else (j, i)] = 1.0
     direction[0, 0] = {"corner": 1.0, "elsewhere": 0.0, "both": 0.5}[where] if d > 1 else 1.0
-    with comparing_by_screen(screen):
-        canonical = [centre + k * tol / 2 * direction for k in offsets]
-        stack = np.array([centre + k * nudge * tol / 2 * direction for k, nudge in probes])
-        expected, labels, ambiguous = [], list(canonical), False
-        for matrix in stack:
-            label = classify_by_loop(labels, matrix, tol)
-            if label == "ambiguous":
-                ambiguous = True
-                break
-            if label == len(labels):
-                labels.append(matrix)
-            expected.append(label)
-        registry = LabelRegistry(tol=tol, canonical=list(canonical))
-        ids, error = registry.classify_stack(stack)
-        assert ids == expected
-        assert isinstance(error, AmbiguousLabel) if ambiguous else error is None
-        assert len(registry) == len(labels)
-        for a, b in zip(registry.canonical, labels):
-            assert np.array_equal(a, b)
-        one_by_one = LabelRegistry(tol=tol, canonical=list(canonical))
-        for matrix, label in zip(stack, expected):
-            assert one_by_one.classify(matrix) == label
-        if ambiguous:
-            with pytest.raises(AmbiguousLabel) as single:
-                one_by_one.classify(stack[len(expected)])
-            assert str(single.value) == str(error)
+    canonical = [centre + k * tol / 2 * direction for k in offsets]
+    labels = list(canonical)
+    registry = LabelRegistry(tol=tol, canonical=list(canonical))
+    for k, nudge in probes:
+        matrix = centre + k * nudge * tol / 2 * direction
+        label = classify_by_loop(labels, matrix, tol)
+        if label == "ambiguous":
+            with pytest.raises(AmbiguousLabel):
+                registry.classify(matrix)
+            break
+        if label == len(labels):
+            labels.append(matrix)
+        assert registry.classify(matrix) == label
+    assert len(registry) == len(labels)
+    for a, b in zip(registry.canonical, labels):
+        assert np.array_equal(a, b)
 
 
 def non_finite_at(entry, value):
@@ -223,20 +201,16 @@ def non_finite_at(entry, value):
 def test_registry_nan_never_agrees():
     registry = LabelRegistry(tol=1e-6, canonical=[np.zeros((2, 2))])
     nan = np.array([[0.0, np.nan], [0.0, 0.0]])
-    ids, error = registry.classify_stack(np.stack([nan, nan, np.zeros((2, 2))]))
-    assert (ids, error) == ([1, 2, 0], None)
-    # at [0, 0] the screen rejects the pair, elsewhere the full comparison
-    # does; inf - inf is NaN, so an inf label takes no later inf either
-    for value, screen in itertools.product((np.nan, np.inf, -np.inf), (False, True)):
+    assert [registry.classify(m) for m in (nan, nan, np.zeros((2, 2)))] == [1, 2, 0]
+    # inf - inf is NaN, so an inf label takes no later inf either
+    for value in (np.nan, np.inf, -np.inf):
         probes = [non_finite_at(entry, value) for entry in ((0, 0), (0, 0), (1, 0), (1, 0))]
-        stack = np.stack(probes + [non_finite_at((0, 0), 0.5e-6)])
         canonical = [np.zeros((2, 2)), non_finite_at((0, 0), value),
                      non_finite_at((1, 0), value)]
-        with np.errstate(invalid="ignore"), comparing_by_screen(screen):
-            ids, error = LabelRegistry(tol=1e-6, canonical=canonical).classify_stack(stack)
-            one_by_one = LabelRegistry(tol=1e-6, canonical=canonical)
-            assert [one_by_one.classify(m) for m in stack] == ids == [3, 4, 5, 6, 0]
-        assert error is None and len(one_by_one) == 7
+        registry = LabelRegistry(tol=1e-6, canonical=canonical)
+        with np.errstate(invalid="ignore"):
+            ids = [registry.classify(m) for m in probes + [non_finite_at((0, 0), 0.5e-6)]]
+        assert ids == [3, 4, 5, 6, 0] and len(registry) == 7
 
 
 def reference_output(obs, registry, cache, word):
@@ -295,30 +269,39 @@ def test_cached_outputs_matches_cached_output_word_by_word():
                                          dim=5, seed=seed))
         rng = np.random.default_rng(seed)
         words = [tuple(int(e) for e in rng.integers(0, 3, rng.integers(0, 6)))
-                 for _ in range(3 * RECOVERY_BATCH)]
+                 for _ in range(3 * PROBE_BATCH)]
         one, many = WhiteBoxObservationOracle(system), WhiteBoxObservationOracle(system)
         one_registry, many_registry = LabelRegistry(), LabelRegistry()
-        one_cache, many_cache = {}, {}
+        one_cache, many_cache, probe = {}, {}, LabelProbe()
         for w in words[:5]:
-            cached_output(many, many_registry, many_cache, w)
+            cached_output(many, many_registry, many_cache, w, probe)
         pending = [w for w in words if w not in many_cache]
-        io = many.stats.io_queries + 5 * count_maximal(pending)
-        cached_outputs(many, many_registry, many_cache, words)
+        io, fallbacks = many.stats.io_queries, probe.fallbacks
+        cached_outputs(many, many_registry, many_cache, words, None, probe)
         ids = [reference_output(one, one_registry, one_cache, w) for w in words]
         assert [many_cache[w] for w in words] == ids
+        # one column per maximal word, and d per word no label or several pass
+        io += count_maximal(pending) + 5 * (probe.fallbacks - fallbacks)
         assert many.stats.as_dict() == {**one.stats.as_dict(), "io_queries": io}
-        assert many.stats.io_queries < one.stats.io_queries
+        # a fallback interns each label, and no known label is recovered again
+        assert probe.fallbacks == len(many_registry)
         assert len(one_registry) == len(many_registry)
         for a, b in zip(one_registry.canonical, many_registry.canonical):
             assert np.array_equal(a, b)
 
 
 def test_cached_outputs_reads_prefixes_off_one_trace(demo2d_system):
+    # every label is known, so the three words cost one trace of one column
     obs = WhiteBoxObservationOracle(demo2d_system)
     cache = {}
-    cached_outputs(obs, LabelRegistry(), cache, [(), (E1,), (E1, E2)])
-    assert obs.stats.io_queries == 2  # one trace of (E1, E2), d = 2 columns
+    cached_outputs(obs, LabelRegistry(canonical=DEMO2D_MATRICES), cache, [(), (E1,), (E1, E2)])
+    assert obs.stats.io_queries == 1
     assert obs.stats.output_computations == 3
+    assert cache == {(): 0, (E1,): 2, (E1, E2): 1}
+    # with no label known, each word is a fallback: d = 2 more columns each
+    obs, cache = WhiteBoxObservationOracle(demo2d_system), {}
+    cached_outputs(obs, LabelRegistry(), cache, [(), (E1,), (E1, E2)])
+    assert obs.stats.io_queries == 1 + 3 * 2
     assert cache == {(): 0, (E1,): 1, (E1, E2): 2}
 
 
@@ -375,7 +358,7 @@ def word_lists(draw):
 def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, degenerate,
                                                        untraceable, tol, words, cached, limit):
     system = conditioned_system(6, events, labels, d, seed)
-    if degenerate:  # the last label loses rank: its words raise SingularBasis
+    if degenerate:  # the last label loses rank: words through it have singular bases
         matrices = list(system.matrices)
         matrices[-1] = matrices[-1] * np.r_[np.ones(d - 1), 0.0]
         system = SwitchedSystem(fa=system.fa, matrices=tuple(matrices), d=d)
@@ -402,24 +385,69 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
         except (SwitchLearnError, OSError) as exc:
             expected = exc
             break
-    io = many.stats.io_queries
+    io, outputs, probe = many.stats.io_queries, many.stats.output_computations, LabelProbe()
     try:
-        cached_outputs(many, many_registry, many_cache, words, limit)
+        cached_outputs(many, many_registry, many_cache, words, limit, probe)
         error = None
     except (SwitchLearnError, OSError) as exc:
         error = exc
-    assert type(error) is type(expected)
-    assert str(error) == str(expected)
-    assert many_cache == one_cache
-    assert many.stats.output_computations == one.stats.output_computations
-    assert len(many_registry) == len(one_registry)
-    for a, b in zip(many_registry.canonical, one_registry.canonical):
-        assert np.array_equal(a, b)
+    done = [w for w in pending if w in many_cache]
+    assert done == pending[:len(done)]
+    assert many.stats.output_computations - outputs == len(done) + (error is not None)
+    # one column per maximal word, and d per word no label or several pass
     traced = many.stats.io_queries - io
     if error is None:
-        assert traced == d * count_maximal(pending)
-    else:  # later traces of the failing stack may have been made
-        assert traced <= d * count_maximal(pending)
+        assert traced == count_maximal(pending) + d * probe.fallbacks
+    else:  # later words of the failing stack may have been traced
+        assert traced <= count_maximal(pending) + d * probe.fallbacks
+
+    def truth(w):
+        return system.matrices[output_of(system.fa, w)]
+
+    def labelled_within_tol(w):
+        return mat_approx_eq(many_registry.canonical[many_cache[w]], truth(w), tol + 1e-9)
+
+    # an accepted word's label is the one interned label its pair passes, so
+    # it is true whenever a label within tol of its output is interned
+    for w in done:
+        if any(mat_approx_eq(c, truth(w), tol) for c in many_registry.canonical):
+            assert labelled_within_tol(w)
+    if tol == 1e-6:
+        # labels are far apart at this tolerance: the probe labels every word
+        # the reference labels with its id and label matrix, and fails where
+        # it fails with its error, unless it labels that word too (a word the
+        # reference refuses for a singular basis may pass a known label)
+        labelled = [w for w in pending if w in one_cache]
+        assert done[:len(labelled)] == labelled
+        assert [many_cache[w] for w in labelled] == [one_cache[w] for w in labelled]
+        for a, b in zip(one_registry.canonical, many_registry.canonical):
+            assert np.array_equal(a, b)
+        if expected is None:
+            assert error is None and many_cache == one_cache
+            assert len(many_registry) == len(one_registry)
+        elif len(done) == len(labelled):
+            assert type(error) is type(expected) and str(error) == str(expected)
+        else:
+            assert isinstance(expected, SingularBasis)
+    # a second read: one word of each output re-derived on d columns, as the
+    # learner re-derives a counterexample's endpoints; every label it interns
+    # rescreens the accepted words, and then every word of an output so
+    # interned carries a label within tol of it
+    interned = set()
+    for w in done:
+        label = output_of(system.fa, w)
+        if label in interned or w not in many_cache:
+            continue
+        io, fallbacks = many.stats.io_queries, probe.fallbacks
+        try:
+            rederive(many, many_registry, many_cache, probe, [w])
+        except (SwitchLearnError, OSError):
+            continue
+        interned.add(label)
+        assert many.stats.io_queries - io == d * (probe.fallbacks - fallbacks)
+    for w in done:
+        if w in many_cache and output_of(system.fa, w) in interned:
+            assert labelled_within_tol(w)
 
 
 def lapack_singular_word():
@@ -478,7 +506,9 @@ def test_cached_outputs_limit_counts_uncached_words(demo2d_system):
     with pytest.raises(ValueError, match="limit"):
         cached_outputs(obs, LabelRegistry(), cache, words, limit=-1)
     assert list(cache) == [(E1,), (E2,), (E1, E2)]
-    assert obs.stats.as_dict() == {"io_queries": 6, "output_computations": 3,
+    # one column per word; d = 2 more for (E1,) and (E2,), whose labels
+    # each call's new registry lacks, not for (E1, E2), labelled as (E2,)
+    assert obs.stats.as_dict() == {"io_queries": 3 + 2 * 2, "output_computations": 3,
                                    "equivalence_queries": 0}
 
 
@@ -516,16 +546,18 @@ def test_cached_outputs_caches_the_words_before_a_failing_trace():
     system = random_system(GenConfig(3, 2, 2, 2, 0))
     words = [(0,), (1,), (2,)]
     many, many_registry, many_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
+    probe = LabelProbe()
     with pytest.raises(InvalidEvent) as stacked:
-        cached_outputs(many, many_registry, many_cache, words)
+        cached_outputs(many, many_registry, many_cache, words, None, probe)
     one, one_registry, one_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
     with pytest.raises(InvalidEvent) as single:
         for w in words:
             reference_output(one, one_registry, one_cache, w)
     assert str(stacked.value) == str(single.value)
     assert many_cache == one_cache and list(many_cache) == [(0,), (1,)]
-    assert many.stats.as_dict() == one.stats.as_dict()
-    assert many.stats.output_computations == 3
+    assert many.stats.output_computations == one.stats.output_computations == 3
+    # the refused trace of (2,) is charged too
+    assert many.stats.io_queries == 3 + system.d * probe.fallbacks
 
 
 def test_cached_outputs_reads_the_prefixes_of_an_untraceable_word_off_another_trace(
@@ -535,7 +567,8 @@ def test_cached_outputs_reads_the_prefixes_of_an_untraceable_word_off_another_tr
     obs = OSErrorObservationOracle(demo2d_system)
     cache = {}
     with pytest.raises(OSError, match="trace lost"):
-        cached_outputs(obs, LabelRegistry(), cache, [(), (E1,), (E1, E1), (E1, E1, E2)])
+        cached_outputs(obs, LabelRegistry(canonical=DEMO2D_MATRICES), cache,
+                       [(), (E1,), (E1, E1), (E1, E1, E2)])
     assert list(cache) == [(), (E1,), (E1, E1)]
     assert obs.stats.output_computations == 4
-    assert obs.stats.io_queries == 2  # one trace of (E1, E1), d = 2 columns
+    assert obs.stats.io_queries == 1  # one trace of (E1, E1), one column
