@@ -17,7 +17,7 @@ from .errors import (AlphabetMismatch, AmbiguousLabel, BudgetExceeded,
 from .learner import (LearnResult, ObservationStore, build_hypothesis,
                       close_store, learn, process_counterexample)
 from .linalg import (LABEL_TOL, PIVOT_TOL, identity, is_full_rank,
-                     mat_approx_eq, recover_transform, recover_transforms)
+                     mat_approx_eq, recover_transform)
 from .oracle import (BoundedTestingEquivalenceOracle, EquivalenceOracle,
                      ObservationOracle, QueryStats, WhiteBoxEquivalenceOracle,
                      WhiteBoxObservationOracle)

@@ -13,9 +13,10 @@ class SingularBasis(SwitchLearnError):
     """An output matrix cannot be recovered from its trace: elimination
     with partial pivoting met a basis pivot not above tolerance, LAPACK
     found the basis singular, or the recovered matrix (the empty word's
-    output, its traced image, included) has a non-finite entry. Passing
-    these checks does not bound the recovery error; see the README's
-    "Tolerances and numerics"."""
+    output, its traced image, included) has a non-finite entry; or a state
+    that the bounded equivalence oracle checks a word on is not finite.
+    Passing these checks does not bound the recovery error; see the
+    README's "Tolerances and numerics"."""
 
 
 class InvalidEvent(SwitchLearnError):

@@ -4,11 +4,12 @@ checking, each with query accounting.
 The white-box implementations wrap a known system and exist for testing and
 benchmarking; the bounded-testing equivalence checker works purely through
 trace queries and demonstrates the fully black-box mode (its "equivalent"
-verdict is only as strong as the search depth). It reads the outputs of a
-whole chain of words w, w·0, w·0·0, ... off one trace query and recovers
-them in stacks, so a full search to depth L over |events| events costs
-|events|^L trace queries instead of one per word; verdicts, counterexamples
-and output computations are those of computing each word's output in turn.
+verdict is only as strong as the search depth). It recovers no output: it
+checks the hypothesis's own label of each word on one trace column, as
+Freivalds's randomized check of a matrix product does (Freivalds, 1977),
+so every counterexample it returns is proven. A whole chain of words w,
+w·0, w·0·0, ... is checked off one trace query with one column per word,
+so a full search costs one trace column per word.
 """
 
 import itertools
@@ -17,16 +18,17 @@ import numpy as np
 
 from .automaton import Word, language_equivalent
 from .errors import DimensionMismatch, SingularBasis
-from .linalg import (LABEL_TOL, check_finite, check_label_tol, identity, mat_approx_eq,
-                     recover_transforms)
+from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
-from .output_query import compute_output  # noqa: F401
+from .output_query import PROBE_SEED, compute_output  # noqa: F401
 from .switched_system import SwitchedSystem, execute
 
-# Words recovered per stacked pivot test and solve by the bounded oracle. The
-# stacked test costs about twice a single one on a stack of one and much less
-# per word on a full stack; larger stacks raise peak memory for little gain.
-RECOVERY_BATCH = 32
+# Words of one length compared per run by the bounded oracle: when a word
+# cannot be checked, the later words of its run may have been traced already.
+CHECK_BATCH = 32
+# Words of one length whose chain starts are computed in one batch, a
+# multiple of CHECK_BATCH; it bounds the (words, d, d) temporaries.
+PRECONDITION_BATCH = 1024
 
 
 class QueryStats:
@@ -104,128 +106,176 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
             lambda i, j: self._label_eq(hidden.matrices[i], hypothesis.matrices[j]))
 
 
-def _recover_outputs(words: list[Word], bases: np.ndarray, images: np.ndarray,
-                    known: set[bytes]) -> tuple[np.ndarray, SingularBasis | None]:
-    """Output matrices of the leading words, recovered as compute_output
-    recovers them but never refined, from the (basis, image) pair of each
-    word in the first len(words) rows of the stacks bases and images, and
-    the SingularBasis raised on the next word (None when every word is
-    recovered).
-
-    As in compute_output, the empty word's output is its image, refused when
-    not finite; it is never solved against its identity basis, where an
-    infinite image entry would spread NaN over its row. Every other word is
-    recovered by recover_transforms with known.
-    """
-    k = len(words)
-    empty = words.index(()) if () in words else k
-    matrices, error = recover_transforms(bases[:empty], images[:empty], known=known)
-    if empty < k and error is None:
-        try:
-            check_finite(images[empty])
-        except SingularBasis as exc:
-            return matrices, exc
-        rest, error = recover_transforms(bases[empty + 1:k], images[empty + 1:k], known=known)
-        matrices = np.concatenate((matrices, images[empty:empty + 1], rest))
-    return matrices, error
+def _inverses(matrices: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of the (k, d, d) stack matrices, NaN
+    where LAPACK finds one singular."""
+    inverses = np.full_like(matrices, np.nan)
+    with np.errstate(all="ignore"):
+        for k, matrix in enumerate(matrices):
+            try:
+                inverses[k] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+    return inverses
 
 
-class _ChainedTraces:
-    """Output matrices of words taken in length-lex order up to l_max, read
+class _ChainedProbe:
+    """Probe pairs (x, y), the states before and after the last step, of
+    the words of a hypothesis taken in length-lex order up to l_max, read
     off one trace query per chain w, w·0, w·0·0, ... of length l_max.
 
-    A word w whose output is not at hand traces w·0^(l_max-|w|) from the
-    identity. By the prefix property of traces, states |w|+j and |w|+j+1 of
-    that trace are the basis and image of w·0^j, bit-identical to a trace of
-    w·0^j alone. Only the unconsumed tail of a trace is kept, keyed by the
-    next word of its chain, and it is dropped once that word is reached.
-    When the trace query of a chain raises, w is traced alone, so it fails
-    only when its own trace does, as in compute_output; w·0 then traces its
-    own chain. A search to depth L over |events| events holds up to about
-    |events|^(L-1) pending states (the word-by-word search held one).
+    A word w that no earlier trace covers heads a chain: it traces
+    w·0^(l_max-|w|) from a (d, m) start, m = l_max - |w| + 1, whose column
+    j serves w·0^j. By the prefix property of traces, states |w|+j and
+    |w|+j+1 of column j are the pair of w·0^j, equal to those of a trace of
+    w·0^j alone from that column. Column j is Ĥ⁻¹ r_j, where Ĥ is the
+    product of the hypothesis's labels along the proper prefixes of w·0^j
+    and r_j a random column, so x is about r_j when the hypothesis is right
+    on those prefixes: the directions that the products contract stay
+    visible (Higham, Accuracy and Stability of Numerical Algorithms, ch.
+    12). A column that is not finite, as when a hypothesis label along the
+    way is singular, is replaced by r_j itself. When the trace query of a
+    chain raises, w is traced alone from its first column, and w·0 heads
+    its own chain.
 
-    The bases that passed the pivot test are kept, by their bytes, for as
-    long as the object lives (one check), so each distinct basis is
-    pivot-tested once, at d*d*8 bytes each.
+    Of a chain's trace only the states not yet read are kept, from state
+    |w| on, keyed by the next word of the chain. The columns are drawn from
+    a generator seeded afresh for each check, so repeated checks of one
+    hypothesis make the same queries.
     """
 
-    def __init__(self, obs: ObservationOracle, l_max: int):
-        self._obs = obs
-        self._l_max = l_max
-        d = obs.dimension()
-        self._eye = identity(d)
-        self._bases = np.empty((RECOVERY_BATCH, d, d))
-        self._images = np.empty((RECOVERY_BATCH, d, d))
-        self._tails: dict[Word, list[np.ndarray]] = {}
-        self._known: set[bytes] = set()
+    def __init__(self, obs: ObservationOracle, hypothesis: SwitchedSystem, l_max: int):
+        fa = hypothesis.fa
+        self._obs, self._l_max, self._d = obs, l_max, hypothesis.d
+        self._events = len(fa.alphabet)
+        self._delta, self._gamma = np.array(fa.delta), np.array(fa.gamma)
+        self._inverses = _inverses(np.stack(hypothesis.matrices))
+        self._rng = np.random.default_rng(PROBE_SEED)
+        self._length = 0
+        # hypothesis nodes of the words of the current length, in lex
+        # order; Ĥ⁻¹ of the word at position i is prefix[i // events],
+        # since Ĥ does not depend on a word's last event
+        self.nodes = np.array([fa.initial])
+        self._prefix = identity(self._d)[None]
+        # the unread states of each pending chain, by the next word it serves
+        self._pending: dict[Word, list[np.ndarray]] = {}
+        # positions, in their length, of the words whose parent's chain was refused
+        self._orphans: set[int] = set()
+        self._next_orphans: set[int] = set()
+        # set by _precondition: the starts of the heads of the current
+        # batch, and the row of each position's start from position begin on
+        self._starts = self._rows = np.empty(0)
+        self._begin = 0
 
-    def _trace(self, word: Word) -> list[np.ndarray]:
-        """The trace of word's chain, or of word alone when the chain's
-        trace query raises."""
+    def next_length(self) -> None:
+        parents = np.arange(len(self.nodes)) // self._events
+        with np.errstate(all="ignore"):
+            self._prefix = self._prefix[parents] @ self._inverses[self._gamma[self.nodes]]
+        self.nodes = self._delta[self.nodes].reshape(-1)
+        self._length += 1
+        self._orphans, self._next_orphans = self._next_orphans, set()
+
+    def _precondition(self, begin: int) -> None:
+        """The chain starts of the heads among the PRECONDITION_BATCH words
+        of the current length from position begin on."""
+        index = np.arange(begin, min(begin + PRECONDITION_BATCH, len(self.nodes)))
+        head = index % self._events != 0 if self._length else index == 0
+        if self._orphans:
+            head |= np.isin(index, list(self._orphans))
+        heads = index[head]
+        m = self._l_max - self._length + 1
+        r = self._rng.standard_normal((len(heads), self._d, m))
+        starts = np.empty_like(r)
+        prefix, nodes = self._prefix[heads // self._events], self.nodes[heads]
+        with np.errstate(all="ignore"):
+            for j in range(m):
+                starts[:, :, j] = (prefix @ r[:, :, j, None])[..., 0]
+                if j + 1 < m:
+                    prefix = prefix @ self._inverses[self._gamma[nodes]]
+                    nodes = self._delta[nodes, 0]
+        bad = ~np.isfinite(starts).all(axis=1)
+        starts.transpose(0, 2, 1)[bad] = r.transpose(0, 2, 1)[bad]
+        self._starts, self._rows, self._begin = starts, np.cumsum(head) - 1, begin
+
+    def _trace(self, word: Word, position: int) -> list[np.ndarray]:
+        """States |word| ... of the trace of word's chain, or of word alone
+        when the chain's trace query raises."""
+        start = self._starts[self._rows[position - self._begin]]
         chain = word + (0,) * (self._l_max - len(word))
         if chain != word:
             try:
-                return self._obs.exec_query(self._eye, chain)
+                return self._obs.exec_query(start, chain)[len(word):]
             except Exception:
-                pass
-        return self._obs.exec_query(self._eye, word)
+                self._next_orphans.add(position * self._events)
+        return self._obs.exec_query(start[:, :1], word)[len(word):]
 
-    def outputs(self, words: list[Word]) -> tuple[np.ndarray, Exception | None]:
-        """Output matrices of the leading words (up to RECOVERY_BATCH, all of
-        one length) whose outputs can be computed, and the error computing
-        the next one raises: any exception of a trace query, or the
-        SingularBasis of recover_transform for a singular basis or a
-        non-finite output (None when every output was computed)."""
-        length, error = len(words[0]), None
+    def pairs(self, words: list[Word], begin: int
+              ) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+        """The (k, d) arrays xs and ys of the pairs of the leading k words
+        (all of the current length, from position begin on) that can be
+        checked, and the error checking the next one raises: any exception
+        of its trace query, or SingularBasis when its pair is not finite
+        (None when every word can be checked)."""
+        if begin % PRECONDITION_BATCH == 0:
+            self._precondition(begin)
+        xs, ys = np.empty((2, len(words), self._d))
+        error = None
         for i, word in enumerate(words):
-            states = self._tails.pop(word, None)
-            if states is None:
+            tail = self._pending.pop(word, None)
+            if tail is None:
                 try:
-                    states = self._trace(word)[length:]
+                    tail = self._trace(word, begin + i)
                 except Exception as exc:  # raised once the words before it are compared
-                    words, error = words[:i], exc
+                    xs, ys, error = xs[:i], ys[:i], exc
                     break
-            if len(states) > 2:
-                self._tails[word + (0,)] = states[1:]
-            self._bases[i], self._images[i] = states[0], states[1]
-        matrices, singular = _recover_outputs(words, self._bases, self._images, self._known)
-        return matrices, error if singular is None else singular
+            # a trace of m columns leaves m + 1 states, one fewer per word read
+            j = tail[0].shape[1] + 1 - len(tail)
+            xs[i], ys[i] = tail[0][:, j], tail[1][:, j]
+            if len(tail) > 2:
+                self._pending[word + (0,)] = tail[1:]
+        finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+        if not finite.all():
+            bad = int(finite.argmin())
+            error = SingularBasis(f"trace state of word {words[bad]} before or after its "
+                                  f"last step is not finite")
+            xs, ys = xs[:bad], ys[:bad]
+        return xs, ys, error
 
 
 class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     """Black-box equivalence testing by exhaustive word enumeration.
 
     Words are tried by increasing length, lexicographic in event index, up
-    to l_max (l_max 0 tests only the empty word); the first word whose
-    recovered output matrix differs from the hypothesis's by more than tol
-    (max-abs entrywise, NaN never agreeing; tol must be positive and
-    finite) is returned. Exhausting the
+    to l_max (l_max 0 tests only the empty word). Each word v is checked on
+    one trace column (see _ChainedProbe): with x and y its states before
+    and after its last step, v is returned as a counterexample when
+    ||y - C x||_inf > tol * ||x||_1 for the hypothesis's label C of v. Every
+    matrix within tol of C (max-abs entrywise) meets that bound, so the
+    hidden output of a returned word differs from C by more than tol: a
+    counterexample is proven, with no output recovered. Exhausting the
     search yields None, which is an unsound "equivalent" verdict if the
-    shortest counterexample is longer than l_max.
+    shortest counterexample is longer than l_max, or if no checked column
+    shows a difference: one barely above tol, or one along a direction that
+    the word's products contract beyond what float64 can undo. tol must be
+    positive and finite.
 
-    Outputs are computed in bulk, with the verdict, counterexample, errors
-    and output computations of recovering each word in turn from one
-    identity-seeded trace, as compute_output does but without its
-    refinement. So a word whose basis is ill-conditioned can come back
-    further from its true output than tol, and be returned as a
-    counterexample that the learner's refined label refutes:
-    - one trace query per chain w, w·0, w·0·0, ... (_ChainedTraces), so a
-      full search makes |events|^l_max d-column trace queries instead of one
-      per word, (|events|^(l_max+1) - 1) / (|events| - 1): half as many for
-      two events. This relies on the trace oracle's prefix property (a trace
-      of w·u starts with the trace of w);
-    - one recover_transforms call and one comparison per run of up to
-      RECOVERY_BATCH words of one length, pivot-testing only the bases not
-      seen earlier in the same check.
-    One output computation is counted per compared word, through the
-    counterexample. When an output cannot be computed, the words before it
-    are compared first; then it is counted and its error (SingularBasis for
-    a singular basis, or whatever the word's own trace query raised)
-    raised. Up to RECOVERY_BATCH - 1 later words of the last run may have
-    been traced and recovered without being compared or counted. The pending chain states
-    take up to about |events|^(l_max-1) d x d states of memory. A hypothesis
-    whose dimension is not the hidden one is rejected with
-    DimensionMismatch before any query.
+    Cost: one trace query per chain w, w·0, w·0·0, ..., with one column
+    per word of the chain, so a full search costs one trace column per
+    word, (|events|^(l_max+1) - 1) / (|events| - 1) in all. This relies on
+    the trace oracle's prefix property (a trace of w·u starts with the
+    trace of w). Words are compared in runs of CHECK_BATCH of one length,
+    one output computation counted per compared word, through the
+    counterexample. When a word cannot be checked, the words before it are
+    compared first; then it is counted and its error (SingularBasis when
+    its pair of states is not finite, or whatever the word's own trace
+    query raised) raised. Up to CHECK_BATCH - 1 later words of the last run
+    may have been traced without being compared or counted.
+
+    Memory: the unread states of pending chains, up to about
+    |events|^(l_max-1) chains of at most l_max + 1 states of d x m, and
+    the hypothesis node and d x d inverse prefix product of every word of
+    the current length. A hypothesis whose dimension is not the hidden
+    one is rejected with DimensionMismatch before any query.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
@@ -245,27 +295,24 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
         if hypothesis.d != d:
             raise DimensionMismatch(f"hypothesis has dimension {hypothesis.d}, "
                                     f"hidden states have dimension {d}")
-        claims = np.stack(hypothesis.matrices)
-        delta, gamma = np.array(fa.delta), np.array(fa.gamma)
-        traces = _ChainedTraces(self._obs, self._l_max)
-        # hypothesis nodes reached by the words of one length, in lex order
-        nodes = np.array([fa.initial])
+        claims, gamma = np.stack(hypothesis.matrices), np.array(fa.gamma)
+        probe = _ChainedProbe(self._obs, hypothesis, self._l_max)
         for length in range(self._l_max + 1):
             if length:
-                nodes = delta[nodes].reshape(-1)
+                probe.next_length()
             words = itertools.product(range(len(fa.alphabet)), repeat=length)
-            for start in range(0, len(nodes), RECOVERY_BATCH):
-                batch = list(itertools.islice(words, RECOVERY_BATCH))
-                observed, error = traces.outputs(batch)
-                claimed = claims[gamma[nodes[start:start + len(observed)]]]
-                # initial: observed is empty when the first word fails
-                distance = np.abs(observed - claimed).max(axis=(1, 2), initial=0.0)
-                agree = distance <= self._tol
-                if not agree.all():
-                    first = int(agree.argmin())
+            for begin in range(0, len(probe.nodes), CHECK_BATCH):
+                batch = list(itertools.islice(words, CHECK_BATCH))
+                xs, ys, error = probe.pairs(batch, begin)
+                claimed = claims[gamma[probe.nodes[begin:begin + len(xs)]]]
+                with np.errstate(all="ignore"):
+                    residual = np.abs(ys - (claimed @ xs[:, :, None])[..., 0]).max(axis=1)
+                    differs = residual > self._tol * np.abs(xs).sum(axis=1)
+                if differs.any():
+                    first = int(differs.argmax())
                     stats.output_computations += first + 1
                     return batch[first]
-                stats.output_computations += len(observed)
+                stats.output_computations += len(xs)
                 if error is not None:
                     stats.output_computations += 1
                     raise error

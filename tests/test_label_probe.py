@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchlearn
-from switchlearn import (LABEL_TOL, EventAlphabet, Fa, GenConfig, LabelProbe, LabelRegistry,
-                         ObservationStore, SingularBasis, SwitchedSystem, SwitchLearnError,
+from switchlearn import (LABEL_TOL, BoundedTestingEquivalenceOracle, EventAlphabet, Fa,
+                         GenConfig, LabelProbe, LabelRegistry, ObservationStore,
+                         SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          cached_outputs, compute_output, identity, learn, mat_approx_eq,
                          output_of, random_system, recover_transform)
@@ -66,6 +67,32 @@ def test_stress_chain_refuses_what_float64_cannot_resolve():
     with pytest.raises(SwitchLearnError):
         learn(WhiteBoxObservationOracle(hidden), WhiteBoxEquivalenceOracle(hidden),
               hidden.fa.alphabet)
+
+
+def learn_black_box(hidden):
+    """learn with the bounded oracle at the CLI's default depth, tracing
+    through the learner's own trace oracle."""
+    obs = WhiteBoxObservationOracle(hidden)
+    eq = BoundedTestingEquivalenceOracle(obs, 2 * hidden.fa.num_nodes + 1)
+    return learn(obs, eq, hidden.fa.alphabet)
+
+
+@pytest.mark.parametrize("n", [10, 15, 20])
+def test_stress_chain_learns_black_box(n):
+    # the bounded oracle starts each word's column from the inverse of the
+    # hypothesis's product along its prefixes, so B - A stays visible at
+    # the end of the chain
+    hidden = stress_chain(n)
+    result = learn_black_box(hidden)
+    assert result.system.fa.num_nodes == n
+    assert WhiteBoxEquivalenceOracle(hidden).check(result.system) is None
+
+
+def test_stress_chain_black_box_refuses_what_float64_cannot_resolve():
+    # at n = 30 the learner's recovery of the last node's label is refused:
+    # a typed error, never a wrong model
+    with pytest.raises(SwitchLearnError):
+        learn_black_box(stress_chain(30))
 
 
 def test_interning_a_label_rescreens_the_words_accepted_before():

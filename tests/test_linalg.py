@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from switchlearn import (DimensionMismatch, SingularBasis, identity,
-                         is_full_rank, linalg, mat_approx_eq, recover_transform,
-                         recover_transforms)
+                         is_full_rank, mat_approx_eq, recover_transform)
 
 from conftest import DEMO2D_MATRICES, FAULT_MATRICES
 
@@ -116,60 +113,6 @@ def test_recover_transform_keeps_pivot_threshold():
         recover_transform(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
-def recover_by_loop(bases, images, tol):
-    """Reference for recover_transforms: recover_transform on each basis in
-    turn, stopping at the first SingularBasis."""
-    recovered = []
-    for basis, image in zip(bases, images):
-        try:
-            recovered.append(recover_transform(basis, image, tol))
-        except SingularBasis as exc:
-            return recovered, str(exc)
-    return recovered, None
-
-
-@settings(max_examples=150, deadline=None)
-@given(d=st.integers(1, 20), k=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
-       degenerate=st.sampled_from([0.0, 0.1, 0.3]),
-       tol=st.sampled_from([1e-12, 1e-9]))
-def test_recover_transforms_matches_single_recoveries(d, k, seed, degenerate, tol):
-    # some bases get a column that nearly or exactly repeats another, or a
-    # tiny column, so stacks fail at varied matrices and columns
-    rng = np.random.default_rng(seed)
-    bases = rng.uniform(-1, 1, (k, d, d))
-    images = rng.uniform(-1, 1, (k, d, d))
-    for basis in bases:
-        if rng.random() < degenerate:
-            c, c2 = rng.integers(d), rng.integers(d)
-            scale = rng.choice([0.0, 1.0, 1 + 1e-13, 1 + 1e-10])
-            basis[:, c2] = (basis[:, c] if c != c2 else 1e-11) * scale
-    expected, expected_error = recover_by_loop(bases, images, tol)
-    recovered, error = recover_transforms(bases, images, tol)
-    assert len(recovered) == len(expected)
-    for got, want in zip(recovered, expected):
-        assert np.array_equal(got, want)
-    assert (str(error) if error else None) == expected_error
-    assert (error is None) == (len(recovered) == k)
-
-
-def test_recover_transforms_reports_first_failing_basis():
-    # basis 2 fails at column 1, basis 0 only at its last column
-    bases = np.stack([np.diag([1.0, 1.0, 1e-13]), np.eye(3), np.diag([1.0, 0.0, 1.0])])
-    recovered, error = recover_transforms(bases, bases)
-    assert len(recovered) == 0
-    assert "at column 2" in str(error)
-    recovered, error = recover_transforms(bases[1:], bases[1:])
-    assert np.array_equal(recovered[0], np.eye(3))
-    assert "at column 1" in str(error)
-
-
-def test_recover_transforms_shape_checks():
-    with pytest.raises(DimensionMismatch):
-        recover_transforms(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
-    with pytest.raises(DimensionMismatch):
-        recover_transforms(np.ones((2, 3, 3)), np.ones((1, 3, 3)))
-
-
 def test_recover_transform_refuses_non_finite_result():
     # M @ M overflows: the basis M passes the pivot test, the image is inf
     m = np.array([[1e200, 1.0], [1.0, 1e200]])
@@ -180,85 +123,3 @@ def test_recover_transform_refuses_non_finite_result():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularBasis,
                                                                      match="is nan"):
         recover_transform(image, image @ m)
-
-
-def test_recover_transforms_stops_at_non_finite_result():
-    rng = np.random.default_rng(5)
-    bases = rng.uniform(-1, 1, (5, 3, 3))
-    images = rng.uniform(-1, 1, (5, 3, 3))
-    images[2, 1, 0] = np.inf
-    images[4, 0, 0] = np.nan
-    recovered, error = recover_transforms(bases, images)
-    assert len(recovered) == 2 and np.isfinite(recovered).all()
-    for got, basis, image in zip(recovered, bases, images):
-        assert np.array_equal(got, recover_transform(basis, image))
-    with pytest.raises(SingularBasis) as single:
-        recover_transform(bases[2], images[2])
-    assert "not finite" in str(error) and str(error) == str(single.value)
-
-
-@st.composite
-def memo_stacks(draw):
-    """A stack drawn with repeats from a pool of bases, some near-singular
-    or singular, with images that may be non-finite, and a set of bases
-    known to pass the pivot test, some of them from the pool."""
-    d, k = draw(st.integers(1, 20)), draw(st.integers(1, 40))
-    tol = draw(st.sampled_from([1e-12, 1e-9]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    pool = rng.uniform(-1, 1, (draw(st.integers(1, 8)), d, d))
-    for basis in pool:
-        if rng.random() < draw(st.sampled_from([0.0, 0.2, 0.5])):
-            c, c2 = rng.integers(d), rng.integers(d)
-            scale = rng.choice([0.0, 1.0, 1 + 1e-13, 1 + 1e-10])
-            basis[:, c2] = (basis[:, c] if c != c2 else 1e-11) * scale
-    bases = pool[rng.integers(len(pool), size=k)]
-    images = rng.uniform(-1, 1, (k, d, d))
-    for r in np.flatnonzero(rng.random(k) < draw(st.sampled_from([0.0, 0.05]))):
-        images[r, rng.integers(d), rng.integers(d)] = rng.choice([np.inf, -np.inf, np.nan])
-    known = {rng.uniform(-1, 1, (d, d)).tobytes()}
-    known |= {b.tobytes() for b in pool
-              if is_full_rank(b.T, tol) and draw(st.booleans())}
-    return bases, images, tol, known
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=memo_stacks())
-def test_recover_transforms_with_known_bases_matches_single_recoveries(case):
-    bases, images, tol, known = case
-    expected, expected_error = recover_by_loop(bases, images, tol)
-    prior = set(known)
-    for memo in (known, None):
-        recovered, error = recover_transforms(bases, images, tol, memo)
-        assert len(recovered) == len(expected)
-        for got, want in zip(recovered, expected):
-            assert np.array_equal(got, want)
-        assert (str(error) if error else None) == expected_error
-        assert error is None or type(error) is SingularBasis
-    assert known == prior | {b.tobytes() for b in bases[:len(expected)]}
-
-
-def test_recover_transforms_tests_each_distinct_basis_once(monkeypatch):
-    tested = []
-    eliminate = linalg._forward_eliminate_stack
-
-    def counting(a, tol):
-        tested.append(a.shape[2])
-        return eliminate(a, tol)
-
-    monkeypatch.setattr(linalg, "_forward_eliminate_stack", counting)
-    rng = np.random.default_rng(2)
-    pool = rng.uniform(-1, 1, (3, 4, 4))
-    singular = pool[2].copy()
-    singular[:, 3] = singular[:, 0]
-    bases = pool[[0, 1, 0, 1, 0]]
-    images = rng.uniform(-1, 1, (5, 4, 4))
-    known = set()
-    recover_transforms(bases, images, known=known)
-    recover_transforms(bases[::-1], images, known=known)
-    assert tested == [2]  # the second stack is all known
-    failing = np.stack([pool[0], singular, pool[1], singular])
-    recovered, error = recover_transforms(failing, images[:4], known=known)
-    assert tested == [2, 1] and len(recovered) == 1 and isinstance(error, SingularBasis)
-    recover_transforms(failing, images[:4], known=known)
-    assert tested == [2, 1, 1]  # a failing basis never enters the set
-    assert known == {pool[0].tobytes(), pool[1].tobytes()}

@@ -9,9 +9,8 @@ from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          DimensionMismatch, EventAlphabet, Fa, InvalidEvent,
                          SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         compute_output, identity, mat_approx_eq, output_of,
-                         recover_transform)
-from switchlearn.linalg import check_finite
+                         compute_output, mat_approx_eq, output_of)
+from switchlearn.linalg import LABEL_TOL
 
 from conftest import (OSErrorObservationOracle, make_four_node_hypothesis,
                       make_three_node_hypothesis)
@@ -161,47 +160,32 @@ def test_exact_verdict_matches_exhaustive_comparison(hidden, hypothesis):
         assert len(verdict) == len(mismatch)
 
 
-def plain_output(obs, word):
-    """compute_output without its refinement: the one recovery from one
-    identity-seeded trace that the bounded oracle makes of every word."""
-    obs.stats.output_computations += 1
-    states = obs.exec_query(identity(obs.dimension()), word)
-    if not word:
-        return check_finite(states[-1])
-    return recover_transform(states[-2], states[-1])
+def label_distance(hidden, hypothesis, word):
+    """Max-abs distance between the hidden output of word and the
+    hypothesis's label of it."""
+    return np.abs(hidden.matrices[output_of(hidden.fa, word)]
+                  - hypothesis.matrices[output_of(hypothesis.fa, word)]).max()
 
 
-def word_by_word_check(obs, hypothesis, l_max, tol=1e-6):
-    """The bounded search computing each word's output on its own."""
-    num_events = len(hypothesis.fa.alphabet)
+def words_up_to(num_events, l_max):
+    """The words up to length l_max in length-lex order."""
     for length in range(l_max + 1):
-        for word in itertools.product(range(num_events), repeat=length):
-            observed = plain_output(obs, word)
-            claimed = hypothesis.matrices[output_of(hypothesis.fa, word)]
-            if not mat_approx_eq(observed, claimed, tol):
-                return word
-    return None
+        yield from itertools.product(range(num_events), repeat=length)
 
 
-def search_outcome(check, hidden, make_obs=WhiteBoxObservationOracle):
-    """(verdict or error, output computations, io queries) of one search on
-    a fresh observation oracle for hidden."""
+def search_outcome(hidden, hypothesis, l_max, make_obs=WhiteBoxObservationOracle):
+    """(verdict or error, output computations, io queries) of one bounded
+    search on a fresh observation oracle for hidden. A returned word must
+    be a true counterexample: its hidden output differs from the
+    hypothesis's label by more than the tolerance."""
     obs = make_obs(hidden)
     try:
-        verdict = check(obs)
+        verdict = BoundedTestingEquivalenceOracle(obs, l_max).check(hypothesis)
     except (SwitchLearnError, OSError) as exc:
         verdict = (type(exc), str(exc))
+    else:
+        assert verdict is None or label_distance(hidden, hypothesis, verdict) > LABEL_TOL
     return verdict, obs.stats.output_computations, obs.stats.io_queries
-
-
-def assert_same_search(hidden, hypothesis, l_max, make_obs=WhiteBoxObservationOracle):
-    chained = search_outcome(
-        lambda obs: BoundedTestingEquivalenceOracle(obs, l_max).check(hypothesis),
-        hidden, make_obs)
-    reference = search_outcome(
-        lambda obs: word_by_word_check(obs, hypothesis, l_max), hidden, make_obs)
-    assert chained[:2] == reference[:2]
-    return chained, reference
 
 
 def random_matrix(rng, d):
@@ -223,12 +207,21 @@ def random_fa(rng, num_nodes, num_events, num_labels):
               gamma=tuple(int(g) for g in rng.integers(0, num_labels, num_nodes)))
 
 
+def prefix_condition(system, word):
+    """Condition number of the product of system's labels along the proper
+    prefixes of word: the map from a trace's start to word's state before
+    its last step."""
+    product = np.eye(system.d)
+    for length in range(len(word)):
+        product = system.matrices[output_of(system.fa, word[:length])] @ product
+    return np.linalg.cond(product)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), num_events=st.integers(1, 3),
        l_max=st.integers(0, 6),
        hypothesis_kind=st.sampled_from(["same", "relabel", "perturb", "random"]))
-def test_chained_check_matches_word_by_word_search(seed, d, num_events, l_max,
-                                                   hypothesis_kind):
+def test_bounded_check_is_sound_and_complete(seed, d, num_events, l_max, hypothesis_kind):
     rng = np.random.default_rng(seed)
     num_labels = int(rng.integers(1, 4))
     matrices = tuple(random_matrix(rng, d) for _ in range(num_labels))
@@ -254,15 +247,34 @@ def test_chained_check_matches_word_by_word_search(seed, d, num_events, l_max,
         other = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
         fa = Fa(num_nodes=other.num_nodes, initial=0, alphabet=other.alphabet,
                 delta=other.delta, gamma=(fa.gamma[0],) + other.gamma[1:])
-    assert_same_search(hidden, SwitchedSystem(fa=fa, matrices=matrices, d=d), l_max)
+    hypothesis = SwitchedSystem(fa=fa, matrices=matrices, d=d)
+    # sound: search_outcome checks any returned word, and no search here fails
+    verdict, outputs, io = search_outcome(hidden, hypothesis, l_max)
+    assert verdict is None or all(isinstance(event, int) for event in verdict)
+    if hypothesis_kind in ("relabel", "random"):
+        # complete: the labels of both systems are the same matrices up to
+        # the first word that differs, so its state before the last step is
+        # its random column, up to the rounding of the prefix product
+        words = list(words_up_to(num_events, l_max))
+        differing = [rank for rank, word in enumerate(words)
+                     if label_distance(hidden, hypothesis, word) > LABEL_TOL]
+        if not differing:
+            assert (verdict, outputs) == (None, len(words))
+        elif prefix_condition(hidden, words[differing[0]]) < 1e8:
+            assert (verdict, outputs) == (words[differing[0]], differing[0] + 1)
 
 
-def test_full_search_traces_each_chain_once(demo2d_system):
+def test_full_search_traces_one_column_per_word(demo2d_system):
     # one trace query per word ending in a non-zero event, plus the empty
-    # word's: 2**6 traces of d=2 columns for all 127 words up to length 6
-    chained, reference = assert_same_search(demo2d_system, demo2d_system, 6)
-    assert chained == (None, 127, 128)
-    assert reference == (None, 127, 254)
+    # word's, with one column for each word of its chain: 2**6 traces and
+    # 127 columns for the 127 words up to length 6
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    calls = []
+    query = obs.exec_query
+    obs.exec_query = lambda x0, word: calls.append(word) or query(x0, word)
+    assert BoundedTestingEquivalenceOracle(obs, 6).check(demo2d_system) is None
+    assert len(calls) == 2**6
+    assert (obs.stats.output_computations, obs.stats.io_queries) == (127, 127)
 
 
 def test_one_event_alphabet_makes_one_trace():
@@ -282,32 +294,55 @@ def test_one_event_alphabet_makes_one_trace():
 
 def singular_at_length_three():
     # event 1 loops on the initial node, whose matrix shrinks one direction
-    # by 1e-5: the basis of (1, 1, 0) is that matrix cubed, with a pivot of
-    # 1e-15; every shorter word and every word before it in its length
-    # has a basis with pivots of 1e-10 or more
+    # by 1e-5: the product along the prefixes of (1, 1, 0) is that matrix
+    # cubed, with a pivot of 1e-15, too ill-conditioned for the recovery
+    # from an identity-seeded trace to accept
     fa = Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(("a", "b")),
             delta=((1, 0), (1, 1)), gamma=(0, 1))
     return SwitchedSystem(fa=fa, matrices=(np.diag([1.0, 1e-5]),
                                            np.array([[1.0, 1.0], [-1.0, 1.0]])), d=2)
 
 
-def test_singular_basis_raised_after_word_by_word_count():
+def infinite_after_b_a():
+    # node 2, first reached by (1, 0), has an infinite label entry: the
+    # state after the last step of (1, 0) is not finite
+    fa = Fa(num_nodes=3, initial=0, alphabet=EventAlphabet(("a", "b")),
+            delta=((0, 1), (2, 1), (2, 2)), gamma=(0, 1, 2))
+    return SwitchedSystem(fa=fa, matrices=(np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                           np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                           np.array([[1.0, np.inf], [0.0, 1.0]])), d=2)
+
+
+def test_non_finite_state_raised_after_earlier_words_are_counted():
+    # the words of an ill-conditioned prefix product are checked, not refused:
+    # each state before the last step is about its random column
     hidden = singular_at_length_three()
-    chained, _ = assert_same_search(hidden, hidden, 5)
-    (error, message), outputs, _ = chained
-    assert error is SingularBasis and "column 1" in message
-    # 1 + 2 + 4 shorter words, then (0,0,0) .. (1,0,1) agree and (1,1,0) fails
-    assert outputs == 7 + 7
+    assert search_outcome(hidden, hidden, 5) == (None, 63, 63)
+    # (), (0,), (1,), (0, 0) and (0, 1) agree, then (1, 0) fails, whether
+    # the hypothesis claims the infinite label or a finite one
+    hidden = infinite_after_b_a()
+    finite = SwitchedSystem(fa=hidden.fa, matrices=hidden.matrices[:2] + (np.eye(2),), d=2)
+    for claimed in (hidden, finite):
+        with np.errstate(invalid="ignore"):
+            verdict, outputs, _ = search_outcome(hidden, claimed, 4)
+        assert (verdict, outputs) == ((SingularBasis, "trace state of word (1, 0) before or "
+                                       "after its last step is not finite"), 6)
+    # a counterexample ahead of it, (1,), still wins
+    relabelled = Fa(num_nodes=3, initial=0, alphabet=hidden.fa.alphabet,
+                    delta=hidden.fa.delta, gamma=(0, 0, 2))
+    claimed = SwitchedSystem(fa=relabelled, matrices=hidden.matrices, d=2)
+    with np.errstate(invalid="ignore"):
+        assert search_outcome(hidden, claimed, 4)[:2] == ((1,), 3)
 
 
 def test_counterexample_before_singular_basis_wins():
-    # the hypothesis disagrees on (0, 0, 0) only, ahead of the singular (1, 1, 0)
+    # the hypothesis disagrees on (0, 0, 0) only, ahead of (1, 1, 0), whose
+    # prefix product is singular to 1e-15
     hidden = singular_at_length_three()
     fa = Fa(num_nodes=5, initial=0, alphabet=hidden.fa.alphabet,
             delta=((1, 0), (2, 4), (3, 4), (4, 4), (4, 4)), gamma=(0, 1, 1, 2, 1))
     hypothesis = SwitchedSystem(fa=fa, matrices=hidden.matrices + (np.eye(2),), d=2)
-    chained, _ = assert_same_search(hidden, hypothesis, 5)
-    assert chained[:2] == ((0, 0, 0), 8)
+    assert search_outcome(hidden, hypothesis, 5)[:2] == ((0, 0, 0), 8)
 
 
 def test_trace_error_raised_after_earlier_words_are_compared(demo2d_system):
@@ -318,25 +353,23 @@ def test_trace_error_raised_after_earlier_words_are_compared(demo2d_system):
                   delta=tuple(row + (0,) for row in demo2d_system.fa.delta),
                   gamma=demo2d_system.fa.gamma)
     hypothesis = SwitchedSystem(fa=agreeing, matrices=demo2d_system.matrices, d=2)
-    chained, _ = assert_same_search(demo2d_system, hypothesis, 3)
-    assert chained[:2] == ((InvalidEvent, "event index 2 out of range for 2 events"), 4)
+    assert search_outcome(demo2d_system, hypothesis, 3)[:2] == (
+        (InvalidEvent, "event index 2 out of range for 2 events"), 4)
     disagreeing = Fa(num_nodes=4, initial=0, alphabet=three, delta=agreeing.delta,
                      gamma=(0, 2, 1, 2))
     hypothesis = SwitchedSystem(fa=disagreeing, matrices=demo2d_system.matrices, d=2)
-    chained, _ = assert_same_search(demo2d_system, hypothesis, 3)
-    assert chained[:2] == ((1,), 3)
+    assert search_outcome(demo2d_system, hypothesis, 3)[:2] == ((1,), 3)
     # an error from outside the package is deferred the same way: (1,) is
     # the first word whose trace fails, after () and (0,) are compared
-    chained, _ = assert_same_search(demo2d_system, demo2d_system, 3,
-                                    OSErrorObservationOracle)
-    assert chained[:2] == ((OSError, "trace lost"), 3)
+    assert search_outcome(demo2d_system, demo2d_system, 3, OSErrorObservationOracle)[:2] == (
+        (OSError, "trace lost"), 3)
     # and a counterexample ahead of it, (0,), still wins
     fa = demo2d_system.fa
     relabelled = Fa(num_nodes=4, initial=0, alphabet=fa.alphabet, delta=fa.delta,
                     gamma=(0, 1, 1, 0))
     hypothesis = SwitchedSystem(fa=relabelled, matrices=demo2d_system.matrices, d=2)
-    chained, _ = assert_same_search(demo2d_system, hypothesis, 3, OSErrorObservationOracle)
-    assert chained[:2] == ((0,), 2)
+    assert search_outcome(demo2d_system, hypothesis, 3, OSErrorObservationOracle)[:2] == (
+        (0,), 2)
 
 
 class ShortTraceObservationOracle(WhiteBoxObservationOracle):
@@ -350,22 +383,29 @@ class ShortTraceObservationOracle(WhiteBoxObservationOracle):
 
 def test_failing_chain_trace_is_not_charged_to_its_first_word(demo2d_system):
     # every chain of the depth-5 search is longer than 3 events, yet each of
-    # the 15 words up to length 3 is traced alone and compared; the first
-    # word of length 4 fails on its own trace, as word by word
-    chained, _ = assert_same_search(demo2d_system, demo2d_system, 5,
-                                    ShortTraceObservationOracle)
-    assert chained[:2] == ((OSError, "trace too long"), 16)
+    # the 15 words up to length 3 is traced alone, on one column, and
+    # compared; the first word of length 4 fails on its own trace
+    assert search_outcome(demo2d_system, demo2d_system, 5, ShortTraceObservationOracle) == (
+        (OSError, "trace too long"), 16, 15)
 
 
-def test_singular_basis_before_untraceable_word_wins():
-    # (0,) has a singular basis and (2,) cannot be traced; (0,) comes first
-    def one_node(names):
+def test_singular_label_is_checked_before_untraceable_word():
+    # the label diag(1, 1e-13) makes every basis after the empty word
+    # singular; the words are checked on columns that the hypothesis's
+    # inverse labels spread out again, so an equal hypothesis agrees, and a
+    # hypothesis with one more event fails at (2,), which cannot be traced
+    def one_node(names, matrix=np.diag([1.0, 1e-13])):
         fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(names),
                 delta=((0,) * len(names),), gamma=(0,))
-        return SwitchedSystem(fa=fa, matrices=(np.diag([1.0, 1e-13]),), d=2)
-    chained, _ = assert_same_search(one_node(("a", "b")), one_node(("a", "b", "c")), 2)
-    (error, _), outputs, _ = chained
-    assert error is SingularBasis and outputs == 2
+        return SwitchedSystem(fa=fa, matrices=(matrix,), d=2)
+    hidden = one_node(("a", "b"))
+    assert search_outcome(hidden, hidden, 2)[:2] == (None, 7)
+    assert search_outcome(hidden, one_node(("a", "b", "c")), 2)[:2] == (
+        (InvalidEvent, "event index 2 out of range for 2 events"), 4)
+    # an exactly singular label has no inverse: the columns after the empty
+    # word start from their random columns themselves
+    singular = one_node(("a", "b"), np.ones((2, 2)))
+    assert search_outcome(singular, singular, 3)[:2] == (None, 15)
 
 
 def test_bounded_oracle_refuses_non_finite_empty_word_output():
@@ -376,10 +416,10 @@ def test_bounded_oracle_refuses_non_finite_empty_word_output():
     hypothesis = SwitchedSystem(fa=fa, matrices=(np.eye(2), np.eye(2)), d=2)
     for claimed in (hidden, hypothesis):
         with np.errstate(invalid="ignore"):
-            chained, _ = assert_same_search(hidden, claimed, 3)
-        # the image of the identity: -inf * 0 makes entry (0, 0) NaN
-        assert chained[:2] == ((SingularBasis, "recovered matrix is not finite: "
-                                "entry (0, 0) is nan"), 1)
+            outcome = search_outcome(hidden, claimed, 3)
+        # the image of a random column has an infinite first entry
+        assert outcome[:2] == ((SingularBasis, "trace state of word () before or after its "
+                                "last step is not finite"), 1)
 
 
 def test_bounded_oracle_rejects_hypothesis_of_other_dimension(demo2d_system):

@@ -8,7 +8,7 @@ from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig, InvalidEv
                          SwitchLearnError, WhiteBoxObservationOracle,
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
-                         recover_transform, recover_transforms, run)
+                         recover_transform, run)
 from switchlearn.output_query import PROBE_BATCH, rederive
 
 from conftest import DEMO2D_MATRICES, OSErrorObservationOracle, count_maximal
@@ -469,18 +469,6 @@ def test_lapack_singular_basis_mid_stack():
     rng = np.random.default_rng(3)
     good = [tuple(int(e) for e in rng.integers(0, 3, 6)) for _ in range(4)]
     words = good[:2] + [bad] + good[2:]
-    obs = WhiteBoxObservationOracle(system)
-    traces = [obs.exec_query(identity(5), w) for w in words]
-    bases = np.array([t[-2] for t in traces])
-    images = np.array([t[-1] for t in traces])
-    matrices, error = recover_transforms(bases, images)
-    assert len(matrices) == 2
-    for i in range(2):
-        assert np.array_equal(matrices[i], recover_transform(bases[i], images[i]))
-    with pytest.raises(SingularBasis) as single:
-        recover_transform(bases[2], images[2])
-    assert isinstance(error, SingularBasis) and str(error) == str(single.value)
-
     one, many = WhiteBoxObservationOracle(system), WhiteBoxObservationOracle(system)
     one_registry, one_cache, many_cache = LabelRegistry(), {}, {}
     with pytest.raises(SingularBasis, match="LAPACK"):
