@@ -277,6 +277,77 @@ def test_full_search_traces_one_column_per_word(demo2d_system):
     assert (obs.stats.output_computations, obs.stats.io_queries) == (127, 127)
 
 
+def test_repeated_checks_make_the_same_queries(demo2d_system):
+    # the columns are drawn afresh from the same seed in each check, so
+    # checking twice on one oracle traces the same starts and counts the same
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    calls = []
+    query = obs.exec_query
+    obs.exec_query = lambda x0, word: calls.append((x0.copy(), word)) or query(x0, word)
+    eq = BoundedTestingEquivalenceOracle(obs, 4)
+    outcomes = []
+    for _ in range(2):
+        calls.clear()
+        before = (obs.stats.output_computations, obs.stats.io_queries)
+        verdict = eq.check(make_three_node_hypothesis())
+        outcomes.append((verdict, obs.stats.output_computations - before[0],
+                         obs.stats.io_queries - before[1],
+                         [(x0.tobytes(), word) for x0, word in calls]))
+    assert outcomes[0][0] is not None
+    assert outcomes[0] == outcomes[1]
+
+
+def test_difference_in_a_contracted_direction_is_found():
+    # the labels along (0, 0, 0, 0) shrink the second coordinate by 1e-12,
+    # and the last node's labels differ only in what they do to it; each
+    # column starts from the hypothesis's inverse product along its word's
+    # prefixes, so the state before the last step is its random column
+    # again, and the difference of 0.01 shows
+    fa = Fa(num_nodes=5, initial=0, alphabet=EventAlphabet(("a",)),
+            delta=((1,), (2,), (3,), (4,), (4,)), gamma=(0, 0, 0, 0, 1))
+    shrink = np.diag([1.0, 1e-3])
+    hidden = SwitchedSystem(fa=fa, matrices=(shrink, np.eye(2)), d=2)
+    hypothesis = SwitchedSystem(fa=fa, matrices=(shrink, np.array([[1.0, 0.01], [0.0, 1.0]])),
+                                d=2)
+    # from an unpreconditioned start the state before the last step of
+    # (0, 0, 0, 0) is A^4 x0, whose second entry is 1e-12 of x0's, far below
+    # tol * ||x||_1
+    assert search_outcome(hidden, hypothesis, 6) == ((0, 0, 0, 0), 5, 7)
+
+
+class RefuseOnceObservationOracle(WhiteBoxObservationOracle):
+    """A trace oracle that refuses the first query of the word (1, 0, 0)."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.refused = False
+        self.calls = []
+        self.starts = []
+
+    def exec_query(self, x0, word):
+        self.calls.append((word, x0.shape[1] if x0.ndim == 2 else 1))
+        self.starts.append(x0.copy())
+        if word == (1, 0, 0) and not self.refused:
+            self.refused = True
+            raise OSError("trace refused")
+        return super().exec_query(x0, word)
+
+
+def test_refused_chain_lets_the_next_word_head_its_own_chain(demo2d_system):
+    # the chain of (1,) is refused, so (1,) is traced alone on one column,
+    # and (1, 0) heads the chain (1, 0, 0) again on two columns of its own
+    obs = RefuseOnceObservationOracle(demo2d_system)
+    assert BoundedTestingEquivalenceOracle(obs, 3).check(demo2d_system) is None
+    assert obs.calls == [((0, 0, 0), 4), ((1, 0, 0), 3), ((1,), 1),
+                         ((0, 1, 0), 2), ((1, 0, 0), 2), ((1, 1, 0), 2),
+                         ((0, 0, 1), 1), ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 1), 1)]
+    # the second chain (1, 0, 0) starts from columns preconditioned for
+    # (1, 0), not from those of the head (0, 1) before it
+    assert not np.array_equal(obs.starts[4], obs.starts[3])
+    # each of the 15 words is checked once, on one column of a trace
+    assert (obs.stats.output_computations, obs.stats.io_queries) == (15, 15)
+
+
 def test_one_event_alphabet_makes_one_trace():
     hidden = SwitchedSystem(
         fa=Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(("go",)),
