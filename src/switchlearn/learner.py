@@ -125,15 +125,22 @@ class ObservationStore:
         return (w + t for w in words for t in tests[len(rows.get(w, ())):])
 
     def row(self, word: Word) -> tuple[int, ...]:
-        """word's row: its stored cells, extended by the cells it lacks."""
+        """word's row: its stored cells, extended by the cells it lacks. A
+        cached cell is read straight from the output cache; only a missing
+        one goes through label, which may refuse it or change cached labels."""
         cells = self._rows.get(word, ())
         if len(cells) < len(self.test_words):
             relabels = self._relabels
-            cells += tuple(self.label(word + t) for t in self.test_words[len(cells):])
+            cells += self._cells(word, self.test_words[len(cells):])
             if self._relabels != relabels:  # a cached label changed meanwhile
-                cells = tuple(self.label(word + t) for t in self.test_words)
+                cells = self._cells(word, self.test_words)
             self._rows[word] = cells
         return cells
+
+    def _cells(self, word: Word, tests: list[Word]) -> tuple[int, ...]:
+        cache = self._cache
+        return tuple(cache[cell] if cell in cache else self.label(cell)
+                     for cell in (word + t for t in tests))
 
     def index(self) -> dict[tuple[int, ...], int]:
         """Map from each access word's row to the first access word having
@@ -217,18 +224,18 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
 def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> SwitchedSystem:
     """Hypothesis system over the current words: one node per access word
     (empty word initial), transitions to the representative of each
-    one-event extension, node labels taken from the word's own output."""
+    one-event extension, looked up in one index() by the extension's stored
+    row, node labels taken from the word's own output, the first cell of its
+    row."""
+    index = store.index()
     delta = []
     for word in store.access_words:
-        targets = []
-        for e in range(len(alphabet)):
-            target = find_representative(store, word + (e,))
-            if target is None:
-                raise NotClosed(f"extension of {word!r} by event {e} has "
-                                "no representative; close the store first")
-            targets.append(target)
-        delta.append(tuple(targets))
-    gamma = tuple(store.label(word) for word in store.access_words)
+        targets = tuple(index.get(store.row(word + (e,))) for e in range(len(alphabet)))
+        if None in targets:
+            raise NotClosed(f"extension of {word!r} by event {targets.index(None)} has "
+                            "no representative; close the store first")
+        delta.append(targets)
+    gamma = tuple(store.row(word)[0] for word in store.access_words)
     fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
             delta=tuple(delta), gamma=gamma)
     canonical = store.registry.canonical

@@ -99,11 +99,19 @@ class WhiteBoxEquivalenceOracle(EquivalenceOracle):
         self._label_eq = label_eq or (lambda a, b: mat_approx_eq(a, b, tol))
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
+        """None when hypothesis is equivalent, otherwise a shortest
+        counterexample (see language_equivalent). label_eq is called at most
+        once per distinct pair of a hidden and a hypothesis label in one
+        check; an exception it raises propagates."""
         self.stats.equivalence_queries += 1
-        hidden = self._hidden
-        return language_equivalent(
-            hidden.fa, hypothesis.fa,
-            lambda i, j: self._label_eq(hidden.matrices[i], hypothesis.matrices[j]))
+        hidden, verdicts = self._hidden, {}
+
+        def same(i: int, j: int) -> bool:
+            if (i, j) not in verdicts:
+                verdicts[i, j] = self._label_eq(hidden.matrices[i], hypothesis.matrices[j])
+            return verdicts[i, j]
+
+        return language_equivalent(hidden.fa, hypothesis.fa, same)
 
 
 def _inverses(matrices: np.ndarray) -> np.ndarray:

@@ -38,11 +38,11 @@ interned. Re-derivations cost trace queries but no output computations.
 import numpy as np
 
 from .automaton import Word
-from .errors import AmbiguousLabel, SingularBasis
+from .errors import AmbiguousLabel, DimensionMismatch, SingularBasis
 from .linalg import LABEL_TOL, check_finite, check_label_tol, identity, recover_transform
 
 # Words classified per stacked probe check: the residuals of a stack are one
-# (labels, words, d) array, about 400 kB at d=20 with 10 labels.
+# (labels, d, words) array, about 400 kB at d=20 with 10 labels.
 PROBE_BATCH = 256
 
 # A recovery whose error bound, REFINE_FACTOR * d * EPS * cond(basis) * |M|
@@ -91,10 +91,14 @@ class LabelRegistry:
 
     def classify(self, matrix: np.ndarray) -> int:
         """Id of the one label matrix agrees with, or of a new label for it
-        when it agrees with none; AmbiguousLabel when it agrees with more."""
+        when it agrees with none; AmbiguousLabel when it agrees with more,
+        DimensionMismatch when its shape is not that of the labels."""
         matrix = np.asarray(matrix, dtype=float)
         if not len(self._labels):
             self._labels = np.empty((0,) + matrix.shape)
+        if matrix.shape != self._labels.shape[1:]:
+            raise DimensionMismatch(f"cannot classify a matrix of shape {matrix.shape} "
+                                    f"among labels of shape {self._labels.shape[1:]}")
         hits = np.flatnonzero(np.abs(self._labels - matrix).max(axis=(1, 2)) <= self.tol)
         if len(hits) > 1:
             raise AmbiguousLabel(f"matrix matches labels {hits.tolist()} at tolerance "
@@ -116,12 +120,15 @@ def _ratios(matrices: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float) ->
     threshold tol * ||x||_1, for each matrix C of the (m, d, d) stack
     matrices (rows) and each pair (x, y) of rows of the (k, d) arrays xs and
     ys (columns). C passes when its ratio is at most 1; it is NaN or inf,
-    and never passes, where a state is not finite or x is zero."""
-    if not len(matrices):  # a registry with no label yet
-        return np.empty((0, len(xs)))
+    and never passes, where a state is not finite or x is zero.
+
+    One stacked matrix product C xs^T makes the (m, d, k) residuals, which
+    are differenced and made absolute in place and reduced over d."""
     with np.errstate(all="ignore"):
-        return (np.abs(ys - xs @ matrices.transpose(0, 2, 1)).max(axis=2)
-                / (tol * np.abs(xs).sum(axis=1)))
+        residuals = matrices @ xs.T
+        residuals -= ys.T
+        np.abs(residuals, out=residuals)
+        return residuals.max(axis=1) / (tol * np.abs(xs).sum(axis=1))
 
 
 class LabelProbe:
@@ -287,22 +294,30 @@ def _identify(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProb
               words: list[Word], pairs: np.ndarray) -> None:
     """Label the stack words, in order, from their probe pairs (the (words,
     2, d) array pairs): the one label a word passes, or else a fallback.
-    Whenever a fallback adds a label, the words still to come are screened
-    again against every label. The pairs of accepted words go to probe."""
+    Each label is screened once: the labels known at the start against every
+    word, and the labels a fallback adds against the words still to come.
+    A screen's passes are merged into each word's count of passing labels
+    and the first of them. The pairs of accepted words go to probe."""
     accepted: list[int] = []
-    known = -1
+    # per word: how many labels it passes, and the first of them
+    hits, first = [0] * len(words), [0] * len(words)
+    known = 0
     try:
         for i, word in enumerate(words):
             if len(registry) != known:
-                known, base = len(registry), i
-                ratios = _ratios(registry._labels, pairs[i:, 0], pairs[i:, 1], registry.tol)
+                ratios = _ratios(registry._labels[known:], pairs[i:, 0], pairs[i:, 1],
+                                 registry.tol)
                 probe._note(ratios)
                 passed = ratios <= 1
-                hits = passed.sum(axis=0).tolist()
-                first = passed.argmax(axis=0).tolist() if known else hits
+                passes, firsts = passed.sum(axis=0).tolist(), passed.argmax(axis=0).tolist()
+                if known:  # merge with the passes of the labels screened before
+                    firsts = [f if h else known + g
+                              for h, f, g in zip(hits[i:], first[i:], firsts)]
+                    passes = [h + p for h, p in zip(hits[i:], passes)]
+                hits[i:], first[i:], known = passes, firsts, len(registry)
             obs.stats.output_computations += 1
-            if hits[i - base] == 1:
-                cache[word] = first[i - base]
+            if hits[i] == 1:
+                cache[word] = first[i]
                 accepted.append(i)
                 continue
             # the accepted pairs are rescreened if this fallback adds a label
@@ -333,15 +348,18 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     longer word takes states |w| and |w|+1 of it as its pair (x, y), equal
     to those of a trace of w alone from the same column because the trace
     oracle has the prefix property (a trace of w·u starts with the trace of
-    w). Only the pairs of words still to come are kept, never whole traces.
+    w). Each pair is written into one (words, 2, d) array as its trace
+    arrives; whole traces are never kept.
     The words read off one trace are prefixes of each other; when that
     trace query raises for a word other than the traced one, they are read
     off the trace of the longest of them other than the traced word
     instead, so a word fails only when its own trace query would.
 
     The words of each stack of PROBE_BATCH are checked against every label
-    in one call. A fallback, a word that no label or several labels pass,
-    costs one more trace query of d columns, and another when it is refined.
+    in one call, and a label a fallback adds mid-stack against the words
+    after it in one more (see _identify). A fallback, a word that no label
+    or several labels pass, costs one more trace query of d columns, and
+    another when it is refined.
 
     If a fallback's basis is singular, its output not finite or not passing
     the probe check, its label ambiguous, or a trace query raises, the
@@ -363,11 +381,13 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     # the column a trace of pending[i] starts from, drawn for every word so
     # that a word traced after its cover's trace failed has one too
     columns = probe.rng.standard_normal((len(pending), obs.dimension()))
-    kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    pairs = np.empty((len(pending), 2, obs.dimension()))  # (x, y) of each word
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    traced = [False] * len(pending)
 
     def trace(i: int) -> None:
-        """Keep the pairs of the words read off the trace of word i's cover;
-        i is the first of them, so it is reached first."""
+        """Write the pairs of the words read off the trace of word i's
+        cover; i is the first of them, so it is reached first."""
         while True:
             cover = covers[i]
             try:
@@ -383,21 +403,21 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
                 covers[j] = longest
         for j in readers[cover]:
             n = len(pending[j])
-            kept[j] = states[n], states[n + 1]
+            xs[j], ys[j] = states[n], states[n + 1]
+            traced[j] = True
 
     for start in range(0, len(pending), PROBE_BATCH):
         chunk = pending[start:start + PROBE_BATCH]
         untraced = None
         for k in range(len(chunk)):
-            if start + k not in kept:
+            if not traced[start + k]:
                 try:
                     trace(start + k)
                 except Exception as exc:  # raised once the words before it are cached
                     chunk, untraced = chunk[:k], exc
                     break
         if chunk:
-            pairs = np.array([kept.pop(start + k) for k in range(len(chunk))])
-            _identify(obs, registry, cache, probe, chunk, pairs)
+            _identify(obs, registry, cache, probe, chunk, pairs[start:start + len(chunk)])
         if untraced is not None:
             obs.stats.output_computations += 1
             raise untraced

@@ -5,6 +5,7 @@ new label for a known one."""
 import importlib.util
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -304,6 +305,143 @@ def test_store_labels_are_true_or_refused(d, seed, num_nodes, num_events, num_la
             except SwitchLearnError:
                 continue
             assert true_label(hidden, store.registry, label, word)
+
+
+RATIOS = output_query._ratios
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 5, 20]), m=st.integers(1, 10), k=st.integers(0, 40),
+       tol=st.sampled_from([1e-6, 0.4]), seed=st.integers(0, 10_000))
+def test_ratios_match_a_loop_over_labels_and_words(d, m, k, tol, seed):
+    rng = np.random.default_rng(seed)
+    matrices = rng.uniform(-1.0, 1.0, (m, d, d))
+    pairs = rng.standard_normal((k, 2, d))
+    for i, kind in zip(range(k), rng.integers(0, 6, k)):
+        if kind == 0:  # passes the first label, up to rounding
+            pairs[i, 1] = matrices[0] @ pairs[i, 0]
+        elif kind == 1:
+            pairs[i, 0] = 0.0
+        elif kind == 2:
+            pairs[i, rng.integers(2), rng.integers(d)] = rng.choice([np.nan, np.inf])
+    with np.errstate(all="ignore"):
+        expected = np.array([[np.abs(y - c @ x).max() / (tol * np.abs(x).sum())
+                              for x, y in pairs] for c in matrices]).reshape(m, k)
+    # the loop's sums run in another order: ratios near 0 differ by about
+    # eps * |C x|_inf / (tol * |x|_1), below 1e-7 at these tolerances
+    np.testing.assert_allclose(RATIOS(matrices, pairs[:, 0], pairs[:, 1], tol), expected,
+                               rtol=1e-12, atol=1e-7)
+
+
+def word_by_word_ratios(matrices, xs, ys, tol):
+    """output_query._ratios one word per call. BLAS may round the product
+    of one column otherwise than that of the same column among many (it
+    takes another kernel), so only word by word is the ratio of a label and
+    a word independent of the other words screened with it."""
+    columns = [RATIOS(matrices, xs[k:k + 1], ys[k:k + 1], tol) for k in range(len(xs))]
+    return np.concatenate(columns, axis=1) if columns else RATIOS(matrices, xs, ys, tol)
+
+
+def rescreening_identify(obs, registry, cache, probe, words, pairs):
+    """Reference for output_query._identify: whenever a fallback adds a
+    label, every label is screened again against the words still to come."""
+    accepted, known = [], -1
+    try:
+        for i, word in enumerate(words):
+            if len(registry) != known:
+                known, base = len(registry), i
+                ratios = (output_query._ratios(registry._labels, pairs[i:, 0], pairs[i:, 1],
+                                               registry.tol)
+                          if known else np.empty((0, len(words) - i)))
+                probe._note(ratios)
+                passed = ratios <= 1
+                hits = passed.sum(axis=0).tolist()
+                first = passed.argmax(axis=0).tolist() if known else hits
+            obs.stats.output_computations += 1
+            if hits[i - base] == 1:
+                cache[word] = first[i - base]
+                accepted.append(i)
+                continue
+            probe._keep(words, pairs, accepted)
+            accepted = []
+            probe.fallbacks += 1
+            matrix = output_query._derive(obs, word, registry.tol, pairs[i])
+            cache[word] = output_query._intern(obs, registry, cache, probe, matrix)
+    finally:
+        probe._keep(words, pairs, accepted)
+
+
+def stacks_outcome(hidden, tol, known, stacks, identify, ratios):
+    """Everything labelling the stacks shows, each stack one cached_outputs
+    call, from a registry that knows the first known hidden labels: the
+    cache, the label bytes, the probe's counters, the query counts and the
+    error raised; and, apart, margin_min."""
+    obs = WhiteBoxObservationOracle(hidden)
+    registry = LabelRegistry(tol, canonical=hidden.matrices[:known])
+    cache, probe, error = {}, LabelProbe(), None
+    with mock.patch.object(output_query, "_identify", identify), \
+            mock.patch.object(output_query, "_ratios", ratios):
+        try:
+            for words in stacks:
+                cached_outputs(obs, registry, cache, words, None, probe)
+        except SwitchLearnError as exc:
+            error = type(exc), str(exc)
+    labels = np.array(registry.canonical).tobytes()
+    return ((cache, labels, probe.fallbacks, probe.relabels, obs.stats.as_dict(), error),
+            probe.margin_min)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 4, 5, 20]), tol=st.sampled_from([1e-6, 0.4]),
+       seed=st.integers(0, 10_000), num_events=st.integers(1, 3),
+       num_labels=st.integers(2, 8), known=st.integers(0, 2), stress=st.booleans(),
+       sizes=st.lists(st.integers(1, 80), min_size=1, max_size=3), word_by_word=st.booleans())
+def test_identify_screens_each_label_once(d, tol, seed, num_events, num_labels, known, stress,
+                                          sizes, word_by_word):
+    # a label a fallback adds mid-stack is screened alone against the words
+    # after it; the outcome is that of screening every label again. The
+    # stress chain's long a-words pass A while they reach B, so there B,
+    # interned mid-stack, often re-derives words accepted before it
+    if stress:
+        hidden, num_events, known = stress_chain(4 + seed % 13, shortcut=True), 2, 1
+        lengths = 16
+    else:
+        hidden = random_system(GenConfig(12, num_events, num_labels, d, seed))
+        known, lengths = min(known, len(hidden.matrices) - 1), 8
+    rng = np.random.default_rng(seed)
+    # the stress chain's a-words are drawn with a few b's among them
+    stacks = [[tuple(int(e) for e in (rng.random(rng.integers(0, lengths)) < 0.1 if stress
+                                      else rng.integers(0, num_events, rng.integers(0, lengths))))
+               for _ in range(size)] for size in sizes]
+    ratios = word_by_word_ratios if word_by_word else RATIOS
+    outcome, margin = stacks_outcome(hidden, tol, known, stacks, output_query._identify, ratios)
+    expected, expected_margin = stacks_outcome(hidden, tol, known, stacks,
+                                               rescreening_identify, ratios)
+    assert outcome == expected
+    if word_by_word:
+        assert margin == expected_margin
+    else:  # the rescreen may see a ratio in another call's rounding: a ratio
+        # over 1 is off by at most about d * eps * max|C| / tol of itself
+        assert margin == pytest.approx(expected_margin, rel=1e-8)
+
+
+def test_a_label_added_mid_stack_is_screened_alone(demo2d_system):
+    # each of the demo model's three labels is new when its first word is
+    # reached, so every screen after the first word is of one new label
+    screens = []
+
+    def recording_ratios(matrices, xs, ys, tol):
+        screens.append(len(matrices))
+        return RATIOS(matrices, xs, ys, tol)
+
+    words = [(), (0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1)]
+    obs, registry, cache = WhiteBoxObservationOracle(demo2d_system), LabelRegistry(), {}
+    with mock.patch.object(output_query, "_ratios", recording_ratios):
+        cached_outputs(obs, registry, cache, words)
+    assert len(registry) == 3 and obs.stats.output_computations == len(words)
+    assert screens and set(screens) == {1}
+    assert cache == {w: registry.classify(demo2d_system.matrices[output_of(demo2d_system.fa, w)])
+                     for w in words}
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          validate)
 from switchlearn import linalg
 from switchlearn.learner import find_representative, max_outputs_for_counterexample
+from switchlearn.output_query import cached_output
 
 from conftest import (DEMO2D_MATRICES, count_maximal, is_separable, row,
                       separability_checked)
@@ -254,6 +255,28 @@ def test_find_representative_is_the_first_access_word_with_the_row(demo2d_system
     store.test_words.append((E2,))
     assert find_representative(store, (E1, E2)) == 3
     assert is_separable(store)
+
+
+def test_row_reads_cached_cells_from_the_cache(demo2d_system, monkeypatch):
+    tests = [(), (E2,), (E1,), (E1, E2)]
+    store = ObservationStore(WhiteBoxObservationOracle(demo2d_system), test_words=tests,
+                             max_outputs=6)
+    store.fetch([(E1,) + t for t in tests])
+    spent, lookups, expected = store.spent, [], row((E1,), tests, store.label)
+    monkeypatch.setattr(learner, "cached_output",
+                        lambda *args: lookups.append(args[3]) or cached_output(*args))
+    assert store.row((E1,)) == expected
+    assert lookups == [] and store.spent == spent == 4
+    # at the budget, the first missing cell in test-word order is refused,
+    # and only it reaches label; the cached cells around it are read as above
+    store.fetch([(E2,), (E2, E1)])
+    spent, labelled = store.spent, []
+    monkeypatch.setattr(store, "label", lambda word: labelled.append(word) or
+                        ObservationStore.label(store, word))
+    with pytest.raises(BudgetExceeded):
+        store.row((E2,))
+    assert labelled == [(E2, E2)] and lookups == [] and store.spent == spent
+    assert (E2,) not in store._rows
 
 
 def test_build_three_node_hypothesis(demo2d_system):

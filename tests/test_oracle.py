@@ -9,7 +9,8 @@ from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          DimensionMismatch, EventAlphabet, Fa, InvalidEvent,
                          SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         compute_output, mat_approx_eq, output_of)
+                         compute_output, language_equivalent, mat_approx_eq,
+                         output_of)
 from switchlearn.linalg import LABEL_TOL
 
 from conftest import (OSErrorObservationOracle, make_four_node_hypothesis,
@@ -262,6 +263,69 @@ def test_bounded_check_is_sound_and_complete(seed, d, num_events, l_max, hypothe
             assert (verdict, outputs) == (None, len(words))
         elif prefix_condition(hidden, words[differing[0]]) < 1e8:
             assert (verdict, outputs) == (words[differing[0]], differing[0] + 1)
+
+
+class RecordingLabelEq:
+    """Max-abs closeness at LABEL_TOL that records every pair of matrices
+    it compares, by object, in call order."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def __call__(self, a, b):
+        self.pairs.append((id(a), id(b)))
+        return mat_approx_eq(a, b, LABEL_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_events=st.integers(1, 3),
+       hypothesis_kind=st.sampled_from(["same", "relabel", "redirect", "random"]))
+def test_exact_check_compares_each_label_pair_once(seed, num_events, hypothesis_kind):
+    rng = np.random.default_rng(seed)
+    num_labels = int(rng.integers(1, 6))
+    matrices = tuple(random_matrix(rng, 2) for _ in range(num_labels))
+    fa = random_fa(rng, int(rng.integers(1, 12)), num_events, num_labels)
+    hidden = SwitchedSystem(fa=fa, matrices=matrices, d=2)
+    gamma, delta = list(fa.gamma), [list(targets) for targets in fa.delta]
+    node = int(rng.integers(fa.num_nodes))
+    if hypothesis_kind == "relabel":  # one node's label moved to another or a new matrix
+        gamma[node] = (gamma[node] + 1) % (num_labels + 1)
+        matrices = matrices + (random_matrix(rng, 2),)
+    elif hypothesis_kind == "redirect":  # one transition moved to another node
+        delta[node][int(rng.integers(num_events))] = int(rng.integers(fa.num_nodes))
+    elif hypothesis_kind == "random":
+        other = random_fa(rng, int(rng.integers(1, 12)), num_events, num_labels)
+        gamma, delta = list(other.gamma), [list(targets) for targets in other.delta]
+    hypothesis = SwitchedSystem(
+        fa=Fa(num_nodes=len(gamma), initial=0, alphabet=fa.alphabet,
+              delta=tuple(map(tuple, delta)), gamma=tuple(gamma)),
+        matrices=matrices, d=2)
+    unmemoized = RecordingLabelEq()
+    expected = language_equivalent(
+        hidden.fa, hypothesis.fa,
+        lambda i, j: unmemoized(hidden.matrices[i], hypothesis.matrices[j]))
+    label_eq = RecordingLabelEq()
+    eq = WhiteBoxEquivalenceOracle(hidden, label_eq=label_eq)
+    for _ in range(2):  # each check compares its pairs afresh
+        label_eq.pairs.clear()
+        assert eq.check(hypothesis) == expected
+        assert len(label_eq.pairs) == len(set(label_eq.pairs))
+        assert set(label_eq.pairs) == set(unmemoized.pairs)
+
+
+def test_exact_check_propagates_a_label_eq_error(demo2d_system):
+    seen = []
+
+    def label_eq(a, b):
+        if seen:
+            raise RuntimeError("comparison failed")
+        seen.append((a, b))
+        return mat_approx_eq(a, b)
+
+    eq = WhiteBoxEquivalenceOracle(demo2d_system, label_eq=label_eq)
+    with pytest.raises(RuntimeError, match="comparison failed"):
+        eq.check(make_three_node_hypothesis())
+    assert len(seen) == 1 and eq.stats.equivalence_queries == 1
 
 
 def test_full_search_traces_one_column_per_word(demo2d_system):

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchlearn import (AmbiguousLabel, EventAlphabet, Fa, GenConfig, InvalidEvent,
-                         LabelProbe, LabelRegistry, SingularBasis, SwitchedSystem,
+from switchlearn import (AmbiguousLabel, DimensionMismatch, EventAlphabet, Fa, GenConfig,
+                         InvalidEvent, LabelProbe, LabelRegistry, SingularBasis, SwitchedSystem,
                          SwitchLearnError, WhiteBoxObservationOracle,
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
@@ -143,6 +145,24 @@ def test_registry_ambiguity_detected():
 def test_registry_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="label tolerance"):
         LabelRegistry(tol=tol)
+
+
+@pytest.mark.parametrize("first, other", [
+    (np.eye(2), np.eye(3)),
+    (np.eye(3), np.eye(2)),
+    (np.eye(2), np.ones(2)),
+    (np.eye(2), np.ones((2, 3))),
+    (np.eye(2), np.ones((1, 2, 2))),
+])
+@pytest.mark.parametrize("canonical", [True, False])
+def test_registry_refuses_a_matrix_of_another_shape(first, other, canonical):
+    registry = LabelRegistry(canonical=[first]) if canonical else LabelRegistry()
+    if not canonical:
+        assert registry.classify(first) == 0
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{other.shape}") + ".*"
+                       + re.escape(f"{first.shape}")):
+        registry.classify(other)
+    assert len(registry) == 1 and registry.classify(first) == 0
 
 
 def classify_by_loop(canonical, matrix, tol):
