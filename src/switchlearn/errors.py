@@ -10,13 +10,12 @@ class DimensionMismatch(SwitchLearnError):
 
 
 class SingularBasis(SwitchLearnError):
-    """An output matrix cannot be recovered from its trace: elimination
-    with partial pivoting met a basis pivot not above tolerance, LAPACK
-    found the basis singular, or the recovered matrix (the empty word's
-    output, its traced image, included) has a non-finite entry; or a state
-    that the bounded equivalence oracle checks a word on is not finite.
-    Passing these checks does not bound the recovery error; see the
-    README's "Tolerances and numerics"."""
+    """An output matrix cannot be recovered from its trace: LAPACK found
+    the basis singular, the recovery's error bound is too large even after
+    refinement, the recovered matrix (the empty word's output, its traced
+    image, included) has a non-finite entry or fails the probe check; or a
+    state that the bounded equivalence oracle checks a word on is not
+    finite. See the README's "Tolerances and numerics"."""
 
 
 class InvalidEvent(SwitchLearnError):

@@ -1,5 +1,6 @@
-"""Minimal dense real-matrix kernels: rank tests, and recovery of a linear
-map from its action on a basis.
+"""Minimal dense real-matrix kernels: rank tests against PIVOT_TOL, and a
+plain LAPACK recovery of a linear map from its action on a basis, whose
+accuracy its callers judge.
 
 Matrices are plain float64 numpy arrays. Everything here is a pure function;
 no operand is modified in place.
@@ -39,32 +40,15 @@ def check_finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _forward_eliminate(a: np.ndarray, tol: float) -> None:
-    """Row-reduce a in place with partial pivoting, leaving its upper
-    triangle; raise SingularBasis at the first pivot whose magnitude is not
-    above tol."""
-    n = a.shape[0]
-    for col in range(n):
-        p = col + int(np.abs(a[col:, col]).argmax())
-        pivot = a[p, col]
-        if abs(pivot) <= tol:
-            raise SingularBasis(f"pivot magnitude {abs(pivot):.3e} at column {col} "
-                                f"is not above tolerance {tol:g}")
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-        # column col below the pivot is never read again, so it is left as is
-        a[col + 1 :, col + 1 :] -= (a[col + 1 :, col] / pivot)[:, None] * a[col, col + 1 :]
+def recover_transform(basis: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """Solve M @ basis == image for the square matrix M with LAPACK's LU solver.
 
-
-def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_TOL) -> np.ndarray:
-    """Solve M @ basis == image for the square matrix M.
-
-    basis must have linearly independent columns: SingularBasis is raised
-    when partial-pivoting elimination of its transpose meets a pivot not
-    above tol. Only then are all d right-hand sides solved against it with
-    LAPACK's LU solver; a basis that LAPACK still finds singular raises
-    SingularBasis too, never numpy's LinAlgError, and so does a solution
-    with a non-finite entry (states that overflowed or went NaN).
+    A basis that LAPACK finds singular raises SingularBasis, never numpy's
+    LinAlgError, and so does a solution with a non-finite entry (states
+    that overflowed or went NaN). The solve does not judge its own
+    accuracy: an ill-conditioned basis can give a wrong matrix without any
+    error, so its callers bound the error and refine or refuse (see
+    output_query._derive).
     """
     basis = np.asarray(basis, dtype=float)
     image = np.asarray(image, dtype=float)
@@ -72,24 +56,27 @@ def recover_transform(basis: np.ndarray, image: np.ndarray, tol: float = PIVOT_T
         raise DimensionMismatch(f"basis must be square, got shape {basis.shape}")
     if image.shape != basis.shape:
         raise DimensionMismatch(f"image shape {image.shape} != basis shape {basis.shape}")
-    _forward_eliminate(basis.T.copy(), tol)
     try:
         matrix = np.linalg.solve(basis.T, image.T).T
     except np.linalg.LinAlgError as exc:
-        raise SingularBasis(f"basis passed the pivot test but LAPACK found it "
-                            f"singular ({exc})") from None
+        raise SingularBasis(f"LAPACK found the basis singular ({exc})") from None
     return check_finite(matrix)
 
 
 def is_full_rank(m: np.ndarray, tol: float = PIVOT_TOL) -> bool:
     """True iff elimination with partial pivoting finds d pivots above tol."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    try:
-        _forward_eliminate(m.copy(), tol)
-    except SingularBasis:
-        return False
+    a = np.array(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    for col in range(len(a)):
+        p = col + int(np.abs(a[col:, col]).argmax())
+        pivot = a[p, col]
+        if abs(pivot) <= tol:
+            return False
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+        # column col below the pivot is never read again, so it is left as is
+        a[col + 1 :, col + 1 :] -= (a[col + 1 :, col] / pivot)[:, None] * a[col, col + 1 :]
     return True
 
 

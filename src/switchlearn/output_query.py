@@ -182,7 +182,8 @@ def _derive(obs, word: Word, tol: float, pair=None) -> np.ndarray:
     about d * eps * cond(P) * |M| (LU with partial pivoting; a factor 10
     allows for pivot growth), with cond(P) bounded by |P| |P^-1| (Frobenius
     norms). When that bound exceeds tol/2, as on long words whose products
-    are ill-conditioned, the word is recovered again by _refine.
+    are ill-conditioned, the word is recovered again by _refine. This
+    bound, not the scale of P, decides whether a recovery is accepted.
     """
     states = obs.exec_query(identity(obs.dimension()), word)
     if not word:  # the empty word's output is its image of the identity, exact
@@ -192,8 +193,7 @@ def _derive(obs, word: Word, tol: float, pair=None) -> np.ndarray:
         try:
             inverse = np.linalg.inv(basis)
         except np.linalg.LinAlgError:
-            raise SingularBasis("basis passed the pivot test but LAPACK cannot invert it") \
-                from None
+            raise SingularBasis("LAPACK cannot invert the basis") from None
         with np.errstate(all="ignore"):
             bound = (REFINE_FACTOR * len(basis) * EPS * np.linalg.norm(basis)
                      * np.linalg.norm(inverse) * np.linalg.norm(matrix))
@@ -235,7 +235,8 @@ def _intern(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe,
         if again.any():
             flags = again.tolist()
             words = [w for kept, _ in probe._kept for w in kept]
-            probe._kept = [([w for w, a in zip(words, flags) if not a], pairs[~again])]
+            probe._kept = []
+            probe._keep(words, pairs, [i for i, a in enumerate(flags) if not a])
             rederive(obs, registry, cache, probe, [w for w, a in zip(words, flags) if a],
                      pairs[again])
     return label
@@ -361,11 +362,12 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     or several labels pass, costs one more trace query of d columns, and
     another when it is refined.
 
-    If a fallback's basis is singular, its output not finite or not passing
-    the probe check, its label ambiguous, or a trace query raises, the
-    words before it are classified and cached, it is counted, and its error
-    is raised (the first in word order); the rest of its stack may have been
-    traced, so a failure can cost extra trace queries.
+    If a fallback's recovery is refused (see _derive), its output not finite
+    or not passing the probe check, its label ambiguous, or a trace query
+    raises, the words before it are classified and cached, it is counted,
+    and its error is raised (the first in word order); the rest of its stack
+    may have been traced, so a failure can cost extra trace queries. An
+    accepted word whose re-derivation raised is dropped (see rederive).
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")

@@ -90,6 +90,15 @@ def make_fault_system() -> SwitchedSystem:
     return SwitchedSystem(fa=fa, matrices=FAULT_MATRICES, d=3)
 
 
+def make_contracting_system(d: int = 3) -> SwitchedSystem:
+    """One node on event e1, labelled 0.1 Q for an orthonormal Q: the state
+    of a word of length n is 10^-(n+1) times an orthonormal matrix, so its
+    recovery bases are tiny but perfectly conditioned."""
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    fa = Fa(num_nodes=1, initial=0, alphabet=EventAlphabet(("e1",)), delta=((0,),), gamma=(0,))
+    return SwitchedSystem(fa=fa, matrices=(0.1 * q,), d=d)
+
+
 def make_three_node_hypothesis() -> SwitchedSystem:
     # First closed hypothesis reached when learning the demo model: access
     # words (), (e1,), (e2,); it misses the fourth hidden node.

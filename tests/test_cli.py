@@ -11,8 +11,8 @@ import switchlearn
 from switchlearn import SwitchedSystem, load_json, reachable_nodes, save_json
 from switchlearn.cli import main
 
-from conftest import (DEMO2D_MATRICES, make_demo2d_system, make_fault_system,
-                      make_three_node_hypothesis)
+from conftest import (DEMO2D_MATRICES, make_contracting_system, make_demo2d_system,
+                      make_fault_system, make_three_node_hypothesis)
 
 
 @pytest.fixture
@@ -158,6 +158,18 @@ def test_output_matches_simulated_label(tmp_path, capsys):
     from switchlearn import output_of, parse_word
     label = output_of(system.fa, parse_word("e2 e1 e2", system.fa.alphabet))
     assert np.allclose(rows, system.matrices[label], atol=1e-6)
+
+
+def test_output_of_a_long_word_on_a_contracting_model(tmp_path, capsys):
+    # the basis of a 20-event word is 1e-20 times an orthonormal matrix
+    system = make_contracting_system()
+    model = tmp_path / "contracting.json"
+    model.write_text(save_json(system))
+    assert main(["output", "--model", str(model), "--word", " ".join(["e1"] * 20),
+                 "--precision", "17"]) == 0
+    rows = [[float(v) for v in line.split()]
+            for line in capsys.readouterr().out.strip().splitlines()]
+    assert np.max(np.abs(np.array(rows) - system.matrices[0])) <= 1e-9
 
 
 def test_learn_then_equiv_round_trip(demo_model, tmp_path, capsys):

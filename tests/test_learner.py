@@ -11,7 +11,7 @@ from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
                          build_hypothesis, close_store, learn, learner,
                          mat_approx_eq, process_counterexample, random_system, run,
                          validate)
-from switchlearn import linalg
+from switchlearn import output_query
 from switchlearn.learner import find_representative, max_outputs_for_counterexample
 from switchlearn.output_query import cached_output
 
@@ -503,31 +503,31 @@ def test_learn_refuses_overflowing_outputs(eq_kind):
 
 
 @pytest.mark.parametrize("eq_kind", ["exact", "bounded"])
-def test_relearning_on_the_same_oracles_pivot_tests_as_many_bases(eq_kind, monkeypatch):
+def test_relearning_on_the_same_oracles_recovers_as_many_bases(eq_kind, monkeypatch):
     # the learner's probe state lives for one learn and the bounded
     # oracle's probe columns for one check, so a second learn on the same
-    # oracle objects does the same elimination work
+    # oracle objects does the same recovery work
     tested = []
-    eliminate = linalg._forward_eliminate
+    recover = output_query.recover_transform
 
-    def counting(a, tol):
+    def counting(basis, image):
         tested[-1] += 1
-        return eliminate(a, tol)
+        return recover(basis, image)
 
     hidden = random_system(GenConfig(num_nodes=5, num_events=2, num_labels=3, dim=3, seed=0))
     obs = WhiteBoxObservationOracle(hidden)
     eq = (WhiteBoxEquivalenceOracle(hidden) if eq_kind == "exact"
           else BoundedTestingEquivalenceOracle(obs, 2 * hidden.fa.num_nodes + 1))
-    monkeypatch.setattr(linalg, "_forward_eliminate", counting)
+    monkeypatch.setattr(output_query, "recover_transform", counting)
     results = []
     for _ in range(2):
         tested.append(0)
         results.append(learn(obs, eq, hidden.fa.alphabet))
     assert tested[0] == tested[1] > 0
     assert results[0].system.fa == results[1].system.fa
-    # only the learner's fallbacks pivot-test, one per label, except the
-    # empty word's: its output is the traced image of the identity; the
-    # bounded oracle recovers nothing
+    # only the learner's fallbacks recover, one per label, except the empty
+    # word's: its output is the traced image of the identity; the bounded
+    # oracle recovers nothing
     assert tested[0] + 1 == results[0].label_fallbacks == len(results[0].system.matrices)
 
 

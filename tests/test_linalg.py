@@ -43,17 +43,8 @@ def test_recover_transform_round_trip(d):
         basis = rng.uniform(-1, 1, (d, d))
         if not (is_full_rank(a) and is_full_rank(basis)):
             continue
-        recovered = recover_transform(basis, a @ basis, 1e-12)
+        recovered = recover_transform(basis, a @ basis)
         assert mat_approx_eq(recovered, a, 1e-8)
-
-
-def test_recover_transform_repeated_column_raises():
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 6):
-        basis = rng.uniform(-1, 1, (d, d))
-        basis[:, -1] = basis[:, 0]
-        with pytest.raises(SingularBasis):
-            recover_transform(basis, np.zeros((d, d)))
 
 
 def test_recover_transform_shape_checks():
@@ -102,19 +93,21 @@ def test_recovered_label_matches_stored():
     assert mat_approx_eq(recover_transform(basis, image), DEMO2D_MATRICES[1], 1e-9)
 
 
-def test_recover_transform_keeps_pivot_threshold():
-    # LAPACK would solve against this basis; the pivot test refuses it first
+def test_recover_transform_refuses_only_a_basis_lapack_finds_singular():
+    # a small pivot is no refusal: the solve does not depend on the basis's scale
     basis = np.diag([1.0, 1e-13])
     m = np.array([[2.0, 1.0], [0.5, -3.0]])
-    with pytest.raises(SingularBasis):
-        recover_transform(basis, m @ basis)
-    assert mat_approx_eq(recover_transform(basis, m @ basis, tol=1e-14), m, 1e-12)
-    with pytest.raises(SingularBasis):
+    assert mat_approx_eq(recover_transform(basis, m @ basis), m, 1e-12)
+    # nor is a nearly repeated column: the solve does not judge its accuracy,
+    # its callers do (output_query._derive)
+    basis = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]])
+    assert np.isfinite(recover_transform(basis, np.eye(2))).all()
+    with pytest.raises(SingularBasis, match="LAPACK found the basis singular"):
         recover_transform(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 def test_recover_transform_refuses_non_finite_result():
-    # M @ M overflows: the basis M passes the pivot test, the image is inf
+    # M @ M overflows: the basis M is well-conditioned, the image is inf
     m = np.array([[1e200, 1.0], [1.0, 1e200]])
     with np.errstate(over="ignore"):
         image = m @ m

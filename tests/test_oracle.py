@@ -430,8 +430,8 @@ def test_one_event_alphabet_makes_one_trace():
 def singular_at_length_three():
     # event 1 loops on the initial node, whose matrix shrinks one direction
     # by 1e-5: the product along the prefixes of (1, 1, 0) is that matrix
-    # cubed, with a pivot of 1e-15, too ill-conditioned for the recovery
-    # from an identity-seeded trace to accept
+    # cubed, with a pivot of 1e-15, which the bounded oracle's
+    # preconditioned start columns undo
     fa = Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(("a", "b")),
             delta=((1, 0), (1, 1)), gamma=(0, 1))
     return SwitchedSystem(fa=fa, matrices=(np.diag([1.0, 1e-5]),

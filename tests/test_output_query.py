@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from switchlearn import (AmbiguousLabel, DimensionMismatch, EventAlphabet, Fa, G
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
                          recover_transform, run)
+from switchlearn import output_query
 from switchlearn.output_query import PROBE_BATCH, rederive
 
-from conftest import DEMO2D_MATRICES, OSErrorObservationOracle, count_maximal
+from conftest import (DEMO2D_MATRICES, OSErrorObservationOracle, count_maximal,
+                      make_contracting_system)
 
 E1, E2 = 0, 1
 
@@ -122,6 +125,33 @@ def test_singular_label_propagates():
     obs = WhiteBoxObservationOracle(degenerate)
     with pytest.raises(SingularBasis):
         compute_output(obs, (0,))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 20])
+def test_word_past_a_repeated_column_label_is_refused(d):
+    # node 1's label repeats a column, so the basis of every word that
+    # passes it is rank-deficient: its recovery is refused, never returned
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    repeated = rng.uniform(-1.0, 1.0, (d, d))
+    repeated[:, -1] = repeated[:, 0]
+    fa = Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(("e1",)), delta=((1,), (0,)),
+            gamma=(0, 1))
+    obs = WhiteBoxObservationOracle(SwitchedSystem(fa=fa, matrices=(q, repeated), d=d))
+    assert mat_approx_eq(compute_output(obs, (0,)), repeated, 1e-9)
+    for n in range(2, 13):
+        with pytest.raises(SingularBasis):
+            compute_output(obs, (0,) * n)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_contracting_system_recovers_long_words(n):
+    # the basis of 0^n is 10^-n times an orthonormal matrix: every pivot is
+    # tiny, and the recovery is still exact
+    system = make_contracting_system()
+    obs = WhiteBoxObservationOracle(system)
+    assert mat_approx_eq(compute_output(obs, (0,) * n), system.matrices[0], 1e-9)
+    assert obs.stats.io_queries == 3  # no refinement
 
 
 def test_registry_assigns_and_reuses_ids():
@@ -406,11 +436,12 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
             expected = exc
             break
     io, outputs, probe = many.stats.io_queries, many.stats.output_computations, LabelProbe()
-    try:
-        cached_outputs(many, many_registry, many_cache, words, limit, probe)
-        error = None
-    except (SwitchLearnError, OSError) as exc:
-        error = exc
+    with mock.patch.object(output_query, "_refine", wraps=output_query._refine) as refine:
+        try:
+            cached_outputs(many, many_registry, many_cache, words, limit, probe)
+            error = None
+        except (SwitchLearnError, OSError) as exc:
+            error = exc
     done = [w for w in pending if w in many_cache]
     assert done == pending[:len(done)]
     assert many.stats.output_computations - outputs == len(done) + (error is not None)
@@ -418,8 +449,12 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
     traced = many.stats.io_queries - io
     if error is None:
         assert traced == count_maximal(pending) + d * probe.fallbacks
-    else:  # later words of the failing stack may have been traced
-        assert traced <= count_maximal(pending) + d * probe.fallbacks
+    else:
+        # later words of the failing stack may have been traced, and a
+        # rank-deficient basis that LAPACK does not find singular is refused
+        # only after its refinement's trace (d more columns)
+        assert refine.call_count <= isinstance(error, SingularBasis)
+        assert traced <= count_maximal(pending) + d * (probe.fallbacks + refine.call_count)
 
     def truth(w):
         return system.matrices[output_of(system.fa, w)]
@@ -471,8 +506,8 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
 
 
 def lapack_singular_word():
-    """A generator system and a length-80 word whose basis passes the pivot
-    test but that LAPACK's LU factorization finds exactly singular."""
+    """A generator system and a length-80 word whose basis LAPACK's LU
+    factorization finds exactly singular."""
     system = random_system(GenConfig(10, 3, 4, 5, 1))
     draws = np.random.default_rng(0).integers(0, 3, (10, 80))
     return system, tuple(int(e) for e in draws[7])
