@@ -21,8 +21,7 @@ from .linalg import (LABEL_TOL, PIVOT_TOL, identity, is_full_rank,
 from .oracle import (BoundedTestingEquivalenceOracle, EquivalenceOracle,
                      ObservationOracle, QueryStats, WhiteBoxEquivalenceOracle,
                      WhiteBoxObservationOracle)
-from .output_query import (LabelProbe, LabelRegistry, cached_output, cached_outputs,
-                           compute_output)
+from .output_query import LabelRegistry, cached_output, cached_outputs, compute_output
 from .switched_system import (SwitchedSystem, Violation, execute, load_json,
                               save_json, validate)
 

@@ -28,7 +28,7 @@ from .automaton import EPSILON, EventAlphabet, Fa, Word, run
 from .errors import BudgetExceeded, NotACounterexample, NotClosed
 from .linalg import LABEL_TOL
 from .oracle import EquivalenceOracle, ObservationOracle, QueryStats
-from .output_query import LabelProbe, LabelRegistry, cached_output, cached_outputs, rederive
+from .output_query import LabelRegistry, cached_output, cached_outputs, rederive
 from .switched_system import SwitchedSystem
 
 
@@ -42,8 +42,9 @@ class ObservationStore:
     needs no further step, and each (word, test word) cell is read once.
 
     Labels are read from obs through label (one word) and fetch (many), into
-    one LabelRegistry at label_tol (positive and finite, ValueError
-    otherwise), one output cache, and one LabelProbe (see cached_outputs).
+    one output cache and one LabelRegistry at label_tol (positive and finite,
+    ValueError otherwise), which owns the labels and the evidence behind
+    them (see cached_outputs).
     max_outputs, when given, caps the output computations on obs from the
     store's creation on (spent): label refuses an uncached word once they
     are spent, before computing it. rederive re-derives words on d columns
@@ -63,8 +64,7 @@ class ObservationStore:
         self._obs = obs
         self._outputs0 = obs.stats.output_computations
         self._cache: dict[Word, int] = {}
-        self.probe = LabelProbe()
-        self._relabels = 0  # probe.relabels when the rows were last rebuilt
+        self._relabels = 0  # registry.relabels when the rows were last rebuilt
         self._rows: dict[Word, tuple[int, ...]] = {}
         # the first access index of each row of the leading _indexed access
         # words, under the first _width test words
@@ -84,7 +84,7 @@ class ObservationStore:
         if (self.max_outputs is not None and word not in self._cache
                 and self.spent >= self.max_outputs):
             raise BudgetExceeded(f"more than {self.max_outputs} output computations")
-        label = cached_output(self._obs, self.registry, self._cache, word, self.probe)
+        label = cached_output(self._obs, self.registry, self._cache, word)
         self._refresh()
         return label
 
@@ -93,22 +93,22 @@ class ObservationStore:
         that label finds them cached. Capped at the budget, so label refuses
         the same word as without the fetch."""
         limit = None if self.max_outputs is None else max(0, self.max_outputs - self.spent)
-        cached_outputs(self._obs, self.registry, self._cache, words, limit, self.probe)
+        cached_outputs(self._obs, self.registry, self._cache, words, limit)
         self._refresh()
 
     def rederive(self, words) -> None:
         """Re-derive the labels of words on d columns (see
         output_query.rederive): trace queries, but no output computations."""
-        rederive(self._obs, self.registry, self._cache, self.probe, words)
+        rederive(self._obs, self.registry, self._cache, words)
         self._refresh()
 
     def _refresh(self) -> None:
         """Drop the stored rows and the index, to be read again from the
         cache, when a re-derivation changed a cached label since."""
-        if self.probe.relabels != self._relabels:
+        if self.registry.relabels != self._relabels:
             self._rows.clear()
             self._index, self._indexed = {}, 0
-            self._relabels = self.probe.relabels
+            self._relabels = self.registry.relabels
 
     def drop_shared_rows(self) -> None:
         """Keep only the first access word of each row. Access rows become
@@ -202,7 +202,7 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
     cell on its own when first needed, and labels and counts are the same.
     """
     while True:
-        relabels = store.probe.relabels
+        relabels = store.registry.relabels
         store.fetch(store.missing_cells(store.access_words))
         # store the access rows, so that the extension fetch below does not
         # hand over again the cells of access words that are extensions too
@@ -217,7 +217,7 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
                 extension = word + (e,)
                 if find_representative(store, extension) is None:
                     store.access_words.append(extension)
-        if store.probe.relabels == relabels:
+        if store.registry.relabels == relabels:
             return
 
 
@@ -333,8 +333,8 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
                        access_words=list(store.access_words),
                        test_words=list(store.test_words),
                        counterexample_costs=counterexample_costs,
-                       label_fallbacks=store.probe.fallbacks,
-                       label_margin_min=store.probe.margin_min)
+                       label_fallbacks=store.registry.fallbacks,
+                       label_margin_min=store.registry.margin_min)
 
 
 def max_outputs_for_counterexample(length: int) -> int:

@@ -26,9 +26,6 @@ from .switched_system import SwitchedSystem, execute
 # Words of one length compared per run by the bounded oracle: when a word
 # cannot be checked, the later words of its run may have been traced already.
 CHECK_BATCH = 32
-# Words of one length whose chain starts are computed in one batch, a
-# multiple of CHECK_BATCH; it bounds the (words, d, d) temporaries.
-PRECONDITION_BATCH = 1024
 
 
 class QueryStats:
@@ -171,9 +168,8 @@ class _ChainedProbe:
         self._orphans: set[int] = set()
         self._next_orphans: set[int] = set()
         # set by _precondition: the starts of the heads of the current
-        # batch, and the row of each position's start from position begin on
+        # length, and the row of each position's start
         self._starts = self._rows = np.empty(0)
-        self._begin = 0
 
     def next_length(self) -> None:
         parents = np.arange(len(self.nodes)) // self._events
@@ -183,10 +179,10 @@ class _ChainedProbe:
         self._length += 1
         self._orphans, self._next_orphans = self._next_orphans, set()
 
-    def _precondition(self, begin: int) -> None:
-        """The chain starts of the heads among the PRECONDITION_BATCH words
-        of the current length from position begin on."""
-        index = np.arange(begin, min(begin + PRECONDITION_BATCH, len(self.nodes)))
+    def _precondition(self) -> None:
+        """The chain starts of the heads among the words of the current
+        length."""
+        index = np.arange(len(self.nodes))
         head = index % self._events != 0 if self._length else index == 0
         if self._orphans:
             head |= np.isin(index, list(self._orphans))
@@ -203,12 +199,12 @@ class _ChainedProbe:
                     nodes = self._delta[nodes, 0]
         bad = ~np.isfinite(starts).all(axis=1)
         starts.transpose(0, 2, 1)[bad] = r.transpose(0, 2, 1)[bad]
-        self._starts, self._rows, self._begin = starts, np.cumsum(head) - 1, begin
+        self._starts, self._rows = starts, np.cumsum(head) - 1
 
     def _trace(self, word: Word, position: int) -> list[np.ndarray]:
         """States |word| ... of the trace of word's chain, or of word alone
         when the chain's trace query raises."""
-        start = self._starts[self._rows[position - self._begin]]
+        start = self._starts[self._rows[position]]
         chain = word + (0,) * (self._l_max - len(word))
         if chain != word:
             try:
@@ -224,8 +220,8 @@ class _ChainedProbe:
         checked, and the error checking the next one raises: any exception
         of its trace query, or SingularBasis when its pair is not finite
         (None when every word can be checked)."""
-        if begin % PRECONDITION_BATCH == 0:
-            self._precondition(begin)
+        if begin == 0:
+            self._precondition()
         xs, ys = np.empty((2, len(words), self._d))
         error = None
         for i, word in enumerate(words):

@@ -26,13 +26,14 @@ word's probe column before it is classified, or SingularBasis is raised.
 A passing label is only as sure as the spread of x and the gap between
 labels: a new label passes as a known one when every product along a word
 contracts the direction in which they differ, or when they differ by
-little more than tol. So the LabelProbe keeps the (x, y) pair of every word
-it accepted, and when a new label is interned it rescreens them all against
-it in one call; a word that passes the new label too is re-derived on d
-columns (rederive), and its cached label is replaced when that derivation
-disagrees. An accepted word's label is thus always the one interned label
-its pair passes: the true one whenever a label within tol of its output is
-interned. Re-derivations cost trace queries but no output computations.
+little more than tol. So the LabelRegistry, the one owner of a learn's
+labels, keeps the (x, y) pair of every word accepted on it, in any call, and
+when a new label is interned it rescreens them all against it in one call;
+a word that passes the new label too is re-derived on d columns (rederive),
+and its cached label is replaced when that derivation disagrees. An
+accepted word's label is thus always the one interned label its pair
+passes: the true one whenever a label within tol of its output is interned.
+Re-derivations cost trace queries but no output computations.
 """
 
 import numpy as np
@@ -72,18 +73,36 @@ def compute_output(obs, word: Word) -> np.ndarray:
 
 
 class LabelRegistry:
-    """Interns recovered matrices into dense label ids.
+    """Interns recovered matrices into dense label ids, and keeps the
+    evidence behind the labels that cached_outputs gives on one column.
 
     Two matrices within tol (max-abs entrywise, NaN never agreeing) of each
     other get the same id; tol must be positive and finite. Canonical
     matrices must stay pairwise separated by more than 2*tol, otherwise
     classification becomes ambiguous and AmbiguousLabel is raised. The
     labels are held as one (labels, d, d) stack; canonical lists them.
+
+    The one-column label check keeps here, across every call on the
+    registry: the generator of the probe columns (seeded, so runs on the
+    same inputs are identical), the (x, y) rows of the words it accepted,
+    16*d bytes each, to rescreen when a label is interned, and its health
+    counters. fallbacks counts the words recovered on d columns, fallbacks
+    and re-derivations alike; margin_min is the smallest residual of a
+    label that did not pass a word, as a multiple of that word's threshold
+    (None until one is seen); relabels counts the cached labels that a
+    re-derivation changed or dropped. A rescreen writes to the cache of the
+    call that interns the label, so a registry serves one output cache.
     """
 
     def __init__(self, tol: float = LABEL_TOL, canonical=()):
         self.tol = check_label_tol(tol)
         self._labels = np.array(canonical, dtype=float)  # shape (0,) until d is known
+        self.rng = np.random.default_rng(PROBE_SEED)
+        self.fallbacks = self.relabels = 0
+        self.margin_min: float | None = None
+        # (words, pairs): words accepted, and their (x, y) pairs as a
+        # (words, 2, d) array
+        self._kept: list[tuple[list[Word], np.ndarray]] = []
 
     @property
     def canonical(self) -> list[np.ndarray]:
@@ -111,6 +130,16 @@ class LabelRegistry:
     def __len__(self) -> int:
         return len(self._labels)
 
+    def _keep(self, words: list[Word], pairs: np.ndarray, rows: list[int]) -> None:
+        if rows:
+            self._kept.append(([words[i] for i in rows], pairs[rows]))
+
+    def _note(self, ratios: np.ndarray) -> None:
+        """Lower margin_min to the smallest of ratios that does not pass."""
+        margin = float(ratios.min(initial=np.inf, where=ratios > 1))
+        if margin < (np.inf if self.margin_min is None else self.margin_min):
+            self.margin_min = margin
+
 
 OutputCache = dict[Word, int]
 
@@ -129,38 +158,6 @@ def _ratios(matrices: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float) ->
         residuals -= ys.T
         np.abs(residuals, out=residuals)
         return residuals.max(axis=1) / (tol * np.abs(xs).sum(axis=1))
-
-
-class LabelProbe:
-    """What the one-column label check keeps from one cached_outputs call to
-    the next: the generator of the probe columns (seeded, so runs on the
-    same inputs are identical), the (x, y) rows of the words it accepted,
-    16*d bytes each, and its health counters.
-
-    fallbacks counts the words recovered on d columns, fallbacks and
-    re-derivations alike; margin_min is the smallest residual of a label
-    that did not pass a word, as a multiple of that word's threshold (None
-    until one is seen); relabels counts the cached labels that a
-    re-derivation changed or dropped.
-    """
-
-    def __init__(self):
-        self.rng = np.random.default_rng(PROBE_SEED)
-        self.fallbacks = self.relabels = 0
-        self.margin_min: float | None = None
-        # (words, pairs): words accepted, and their (x, y) pairs as a
-        # (words, 2, d) array
-        self._kept: list[tuple[list[Word], np.ndarray]] = []
-
-    def _keep(self, words: list[Word], pairs: np.ndarray, rows: list[int]) -> None:
-        if rows:
-            self._kept.append(([words[i] for i in rows], pairs[rows]))
-
-    def _note(self, ratios: np.ndarray) -> None:
-        """Lower margin_min to the smallest of ratios that does not pass."""
-        margin = float(ratios.min(initial=np.inf, where=ratios > 1))
-        if margin < (np.inf if self.margin_min is None else self.margin_min):
-            self.margin_min = margin
 
 
 def _check(matrix: np.ndarray, pair: np.ndarray, tol: float) -> None:
@@ -223,30 +220,28 @@ def _refine(obs, word: Word, inverse: np.ndarray, bound: float) -> np.ndarray:
     return recover_transform(states[-2], states[-1])
 
 
-def _intern(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe,
-            matrix: np.ndarray) -> int:
+def _intern(obs, registry: LabelRegistry, cache: OutputCache, matrix: np.ndarray) -> int:
     """registry.classify(matrix), then, when that added a label, the
     rescreen of every accepted pair against it."""
     known = len(registry)
     label = registry.classify(matrix)
-    if len(registry) > known and probe._kept:
-        pairs = np.concatenate([kept for _, kept in probe._kept])
+    if len(registry) > known and registry._kept:
+        pairs = np.concatenate([kept for _, kept in registry._kept])
         again = _ratios(matrix[None], pairs[:, 0], pairs[:, 1], registry.tol)[0] <= 1
         if again.any():
             flags = again.tolist()
-            words = [w for kept, _ in probe._kept for w in kept]
-            probe._kept = []
-            probe._keep(words, pairs, [i for i, a in enumerate(flags) if not a])
-            rederive(obs, registry, cache, probe, [w for w, a in zip(words, flags) if a],
-                     pairs[again])
+            words = [w for kept, _ in registry._kept for w in kept]
+            registry._kept = []
+            registry._keep(words, pairs, [i for i, a in enumerate(flags) if not a])
+            rederive(obs, registry, cache, [w for w, a in zip(words, flags) if a], pairs[again])
     return label
 
 
-def rederive(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe,
-             words, pairs: np.ndarray | None = None) -> None:
+def rederive(obs, registry: LabelRegistry, cache: OutputCache, words,
+             pairs: np.ndarray | None = None) -> None:
     """Re-derive the labels of words on d columns (see _derive), each
     checked on its (x, y) pair in pairs when given, and cache them;
-    probe.relabels counts the cached labels this changes. For words whose
+    registry.relabels counts the cached labels this changes. For words whose
     probe label is in doubt: it costs trace queries and no output
     computation. When one fails, it and the words after it are dropped
     from the cache (relabels too) before the error is raised, so no label
@@ -255,25 +250,24 @@ def rederive(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe
     done = 0
     try:
         for i, word in enumerate(words):
-            probe.fallbacks += 1
+            registry.fallbacks += 1
             matrix = _derive(obs, word, registry.tol, None if pairs is None else pairs[i])
-            label = _intern(obs, registry, cache, probe, matrix)
+            label = _intern(obs, registry, cache, matrix)
             if cache.get(word) != label:
                 cache[word] = label
-                probe.relabels += 1
+                registry.relabels += 1
             done += 1
     finally:
         for word in words[done:]:
-            probe.relabels += cache.pop(word, None) is not None
+            registry.relabels += cache.pop(word, None) is not None
 
 
-def cached_output(obs, registry: LabelRegistry, cache: OutputCache, word: Word,
-                  probe: LabelProbe | None = None) -> int:
+def cached_output(obs, registry: LabelRegistry, cache: OutputCache, word: Word) -> int:
     """Label id of word's output matrix, memoized by exact word. A miss is
-    computed by cached_outputs on that one word with probe."""
+    computed by cached_outputs on that one word."""
     word = tuple(word)
     if word not in cache:
-        cached_outputs(obs, registry, cache, (word,), None, probe)
+        cached_outputs(obs, registry, cache, (word,))
     return cache[word]
 
 
@@ -291,14 +285,14 @@ def _covers(words: list[Word]) -> list[int]:
     return covers
 
 
-def _identify(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProbe,
-              words: list[Word], pairs: np.ndarray) -> None:
+def _identify(obs, registry: LabelRegistry, cache: OutputCache, words: list[Word],
+              pairs: np.ndarray) -> None:
     """Label the stack words, in order, from their probe pairs (the (words,
     2, d) array pairs): the one label a word passes, or else a fallback.
     Each label is screened once: the labels known at the start against every
     word, and the labels a fallback adds against the words still to come.
     A screen's passes are merged into each word's count of passing labels
-    and the first of them. The pairs of accepted words go to probe."""
+    and the first of them. The pairs of accepted words go to the registry."""
     accepted: list[int] = []
     # per word: how many labels it passes, and the first of them
     hits, first = [0] * len(words), [0] * len(words)
@@ -308,7 +302,7 @@ def _identify(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProb
             if len(registry) != known:
                 ratios = _ratios(registry._labels[known:], pairs[i:, 0], pairs[i:, 1],
                                  registry.tol)
-                probe._note(ratios)
+                registry._note(ratios)
                 passed = ratios <= 1
                 passes, firsts = passed.sum(axis=0).tolist(), passed.argmax(axis=0).tolist()
                 if known:  # merge with the passes of the labels screened before
@@ -322,26 +316,26 @@ def _identify(obs, registry: LabelRegistry, cache: OutputCache, probe: LabelProb
                 accepted.append(i)
                 continue
             # the accepted pairs are rescreened if this fallback adds a label
-            probe._keep(words, pairs, accepted)
+            registry._keep(words, pairs, accepted)
             accepted = []
-            probe.fallbacks += 1
+            registry.fallbacks += 1
             matrix = _derive(obs, word, registry.tol, pairs[i])
-            cache[word] = _intern(obs, registry, cache, probe, matrix)
+            cache[word] = _intern(obs, registry, cache, matrix)
     finally:
-        probe._keep(words, pairs, accepted)
+        registry._keep(words, pairs, accepted)
 
 
 def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
-                   limit: int | None = None, probe: LabelProbe | None = None) -> None:
+                   limit: int | None = None) -> None:
     """Compute, classify and cache the outputs of words, in stacks, with the
     one-column label check (see the module docstring).
 
     The uncached words, in order and without duplicates, are computed and
     cached; only the first limit of them when limit is given (ValueError
     when it is negative). Labels are assigned in word order, one output
-    computation per word. probe holds the probe columns' generator and the
-    accepted rows to rescreen; without it, a fresh LabelProbe serves this
-    call alone.
+    computation per word. The registry draws the probe columns and keeps
+    the accepted pairs, so a label any later call on it interns rescreens
+    the words this call accepted.
 
     Only the maximal words, those no other of these words extends, are
     traced: one trace query each from its own random column, made when the
@@ -371,7 +365,6 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    probe = LabelProbe() if probe is None else probe
     uncached = (w for w in map(tuple, words) if w not in cache)
     pending = list(dict.fromkeys(uncached))[:limit]
     if not pending:
@@ -382,7 +375,7 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
         readers.setdefault(cover, []).append(i)
     # the column a trace of pending[i] starts from, drawn for every word so
     # that a word traced after its cover's trace failed has one too
-    columns = probe.rng.standard_normal((len(pending), obs.dimension()))
+    columns = registry.rng.standard_normal((len(pending), obs.dimension()))
     pairs = np.empty((len(pending), 2, obs.dimension()))  # (x, y) of each word
     xs, ys = pairs[:, 0], pairs[:, 1]
     traced = [False] * len(pending)
@@ -419,7 +412,7 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
                     chunk, untraced = chunk[:k], exc
                     break
         if chunk:
-            _identify(obs, registry, cache, probe, chunk, pairs[start:start + len(chunk)])
+            _identify(obs, registry, cache, chunk, pairs[start:start + len(chunk)])
         if untraced is not None:
             obs.stats.output_computations += 1
             raise untraced

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import switchlearn
 from switchlearn import (LABEL_TOL, BoundedTestingEquivalenceOracle, EventAlphabet, Fa,
-                         GenConfig, LabelProbe, LabelRegistry, ObservationStore,
+                         GenConfig, LabelRegistry, ObservationStore,
                          SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          cached_outputs, compute_output, identity, learn, mat_approx_eq,
@@ -113,22 +113,53 @@ def test_interning_a_label_rescreens_the_words_accepted_before():
     hidden = stress_chain(10, shortcut=True)
     a9, a10, b = (0,) * 9, (0,) * 10, (1,)
     obs = WhiteBoxObservationOracle(hidden)
-    registry, cache, probe = LabelRegistry(canonical=[STRESS_A]), {}, LabelProbe()
-    cached_outputs(obs, registry, cache, [a9], None, probe)
-    assert cache == {a9: 0} and probe.fallbacks == 0
-    cached_outputs(obs, registry, cache, [b, a10], None, probe)
+    registry, cache = LabelRegistry(canonical=[STRESS_A]), {}
+    cached_outputs(obs, registry, cache, [a9])
+    assert cache == {a9: 0} and registry.fallbacks == 0
+    cached_outputs(obs, registry, cache, [b, a10])
     assert cache == {a9: 1, b: 1, a10: 1}
-    assert probe.relabels == 1
+    assert registry.relabels == 1
     # the rescreen took a^9 out of the kept pairs and left no empty entry
-    assert all(len(words) == len(pairs) > 0 for words, pairs in probe._kept)
+    assert all(len(words) == len(pairs) > 0 for words, pairs in registry._kept)
     for word, label in cache.items():
         assert true_label(hidden, registry, label, word)
     # a word after the fallback in the same stack is screened against B too
-    obs, registry, cache, probe = (WhiteBoxObservationOracle(hidden),
-                                   LabelRegistry(canonical=[STRESS_A]), {}, LabelProbe())
-    cached_outputs(obs, registry, cache, [a9, b, a10], None, probe)
+    obs, registry, cache = (WhiteBoxObservationOracle(hidden),
+                            LabelRegistry(canonical=[STRESS_A]), {})
+    cached_outputs(obs, registry, cache, [a9, b, a10])
     assert cache == {a9: 1, b: 1, a10: 1}
     assert obs.stats.output_computations == 3
+
+
+def test_a_label_interned_by_a_later_call_rescreens_the_words_accepted_before():
+    # the registry keeps the accepted pairs across calls: a^9, taken for A
+    # in the first call, is re-derived when the second interns B
+    hidden = stress_chain(10, shortcut=True)
+    a9 = (0,) * 9
+    obs, registry, cache = (WhiteBoxObservationOracle(hidden),
+                            LabelRegistry(canonical=[STRESS_A]), {})
+    cached_outputs(obs, registry, cache, [a9])
+    assert cache == {a9: 0}
+    cached_outputs(obs, registry, cache, [(1,)])
+    assert cache == {a9: 1, (1,): 1}
+    assert registry.relabels == 1
+
+
+def test_row_and_index_reread_cells_a_mid_read_relabel_changed():
+    # reading the row of the empty word takes a^9 for A, then (1,) interns
+    # B and re-derives a^9: the row is read again, not left at (0, 0, 1)
+    hidden = stress_chain(10, shortcut=True)
+    tests = [(), (0,) * 9, (1,)]
+    store = ObservationStore(WhiteBoxObservationOracle(hidden), test_words=list(tests))
+    assert store.row(()) == (0, 1, 1)
+    assert store.registry.relabels == 1
+    # the index holds the empty word's row (0, 0) when reading the row of
+    # (1,) interns B and relabels a^9: the index is dropped and built again,
+    # rather than (1,)'s row taking the place of the empty word's
+    store = ObservationStore(WhiteBoxObservationOracle(hidden), access_words=[(), (1,)],
+                             test_words=tests[:2])
+    assert store.index() == {(0, 1): 0, (1, 1): 1}
+    assert store.registry.relabels == 1
 
 
 def test_store_rebuilds_its_rows_when_a_label_changes():
@@ -139,7 +170,7 @@ def test_store_rebuilds_its_rows_when_a_label_changes():
     # a^9 is taken for A, the only label known, so a^8 looks like the empty word
     assert store.index() == {(0, 0): 0}
     assert store.label((1,)) == 1
-    assert store.probe.relabels == 1
+    assert store.registry.relabels == 1
     assert store.row(a8) == (0, 1)
     assert store.index() == {(0, 0): 0, (0, 1): 1}
 
@@ -170,7 +201,7 @@ def test_closure_drops_an_access_word_a_relabel_shows_redundant():
     store = ObservationStore(WhiteBoxObservationOracle(hidden),
                              access_words=[(), (0,), (0, 0), (1,)], test_words=[(), (2,)])
     close_store(store, hidden.fa.alphabet)
-    assert store.probe.relabels >= 2
+    assert store.registry.relabels >= 2
     assert is_separable(store) and (1, 0) not in store.access_words
     assert sorted(output_of(hidden.fa, w) for w in store.access_words) == list(range(8))
     for word in store.access_words:
@@ -189,13 +220,13 @@ def test_counterexample_endpoints_are_re_derived_before_refusal(monkeypatch):
 
 def test_known_labels_cost_one_column_per_maximal_word(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
-    registry, cache, probe = LabelRegistry(canonical=DEMO2D_MATRICES), {}, LabelProbe()
+    registry, cache = LabelRegistry(canonical=DEMO2D_MATRICES), {}
     words = [(0, 1, 1, 0), (1, 1), (0, 1), (1, 0, 0, 0, 1)]
-    cached_outputs(obs, registry, cache, words, None, probe)
+    cached_outputs(obs, registry, cache, words)
     assert obs.stats.io_queries == 3  # (0, 1) is read off the trace of (0, 1, 1, 0)
-    assert probe.fallbacks == 0 and len(registry) == 3
+    assert registry.fallbacks == 0 and len(registry) == 3
     assert [cache[w] for w in words] == [output_of(demo2d_system.fa, w) for w in words]
-    assert probe.margin_min > 1
+    assert registry.margin_min > 1
 
 
 def test_fallback_refused_when_its_recovery_fails_the_probe_check(demo2d_system, monkeypatch):
@@ -352,7 +383,7 @@ def word_by_word_ratios(matrices, xs, ys, tol):
     return np.concatenate(columns, axis=1) if columns else RATIOS(matrices, xs, ys, tol)
 
 
-def rescreening_identify(obs, registry, cache, probe, words, pairs):
+def rescreening_identify(obs, registry, cache, words, pairs):
     """Reference for output_query._identify: whenever a fallback adds a
     label, every label is screened again against the words still to come."""
     accepted, known = [], -1
@@ -363,7 +394,7 @@ def rescreening_identify(obs, registry, cache, probe, words, pairs):
                 ratios = (output_query._ratios(registry._labels, pairs[i:, 0], pairs[i:, 1],
                                                registry.tol)
                           if known else np.empty((0, len(words) - i)))
-                probe._note(ratios)
+                registry._note(ratios)
                 passed = ratios <= 1
                 hits = passed.sum(axis=0).tolist()
                 first = passed.argmax(axis=0).tolist() if known else hits
@@ -372,33 +403,33 @@ def rescreening_identify(obs, registry, cache, probe, words, pairs):
                 cache[word] = first[i - base]
                 accepted.append(i)
                 continue
-            probe._keep(words, pairs, accepted)
+            registry._keep(words, pairs, accepted)
             accepted = []
-            probe.fallbacks += 1
+            registry.fallbacks += 1
             matrix = output_query._derive(obs, word, registry.tol, pairs[i])
-            cache[word] = output_query._intern(obs, registry, cache, probe, matrix)
+            cache[word] = output_query._intern(obs, registry, cache, matrix)
     finally:
-        probe._keep(words, pairs, accepted)
+        registry._keep(words, pairs, accepted)
 
 
 def stacks_outcome(hidden, tol, known, stacks, identify, ratios):
     """Everything labelling the stacks shows, each stack one cached_outputs
     call, from a registry that knows the first known hidden labels: the
-    cache, the label bytes, the probe's counters, the query counts and the
-    error raised; and, apart, margin_min."""
+    cache, the label bytes, the registry's counters, the query counts and
+    the error raised; and, apart, margin_min."""
     obs = WhiteBoxObservationOracle(hidden)
     registry = LabelRegistry(tol, canonical=hidden.matrices[:known])
-    cache, probe, error = {}, LabelProbe(), None
+    cache, error = {}, None
     with mock.patch.object(output_query, "_identify", identify), \
             mock.patch.object(output_query, "_ratios", ratios):
         try:
             for words in stacks:
-                cached_outputs(obs, registry, cache, words, None, probe)
+                cached_outputs(obs, registry, cache, words)
         except SwitchLearnError as exc:
             error = type(exc), str(exc)
     labels = np.array(registry.canonical).tobytes()
-    return ((cache, labels, probe.fallbacks, probe.relabels, obs.stats.as_dict(), error),
-            probe.margin_min)
+    return ((cache, labels, registry.fallbacks, registry.relabels, obs.stats.as_dict(), error),
+            registry.margin_min)
 
 
 @settings(max_examples=100, deadline=None)

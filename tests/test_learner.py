@@ -189,7 +189,7 @@ def closure_trace(system, test_rounds, close):
             store.test_words.extend(t for t in tests if t not in store.test_words)
             close(store, system.fa.alphabet)
     return (store.access_words, store.registry.canonical, obs.stats.as_dict(), maximal,
-            store.probe.fallbacks)
+            store.registry.fallbacks)
 
 
 def test_prefetched_closure_matches_word_by_word_closure(demo2d_system):

@@ -3,11 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (AmbiguousLabel, DimensionMismatch, EventAlphabet, Fa, GenConfig,
-                         InvalidEvent, LabelProbe, LabelRegistry, SingularBasis, SwitchedSystem,
+                         InvalidEvent, LabelRegistry, SingularBasis, SwitchedSystem,
                          SwitchLearnError, WhiteBoxObservationOracle,
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
@@ -322,19 +322,19 @@ def test_cached_outputs_matches_cached_output_word_by_word():
                  for _ in range(3 * PROBE_BATCH)]
         one, many = WhiteBoxObservationOracle(system), WhiteBoxObservationOracle(system)
         one_registry, many_registry = LabelRegistry(), LabelRegistry()
-        one_cache, many_cache, probe = {}, {}, LabelProbe()
+        one_cache, many_cache = {}, {}
         for w in words[:5]:
-            cached_output(many, many_registry, many_cache, w, probe)
+            cached_output(many, many_registry, many_cache, w)
         pending = [w for w in words if w not in many_cache]
-        io, fallbacks = many.stats.io_queries, probe.fallbacks
-        cached_outputs(many, many_registry, many_cache, words, None, probe)
+        io, fallbacks = many.stats.io_queries, many_registry.fallbacks
+        cached_outputs(many, many_registry, many_cache, words)
         ids = [reference_output(one, one_registry, one_cache, w) for w in words]
         assert [many_cache[w] for w in words] == ids
         # one column per maximal word, and d per word no label or several pass
-        io += count_maximal(pending) + 5 * (probe.fallbacks - fallbacks)
+        io += count_maximal(pending) + 5 * (many_registry.fallbacks - fallbacks)
         assert many.stats.as_dict() == {**one.stats.as_dict(), "io_queries": io}
         # a fallback interns each label, and no known label is recovered again
-        assert probe.fallbacks == len(many_registry)
+        assert many_registry.fallbacks == len(many_registry)
         assert len(one_registry) == len(many_registry)
         for a, b in zip(one_registry.canonical, many_registry.canonical):
             assert np.array_equal(a, b)
@@ -405,6 +405,15 @@ def word_lists(draw):
        tol=st.sampled_from([1e-6, 0.4, 1.0]), words=word_lists(),
        cached=st.lists(st.integers(0, 99), max_size=5),
        limit=st.none() | st.integers(0, 60))
+# a fallback interns the true label of an earlier accepted word, whose
+# re-derivation is then refused and drops it from the cache
+@example(d=5, events=3, labels=2, seed=853, degenerate=True, untraceable=False, tol=0.4,
+         words=[(), (0, 0), (0, 1), (0,)], cached=[], limit=None)
+@example(d=4, events=1, labels=2, seed=853, degenerate=True, untraceable=False, tol=0.4,
+         words=[(), (0, 0), (0,)], cached=[], limit=None)
+@example(d=4, events=2, labels=3, seed=1855, degenerate=True, untraceable=False, tol=1.0,
+         words=[(0, 1), (), (0,), (1,), (0, 0), (1, 0), (0, 1, 0), (0, 0, 0, 0)], cached=[],
+         limit=None)
 def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, degenerate,
                                                        untraceable, tol, words, cached, limit):
     system = conditioned_system(6, events, labels, d, seed)
@@ -435,26 +444,37 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
         except (SwitchLearnError, OSError) as exc:
             expected = exc
             break
-    io, outputs, probe = many.stats.io_queries, many.stats.output_computations, LabelProbe()
-    with mock.patch.object(output_query, "_refine", wraps=output_query._refine) as refine:
+    io, outputs = many.stats.io_queries, many.stats.output_computations
+    with mock.patch.object(output_query, "_refine", wraps=output_query._refine) as refine, \
+            mock.patch.object(output_query, "rederive", wraps=output_query.rederive) as redo:
         try:
-            cached_outputs(many, many_registry, many_cache, words, limit, probe)
+            cached_outputs(many, many_registry, many_cache, words, limit)
             error = None
         except (SwitchLearnError, OSError) as exc:
             error = exc
     done = [w for w in pending if w in many_cache]
-    assert done == pending[:len(done)]
-    assert many.stats.output_computations - outputs == len(done) + (error is not None)
+    counted = many.stats.output_computations - outputs
+    if error is None:
+        assert done == pending[:len(done)] and counted == len(done)
+    else:
+        # the k words before the failing one are counted and cached, less
+        # the accepted words whose re-derivation was refused: a raising
+        # rederive leaves its words uncached, and only a raising one does
+        k = counted - 1
+        dropped = {w for call in redo.call_args_list for w in call.args[3]
+                   if w not in many_cache}
+        assert done == [w for w in pending[:k] if w not in dropped]
     # one column per maximal word, and d per word no label or several pass
     traced = many.stats.io_queries - io
     if error is None:
-        assert traced == count_maximal(pending) + d * probe.fallbacks
+        assert traced == count_maximal(pending) + d * many_registry.fallbacks
     else:
         # later words of the failing stack may have been traced, and a
         # rank-deficient basis that LAPACK does not find singular is refused
         # only after its refinement's trace (d more columns)
         assert refine.call_count <= isinstance(error, SingularBasis)
-        assert traced <= count_maximal(pending) + d * (probe.fallbacks + refine.call_count)
+        assert traced <= count_maximal(pending) + d * (many_registry.fallbacks
+                                                        + refine.call_count)
 
     def truth(w):
         return system.matrices[output_of(system.fa, w)]
@@ -493,13 +513,13 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
         label = output_of(system.fa, w)
         if label in interned or w not in many_cache:
             continue
-        io, fallbacks = many.stats.io_queries, probe.fallbacks
+        io, fallbacks = many.stats.io_queries, many_registry.fallbacks
         try:
-            rederive(many, many_registry, many_cache, probe, [w])
+            rederive(many, many_registry, many_cache, [w])
         except (SwitchLearnError, OSError):
             continue
         interned.add(label)
-        assert many.stats.io_queries - io == d * (probe.fallbacks - fallbacks)
+        assert many.stats.io_queries - io == d * (many_registry.fallbacks - fallbacks)
     for w in done:
         if w in many_cache and output_of(system.fa, w) in interned:
             assert labelled_within_tol(w)
@@ -589,9 +609,8 @@ def test_cached_outputs_caches_the_words_before_a_failing_trace():
     system = random_system(GenConfig(3, 2, 2, 2, 0))
     words = [(0,), (1,), (2,)]
     many, many_registry, many_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
-    probe = LabelProbe()
     with pytest.raises(InvalidEvent) as stacked:
-        cached_outputs(many, many_registry, many_cache, words, None, probe)
+        cached_outputs(many, many_registry, many_cache, words)
     one, one_registry, one_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
     with pytest.raises(InvalidEvent) as single:
         for w in words:
@@ -600,7 +619,7 @@ def test_cached_outputs_caches_the_words_before_a_failing_trace():
     assert many_cache == one_cache and list(many_cache) == [(0,), (1,)]
     assert many.stats.output_computations == one.stats.output_computations == 3
     # the refused trace of (2,) is charged too
-    assert many.stats.io_queries == 3 + system.d * probe.fallbacks
+    assert many.stats.io_queries == 3 + system.d * many_registry.fallbacks
 
 
 def test_cached_outputs_reads_the_prefixes_of_an_untraceable_word_off_another_trace(
