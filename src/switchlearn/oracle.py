@@ -124,162 +124,79 @@ def _inverses(matrices: np.ndarray) -> np.ndarray:
     return inverses
 
 
-class _ChainedProbe:
-    """Probe pairs (x, y), the states before and after the last step, of
-    the words of a hypothesis taken in length-lex order up to l_max, read
-    off one trace query per chain w, w·0, w·0·0, ... of length l_max.
-
-    A word w that no earlier trace covers heads a chain: it traces
-    w·0^(l_max-|w|) from a (d, m) start, m = l_max - |w| + 1, whose column
-    j serves w·0^j. By the prefix property of traces, states |w|+j and
-    |w|+j+1 of column j are the pair of w·0^j, equal to those of a trace of
-    w·0^j alone from that column. Column j is Ĥ⁻¹ r_j, where Ĥ is the
-    product of the hypothesis's labels along the proper prefixes of w·0^j
-    and r_j a random column, so x is about r_j when the hypothesis is right
-    on those prefixes: the directions that the products contract stay
-    visible (Higham, Accuracy and Stability of Numerical Algorithms, ch.
-    12). A column that is not finite, as when a hypothesis label along the
-    way is singular, is replaced by r_j itself. When the trace query of a
-    chain raises, w is traced alone from its first column, and w·0 heads
-    its own chain.
-
-    Of a chain's trace only the states not yet read are kept, from state
-    |w| on, keyed by the next word of the chain. The columns are drawn from
-    a generator seeded afresh for each check, so repeated checks of one
-    hypothesis make the same queries.
-    """
-
-    def __init__(self, obs: ObservationOracle, hypothesis: SwitchedSystem, l_max: int):
-        fa = hypothesis.fa
-        self._obs, self._l_max, self._d = obs, l_max, hypothesis.d
-        self._events = len(fa.alphabet)
-        self._delta, self._gamma = np.array(fa.delta), np.array(fa.gamma)
-        self._inverses = _inverses(np.stack(hypothesis.matrices))
-        self._rng = np.random.default_rng(PROBE_SEED)
-        self._length = 0
-        # hypothesis nodes of the words of the current length, in lex
-        # order; Ĥ⁻¹ of the word at position i is prefix[i // events],
-        # since Ĥ does not depend on a word's last event
-        self.nodes = np.array([fa.initial])
-        self._prefix = identity(self._d)[None]
-        # the unread states of each pending chain, by the next word it serves
-        self._pending: dict[Word, list[np.ndarray]] = {}
-        # positions, in their length, of the words whose parent's chain was refused
-        self._orphans: set[int] = set()
-        self._next_orphans: set[int] = set()
-        # set by _precondition: the starts of the heads of the current
-        # length, and the row of each position's start
-        self._starts = self._rows = np.empty(0)
-
-    def next_length(self) -> None:
-        parents = np.arange(len(self.nodes)) // self._events
-        with np.errstate(all="ignore"):
-            self._prefix = self._prefix[parents] @ self._inverses[self._gamma[self.nodes]]
-        self.nodes = self._delta[self.nodes].reshape(-1)
-        self._length += 1
-        self._orphans, self._next_orphans = self._next_orphans, set()
-
-    def _precondition(self) -> None:
-        """The chain starts of the heads among the words of the current
-        length."""
-        index = np.arange(len(self.nodes))
-        head = index % self._events != 0 if self._length else index == 0
-        if self._orphans:
-            head |= np.isin(index, list(self._orphans))
-        heads = index[head]
-        m = self._l_max - self._length + 1
-        r = self._rng.standard_normal((len(heads), self._d, m))
-        starts = np.empty_like(r)
-        prefix, nodes = self._prefix[heads // self._events], self.nodes[heads]
-        with np.errstate(all="ignore"):
-            for j in range(m):
-                starts[:, :, j] = (prefix @ r[:, :, j, None])[..., 0]
-                if j + 1 < m:
-                    prefix = prefix @ self._inverses[self._gamma[nodes]]
-                    nodes = self._delta[nodes, 0]
-        bad = ~np.isfinite(starts).all(axis=1)
-        starts.transpose(0, 2, 1)[bad] = r.transpose(0, 2, 1)[bad]
-        self._starts, self._rows = starts, np.cumsum(head) - 1
-
-    def _trace(self, word: Word, position: int) -> list[np.ndarray]:
-        """States |word| ... of the trace of word's chain, or of word alone
-        when the chain's trace query raises."""
-        start = self._starts[self._rows[position]]
-        chain = word + (0,) * (self._l_max - len(word))
-        if chain != word:
-            try:
-                return self._obs.exec_query(start, chain)[len(word):]
-            except Exception:
-                self._next_orphans.add(position * self._events)
-        return self._obs.exec_query(start[:, :1], word)[len(word):]
-
-    def pairs(self, words: list[Word], begin: int
-              ) -> tuple[np.ndarray, np.ndarray, Exception | None]:
-        """The (k, d) arrays xs and ys of the pairs of the leading k words
-        (all of the current length, from position begin on) that can be
-        checked, and the error checking the next one raises: any exception
-        of its trace query, or SingularBasis when its pair is not finite
-        (None when every word can be checked)."""
-        if begin == 0:
-            self._precondition()
-        xs, ys = np.empty((2, len(words), self._d))
-        error = None
-        for i, word in enumerate(words):
-            tail = self._pending.pop(word, None)
-            if tail is None:
-                try:
-                    tail = self._trace(word, begin + i)
-                except Exception as exc:  # raised once the words before it are compared
-                    xs, ys, error = xs[:i], ys[:i], exc
-                    break
-            # a trace of m columns leaves m + 1 states, one fewer per word read
-            j = tail[0].shape[1] + 1 - len(tail)
-            xs[i], ys[i] = tail[0][:, j], tail[1][:, j]
-            if len(tail) > 2:
-                self._pending[word + (0,)] = tail[1:]
-        finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
-        if not finite.all():
-            bad = int(finite.argmin())
-            error = SingularBasis(f"trace state of word {words[bad]} before or after its "
-                                  f"last step is not finite")
-            xs, ys = xs[:bad], ys[:bad]
-        return xs, ys, error
+def _starts(rng, prefix: np.ndarray, nodes: np.ndarray, inverses: np.ndarray,
+            gamma: np.ndarray, delta: np.ndarray, m: int) -> np.ndarray:
+    """The (heads, d, m) starts of the chains of heads with inverse prefix
+    products prefix (heads, d, d) and hypothesis nodes nodes: column j of a
+    head w is Ĥ⁻¹ r_j for w·0^j, or r_j where that column is not finite,
+    with r drawn from rng in one (heads, d, m) draw."""
+    r = rng.standard_normal((len(nodes), prefix.shape[-1], m))
+    starts = np.empty_like(r)
+    with np.errstate(all="ignore"):
+        for j in range(m):
+            starts[:, :, j] = (prefix @ r[:, :, j, None])[..., 0]
+            if j + 1 < m:
+                prefix = prefix @ inverses[gamma[nodes]]
+                nodes = delta[nodes, 0]
+    bad = ~np.isfinite(starts).all(axis=1)
+    starts.transpose(0, 2, 1)[bad] = r.transpose(0, 2, 1)[bad]
+    return starts
 
 
 class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     """Black-box equivalence testing by exhaustive word enumeration.
 
-    Words are tried by increasing length, lexicographic in event index, up
-    to l_max (l_max 0 tests only the empty word). Each word v is checked on
-    one trace column (see _ChainedProbe): with x and y its states before
-    and after its last step, v is returned as a counterexample when
-    ||y - C x||_inf > tol * ||x||_1 for the hypothesis's label C of v. Every
-    matrix within tol of C (max-abs entrywise) meets that bound, so the
-    hidden output of a returned word differs from C by more than tol: a
-    counterexample is proven, with no output recovered. Exhausting the
-    search yields None, which is an unsound "equivalent" verdict if the
-    shortest counterexample is longer than l_max, or if no checked column
-    shows a difference: one barely above tol, or one along a direction that
-    the word's products contract beyond what float64 can undo. tol must be
+    Words over the hypothesis's events are tried by increasing length,
+    lexicographic in event index, up to l_max (l_max 0 tests only the empty
+    word). Each word v is checked on one trace column: with x and y its
+    states before and after its last step, v is returned as a
+    counterexample when ||y - C x||_inf > tol * ||x||_1 for the
+    hypothesis's label C of v. Every matrix within tol of C (max-abs
+    entrywise) meets that bound, so the hidden output of a returned word
+    differs from C by more than tol: a counterexample is proven, with no
+    output recovered. Exhausting the search yields None, which is an
+    unsound "equivalent" verdict if the shortest counterexample is longer
+    than l_max, or if no checked column shows a difference: one barely
+    above tol, or one along a direction that the word's products contract
+    beyond what float64 can undo. The hidden system's events are not seen,
+    so an event that the hypothesis lacks is never tested. tol must be
     positive and finite.
 
-    Cost: one trace query per chain w, w·0, w·0·0, ..., with one column
-    per word of the chain, so a full search costs one trace column per
-    word, (|events|^(l_max+1) - 1) / (|events| - 1) in all. This relies on
-    the trace oracle's prefix property (a trace of w·u starts with the
-    trace of w). Words are compared in runs of CHECK_BATCH of one length,
-    one output computation counted per compared word, through the
-    counterexample. When a word cannot be checked, the words before it are
-    compared first; then it is counted and its error (SingularBasis when
-    its pair of states is not finite, or whatever the word's own trace
-    query raised) raised. Up to CHECK_BATCH - 1 later words of the last run
-    may have been traced without being compared or counted.
+    The columns are read off chains w, w·0, w·0·0, ... A word w that no
+    earlier chain left a tail for heads a chain: it traces w·0^(l_max-|w|)
+    from a (d, m) start, m = l_max - |w| + 1, whose column j serves w·0^j.
+    By the prefix property of traces (a trace of w·u starts with the trace
+    of w), states |w|+j and |w|+j+1 of column j are the pair of w·0^j,
+    equal to those of a trace of w·0^j alone from that column. Column j is
+    Ĥ⁻¹ r_j (see _starts), where Ĥ is the product of the hypothesis's
+    labels along the proper prefixes of w·0^j and r_j a random column, so x
+    is about r_j when the hypothesis is right on those prefixes: the
+    directions that the products contract stay visible (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 12). A column that is not
+    finite, as when a hypothesis label along the way is singular, is
+    replaced by r_j itself. When the trace query of a chain raises, w is
+    traced alone from its first column; that leaves no tail, so w·0 heads
+    its own chain. The columns are drawn from a generator seeded afresh for
+    each check, so repeated checks of one hypothesis make the same queries.
 
-    Memory: the unread states of pending chains, up to about
-    |events|^(l_max-1) chains of at most l_max + 1 states of d x m, and
-    the hypothesis node and d x d inverse prefix product of every word of
-    the current length. A hypothesis whose dimension is not the hidden
-    one is rejected with DimensionMismatch before any query.
+    Cost: one trace query per chain, with one column per word of the
+    chain, so a full search costs one trace column per word,
+    (|events|^(l_max+1) - 1) / (|events| - 1) in all. Words are compared in
+    runs of CHECK_BATCH of one length, one output computation counted per
+    compared word, through the counterexample. When a word cannot be
+    checked, the words before it are compared first; then it is counted
+    and its error (SingularBasis when its pair of states is not finite, or
+    whatever the word's own trace query raised) raised. Up to
+    CHECK_BATCH - 1 later words of the last run may have been traced
+    without being compared or counted.
+
+    Memory: of each chain's trace only the states not yet read, from state
+    |w| on, keyed by the next word of the chain: up to about
+    |events|^(l_max-1) chains of at most l_max + 1 states of d x m; the
+    hypothesis node and d x d inverse prefix product of every word of the
+    current length; and the starts of the chains that words of that length
+    head. A hypothesis whose dimension is not the hidden one is rejected
+    with DimensionMismatch before any query.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
@@ -292,23 +209,68 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
         self._l_max = l_max
         self._tol = check_label_tol(tol)
 
+    def _trace(self, word: Word, start: np.ndarray) -> list[np.ndarray]:
+        """States |word| ... of the trace of word's chain from the (d, m)
+        start, or of word alone from its first column when the chain's
+        trace query raises."""
+        chain = word + (0,) * (self._l_max - len(word))
+        if chain != word:
+            try:
+                return self._obs.exec_query(start, chain)[len(word):]
+            except Exception:  # the word's own query below decides
+                pass
+        return self._obs.exec_query(start[:, :1], word)[len(word):]
+
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
-        fa, stats = hypothesis.fa, self._obs.stats
+        fa, stats, l_max = hypothesis.fa, self._obs.stats, self._l_max
         d = self._obs.dimension()
         if hypothesis.d != d:
             raise DimensionMismatch(f"hypothesis has dimension {hypothesis.d}, "
                                     f"hidden states have dimension {d}")
-        claims, gamma = np.stack(hypothesis.matrices), np.array(fa.gamma)
-        probe = _ChainedProbe(self._obs, hypothesis, self._l_max)
-        for length in range(self._l_max + 1):
+        events, claims = len(fa.alphabet), np.stack(hypothesis.matrices)
+        gamma, delta, inverses = np.array(fa.gamma), np.array(fa.delta), _inverses(claims)
+        rng = np.random.default_rng(PROBE_SEED)
+        # hypothesis nodes of the words of the current length, in lex order;
+        # Ĥ⁻¹ of the word at position i is prefix[i // events], since Ĥ does
+        # not depend on a word's last event
+        nodes, prefix = np.array([fa.initial]), identity(d)[None]
+        # the unread states of each pending chain, by the next word it serves
+        pending: dict[Word, list[np.ndarray]] = {}
+        for length in range(l_max + 1):
             if length:
-                probe.next_length()
-            words = itertools.product(range(len(fa.alphabet)), repeat=length)
-            for begin in range(0, len(probe.nodes), CHECK_BATCH):
+                with np.errstate(all="ignore"):
+                    prefix = prefix[np.arange(len(nodes)) // events] @ inverses[gamma[nodes]]
+                nodes = delta[nodes].reshape(-1)
+            heads = np.flatnonzero([word not in pending for word in
+                                    itertools.product(range(events), repeat=length)])
+            starts = iter(_starts(rng, prefix[heads // events], nodes[heads], inverses,
+                                  gamma, delta, l_max - length + 1))
+            words = itertools.product(range(events), repeat=length)
+            for begin in range(0, len(nodes), CHECK_BATCH):
                 batch = list(itertools.islice(words, CHECK_BATCH))
-                xs, ys, error = probe.pairs(batch, begin)
-                claimed = claims[gamma[probe.nodes[begin:begin + len(xs)]]]
+                xs, ys = np.empty((2, len(batch), d))
+                error = None
+                for i, word in enumerate(batch):
+                    tail = pending.pop(word, None)
+                    if tail is None:
+                        try:
+                            tail = self._trace(word, next(starts))
+                        except Exception as exc:  # raised once the words before it are compared
+                            xs, ys, error = xs[:i], ys[:i], exc
+                            break
+                    # a trace of m columns leaves m + 1 states, one fewer per word read
+                    j = tail[0].shape[1] + 1 - len(tail)
+                    xs[i], ys[i] = tail[0][:, j], tail[1][:, j]
+                    if len(tail) > 2:
+                        pending[word + (0,)] = tail[1:]
+                finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+                if not finite.all():
+                    bad = int(finite.argmin())
+                    error = SingularBasis(f"trace state of word {batch[bad]} before or after "
+                                          f"its last step is not finite")
+                    xs, ys = xs[:bad], ys[:bad]
+                claimed = claims[gamma[nodes[begin:begin + len(xs)]]]
                 with np.errstate(all="ignore"):
                     residual = np.abs(ys - (claimed @ xs[:, :, None])[..., 0]).max(axis=1)
                     differs = residual > self._tol * np.abs(xs).sum(axis=1)

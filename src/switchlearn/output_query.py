@@ -90,8 +90,9 @@ class LabelRegistry:
     and re-derivations alike; margin_min is the smallest residual of a
     label that did not pass a word, as a multiple of that word's threshold
     (None until one is seen); relabels counts the cached labels that a
-    re-derivation changed or dropped. A rescreen writes to the cache of the
-    call that interns the label, so a registry serves one output cache.
+    re-derivation changed or dropped. A registry serves one output cache,
+    the one its rescreens write to: the cache of its first cached_outputs
+    or rederive call. A call with any other cache raises ValueError.
     """
 
     def __init__(self, tol: float = LABEL_TOL, canonical=()):
@@ -103,6 +104,7 @@ class LabelRegistry:
         # (words, pairs): words accepted, and their (x, y) pairs as a
         # (words, 2, d) array
         self._kept: list[tuple[list[Word], np.ndarray]] = []
+        self._cache: dict | None = None
 
     @property
     def canonical(self) -> list[np.ndarray]:
@@ -129,6 +131,12 @@ class LabelRegistry:
 
     def __len__(self) -> int:
         return len(self._labels)
+
+    def _bind(self, cache: dict) -> None:
+        if self._cache is None:
+            self._cache = cache
+        elif cache is not self._cache:
+            raise ValueError("this LabelRegistry serves another output cache")
 
     def _keep(self, words: list[Word], pairs: np.ndarray, rows: list[int]) -> None:
         if rows:
@@ -245,7 +253,9 @@ def rederive(obs, registry: LabelRegistry, cache: OutputCache, words,
     probe label is in doubt: it costs trace queries and no output
     computation. When one fails, it and the words after it are dropped
     from the cache (relabels too) before the error is raised, so no label
-    in doubt stays cached."""
+    in doubt stays cached. cache must be the registry's (see
+    LabelRegistry), ValueError otherwise."""
+    registry._bind(cache)
     words = list(map(tuple, words))
     done = 0
     try:
@@ -335,7 +345,8 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     when it is negative). Labels are assigned in word order, one output
     computation per word. The registry draws the probe columns and keeps
     the accepted pairs, so a label any later call on it interns rescreens
-    the words this call accepted.
+    the words this call accepted; cache must be the registry's (see
+    LabelRegistry), ValueError otherwise.
 
     Only the maximal words, those no other of these words extends, are
     traced: one trace query each from its own random column, made when the
@@ -365,6 +376,7 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    registry._bind(cache)
     uncached = (w for w in map(tuple, words) if w not in cache)
     pending = list(dict.fromkeys(uncached))[:limit]
     if not pending:

@@ -145,6 +145,23 @@ def test_a_label_interned_by_a_later_call_rescreens_the_words_accepted_before():
     assert registry.relabels == 1
 
 
+def test_a_registry_refuses_a_second_output_cache():
+    # a rescreen writes to the registry's cache: a call with another cache
+    # would move a^9's re-derivation there, so it is refused before any query
+    hidden = stress_chain(10, shortcut=True)
+    a9 = (0,) * 9
+    obs, registry, c1, c2 = (WhiteBoxObservationOracle(hidden),
+                             LabelRegistry(canonical=[STRESS_A]), {}, {})
+    cached_outputs(obs, registry, c1, [a9])
+    spent = obs.stats.as_dict()
+    with pytest.raises(ValueError, match="another output cache"):
+        cached_outputs(obs, registry, c2, [(1,)])
+    with pytest.raises(ValueError, match="another output cache"):
+        output_query.rederive(obs, registry, c2, [a9])
+    assert c1 == {a9: 0} and c2 == {} and len(registry) == 1
+    assert obs.stats.as_dict() == spent
+
+
 def test_row_and_index_reread_cells_a_mid_read_relabel_changed():
     # reading the row of the empty word takes a^9 for A, then (1,) interns
     # B and re-derives a^9: the row is read again, not left at (0, 0, 1)

@@ -11,7 +11,8 @@ from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          compute_output, language_equivalent, mat_approx_eq,
                          output_of)
-from switchlearn.linalg import LABEL_TOL
+from switchlearn.linalg import LABEL_TOL, identity
+from switchlearn.oracle import CHECK_BATCH, PROBE_SEED, _inverses
 
 from conftest import (OSErrorObservationOracle, make_four_node_hypothesis,
                       make_three_node_hypothesis)
@@ -581,3 +582,176 @@ def test_equivalence_oracles_reject_bad_tol(demo2d_system, tol):
     with pytest.raises(ValueError, match="label tolerance"):
         WhiteBoxEquivalenceOracle(demo2d_system, tol=tol)
     assert obs.stats.io_queries == 0
+
+
+class ReferenceChainedProbe:
+    """The bounded check's chain probe as a per-length object, as it was
+    before the check held its state itself: it tracks the positions whose
+    parent's chain was refused (orphans) to find a length's chain heads,
+    and hands the check its pairs run by run. Kept as the reference whose
+    trace queries the check must repeat."""
+
+    def __init__(self, obs, hypothesis, l_max):
+        fa = hypothesis.fa
+        self._obs, self._l_max, self._d = obs, l_max, hypothesis.d
+        self._events = len(fa.alphabet)
+        self._delta, self._gamma = np.array(fa.delta), np.array(fa.gamma)
+        self._inverses = _inverses(np.stack(hypothesis.matrices))
+        self._rng = np.random.default_rng(PROBE_SEED)
+        self._length = 0
+        self.nodes = np.array([fa.initial])
+        self._prefix = identity(self._d)[None]
+        self._pending = {}
+        self._orphans, self._next_orphans = set(), set()
+        self._starts = self._rows = np.empty(0)
+
+    def next_length(self):
+        parents = np.arange(len(self.nodes)) // self._events
+        with np.errstate(all="ignore"):
+            self._prefix = self._prefix[parents] @ self._inverses[self._gamma[self.nodes]]
+        self.nodes = self._delta[self.nodes].reshape(-1)
+        self._length += 1
+        self._orphans, self._next_orphans = self._next_orphans, set()
+
+    def _precondition(self):
+        index = np.arange(len(self.nodes))
+        head = index % self._events != 0 if self._length else index == 0
+        if self._orphans:
+            head |= np.isin(index, list(self._orphans))
+        heads = index[head]
+        m = self._l_max - self._length + 1
+        r = self._rng.standard_normal((len(heads), self._d, m))
+        starts = np.empty_like(r)
+        prefix, nodes = self._prefix[heads // self._events], self.nodes[heads]
+        with np.errstate(all="ignore"):
+            for j in range(m):
+                starts[:, :, j] = (prefix @ r[:, :, j, None])[..., 0]
+                if j + 1 < m:
+                    prefix = prefix @ self._inverses[self._gamma[nodes]]
+                    nodes = self._delta[nodes, 0]
+        bad = ~np.isfinite(starts).all(axis=1)
+        starts.transpose(0, 2, 1)[bad] = r.transpose(0, 2, 1)[bad]
+        self._starts, self._rows = starts, np.cumsum(head) - 1
+
+    def _trace(self, word, position):
+        start = self._starts[self._rows[position]]
+        chain = word + (0,) * (self._l_max - len(word))
+        if chain != word:
+            try:
+                return self._obs.exec_query(start, chain)[len(word):]
+            except Exception:
+                self._next_orphans.add(position * self._events)
+        return self._obs.exec_query(start[:, :1], word)[len(word):]
+
+    def pairs(self, words, begin):
+        if begin == 0:
+            self._precondition()
+        xs, ys = np.empty((2, len(words), self._d))
+        error = None
+        for i, word in enumerate(words):
+            tail = self._pending.pop(word, None)
+            if tail is None:
+                try:
+                    tail = self._trace(word, begin + i)
+                except Exception as exc:
+                    xs, ys, error = xs[:i], ys[:i], exc
+                    break
+            j = tail[0].shape[1] + 1 - len(tail)
+            xs[i], ys[i] = tail[0][:, j], tail[1][:, j]
+            if len(tail) > 2:
+                self._pending[word + (0,)] = tail[1:]
+        finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+        if not finite.all():
+            bad = int(finite.argmin())
+            error = SingularBasis(f"trace state of word {words[bad]} before or after its "
+                                  f"last step is not finite")
+            xs, ys = xs[:bad], ys[:bad]
+        return xs, ys, error
+
+
+def reference_check(eq, hypothesis):
+    """eq.check(hypothesis) through ReferenceChainedProbe."""
+    eq.stats.equivalence_queries += 1
+    obs, fa = eq._obs, hypothesis.fa
+    claims, gamma = np.stack(hypothesis.matrices), np.array(fa.gamma)
+    probe = ReferenceChainedProbe(obs, hypothesis, eq._l_max)
+    for length in range(eq._l_max + 1):
+        if length:
+            probe.next_length()
+        words = itertools.product(range(len(fa.alphabet)), repeat=length)
+        for begin in range(0, len(probe.nodes), CHECK_BATCH):
+            batch = list(itertools.islice(words, CHECK_BATCH))
+            xs, ys, error = probe.pairs(batch, begin)
+            claimed = claims[gamma[probe.nodes[begin:begin + len(xs)]]]
+            with np.errstate(all="ignore"):
+                residual = np.abs(ys - (claimed @ xs[:, :, None])[..., 0]).max(axis=1)
+                differs = residual > eq._tol * np.abs(xs).sum(axis=1)
+            if differs.any():
+                first = int(differs.argmax())
+                obs.stats.output_computations += first + 1
+                return batch[first]
+            obs.stats.output_computations += len(xs)
+            if error is not None:
+                obs.stats.output_computations += 1
+                raise error
+    return None
+
+
+class RecordingObservationOracle(WhiteBoxObservationOracle):
+    """A trace oracle that records the word and start of every trace query
+    and refuses words longer than k events (none when k is None)."""
+
+    def __init__(self, hidden, k=None):
+        super().__init__(hidden)
+        self.k = k
+        self.calls = []
+
+    def exec_query(self, x0, word):
+        self.calls.append((word, x0.shape, x0.tobytes()))
+        if self.k is not None and len(word) > self.k:
+            raise OSError(f"cannot trace words longer than {self.k} events")
+        return super().exec_query(x0, word)
+
+
+def recorded_check(check, hidden, hypothesis, l_max, k):
+    """(verdict or error, output computations, io queries, trace queries)
+    of check(eq, hypothesis) for a bounded oracle on a fresh recording
+    oracle for hidden."""
+    obs = RecordingObservationOracle(hidden, k)
+    try:
+        with np.errstate(all="ignore"):  # traces through overflowing labels
+            verdict = check(BoundedTestingEquivalenceOracle(obs, l_max), hypothesis)
+    except (SwitchLearnError, OSError) as exc:
+        verdict = (type(exc), str(exc))
+    return verdict, obs.stats.output_computations, obs.stats.io_queries, obs.calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), num_events=st.integers(1, 3),
+       l_max=st.integers(0, 7), k=st.none() | st.integers(0, 7), overflow=st.booleans(),
+       hypothesis_kind=st.sampled_from(["same", "relabel", "random", "singular"]))
+def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k, overflow,
+                                                  hypothesis_kind):
+    rng = np.random.default_rng(seed)
+    num_labels = int(rng.integers(1, 4))
+    matrices = [random_matrix(rng, d) for _ in range(num_labels)]
+    fa = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
+    label = int(rng.integers(num_labels))
+    if overflow:  # states can overflow two steps after this label
+        matrices[label] *= 1e160
+    if hypothesis_kind == "singular":  # in both systems: the columns behind it start from r_j
+        matrices[label][:, -1] = 0.0
+    hidden = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
+    if hypothesis_kind == "relabel":
+        gamma = list(fa.gamma)
+        node = int(rng.integers(fa.num_nodes))
+        gamma[node] = (gamma[node] + 1) % (num_labels + 1)
+        fa = Fa(num_nodes=fa.num_nodes, initial=0, alphabet=fa.alphabet, delta=fa.delta,
+                gamma=tuple(gamma))
+        matrices.append(random_matrix(rng, d))
+    elif hypothesis_kind == "random":
+        fa = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
+    hypothesis = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
+    outcome = recorded_check(BoundedTestingEquivalenceOracle.check, hidden, hypothesis,
+                             l_max, k)
+    assert outcome == recorded_check(reference_check, hidden, hypothesis, l_max, k)

@@ -288,8 +288,9 @@ def test_cache_clear_reproduces_ids(demo2d_system):
     words = [(), (E1,), (E2,), (E1, E1), (E1, E2), (E2, E1), (E2, E2)]
     cache = {}
     ids = [cached_output(obs, registry, cache, w) for w in words]
-    again = [cached_output(obs, registry, {}, w) for w in words]
-    assert ids == again
+    cache.clear()
+    again = [cached_output(obs, registry, cache, w) for w in words]
+    assert ids == again == [0, 1, 2, 0, 2, 2, 0]
     assert len(registry) == 3  # the demo model uses exactly three labels
 
 
