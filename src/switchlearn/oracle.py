@@ -12,12 +12,10 @@ w·0, w·0·0, ... is checked off one trace query with one column per word,
 so a full search costs one trace column per word.
 """
 
-import itertools
-
 import numpy as np
 
-from .automaton import Word, language_equivalent
-from .errors import DimensionMismatch, SingularBasis
+from .automaton import EventAlphabet, Word, language_equivalent
+from .errors import AlphabetMismatch, DimensionMismatch, SingularBasis
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import PROBE_SEED, compute_output  # noqa: F401
@@ -51,6 +49,9 @@ class ObservationOracle:
     def dimension(self) -> int:
         raise NotImplementedError
 
+    def alphabet(self) -> EventAlphabet:
+        raise NotImplementedError
+
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
         raise NotImplementedError
 
@@ -73,6 +74,9 @@ class WhiteBoxObservationOracle(ObservationOracle):
 
     def dimension(self) -> int:
         return self._hidden.d
+
+    def alphabet(self) -> EventAlphabet:
+        return self._hidden.fa.alphabet
 
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
         # charged before execute checks x0, so a refused query still counts
@@ -124,6 +128,13 @@ def _inverses(matrices: np.ndarray) -> np.ndarray:
     return inverses
 
 
+def _words(positions, length: int, events: int, zeros: int = 0) -> list[Word]:
+    """The words at positions in the lex order of length, followed by zeros 0s."""
+    digits, powers = np.zeros((len(positions), length + zeros), dtype=int), np.arange(length)
+    digits[:, :length] = np.asarray(positions)[:, None] // events ** powers[::-1] % events
+    return list(map(tuple, digits.tolist()))
+
+
 def _starts(rng, prefix: np.ndarray, nodes: np.ndarray, inverses: np.ndarray,
             gamma: np.ndarray, delta: np.ndarray, m: int) -> np.ndarray:
     """The (heads, d, m) starts of the chains of heads with inverse prefix
@@ -158,9 +169,10 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     unsound "equivalent" verdict if the shortest counterexample is longer
     than l_max, or if no checked column shows a difference: one barely
     above tol, or one along a direction that the word's products contract
-    beyond what float64 can undo. The hidden system's events are not seen,
-    so an event that the hypothesis lacks is never tested. tol must be
-    positive and finite.
+    beyond what float64 can undo. tol must be positive and finite. A
+    hypothesis whose dimension is not the hidden one, or whose events do
+    not begin with the hidden events (obs.alphabet()) in order, is rejected
+    before any query (DimensionMismatch, AlphabetMismatch).
 
     The columns are read off chains w, w·0, w·0·0, ... A word w that no
     earlier chain left a tail for heads a chain: it traces w·0^(l_max-|w|)
@@ -188,15 +200,14 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     and its error (SingularBasis when its pair of states is not finite, or
     whatever the word's own trace query raised) raised. Up to
     CHECK_BATCH - 1 later words of the last run may have been traced
-    without being compared or counted.
+    without being compared or counted. Each run copies its chains' states
+    into the pairs at once and tests them for finiteness once.
 
-    Memory: of each chain's trace only the states not yet read, from state
-    |w| on, keyed by the next word of the chain: up to about
-    |events|^(l_max-1) chains of at most l_max + 1 states of d x m; the
-    hypothesis node and d x d inverse prefix product of every word of the
-    current length; and the starts of the chains that words of that length
-    head. A hypothesis whose dimension is not the hidden one is rejected
-    with DimensionMismatch before any query.
+    Memory: the pairs of the words of the current length and of the later
+    words of their chains, one (|events|^|w|, l_max - |w| + 1, 2, d) array
+    (two at the step to the next length); the hypothesis node and d x d
+    inverse prefix product of every word of the current length; and the
+    starts of the chains that words of that length head.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
@@ -209,25 +220,15 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
         self._l_max = l_max
         self._tol = check_label_tol(tol)
 
-    def _trace(self, word: Word, start: np.ndarray) -> list[np.ndarray]:
-        """States |word| ... of the trace of word's chain from the (d, m)
-        start, or of word alone from its first column when the chain's
-        trace query raises."""
-        chain = word + (0,) * (self._l_max - len(word))
-        if chain != word:
-            try:
-                return self._obs.exec_query(start, chain)[len(word):]
-            except Exception:  # the word's own query below decides
-                pass
-        return self._obs.exec_query(start[:, :1], word)[len(word):]
-
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
-        fa, stats, l_max = hypothesis.fa, self._obs.stats, self._l_max
-        d = self._obs.dimension()
+        fa, obs, l_max = hypothesis.fa, self._obs, self._l_max
+        d, alphabet = obs.dimension(), obs.alphabet()
         if hypothesis.d != d:
             raise DimensionMismatch(f"hypothesis has dimension {hypothesis.d}, "
                                     f"hidden states have dimension {d}")
+        if fa.alphabet.names[:len(alphabet)] != alphabet.names:
+            raise AlphabetMismatch(f"alphabets differ: {alphabet.names} vs {fa.alphabet.names}")
         events, claims = len(fa.alphabet), np.stack(hypothesis.matrices)
         gamma, delta, inverses = np.array(fa.gamma), np.array(fa.delta), _inverses(claims)
         rng = np.random.default_rng(PROBE_SEED)
@@ -235,51 +236,60 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
         # Ĥ⁻¹ of the word at position i is prefix[i // events], since Ĥ does
         # not depend on a word's last event
         nodes, prefix = np.array([fa.initial]), identity(d)[None]
-        # the unread states of each pending chain, by the next word it serves
-        pending: dict[Word, list[np.ndarray]] = {}
+        # pairs[i, j] is the (x, y) pair of word i·0^j, known for j <
+        # served[i]; word i·0 is at position i * events of the next length
+        pairs, served = np.empty((1, l_max + 1, 2, d)), np.zeros(1, dtype=int)
         for length in range(l_max + 1):
+            m = l_max - length + 1
             if length:
                 with np.errstate(all="ignore"):
                     prefix = prefix[np.arange(len(nodes)) // events] @ inverses[gamma[nodes]]
                 nodes = delta[nodes].reshape(-1)
-            heads = np.flatnonzero([word not in pending for word in
-                                    itertools.product(range(events), repeat=length)])
-            starts = iter(_starts(rng, prefix[heads // events], nodes[heads], inverses,
-                                  gamma, delta, l_max - length + 1))
-            words = itertools.product(range(events), repeat=length)
+                tails, left = pairs[:, 1:], served - 1
+                pairs, served = np.empty((len(nodes), m, 2, d)), np.zeros(len(nodes), dtype=int)
+                pairs[::events], served[::events] = tails, left
+            heads, labels = np.flatnonzero(served == 0), gamma[nodes]
+            served[heads] = m  # 1 for a head whose chain's trace query raises
+            starts = _starts(rng, prefix[heads // events], nodes[heads], inverses,
+                             gamma, delta, m)
+            j = np.arange(m)[:, None, None]  # pair j of a chain: states j, j + 1 of column j
+            index = (j + np.arange(2)[:, None]) * d * m + np.arange(d) * m + j
             for begin in range(0, len(nodes), CHECK_BATCH):
-                batch = list(itertools.islice(words, CHECK_BATCH))
-                xs, ys = np.empty((2, len(batch), d))
-                error = None
-                for i, word in enumerate(batch):
-                    tail = pending.pop(word, None)
-                    if tail is None:
+                end, error = min(begin + CHECK_BATCH, len(nodes)), None
+                lo, hi = np.searchsorted(heads, (begin, end))
+                traces = []  # states |w| on of the chains headed here
+                chains = _words(heads[lo:hi], length, events, m - 1)
+                for i, start, chain in zip(heads[lo:hi].tolist(), starts[lo:hi], chains):
+                    for k in (m, 1) if m > 1 else (1,):  # the chain, else w alone from column 0
                         try:
-                            tail = self._trace(word, next(starts))
-                        except Exception as exc:  # raised once the words before it are compared
-                            xs, ys, error = xs[:i], ys[:i], exc
+                            states = obs.exec_query(start[:, :k], chain[:length + k - 1])[length:]
                             break
-                    # a trace of m columns leaves m + 1 states, one fewer per word read
-                    j = tail[0].shape[1] + 1 - len(tail)
-                    xs[i], ys[i] = tail[0][:, j], tail[1][:, j]
-                    if len(tail) > 2:
-                        pending[word + (0,)] = tail[1:]
-                finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+                        except Exception as exc:  # raised once the words before it are compared
+                            failure = exc
+                    else:
+                        end, error = i, failure
+                        break
+                    if k < m:  # w's own pair, padded to a chain's shape; w·0 heads a chain
+                        served[i], states = 1, np.pad(states, ((0, m - 1), (0, 0), (0, m - 1)))
+                    traces.extend(states)
+                if traces:
+                    traced = np.concatenate(traces).reshape(len(traces) // (m + 1), -1)
+                    pairs[heads[lo:lo + len(traced)]] = traced[:, index]
+                finite = np.isfinite(pairs[begin:end, 0])
                 if not finite.all():
-                    bad = int(finite.argmin())
-                    error = SingularBasis(f"trace state of word {batch[bad]} before or after "
-                                          f"its last step is not finite")
-                    xs, ys = xs[:bad], ys[:bad]
-                claimed = claims[gamma[nodes[begin:begin + len(xs)]]]
+                    end = begin + int(finite.all(axis=(1, 2)).argmin())
+                    error = SingularBasis(f"trace state of word {_words([end], length, events)[0]}"
+                                          " before or after its last step is not finite")
+                xs, ys = pairs[begin:end, 0].swapaxes(0, 1)
                 with np.errstate(all="ignore"):
-                    residual = np.abs(ys - (claimed @ xs[:, :, None])[..., 0]).max(axis=1)
-                    differs = residual > self._tol * np.abs(xs).sum(axis=1)
+                    residual = np.abs(ys - (claims[labels[begin:end]] @ xs[..., None])[..., 0])
+                    differs = residual.max(axis=1) > self._tol * np.abs(xs).sum(axis=1)
                 if differs.any():
                     first = int(differs.argmax())
-                    stats.output_computations += first + 1
-                    return batch[first]
-                stats.output_computations += len(xs)
+                    obs.stats.output_computations += first + 1
+                    return _words([begin + first], length, events)[0]
+                obs.stats.output_computations += end - begin
                 if error is not None:
-                    stats.output_computations += 1
+                    obs.stats.output_computations += 1
                     raise error
         return None

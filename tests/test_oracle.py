@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
-                         DimensionMismatch, EventAlphabet, Fa, InvalidEvent,
+                         DimensionMismatch, EventAlphabet, Fa, GenConfig, InvalidEvent,
                          SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          compute_output, language_equivalent, mat_approx_eq,
-                         output_of)
+                         output_of, random_system)
 from switchlearn.linalg import LABEL_TOL, identity
 from switchlearn.oracle import CHECK_BATCH, PROBE_SEED, _inverses
 
@@ -113,6 +114,17 @@ def test_bounded_oracle_never_exceeds_depth(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
     eq = BoundedTestingEquivalenceOracle(obs, l_max=2)
     assert eq.check(make_three_node_hypothesis()) is None
+
+
+def test_deep_search_that_ends_early_asks_the_reference_queries(demo2d_system):
+    # at depth 70 a chain's position among the words of its length, up to
+    # 2^70, does not fit an int64, yet the search ends at the first
+    # counterexample, of length 3, as the reference's does
+    hypothesis = make_three_node_hypothesis()
+    outcome = recorded_check(BoundedTestingEquivalenceOracle.check, demo2d_system, hypothesis,
+                             70, None)
+    assert len(outcome[0]) == 3
+    assert outcome == recorded_check(reference_check, demo2d_system, hypothesis, 70, None)
 
 
 def test_counterexamples_are_genuine(demo2d_system):
@@ -567,6 +579,25 @@ def test_bounded_oracle_rejects_hypothesis_of_other_dimension(demo2d_system):
     assert obs.stats.io_queries == 0
 
 
+@pytest.mark.parametrize("names", [("e1",), ("e2", "e1")])
+def test_bounded_oracle_rejects_hypothesis_that_misses_or_reorders_hidden_events(
+        demo2d_system, names):
+    # a 2-node hypothesis that follows the demo model on e1: over e1 alone
+    # it was accepted after 6 io, since e2 was never enumerated; with the
+    # events swapped, event index 0 would trace the hidden e1 for its e2
+    delta = ((1,), (0,)) if len(names) == 1 else ((0, 1), (1, 0))
+    fa = Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(names), delta=delta, gamma=(0, 2))
+    hypothesis = SwitchedSystem(fa=fa, matrices=demo2d_system.matrices, d=2)
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    eq = BoundedTestingEquivalenceOracle(obs, 5)
+    with pytest.raises(AlphabetMismatch,
+                       match=rf"alphabets differ: \('e1', 'e2'\) vs {re.escape(str(names))}"):
+        eq.check(hypothesis)
+    assert (obs.stats.io_queries, obs.stats.output_computations) == (0, 0)
+    with pytest.raises(AlphabetMismatch):
+        WhiteBoxEquivalenceOracle(demo2d_system).check(hypothesis)
+
+
 @pytest.mark.parametrize("l_max", [-1, True, False, 2.0, "3", None])
 def test_bounded_oracle_rejects_bad_depth(demo2d_system, l_max):
     obs = WhiteBoxObservationOracle(demo2d_system)
@@ -755,3 +786,22 @@ def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k,
     outcome = recorded_check(BoundedTestingEquivalenceOracle.check, hidden, hypothesis,
                              l_max, k)
     assert outcome == recorded_check(reference_check, hidden, hypothesis, l_max, k)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bounded_check_asks_the_reference_queries_at_the_benchmark_shape(seed):
+    # the blackbox-bounded workload's systems at the `learn --eq bounded`
+    # default depth 2n + 1 = 11, where chains span up to 12 lengths (the
+    # property test above stops at depth 7): the hidden system itself and
+    # a copy whose last node has the next label
+    hidden = random_system(GenConfig(5, 2, 3, 3, seed))
+    fa = hidden.fa
+    gamma = fa.gamma[:-1] + ((fa.gamma[-1] + 1) % len(hidden.matrices),)
+    relabelled = SwitchedSystem(fa=Fa(num_nodes=fa.num_nodes, initial=fa.initial,
+                                      alphabet=fa.alphabet, delta=fa.delta, gamma=gamma),
+                                matrices=hidden.matrices, d=hidden.d)
+    for hypothesis, equivalent in ((hidden, True), (relabelled, False)):
+        outcome = recorded_check(BoundedTestingEquivalenceOracle.check, hidden, hypothesis,
+                                 11, None)
+        assert (outcome[0] is None) == equivalent
+        assert outcome == recorded_check(reference_check, hidden, hypothesis, 11, None)
