@@ -90,11 +90,16 @@ class Fa:
         for label in self.gamma:
             if label < 0:
                 raise ValueError(f"negative label id {label}")
+        # the event indices, for check_word's one set test
+        object.__setattr__(self, "_events", frozenset(range(len(self.alphabet))))
 
 
 def check_word(fa: Fa, word: Word) -> None:
     """InvalidEvent naming the first event of word that is not an event
-    index of fa."""
+    index of fa. A word is passed by one set test; only a word that it
+    refuses is walked, to name that event."""
+    if fa._events.issuperset(word):
+        return
     num_events = len(fa.alphabet)
     for e in word:
         if not 0 <= e < num_events:

@@ -80,7 +80,7 @@ class WhiteBoxObservationOracle(ObservationOracle):
 
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
         # charged before execute checks x0, so a refused query still counts
-        shape = np.shape(x0)
+        shape = x0.shape if isinstance(x0, np.ndarray) else np.shape(x0)
         self.stats.io_queries += shape[1] if len(shape) == 2 else 1
         return execute(self._hidden, x0, word)
 
@@ -119,38 +119,53 @@ def _inverses(matrices: np.ndarray) -> np.ndarray:
     """The inverse of each matrix of the (k, d, d) stack matrices, NaN
     where LAPACK finds one singular."""
     inverses = np.full_like(matrices, np.nan)
-    with np.errstate(all="ignore"):
-        for k, matrix in enumerate(matrices):
-            try:
-                inverses[k] = np.linalg.inv(matrix)
-            except np.linalg.LinAlgError:
-                pass
+    for k, matrix in enumerate(matrices):
+        try:
+            inverses[k] = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            pass
     return inverses
 
 
-def _words(positions, length: int, events: int, zeros: int = 0) -> list[Word]:
-    """The words at positions in the lex order of length, followed by zeros 0s."""
-    digits, powers = np.zeros((len(positions), length + zeros), dtype=int), np.arange(length)
-    digits[:, :length] = np.asarray(positions)[:, None] // events ** powers[::-1] % events
-    return list(map(tuple, digits.tolist()))
+def _words(positions, length: int, events: int, zeros: int = 0) -> np.ndarray:
+    """One row per position: the events of the word at that position in the
+    lex order of length, followed by zeros 0s, in the least unsigned
+    integer type that holds an event."""
+    digits = np.zeros((len(positions), length + zeros), dtype=np.min_scalar_type(events - 1))
+    rest = np.asarray(positions)
+    for k in reversed(range(length)):
+        rest, digits[:, k] = np.divmod(rest, events)
+    return digits
 
 
-def _starts(rng, prefix: np.ndarray, nodes: np.ndarray, inverses: np.ndarray,
-            gamma: np.ndarray, delta: np.ndarray, m: int) -> np.ndarray:
+def _word(position: int, length: int, events: int) -> Word:
+    """The word at position in the lex order of length."""
+    return tuple(_words([position], length, events)[0].tolist())
+
+
+def _starts(rng, prefix: np.ndarray, parents: np.ndarray, nodes: np.ndarray,
+            inverses: np.ndarray, gamma: np.ndarray, delta: np.ndarray, m: int) -> np.ndarray:
     """The (heads, d, m) starts of the chains of heads with inverse prefix
-    products prefix (heads, d, d) and hypothesis nodes nodes: column j of a
-    head w is Ĥ⁻¹ r_j for w·0^j, or r_j where that column is not finite,
-    with r drawn from rng in one (heads, d, m) draw."""
-    r = rng.standard_normal((len(nodes), prefix.shape[-1], m))
-    starts = np.empty_like(r)
-    with np.errstate(all="ignore"):
-        for j in range(m):
-            starts[:, :, j] = (prefix @ r[:, :, j, None])[..., 0]
-            if j + 1 < m:
-                prefix = prefix @ inverses[gamma[nodes]]
-                nodes = delta[nodes, 0]
-    bad = ~np.isfinite(starts).all(axis=1)
-    starts.transpose(0, 2, 1)[bad] = r.transpose(0, 2, 1)[bad]
+    products prefix[parents] and hypothesis nodes nodes: column j of a head
+    w is Ĥ⁻¹ r_j for w·0^j, or r_j where that column is not finite, with r
+    drawn from rng in one (heads, d, m) draw. The inverse products of w,
+    w·0, ..., w·0^(m-1) are formed one from the other into one
+    (m, heads, d, d) array, and all m columns of every head by one stacked
+    product with r. Floating-point errors are left to the caller's
+    np.errstate."""
+    heads, d = len(parents), prefix.shape[-1]
+    r = rng.standard_normal((heads, d, m)).transpose(2, 0, 1)
+    products = np.empty((m, heads, d, d))
+    # "clip" writes straight into out ("raise" buffers it); every parent is in range
+    prefix.take(parents, axis=0, out=products[0], mode="clip")
+    for j in range(1, m):
+        np.matmul(products[j - 1], inverses[gamma[nodes]], out=products[j])
+        nodes = delta[nodes, 0]
+    starts = np.empty((heads, d, m))
+    columns = starts.transpose(2, 0, 1)  # (m, heads, d)
+    np.matmul(products, r[..., None], out=columns[..., None])
+    bad = ~np.isfinite(columns).all(axis=2)
+    columns[bad] = r[bad]
     return starts
 
 
@@ -200,14 +215,23 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     and its error (SingularBasis when its pair of states is not finite, or
     whatever the word's own trace query raised) raised. Up to
     CHECK_BATCH - 1 later words of the last run may have been traced
-    without being compared or counted. Each run copies its chains' states
-    into the pairs at once and tests them for finiteness once.
+    without being compared or counted. Besides its trace queries, a check
+    works per length and per run, not per word: a length's chain heads,
+    their starts and their words are formed at once, and one search splits
+    the heads among the runs. A chain's trace query gets its start and word
+    as they are; only when it raises are they cut to w's own. A run copies
+    its chains' states into the pairs in one gather, tests them for
+    finiteness once and compares its words in one stacked product. The
+    check ignores floating-point errors (np.errstate), its trace queries
+    included, so a state that overflows is not warned about but raised as
+    SingularBasis.
 
     Memory: the pairs of the words of the current length and of the later
     words of their chains, one (|events|^|w|, l_max - |w| + 1, 2, d) array
     (two at the step to the next length); the hypothesis node and d x d
-    inverse prefix product of every word of the current length; and the
-    starts of the chains that words of that length head.
+    inverse prefix product of every word of the current length; and, for
+    the chains that words of that length head, their words, their starts
+    and the (m, heads, d, d) inverse products that _starts forms them from.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
@@ -222,7 +246,7 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:
         self.stats.equivalence_queries += 1
-        fa, obs, l_max = hypothesis.fa, self._obs, self._l_max
+        fa, obs, l_max, tol = hypothesis.fa, self._obs, self._l_max, self._tol
         d, alphabet = obs.dimension(), obs.alphabet()
         if hypothesis.d != d:
             raise DimensionMismatch(f"hypothesis has dimension {hypothesis.d}, "
@@ -238,58 +262,64 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
         nodes, prefix = np.array([fa.initial]), identity(d)[None]
         # pairs[i, j] is the (x, y) pair of word i·0^j, known for j <
         # served[i]; word i·0 is at position i * events of the next length
-        pairs, served = np.empty((1, l_max + 1, 2, d)), np.zeros(1, dtype=int)
-        for length in range(l_max + 1):
-            m = l_max - length + 1
-            if length:
-                with np.errstate(all="ignore"):
-                    prefix = prefix[np.arange(len(nodes)) // events] @ inverses[gamma[nodes]]
-                nodes = delta[nodes].reshape(-1)
-                tails, left = pairs[:, 1:], served - 1
-                pairs, served = np.empty((len(nodes), m, 2, d)), np.zeros(len(nodes), dtype=int)
-                pairs[::events], served[::events] = tails, left
-            heads, labels = np.flatnonzero(served == 0), gamma[nodes]
-            served[heads] = m  # 1 for a head whose chain's trace query raises
-            starts = _starts(rng, prefix[heads // events], nodes[heads], inverses,
-                             gamma, delta, m)
-            j = np.arange(m)[:, None, None]  # pair j of a chain: states j, j + 1 of column j
-            index = (j + np.arange(2)[:, None]) * d * m + np.arange(d) * m + j
-            for begin in range(0, len(nodes), CHECK_BATCH):
-                end, error = min(begin + CHECK_BATCH, len(nodes)), None
-                lo, hi = np.searchsorted(heads, (begin, end))
-                traces = []  # states |w| on of the chains headed here
-                chains = _words(heads[lo:hi], length, events, m - 1)
-                for i, start, chain in zip(heads[lo:hi].tolist(), starts[lo:hi], chains):
-                    for k in (m, 1) if m > 1 else (1,):  # the chain, else w alone from column 0
+        pairs, served, size = np.empty((1, l_max + 1, 2, d)), np.zeros(1, dtype=int), 1
+        with np.errstate(all="ignore"):  # a non-finite state is raised as SingularBasis
+            for length in range(l_max + 1):
+                m = l_max - length + 1
+                if length:
+                    prefix = prefix[np.arange(size) // events] @ inverses[gamma[nodes]]
+                    nodes = delta[nodes].reshape(-1)
+                    tails, left, size = pairs[:, 1:], served - 1, len(nodes)
+                    pairs, served = np.empty((size, m, 2, d)), np.zeros(size, dtype=int)
+                    pairs[::events], served[::events] = tails, left
+                heads, labels = np.flatnonzero(served == 0), gamma[nodes]
+                served[heads] = m  # 1 for a head whose chain's trace query raises
+                starts = _starts(rng, prefix, heads // events, nodes[heads], inverses,
+                                 gamma, delta, m)
+                chains, positions = _words(heads, length, events, m - 1), heads.tolist()
+                # heads[cuts[k]:cuts[k + 1]] are the heads among the words of run k
+                cuts = heads.searchsorted(np.arange(0, size + CHECK_BATCH, CHECK_BATCH)).tolist()
+                j = np.arange(m)[:, None, None]  # pair j of a chain: states j, j + 1 of column j
+                index = (j + np.arange(2)[:, None]) * d * m + np.arange(d) * m + j
+                for begin, lo, hi in zip(range(0, size, CHECK_BATCH), cuts, cuts[1:]):
+                    end, error = min(begin + CHECK_BATCH, size), None
+                    traces = []  # states |w| on of the chains headed here
+                    for i, start, chain in zip(positions[lo:hi], starts[lo:hi],
+                                               map(tuple, chains[lo:hi].tolist())):
                         try:
-                            states = obs.exec_query(start[:, :k], chain[:length + k - 1])[length:]
-                            break
+                            traces.extend(obs.exec_query(start, chain)[length:])
+                            continue
                         except Exception as exc:  # raised once the words before it are compared
-                            failure = exc
-                    else:
-                        end, error = i, failure
+                            error = exc
+                        if m > 1:  # w alone from column 0, padded to a chain's shape
+                            try:
+                                states = obs.exec_query(start[:, :1], chain[:length])[length:]
+                                traces.extend(np.pad(states, ((0, m - 1), (0, 0), (0, m - 1))))
+                                served[i], error = 1, None  # w·0 heads a chain
+                                continue
+                            except Exception as exc:
+                                error = exc
+                        end = i
                         break
-                    if k < m:  # w's own pair, padded to a chain's shape; w·0 heads a chain
-                        served[i], states = 1, np.pad(states, ((0, m - 1), (0, 0), (0, m - 1)))
-                    traces.extend(states)
-                if traces:
-                    traced = np.concatenate(traces).reshape(len(traces) // (m + 1), -1)
-                    pairs[heads[lo:lo + len(traced)]] = traced[:, index]
-                finite = np.isfinite(pairs[begin:end, 0])
-                if not finite.all():
-                    end = begin + int(finite.all(axis=(1, 2)).argmin())
-                    error = SingularBasis(f"trace state of word {_words([end], length, events)[0]}"
-                                          " before or after its last step is not finite")
-                xs, ys = pairs[begin:end, 0].swapaxes(0, 1)
-                with np.errstate(all="ignore"):
-                    residual = np.abs(ys - (claims[labels[begin:end]] @ xs[..., None])[..., 0])
-                    differs = residual.max(axis=1) > self._tol * np.abs(xs).sum(axis=1)
-                if differs.any():
-                    first = int(differs.argmax())
-                    obs.stats.output_computations += first + 1
-                    return _words([begin + first], length, events)[0]
-                obs.stats.output_computations += end - begin
-                if error is not None:
-                    obs.stats.output_computations += 1
-                    raise error
+                    if traces:
+                        traced = np.concatenate(traces).reshape(len(traces) // (m + 1), -1)
+                        pairs[heads[lo:lo + len(traced)]] = traced[:, index]
+                    block = pairs[begin:end, 0]
+                    if not np.isfinite(block).all():
+                        end = begin + int(np.isfinite(block).all(axis=(1, 2)).argmin())
+                        error = SingularBasis(f"trace state of word {_word(end, length, events)}"
+                                              " before or after its last step is not finite")
+                        block = block[:end - begin]
+                    xs = block[:, 0]
+                    residual = block[:, 1] - (claims[labels[begin:end]] @ xs[..., None])[..., 0]
+                    bound = tol * np.abs(xs).sum(axis=1)
+                    differs = np.abs(residual, out=residual).max(axis=1) > bound
+                    if differs.any():
+                        first = int(differs.argmax())
+                        obs.stats.output_computations += first + 1
+                        return _word(begin + first, length, events)
+                    obs.stats.output_computations += end - begin
+                    if error is not None:
+                        obs.stats.output_computations += 1
+                        raise error
         return None

@@ -46,6 +46,9 @@ class SwitchedSystem:
                        for label, matrix in enumerate(self.matrices) if matrix.shape != shape]
         if violations:
             raise ValidationError(violations)
+        # each node's matrix, so that a step of execute indexes once
+        object.__setattr__(self, "_node_matrices",
+                           tuple(self.matrices[label] for label in self.fa.gamma))
 
 
 def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarray]:
@@ -57,22 +60,21 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     as run does (InvalidEvent on its first out-of-range event). Each step
     is matrix.dot(x), the same BLAS product as matrix @ x and bit-equal to
     it, without the ufunc dispatch that @ pays per call; the automaton is
-    walked in the same loop.
+    walked in the same loop, reading each node's matrix directly.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
-    fa, matrices = system.fa, system.matrices
+    fa, node_matrices = system.fa, system._node_matrices
     check_word(fa, word)
-    delta, gamma = fa.delta, fa.gamma
-    node = fa.initial
+    delta, node = fa.delta, fa.initial
     states = [x]
-    x = matrices[gamma[node]].dot(x)
+    x = node_matrices[node].dot(x)
     states.append(x)
     for e in word:
         node = delta[node][e]
-        x = matrices[gamma[node]].dot(x)
+        x = node_matrices[node].dot(x)
         states.append(x)
     return states
 

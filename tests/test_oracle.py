@@ -10,7 +10,7 @@ from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          DimensionMismatch, EventAlphabet, Fa, GenConfig, InvalidEvent,
                          SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         compute_output, language_equivalent, mat_approx_eq,
+                         compute_output, language_equivalent, learn, mat_approx_eq,
                          output_of, random_system)
 from switchlearn.linalg import LABEL_TOL, identity
 from switchlearn.oracle import CHECK_BATCH, PROBE_SEED, _inverses
@@ -805,3 +805,20 @@ def test_bounded_check_asks_the_reference_queries_at_the_benchmark_shape(seed):
                                  11, None)
         assert (outcome[0] is None) == equivalent
         assert outcome == recorded_check(reference_check, hidden, hypothesis, 11, None)
+
+
+@pytest.mark.parametrize("seed, counts", [(0, (4278, 4142, 3)), (1, (4161, 4118, 2)),
+                                          (2, (4503, 4185, 4)), (3, (4242, 4134, 3)),
+                                          (4, (4197, 4120, 2)), (5, (4162, 4119, 2))])
+def test_black_box_learn_at_the_benchmark_shape_makes_the_pinned_queries(seed, counts):
+    # the blackbox-bounded workload's systems learned through the bounded
+    # check at the `learn --eq bounded` default depth 11: the io, output
+    # computations and equivalence queries of the whole learn, not only of
+    # its final check, and a model the exact check accepts
+    hidden = random_system(GenConfig(5, 2, 3, 3, seed))
+    obs = WhiteBoxObservationOracle(hidden)
+    result = learn(obs, BoundedTestingEquivalenceOracle(obs, 11), hidden.fa.alphabet)
+    stats = result.stats_dict()
+    assert (stats["io_queries"], stats["output_computations"],
+            stats["equivalence_queries"]) == counts
+    assert WhiteBoxEquivalenceOracle(hidden).check(result.system) is None

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (DimensionMismatch, GenConfig, InvalidEvent, ParseError,
-                         SwitchedSystem, ValidationError, Violation, execute,
-                         language_of, load_json, random_system, save_json, validate)
+                         SwitchedSystem, ValidationError, Violation,
+                         WhiteBoxObservationOracle, execute, language_of, load_json,
+                         random_system, save_json, validate)
 
 from conftest import DEMO2D_MATRICES, make_demo2d_system
 
@@ -81,18 +82,34 @@ def test_execute_matches_matmul_reference_bit_for_bit(seed, d, num_events, data,
                                      num_events=num_events,
                                      num_labels=data.draw(st.integers(1, 4)), dim=d,
                                      seed=seed))
-    word = tuple(data.draw(st.lists(st.integers(0, num_events - 1), max_size=30)))
+    word = data.draw(st.lists(st.integers(0, num_events - 1), max_size=30))
+    # some words carry out-of-range events, negative or past the last event
+    bad = st.integers(-3, -1) | st.integers(num_events, num_events + 3)
+    for at, event in data.draw(st.lists(st.tuples(st.integers(0, 30), bad), max_size=2)):
+        word.insert(at, event)
+    word = tuple(word)
     rng = np.random.default_rng(seed)
     x0 = {"identity": lambda: np.eye(d),
           "vector": lambda: rng.uniform(-1, 1, d),
           "columns": lambda: rng.uniform(-1, 1, (d, int(rng.integers(1, 5)))),
           "fortran columns": lambda: np.asfortranarray(rng.uniform(-1, 1, (d, 3)))}[x0_kind]()
-    states = execute(system, x0, word)
+    obs = WhiteBoxObservationOracle(system)
+    invalid = [e for e in word if not 0 <= e < num_events]
+    if invalid:  # both refuse the word, naming its first bad event
+        for trace in (lambda: execute(system, x0, word), lambda: obs.exec_query(x0, word)):
+            with pytest.raises(InvalidEvent) as refused:
+                trace()
+            assert str(refused.value) == (f"event index {invalid[0]} out of range "
+                                          f"for {num_events} events")
+        # the refused query is still charged, one io query per column
+        assert obs.stats.io_queries == (x0.shape[1] if x0.ndim == 2 else 1)
+        return
     expected = reference_execute(system, x0, word)
-    assert len(states) == len(expected) == len(word) + 2
-    for state, want in zip(states, expected):
-        assert state.shape == want.shape and state.dtype == want.dtype
-        assert state.tobytes() == want.tobytes()
+    for states in (execute(system, x0, word), obs.exec_query(x0, word)):
+        assert len(states) == len(expected) == len(word) + 2
+        for state, want in zip(states, expected):
+            assert state.shape == want.shape and state.dtype == want.dtype
+            assert state.tobytes() == want.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
