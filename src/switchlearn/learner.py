@@ -10,14 +10,15 @@ the learn's output budget. It stores the row of every access word and every
 one-event extension it has read, and extends a row by one cell per test
 word added since, so each cell is read into the table once per learn. Its
 index maps each access row to the first access word having it, rebuilt from
-the stored rows when a test word is added. The loop closes the access set
-under one-event extensions (an extension whose row is not in the index
-becomes a new access word), builds a hypothesis whose transitions are index
-lookups, asks the equivalence oracle, and on a counterexample locates (by
-binary search over output labels along the hypothesis run) one new access
-word and one new test word. Access words only ever grow, and their number
-is bounded by the hidden node count, so the loop terminates with a
-language-equivalent system.
+the stored rows when a test word is added; the representatives found in
+it are kept until it is dropped. The loop closes the access set under
+one-event extensions (an extension whose row is not in the index becomes a
+new access word), builds a hypothesis whose transitions are the
+representatives that closure found, asks the equivalence oracle, and on a
+counterexample locates (by binary search over output labels along the
+hypothesis run) one new access word and one new test word. Access words
+only ever grow, and their number is bounded by the hidden node count, so
+the loop terminates with a language-equivalent system.
 """
 
 import math
@@ -67,8 +68,10 @@ class ObservationStore:
         self._relabels = 0  # registry.relabels when the rows were last rebuilt
         self._rows: dict[Word, tuple[int, ...]] = {}
         # the first access index of each row of the leading _indexed access
-        # words, under the first _width test words
+        # words, under the first _width test words, and the representatives
+        # found in it, by word; both are dropped together
         self._index: dict[tuple[int, ...], int] = {}
+        self._representatives: dict[Word, int] = {}
         self._indexed = self._width = 0
 
     @property
@@ -107,8 +110,12 @@ class ObservationStore:
         cache, when a re-derivation changed a cached label since."""
         if self.registry.relabels != self._relabels:
             self._rows.clear()
-            self._index, self._indexed = {}, 0
+            self._drop_index()
             self._relabels = self.registry.relabels
+
+    def _drop_index(self) -> None:
+        """Drop the index and the representatives found in it."""
+        self._index, self._indexed, self._representatives = {}, 0, {}
 
     def drop_shared_rows(self) -> None:
         """Keep only the first access word of each row. Access rows become
@@ -116,45 +123,67 @@ class ObservationStore:
         index = self.index()
         if len(index) < len(self.access_words):
             self.access_words[:] = [self.access_words[i] for i in sorted(index.values())]
-            self._index, self._indexed = {}, 0
+            self._drop_index()
 
     def missing_cells(self, words):
-        """The cells the rows of words lack, word by word, each as the word
-        followed by the test word."""
+        """The list of cells the rows of words lack, word by word, each as
+        the word followed by the test word."""
         rows, tests = self._rows, self.test_words
-        return (w + t for w in words for t in tests[len(rows.get(w, ())):])
+        return [w + t for w in words for t in tests[len(rows.get(w, ())):]]
 
     def row(self, word: Word) -> tuple[int, ...]:
         """word's row: its stored cells, extended by the cells it lacks. A
         cached cell is read straight from the output cache; only a missing
         one goes through label, which may refuse it or change cached labels."""
-        cells = self._rows.get(word, ())
-        if len(cells) < len(self.test_words):
+        cells, tests = self._rows.get(word, ()), self.test_words
+        if len(cells) < len(tests):
             relabels = self._relabels
-            cells += self._cells(word, self.test_words[len(cells):])
+            cells += self._cells(word, tests[len(cells):])
             if self._relabels != relabels:  # a cached label changed meanwhile
-                cells = self._cells(word, self.test_words)
+                cells = self._cells(word, tests)
             self._rows[word] = cells
         return cells
 
     def _cells(self, word: Word, tests: list[Word]) -> tuple[int, ...]:
-        cache = self._cache
-        return tuple(cache[cell] if cell in cache else self.label(cell)
-                     for cell in (word + t for t in tests))
+        get, cells = self._cache.get, []
+        for t in tests:
+            cell = get(word + t)
+            cells.append(self.label(word + t) if cell is None else cell)
+        return tuple(cells)
 
     def index(self) -> dict[tuple[int, ...], int]:
         """Map from each access word's row to the first access word having
         it: extended by the access words added since the last call, and
         rebuilt from the stored rows when a test word was added."""
         if self._width != len(self.test_words):
-            self._index, self._indexed, self._width = {}, 0, len(self.test_words)
+            self._drop_index()
+            self._width = len(self.test_words)
         while self._indexed < len(self.access_words):
-            relabels = self._relabels
-            row = self.row(self.access_words[self._indexed])
+            word, relabels = self.access_words[self._indexed], self._relabels
+            row = self.row(word)
             if self._relabels == relabels:  # else the index was dropped meanwhile
-                self._index.setdefault(row, self._indexed)
+                self._representatives[word] = self._index.setdefault(row, self._indexed)
                 self._indexed += 1
         return self._index
+
+    def representative(self, word: Word) -> int | None:
+        """Index of the first access word whose row equals word's row, or
+        None; one found is kept in representatives()."""
+        index, found = self.index(), self._representatives
+        target = index.get(self.row(word))
+        # found is that index's own dict: when reading the row dropped the
+        # index, the target is dropped with it
+        if target is not None:
+            found[word] = target
+        return target
+
+    def representatives(self) -> dict[Word, int]:
+        """The representatives found since the index was last dropped, by
+        word: each indexed access word's, and each that representative
+        looked up. They hold while the index does: access words are only
+        appended, which adds rows to the index but never remaps one."""
+        self.index()
+        return self._representatives
 
 
 @dataclass
@@ -178,9 +207,9 @@ class LearnResult:
                 "label_margin_min": self.label_margin_min}
 
 
-def find_representative(store: ObservationStore, word: Word) -> int | None:
-    """Index of the first access word whose row equals word's row."""
-    return store.index().get(store.row(word))
+# the representative lookup as a function of (store, word): the name
+# close_store calls, which perfbench/tracing.py wraps
+find_representative = ObservationStore.representative
 
 
 def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
@@ -194,6 +223,10 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
     each row, and a pass that changed a label is made again; the table is
     left closed and separable.
 
+    Each lookup keeps the representative it finds in the store (see
+    ObservationStore.representatives), so the last pass leaves every
+    extension's transition for build_hypothesis.
+
     The cells the table lacks that a pass will certainly read are fetched
     together, in the order it reads them: those of the access rows, then, on
     reaching the first access word not yet covered, those of the extensions
@@ -201,6 +234,7 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
     a pass, so it computes the same words in the same order as reading each
     cell on its own when first needed, and labels and counts are the same.
     """
+    events = range(len(alphabet))
     while True:
         relabels = store.registry.relabels
         store.fetch(store.missing_cells(store.access_words))
@@ -211,9 +245,9 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
         for i, word in enumerate(store.access_words):  # also visits words appended below
             if i == fetched:
                 fetched = len(store.access_words)
-                store.fetch(store.missing_cells(w + (e,) for w in store.access_words[i:]
-                                                for e in range(len(alphabet))))
-            for e in range(len(alphabet)):
+                store.fetch(store.missing_cells([w + (e,) for w in store.access_words[i:]
+                                                 for e in events]))
+            for e in events:
                 extension = word + (e,)
                 if find_representative(store, extension) is None:
                     store.access_words.append(extension)
@@ -224,18 +258,23 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
 def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> SwitchedSystem:
     """Hypothesis system over the current words: one node per access word
     (empty word initial), transitions to the representative of each
-    one-event extension, looked up in one index() by the extension's stored
-    row, node labels taken from the word's own output, the first cell of its
-    row."""
-    index = store.index()
-    delta = []
+    one-event extension, node labels taken from the word's own output, the
+    first cell of its row. After close_store every representative is one
+    its last pass found, and no row is read; a representative dropped since
+    with the index (a test word added, a relabel, drop_shared_rows), or
+    never looked up, is looked up by the extension's row, and NotClosed is
+    raised when there is none."""
+    found, events, delta = store.representatives(), range(len(alphabet)), []
     for word in store.access_words:
-        targets = tuple(index.get(store.row(word + (e,))) for e in range(len(alphabet)))
+        targets = tuple([found.get(word + (e,)) for e in events])
+        if None in targets:  # not found since the index was dropped: read the rows
+            targets = tuple(store.representative(word + (e,)) for e in events)
         if None in targets:
             raise NotClosed(f"extension of {word!r} by event {targets.index(None)} has "
                             "no representative; close the store first")
         delta.append(targets)
-    gamma = tuple(store.row(word)[0] for word in store.access_words)
+    cache = store._cache  # holds the label of every access word the index has read
+    gamma = tuple(cache[word] for word in store.access_words)
     fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
             delta=tuple(delta), gamma=gamma)
     canonical = store.registry.canonical

@@ -377,8 +377,7 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     registry._bind(cache)
-    uncached = (w for w in map(tuple, words) if w not in cache)
-    pending = list(dict.fromkeys(uncached))[:limit]
+    pending = [w for w in dict.fromkeys(map(tuple, words)) if w not in cache][:limit]
     if not pending:
         return
     covers = _covers(pending)

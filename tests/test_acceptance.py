@@ -166,6 +166,10 @@ def test_scaled_benchmark():
         stats = result.stats_dict()
         assert (stats["io_queries"], stats["output_computations"],
                 stats["equivalence_queries"], stats["rounds"]) == (1987, 2105, 5, 5)
+        # the numerical health the README quotes: one fallback per label,
+        # and every label that did not pass a word missed by far
+        assert stats["label_fallbacks"] == 10
+        assert stats["label_margin_min"] >= 1e5
 
 
 def test_separability_invariant(random_suite):

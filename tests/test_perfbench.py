@@ -24,3 +24,20 @@ def test_perfbench_traced_run(workload):
     assert report["io_columns_match"] is True
     assert report["nondeterministic"] == []
     assert result["failed"] == 0, report["failures"]
+
+
+def test_perfbench_untraced_run():
+    # the run the benchmark makes, with tracing off: the north-star learn
+    # verified, at the query counts its table and label probe give
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "scaled-100",
+         "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report_line, result_line = run.stdout.splitlines()
+    report, result = json.loads(report_line)["report"], json.loads(result_line)
+    assert result["correct"] is True
+    assert result["failed"] == 0, report["failures"]
+    metrics = result["metrics"]
+    assert metrics["io_queries"]["value"] == 1987
+    assert metrics["output_computations"]["value"] == 2105

@@ -6,19 +6,21 @@ learn. The learner must ask the same queries in the same order, and learn
 the same models, with either.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (BoundedTestingEquivalenceOracle, Fa, GenConfig, NotClosed,
-                         SwitchedSystem, SwitchLearnError, WhiteBoxEquivalenceOracle,
-                         WhiteBoxObservationOracle, learn, learner, random_system,
-                         save_json)
+                         ObservationStore, SwitchedSystem, SwitchLearnError,
+                         WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle, learn, learner,
+                         random_system, save_json)
 
-from conftest import row
+from conftest import make_demo2d_system, row
 
 
 def reference_row_index(store):
@@ -161,3 +163,92 @@ def test_prefetches_hand_over_each_table_cell_once():
     assert uncached == reference_uncached
     assert len(uncached) == 2101
     assert result.stats.as_dict() == reference_result.stats.as_dict()
+
+
+@contextmanager
+def rows_read():
+    """Within the block, the number of calls to ObservationStore.row and
+    ObservationStore._cells, by name."""
+    counts = Counter()
+
+    def counted(name):
+        method = getattr(ObservationStore, name)
+
+        def counting(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return counting
+
+    with mock.patch.object(ObservationStore, "row", counted("row")), \
+            mock.patch.object(ObservationStore, "_cells", counted("_cells")):
+        yield counts
+
+
+def hypothesis_or_refusal(build, store, alphabet):
+    """The saved hypothesis build makes of store, or NotClosed."""
+    try:
+        return save_json(build(store, alphabet))
+    except NotClosed:
+        return NotClosed
+
+
+def test_hypothesis_of_a_closed_store_reads_no_row():
+    # every round of a learn: the transitions close_store found are taken
+    # as they are, and they are those of the row-index reference
+    hidden = random_system(GenConfig(num_nodes=12, num_events=3, num_labels=4, dim=3, seed=7))
+    alphabet = hidden.fa.alphabet
+    store = ObservationStore(WhiteBoxObservationOracle(hidden))
+    eq = WhiteBoxEquivalenceOracle(hidden)
+    for rounds in range(1, 20):
+        learner.close_store(store, alphabet)
+        with rows_read() as counts:
+            hypothesis = learner.build_hypothesis(store, alphabet)
+        assert counts == {}
+        assert save_json(hypothesis) == save_json(reference_build_hypothesis(store, alphabet))
+        counterexample = eq.check(hypothesis)
+        if counterexample is None:
+            break
+        new_access, new_test = learner.process_counterexample(counterexample, hypothesis, store)
+        store.access_words.append(new_access)
+        if new_test not in store.test_words:
+            store.test_words.append(new_test)
+    assert counterexample is None and rounds > 2
+
+
+def changed_store(change):
+    """The demo model's store after its first closure and hypothesis, then
+    changed: the counterexample's test word or access word appended, or a
+    label cached wrongly before the closure re-derived (a relabel) and the
+    shared rows dropped; and that first hypothesis, saved."""
+    hidden = make_demo2d_system()
+    alphabet = hidden.fa.alphabet
+    store = ObservationStore(WhiteBoxObservationOracle(hidden))
+    if change == "relabel":
+        # (e1,) taken for the empty word's label, as a probe may take a
+        # new label for a known one: its row then equals the empty word's
+        store.fetch([(), (0,)])
+        store._cache[(0,)] = store._cache[()]
+    learner.close_store(store, alphabet)
+    before = learner.build_hypothesis(store, alphabet)
+    counterexample = WhiteBoxEquivalenceOracle(hidden).check(before)
+    new_access, new_test = learner.process_counterexample(counterexample, before, store)
+    if change == "test word":
+        store.test_words.append(new_test)
+    elif change == "access word":
+        store.access_words.append(new_access)
+    else:
+        store.rederive([(0,)])
+        assert store.registry.relabels == 1
+        store.drop_shared_rows()
+    return store, alphabet, save_json(before)
+
+
+@pytest.mark.parametrize("change", ["test word", "access word", "relabel"])
+def test_hypothesis_after_a_change_is_read_from_the_rows(change):
+    # a test word or a relabel drops the transitions close_store found, with
+    # the index; an access word adds rows to the index and remaps none. The
+    # hypothesis is the reference's, or both refuse it
+    store, alphabet, before = changed_store(change)
+    hypothesis = hypothesis_or_refusal(learner.build_hypothesis, store, alphabet)
+    assert hypothesis == hypothesis_or_refusal(reference_build_hypothesis, store, alphabet)
+    assert hypothesis != before
