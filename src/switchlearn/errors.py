@@ -23,7 +23,9 @@ class InvalidEvent(SwitchLearnError):
 
 
 class AlphabetMismatch(SwitchLearnError):
-    """Two automata being compared use different event alphabets."""
+    """Two automata being compared use different event alphabets, or a
+    hypothesis checked by the bounded oracle has events that do not begin
+    with the hidden events in order."""
 
 
 class ParseError(SwitchLearnError):

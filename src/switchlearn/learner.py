@@ -43,9 +43,9 @@ class ObservationStore:
     needs no further step, and each (word, test word) cell is read once.
 
     Labels are read from obs through label (one word) and fetch (many), into
-    one output cache and one LabelRegistry at label_tol (positive and finite,
-    ValueError otherwise), which owns the labels and the evidence behind
-    them (see cached_outputs).
+    one LabelRegistry at label_tol (positive and finite, ValueError
+    otherwise), which owns the labels, the output cache and the evidence
+    behind them (see cached_outputs).
     max_outputs, when given, caps the output computations on obs from the
     store's creation on (spent): label refuses an uncached word once they
     are spent, before computing it. rederive re-derives words on d columns
@@ -53,18 +53,14 @@ class ObservationStore:
     stored rows and the index are rebuilt from the cache.
     """
 
-    def __init__(self, obs: ObservationOracle, *, access_words: list[Word] | None = None,
-                 test_words: list[Word] | None = None, label_tol: float = LABEL_TOL,
+    def __init__(self, obs: ObservationOracle, *, label_tol: float = LABEL_TOL,
                  max_outputs: int | None = None):
-        self.access_words = [EPSILON] if access_words is None else access_words
-        self.test_words = [EPSILON] if test_words is None else test_words
-        if self.access_words[:1] != [EPSILON] or self.test_words[:1] != [EPSILON]:
-            raise ValueError("access and test words must both start with the empty word")
+        self.access_words: list[Word] = [EPSILON]
+        self.test_words: list[Word] = [EPSILON]
         self.registry = LabelRegistry(tol=label_tol)
         self.max_outputs = max_outputs
         self._obs = obs
         self._outputs0 = obs.stats.output_computations
-        self._cache: dict[Word, int] = {}
         self._relabels = 0  # registry.relabels when the rows were last rebuilt
         self._rows: dict[Word, tuple[int, ...]] = {}
         # the first access index of each row of the leading _indexed access
@@ -83,31 +79,38 @@ class ObservationStore:
         """Label id of word's output (word: any sequence of event indices),
         computed when not cached; an uncached word is refused with
         BudgetExceeded once the budget is spent."""
-        word = tuple(word)
-        if (self.max_outputs is not None and word not in self._cache
+        word, cache = tuple(word), self.registry.cache
+        if (self.max_outputs is not None and word not in cache
                 and self.spent >= self.max_outputs):
             raise BudgetExceeded(f"more than {self.max_outputs} output computations")
-        label = cached_output(self._obs, self.registry, self._cache, word)
-        self._refresh()
-        return label
+        try:
+            return cached_output(self._obs, self.registry, cache, word)
+        finally:
+            self._refresh()
 
     def fetch(self, words) -> None:
         """Compute the labels of an iterable of words together, in order, so
         that label finds them cached. Capped at the budget, so label refuses
         the same word as without the fetch."""
         limit = None if self.max_outputs is None else max(0, self.max_outputs - self.spent)
-        cached_outputs(self._obs, self.registry, self._cache, words, limit)
-        self._refresh()
+        try:
+            cached_outputs(self._obs, self.registry, words, limit)
+        finally:
+            self._refresh()
 
     def rederive(self, words) -> None:
         """Re-derive the labels of words on d columns (see
         output_query.rederive): trace queries, but no output computations."""
-        rederive(self._obs, self.registry, self._cache, words)
-        self._refresh()
+        try:
+            rederive(self._obs, self.registry, words)
+        finally:
+            self._refresh()
 
     def _refresh(self) -> None:
         """Drop the stored rows and the index, to be read again from the
-        cache, when a re-derivation changed a cached label since."""
+        cache, when a re-derivation changed a cached label since. label,
+        fetch and rederive call it also when they raise, since a rescreen
+        may have changed a label before the error."""
         if self.registry.relabels != self._relabels:
             self._rows.clear()
             self._drop_index()
@@ -145,7 +148,7 @@ class ObservationStore:
         return cells
 
     def _cells(self, word: Word, tests: list[Word]) -> tuple[int, ...]:
-        get, cells = self._cache.get, []
+        get, cells = self.registry.cache.get, []
         for t in tests:
             cell = get(word + t)
             cells.append(self.label(word + t) if cell is None else cell)
@@ -273,7 +276,7 @@ def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> Switch
             raise NotClosed(f"extension of {word!r} by event {targets.index(None)} has "
                             "no representative; close the store first")
         delta.append(targets)
-    cache = store._cache  # holds the label of every access word the index has read
+    cache = store.registry.cache  # holds the label of every access word the index has read
     gamma = tuple(cache[word] for word in store.access_words)
     fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
             delta=tuple(delta), gamma=gamma)

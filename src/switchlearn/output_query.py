@@ -27,13 +27,14 @@ A passing label is only as sure as the spread of x and the gap between
 labels: a new label passes as a known one when every product along a word
 contracts the direction in which they differ, or when they differ by
 little more than tol. So the LabelRegistry, the one owner of a learn's
-labels, keeps the (x, y) pair of every word accepted on it, in any call, and
-when a new label is interned it rescreens them all against it in one call;
-a word that passes the new label too is re-derived on d columns (rederive),
-and its cached label is replaced when that derivation disagrees. An
-accepted word's label is thus always the one interned label its pair
-passes: the true one whenever a label within tol of its output is interned.
-Re-derivations cost trace queries but no output computations.
+labels and of its output cache, keeps the (x, y) pair of every word
+accepted on it, in any call, and when a new label is interned it rescreens
+them all against it in one call; a word that passes the new label too is
+re-derived on d columns (rederive), and its cached label is replaced when
+that derivation disagrees. An accepted word's label is thus always the one
+interned label its pair passes: the true one whenever a label within tol of
+its output is interned. Re-derivations cost trace queries but no output
+computations.
 """
 
 import numpy as np
@@ -86,13 +87,13 @@ class LabelRegistry:
     registry: the generator of the probe columns (seeded, so runs on the
     same inputs are identical), the (x, y) rows of the words it accepted,
     16*d bytes each, to rescreen when a label is interned, and its health
-    counters. fallbacks counts the words recovered on d columns, fallbacks
-    and re-derivations alike; margin_min is the smallest residual of a
-    label that did not pass a word, as a multiple of that word's threshold
-    (None until one is seen); relabels counts the cached labels that a
-    re-derivation changed or dropped. A registry serves one output cache,
-    the one its rescreens write to: the cache of its first cached_outputs
-    or rederive call. A call with any other cache raises ValueError.
+    counters, and the output cache, which maps each word labelled through
+    it to its label id and which its rescreens rewrite. fallbacks counts
+    the words recovered on d columns, fallbacks and re-derivations alike;
+    margin_min is the smallest residual of a label that did not pass a
+    word, as a multiple of that word's threshold (None until one is seen);
+    relabels counts the cached labels that a re-derivation changed or
+    dropped.
     """
 
     def __init__(self, tol: float = LABEL_TOL, canonical=()):
@@ -104,7 +105,7 @@ class LabelRegistry:
         # (words, pairs): words accepted, and their (x, y) pairs as a
         # (words, 2, d) array
         self._kept: list[tuple[list[Word], np.ndarray]] = []
-        self._cache: dict | None = None
+        self.cache: dict[Word, int] = {}
 
     @property
     def canonical(self) -> list[np.ndarray]:
@@ -132,12 +133,6 @@ class LabelRegistry:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def _bind(self, cache: dict) -> None:
-        if self._cache is None:
-            self._cache = cache
-        elif cache is not self._cache:
-            raise ValueError("this LabelRegistry serves another output cache")
-
     def _keep(self, words: list[Word], pairs: np.ndarray, rows: list[int]) -> None:
         if rows:
             self._kept.append(([words[i] for i in rows], pairs[rows]))
@@ -147,9 +142,6 @@ class LabelRegistry:
         margin = float(ratios.min(initial=np.inf, where=ratios > 1))
         if margin < (np.inf if self.margin_min is None else self.margin_min):
             self.margin_min = margin
-
-
-OutputCache = dict[Word, int]
 
 
 def _ratios(matrices: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
@@ -228,7 +220,7 @@ def _refine(obs, word: Word, inverse: np.ndarray, bound: float) -> np.ndarray:
     return recover_transform(states[-2], states[-1])
 
 
-def _intern(obs, registry: LabelRegistry, cache: OutputCache, matrix: np.ndarray) -> int:
+def _intern(obs, registry: LabelRegistry, matrix: np.ndarray) -> int:
     """registry.classify(matrix), then, when that added a label, the
     rescreen of every accepted pair against it."""
     known = len(registry)
@@ -241,28 +233,26 @@ def _intern(obs, registry: LabelRegistry, cache: OutputCache, matrix: np.ndarray
             words = [w for kept, _ in registry._kept for w in kept]
             registry._kept = []
             registry._keep(words, pairs, [i for i, a in enumerate(flags) if not a])
-            rederive(obs, registry, cache, [w for w, a in zip(words, flags) if a], pairs[again])
+            rederive(obs, registry, [w for w, a in zip(words, flags) if a], pairs[again])
     return label
 
 
-def rederive(obs, registry: LabelRegistry, cache: OutputCache, words,
-             pairs: np.ndarray | None = None) -> None:
+def rederive(obs, registry: LabelRegistry, words, pairs: np.ndarray | None = None) -> None:
     """Re-derive the labels of words on d columns (see _derive), each
-    checked on its (x, y) pair in pairs when given, and cache them;
-    registry.relabels counts the cached labels this changes. For words whose
-    probe label is in doubt: it costs trace queries and no output
-    computation. When one fails, it and the words after it are dropped
-    from the cache (relabels too) before the error is raised, so no label
-    in doubt stays cached. cache must be the registry's (see
-    LabelRegistry), ValueError otherwise."""
-    registry._bind(cache)
+    checked on its (x, y) pair in pairs when given, and cache them in
+    registry.cache; registry.relabels counts the cached labels this
+    changes. For words whose probe label is in doubt: it costs trace
+    queries and no output computation. When one fails, it and the words
+    after it are dropped from the cache (relabels too) before the error is
+    raised, so no label in doubt stays cached."""
+    cache = registry.cache
     words = list(map(tuple, words))
     done = 0
     try:
         for i, word in enumerate(words):
             registry.fallbacks += 1
             matrix = _derive(obs, word, registry.tol, None if pairs is None else pairs[i])
-            label = _intern(obs, registry, cache, matrix)
+            label = _intern(obs, registry, matrix)
             if cache.get(word) != label:
                 cache[word] = label
                 registry.relabels += 1
@@ -272,12 +262,17 @@ def rederive(obs, registry: LabelRegistry, cache: OutputCache, words,
             registry.relabels += cache.pop(word, None) is not None
 
 
-def cached_output(obs, registry: LabelRegistry, cache: OutputCache, word: Word) -> int:
-    """Label id of word's output matrix, memoized by exact word. A miss is
-    computed by cached_outputs on that one word."""
+def cached_output(obs, registry: LabelRegistry, cache: dict, word: Word) -> int:
+    """Label id of word's output matrix, memoized by exact word in cache,
+    which must be registry.cache (ValueError otherwise, before any query).
+    A miss is computed by cached_outputs on that one word. The cache
+    argument only repeats registry.cache: it stays as long as perfbench's
+    tracer reads it, and goes with the other shims that tracer wraps."""
+    if cache is not registry.cache:
+        raise ValueError("this LabelRegistry serves another output cache")
     word = tuple(word)
     if word not in cache:
-        cached_outputs(obs, registry, cache, (word,))
+        cached_outputs(obs, registry, (word,))
     return cache[word]
 
 
@@ -295,15 +290,15 @@ def _covers(words: list[Word]) -> list[int]:
     return covers
 
 
-def _identify(obs, registry: LabelRegistry, cache: OutputCache, words: list[Word],
-              pairs: np.ndarray) -> None:
+def _identify(obs, registry: LabelRegistry, words: list[Word], pairs: np.ndarray) -> None:
     """Label the stack words, in order, from their probe pairs (the (words,
-    2, d) array pairs): the one label a word passes, or else a fallback.
+    2, d) array pairs), into registry.cache: the one label a word passes,
+    or else a fallback.
     Each label is screened once: the labels known at the start against every
     word, and the labels a fallback adds against the words still to come.
     A screen's passes are merged into each word's count of passing labels
     and the first of them. The pairs of accepted words go to the registry."""
-    accepted: list[int] = []
+    cache, accepted = registry.cache, []
     # per word: how many labels it passes, and the first of them
     hits, first = [0] * len(words), [0] * len(words)
     known = 0
@@ -330,23 +325,21 @@ def _identify(obs, registry: LabelRegistry, cache: OutputCache, words: list[Word
             accepted = []
             registry.fallbacks += 1
             matrix = _derive(obs, word, registry.tol, pairs[i])
-            cache[word] = _intern(obs, registry, cache, matrix)
+            cache[word] = _intern(obs, registry, matrix)
     finally:
         registry._keep(words, pairs, accepted)
 
 
-def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
-                   limit: int | None = None) -> None:
-    """Compute, classify and cache the outputs of words, in stacks, with the
-    one-column label check (see the module docstring).
+def cached_outputs(obs, registry: LabelRegistry, words, limit: int | None = None) -> None:
+    """Compute, classify and cache in registry.cache the outputs of words,
+    in stacks, with the one-column label check (see the module docstring).
 
     The uncached words, in order and without duplicates, are computed and
     cached; only the first limit of them when limit is given (ValueError
     when it is negative). Labels are assigned in word order, one output
     computation per word. The registry draws the probe columns and keeps
     the accepted pairs, so a label any later call on it interns rescreens
-    the words this call accepted; cache must be the registry's (see
-    LabelRegistry), ValueError otherwise.
+    the words this call accepted.
 
     Only the maximal words, those no other of these words extends, are
     traced: one trace query each from its own random column, made when the
@@ -376,8 +369,7 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    registry._bind(cache)
-    pending = [w for w in dict.fromkeys(map(tuple, words)) if w not in cache][:limit]
+    pending = [w for w in dict.fromkeys(map(tuple, words)) if w not in registry.cache][:limit]
     if not pending:
         return
     covers = _covers(pending)
@@ -423,7 +415,7 @@ def cached_outputs(obs, registry: LabelRegistry, cache: OutputCache, words,
                     chunk, untraced = chunk[:k], exc
                     break
         if chunk:
-            _identify(obs, registry, cache, chunk, pairs[start:start + len(chunk)])
+            _identify(obs, registry, chunk, pairs[start:start + len(chunk)])
         if untraced is not None:
             obs.stats.output_computations += 1
             raise untraced

@@ -4,7 +4,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from switchlearn import EventAlphabet, Fa, SwitchedSystem, WhiteBoxObservationOracle, learner
+from switchlearn import (EventAlphabet, Fa, ObservationStore, SwitchedSystem,
+                         WhiteBoxObservationOracle, learner)
 
 # 2-D demo model: four nodes on two events, three distinct subsystem
 # matrices, the middle label shared by two nodes.
@@ -35,6 +36,16 @@ def row(word, test_words, label) -> tuple[int, ...]:
     """Reference row: the output labels of word followed by each test word,
     in test-word order, each read by label."""
     return tuple(label(word + t) for t in test_words)
+
+
+def stocked_store(obs, access_words=(), test_words=(), **options) -> ObservationStore:
+    """An ObservationStore on obs (options: its keyword arguments) whose
+    access and test words are the empty word followed by access_words and
+    test_words, appended to its own lists."""
+    store = ObservationStore(obs, **options)
+    store.access_words.extend(access_words)
+    store.test_words.extend(test_words)
+    return store
 
 
 def is_separable(store) -> bool:

@@ -49,7 +49,7 @@ def random_suite():
         hidden = random_system(config)
         obs = WhiteBoxObservationOracle(hidden)
         registry = LabelRegistry()
-        cache = {}
+        cache = registry.cache
         for _ in range(50):
             word = tuple(int(e) for e in rng.integers(
                 0, len(hidden.fa.alphabet), rng.integers(0, 11)))

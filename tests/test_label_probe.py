@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 
 import switchlearn
 from switchlearn import (LABEL_TOL, BoundedTestingEquivalenceOracle, EventAlphabet, Fa,
-                         GenConfig, LabelRegistry, ObservationStore,
+                         GenConfig, InvalidEvent, LabelRegistry, ObservationStore,
                          SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         cached_outputs, compute_output, identity, learn, mat_approx_eq,
-                         output_of, random_system, recover_transform)
+                         cached_output, cached_outputs, compute_output, identity, learn,
+                         mat_approx_eq, output_of, random_system, recover_transform)
 from switchlearn import output_query
 from switchlearn.learner import close_store
 
-from conftest import DEMO2D_MATRICES, is_separable, separability_checked
+from conftest import DEMO2D_MATRICES, is_separable, separability_checked, stocked_store
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,11 +129,11 @@ def test_interning_a_label_rescreens_the_words_accepted_before():
     # reaches B with a well-spread state, interns it, and a^9 is re-derived
     hidden = stress_chain(10, shortcut=True)
     a9, a10, b = (0,) * 9, (0,) * 10, (1,)
-    obs = WhiteBoxObservationOracle(hidden)
-    registry, cache = LabelRegistry(canonical=[STRESS_A]), {}
-    cached_outputs(obs, registry, cache, [a9])
+    obs, registry = WhiteBoxObservationOracle(hidden), LabelRegistry(canonical=[STRESS_A])
+    cache = registry.cache
+    cached_outputs(obs, registry, [a9])
     assert cache == {a9: 0} and registry.fallbacks == 0
-    cached_outputs(obs, registry, cache, [b, a10])
+    cached_outputs(obs, registry, [b, a10])
     assert cache == {a9: 1, b: 1, a10: 1}
     assert registry.relabels == 1
     # the rescreen took a^9 out of the kept pairs and left no empty entry
@@ -141,10 +141,9 @@ def test_interning_a_label_rescreens_the_words_accepted_before():
     for word, label in cache.items():
         assert true_label(hidden, registry, label, word)
     # a word after the fallback in the same stack is screened against B too
-    obs, registry, cache = (WhiteBoxObservationOracle(hidden),
-                            LabelRegistry(canonical=[STRESS_A]), {})
-    cached_outputs(obs, registry, cache, [a9, b, a10])
-    assert cache == {a9: 1, b: 1, a10: 1}
+    obs, registry = WhiteBoxObservationOracle(hidden), LabelRegistry(canonical=[STRESS_A])
+    cached_outputs(obs, registry, [a9, b, a10])
+    assert registry.cache == {a9: 1, b: 1, a10: 1}
     assert obs.stats.output_computations == 3
 
 
@@ -153,29 +152,27 @@ def test_a_label_interned_by_a_later_call_rescreens_the_words_accepted_before():
     # in the first call, is re-derived when the second interns B
     hidden = stress_chain(10, shortcut=True)
     a9 = (0,) * 9
-    obs, registry, cache = (WhiteBoxObservationOracle(hidden),
-                            LabelRegistry(canonical=[STRESS_A]), {})
-    cached_outputs(obs, registry, cache, [a9])
-    assert cache == {a9: 0}
-    cached_outputs(obs, registry, cache, [(1,)])
-    assert cache == {a9: 1, (1,): 1}
+    obs, registry = WhiteBoxObservationOracle(hidden), LabelRegistry(canonical=[STRESS_A])
+    cached_outputs(obs, registry, [a9])
+    assert registry.cache == {a9: 0}
+    cached_outputs(obs, registry, [(1,)])
+    assert registry.cache == {a9: 1, (1,): 1}
     assert registry.relabels == 1
 
 
 def test_a_registry_refuses_a_second_output_cache():
-    # a rescreen writes to the registry's cache: a call with another cache
-    # would move a^9's re-derivation there, so it is refused before any query
+    # a rescreen writes to the registry's cache: cached_output with another
+    # cache would move a^9's re-derivation there, so it is refused before
+    # any query
     hidden = stress_chain(10, shortcut=True)
     a9 = (0,) * 9
-    obs, registry, c1, c2 = (WhiteBoxObservationOracle(hidden),
-                             LabelRegistry(canonical=[STRESS_A]), {}, {})
-    cached_outputs(obs, registry, c1, [a9])
+    obs, registry, other = (WhiteBoxObservationOracle(hidden),
+                            LabelRegistry(canonical=[STRESS_A]), {})
+    cached_outputs(obs, registry, [a9])
     spent = obs.stats.as_dict()
     with pytest.raises(ValueError, match="another output cache"):
-        cached_outputs(obs, registry, c2, [(1,)])
-    with pytest.raises(ValueError, match="another output cache"):
-        output_query.rederive(obs, registry, c2, [a9])
-    assert c1 == {a9: 0} and c2 == {} and len(registry) == 1
+        cached_output(obs, registry, other, (1,))
+    assert registry.cache == {a9: 0} and other == {} and len(registry) == 1
     assert obs.stats.as_dict() == spent
 
 
@@ -184,14 +181,14 @@ def test_row_and_index_reread_cells_a_mid_read_relabel_changed():
     # B and re-derives a^9: the row is read again, not left at (0, 0, 1)
     hidden = stress_chain(10, shortcut=True)
     tests = [(), (0,) * 9, (1,)]
-    store = ObservationStore(WhiteBoxObservationOracle(hidden), test_words=list(tests))
+    store = stocked_store(WhiteBoxObservationOracle(hidden), test_words=tests[1:])
     assert store.row(()) == (0, 1, 1)
     assert store.registry.relabels == 1
     # the index holds the empty word's row (0, 0) when reading the row of
     # (1,) interns B and relabels a^9: the index is dropped and built again,
     # rather than (1,)'s row taking the place of the empty word's
-    store = ObservationStore(WhiteBoxObservationOracle(hidden), access_words=[(), (1,)],
-                             test_words=tests[:2])
+    store = stocked_store(WhiteBoxObservationOracle(hidden), access_words=[(1,)],
+                          test_words=tests[1:2])
     assert store.index() == {(0, 1): 0, (1, 1): 1}
     assert store.registry.relabels == 1
 
@@ -199,12 +196,47 @@ def test_row_and_index_reread_cells_a_mid_read_relabel_changed():
 def test_store_rebuilds_its_rows_when_a_label_changes():
     hidden = stress_chain(10, shortcut=True)
     a8 = (0,) * 8
-    store = ObservationStore(WhiteBoxObservationOracle(hidden), access_words=[(), a8],
-                             test_words=[(), (0,)])
+    store = stocked_store(WhiteBoxObservationOracle(hidden), access_words=[a8],
+                          test_words=[(0,)])
     # a^9 is taken for A, the only label known, so a^8 looks like the empty word
     assert store.index() == {(0, 0): 0}
     assert store.label((1,)) == 1
     assert store.registry.relabels == 1
+    assert store.row(a8) == (0, 1)
+    assert store.index() == {(0, 0): 0, (0, 1): 1}
+
+
+class LostRecoveries(WhiteBoxObservationOracle):
+    """A trace oracle whose d-column traces of words longer than 9 events fail."""
+
+    def exec_query(self, x0, word):
+        if np.ndim(x0) == 2 and len(word) > 9:
+            raise OSError("trace lost")
+        return super().exec_query(x0, word)
+
+
+# store calls that change a^9's cached label, then raise
+RELABEL_THEN_RAISE = {
+    # (1,) interns B and a^9 is re-derived as B; the trace of (7,) is refused
+    "fetch": lambda store: store.fetch([(1,), (7,)]),
+    # a^9 is re-derived as B; the trace of (7,) is refused
+    "rederive": lambda store: store.rederive([(0,) * 9, (7,)]),
+    # a^10 is taken for A; (1,) interns B, and of the words it rescreens
+    # a^9 is re-derived as B before the recovery of a^10 is lost
+    "label": lambda store: store.fetch([(0,) * 10]) or store.label((1,)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(RELABEL_THEN_RAISE))
+def test_store_rebuilds_its_rows_when_a_failing_call_changed_a_label(call):
+    hidden = stress_chain(10, shortcut=True)
+    a8 = (0,) * 8
+    store = stocked_store(LostRecoveries(hidden), access_words=[a8], test_words=[(0,)])
+    assert store.index() == {(0, 0): 0}
+    with pytest.raises((InvalidEvent, OSError)):
+        RELABEL_THEN_RAISE[call](store)
+    assert store.registry.cache[(0,) * 9] == 1 and store.registry.relabels >= 1
+    # the rows are read again from the cache, not served as before the call
     assert store.row(a8) == (0, 1)
     assert store.index() == {(0, 0): 0, (0, 1): 1}
 
@@ -232,8 +264,8 @@ def test_closure_drops_an_access_word_a_relabel_shows_redundant():
     # the next fetch interns L, both c cells are re-derived as L, and the
     # two rows turn out equal, so b a is dropped and the pass made again
     hidden = two_way_system()
-    store = ObservationStore(WhiteBoxObservationOracle(hidden),
-                             access_words=[(), (0,), (0, 0), (1,)], test_words=[(), (2,)])
+    store = stocked_store(WhiteBoxObservationOracle(hidden), access_words=[(0,), (0, 0), (1,)],
+                          test_words=[(2,)])
     close_store(store, hidden.fa.alphabet)
     assert store.registry.relabels >= 2
     assert is_separable(store) and (1, 0) not in store.access_words
@@ -254,12 +286,13 @@ def test_counterexample_endpoints_are_re_derived_before_refusal(monkeypatch):
 
 def test_known_labels_cost_one_column_per_maximal_word(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
-    registry, cache = LabelRegistry(canonical=DEMO2D_MATRICES), {}
+    registry = LabelRegistry(canonical=DEMO2D_MATRICES)
     words = [(0, 1, 1, 0), (1, 1), (0, 1), (1, 0, 0, 0, 1)]
-    cached_outputs(obs, registry, cache, words)
+    cached_outputs(obs, registry, words)
     assert obs.stats.io_queries == 3  # (0, 1) is read off the trace of (0, 1, 1, 0)
     assert registry.fallbacks == 0 and len(registry) == 3
-    assert [cache[w] for w in words] == [output_of(demo2d_system.fa, w) for w in words]
+    assert [registry.cache[w] for w in words] == [output_of(demo2d_system.fa, w)
+                                                  for w in words]
     assert registry.margin_min > 1
 
 
@@ -267,10 +300,10 @@ def test_fallback_refused_when_its_recovery_fails_the_probe_check(demo2d_system,
     recover = output_query.recover_transform
     monkeypatch.setattr(output_query, "recover_transform",
                         lambda basis, image: recover(basis, image) + 1e-3)
-    obs, registry, cache = WhiteBoxObservationOracle(demo2d_system), LabelRegistry(), {}
+    obs, registry = WhiteBoxObservationOracle(demo2d_system), LabelRegistry()
     with pytest.raises(SingularBasis, match="probe check"):
-        cached_outputs(obs, registry, cache, [(), (0,)])
-    assert cache == {(): 0} and len(registry) == 1
+        cached_outputs(obs, registry, [(), (0,)])
+    assert registry.cache == {(): 0} and len(registry) == 1
     assert obs.stats.output_computations == 2
 
 
@@ -289,9 +322,9 @@ def test_ill_conditioned_recovery_is_refined(n, refined):
     assert mat_approx_eq(compute_output(obs, word), b, 1e-9)
     assert obs.stats.as_dict() == {"io_queries": 3 + 3 * refined, "output_computations": 1,
                                    "equivalence_queries": 0}
-    obs, registry, cache = WhiteBoxObservationOracle(hidden), LabelRegistry(), {}
-    cached_outputs(obs, registry, cache, [word])
-    assert mat_approx_eq(registry.canonical[cache[word]], b, 1e-9)
+    obs, registry = WhiteBoxObservationOracle(hidden), LabelRegistry()
+    cached_outputs(obs, registry, [word])
+    assert mat_approx_eq(registry.canonical[registry.cache[word]], b, 1e-9)
     # the probe column, the recovery, and the refinement's d = 3 columns
     assert obs.stats.io_queries == 1 + 3 + 3 * refined
 
@@ -299,7 +332,7 @@ def test_ill_conditioned_recovery_is_refined(n, refined):
 def test_recovery_too_ill_conditioned_to_refine_is_refused():
     hidden = rotated(stress_chain(28), 0)
     with pytest.raises(SingularBasis, match="too ill-conditioned"):
-        cached_outputs(WhiteBoxObservationOracle(hidden), LabelRegistry(), {}, [(0,) * 27])
+        cached_outputs(WhiteBoxObservationOracle(hidden), LabelRegistry(), [(0,) * 27])
 
 
 class NonFiniteProbe(WhiteBoxObservationOracle):
@@ -318,11 +351,11 @@ def test_non_finite_probe_states_pass_no_label(demo2d_system):
     # inf - inf is NaN: no label passes, and no RuntimeWarning is raised
     # (the test configuration turns one into an error)
     obs = NonFiniteProbe(demo2d_system)
-    registry, cache = LabelRegistry(canonical=DEMO2D_MATRICES), {}
-    cached_outputs(obs, registry, cache, [(0, 0)])
+    registry = LabelRegistry(canonical=DEMO2D_MATRICES)
+    cached_outputs(obs, registry, [(0, 0)])
     with pytest.raises(SingularBasis, match="probe check"):
-        cached_outputs(obs, registry, cache, [(0, 1, 0)])
-    assert cache == {(0, 0): 0}
+        cached_outputs(obs, registry, [(0, 1, 0)])
+    assert registry.cache == {(0, 0): 0}
 
 
 def test_learn_reports_fallbacks_and_margin(demo2d_system):
@@ -417,10 +450,10 @@ def word_by_word_ratios(matrices, xs, ys, tol):
     return np.concatenate(columns, axis=1) if columns else RATIOS(matrices, xs, ys, tol)
 
 
-def rescreening_identify(obs, registry, cache, words, pairs):
+def rescreening_identify(obs, registry, words, pairs):
     """Reference for output_query._identify: whenever a fallback adds a
     label, every label is screened again against the words still to come."""
-    accepted, known = [], -1
+    cache, accepted, known = registry.cache, [], -1
     try:
         for i, word in enumerate(words):
             if len(registry) != known:
@@ -441,7 +474,7 @@ def rescreening_identify(obs, registry, cache, words, pairs):
             accepted = []
             registry.fallbacks += 1
             matrix = output_query._derive(obs, word, registry.tol, pairs[i])
-            cache[word] = output_query._intern(obs, registry, cache, matrix)
+            cache[word] = output_query._intern(obs, registry, matrix)
     finally:
         registry._keep(words, pairs, accepted)
 
@@ -453,17 +486,17 @@ def stacks_outcome(hidden, tol, known, stacks, identify, ratios):
     the error raised; and, apart, margin_min."""
     obs = WhiteBoxObservationOracle(hidden)
     registry = LabelRegistry(tol, canonical=hidden.matrices[:known])
-    cache, error = {}, None
+    error = None
     with mock.patch.object(output_query, "_identify", identify), \
             mock.patch.object(output_query, "_ratios", ratios):
         try:
             for words in stacks:
-                cached_outputs(obs, registry, cache, words)
+                cached_outputs(obs, registry, words)
         except SwitchLearnError as exc:
             error = type(exc), str(exc)
     labels = np.array(registry.canonical).tobytes()
-    return ((cache, labels, registry.fallbacks, registry.relabels, obs.stats.as_dict(), error),
-            registry.margin_min)
+    return ((registry.cache, labels, registry.fallbacks, registry.relabels,
+             obs.stats.as_dict(), error), registry.margin_min)
 
 
 @settings(max_examples=100, deadline=None)
@@ -510,13 +543,14 @@ def test_a_label_added_mid_stack_is_screened_alone(demo2d_system):
         return RATIOS(matrices, xs, ys, tol)
 
     words = [(), (0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1)]
-    obs, registry, cache = WhiteBoxObservationOracle(demo2d_system), LabelRegistry(), {}
+    obs, registry = WhiteBoxObservationOracle(demo2d_system), LabelRegistry()
     with mock.patch.object(output_query, "_ratios", recording_ratios):
-        cached_outputs(obs, registry, cache, words)
+        cached_outputs(obs, registry, words)
     assert len(registry) == 3 and obs.stats.output_computations == len(words)
     assert screens and set(screens) == {1}
-    assert cache == {w: registry.classify(demo2d_system.matrices[output_of(demo2d_system.fa, w)])
-                     for w in words}
+    assert registry.cache == {
+        w: registry.classify(demo2d_system.matrices[output_of(demo2d_system.fa, w)])
+        for w in words}
 
 
 @lru_cache(maxsize=None)

@@ -16,14 +16,14 @@ from switchlearn.learner import find_representative, max_outputs_for_counterexam
 from switchlearn.output_query import cached_output
 
 from conftest import (DEMO2D_MATRICES, count_maximal, is_separable, row,
-                      separability_checked)
+                      separability_checked, stocked_store)
 
 E1, E2 = 0, 1
 F, G = 0, 1
 
 
 def fresh_store(system, **words):
-    return ObservationStore(WhiteBoxObservationOracle(system), **words)
+    return stocked_store(WhiteBoxObservationOracle(system), **words)
 
 
 def minimal_state_count(fa):
@@ -43,7 +43,7 @@ def minimal_state_count(fa):
 
 
 def test_row_reflexive(demo2d_system):
-    store = fresh_store(demo2d_system, test_words=[(), (E2,)])
+    store = fresh_store(demo2d_system, test_words=[(E2,)])
     assert store.row((E1,)) == row((E1,), store.test_words, store.label)
     assert store.row((E1,)) == store.row((E1,))
     assert len(store.row((E1,))) == len(store.test_words)
@@ -94,7 +94,7 @@ def test_agreement_on_all_short_tests_matches_state_equality():
         num_nodes = fa.num_nodes
         tests = [w for n in range(num_nodes + 1)
                  for w in itertools.product((0, 1), repeat=n)]
-        store = fresh_store(system, test_words=tests)
+        store = fresh_store(system, test_words=tests[1:])
         for _ in range(6):
             u = tuple(int(e) for e in rng.integers(0, 2, rng.integers(0, 5)))
             v = tuple(int(e) for e in rng.integers(0, 2, rng.integers(0, 5)))
@@ -146,8 +146,8 @@ def test_close_matches_restart_from_zero_closure():
         system = random_diag_system(rng, 8)
         tests = [tuple(int(e) for e in rng.integers(0, 2, n))
                  for n in rng.integers(1, 4, rng.integers(0, 5))]
-        one_pass = fresh_store(system, test_words=[()] + tests)
-        restarted = fresh_store(system, test_words=[()] + tests)
+        one_pass = fresh_store(system, test_words=tests)
+        restarted = fresh_store(system, test_words=tests)
         close_store(one_pass, system.fa.alphabet)
         restart_close(restarted, system.fa.alphabet)
         assert one_pass.access_words == restarted.access_words
@@ -178,11 +178,11 @@ def closure_trace(system, test_rounds, close):
     maximal = 0
     fetch = learner.cached_outputs
 
-    def counting(obs, registry, cache, words, *args):
+    def counting(obs, registry, words, *args):
         nonlocal maximal
         words = list(words)
-        maximal += count_maximal(w for w in words if w not in cache)
-        return fetch(obs, registry, cache, words, *args)
+        maximal += count_maximal(w for w in words if w not in registry.cache)
+        return fetch(obs, registry, words, *args)
 
     with mock.patch.object(learner, "cached_outputs", counting):
         for tests in test_rounds:
@@ -231,8 +231,7 @@ def test_close_leaves_closed_store_unchanged(demo2d_system):
 
 
 def test_close_extends_fault_mode_chain(fault_system):
-    store = fresh_store(fault_system, access_words=[(), (G,), (G, G)],
-                        test_words=[(), (G,)])
+    store = fresh_store(fault_system, access_words=[(G,), (G, G)], test_words=[(G,)])
     close_store(store, fault_system.fa.alphabet)
     assert store.access_words == [(), (G,), (G, G), (G, G, G)]
 
@@ -248,7 +247,7 @@ def test_closure_additions_preserve_separability(demo2d_system):
 
 def test_find_representative_is_the_first_access_word_with_the_row(demo2d_system):
     # (E1, E2) and (E2,) reach nodes with the same label, told apart by (E2,)
-    store = fresh_store(demo2d_system, access_words=[(), (E1,), (E2,), (E1, E2)])
+    store = fresh_store(demo2d_system, access_words=[(E1,), (E2,), (E1, E2)])
     assert find_representative(store, (E2, E2)) == 0
     assert find_representative(store, (E1, E2)) == 2
     assert not is_separable(store)
@@ -259,8 +258,8 @@ def test_find_representative_is_the_first_access_word_with_the_row(demo2d_system
 
 def test_row_reads_cached_cells_from_the_cache(demo2d_system, monkeypatch):
     tests = [(), (E2,), (E1,), (E1, E2)]
-    store = ObservationStore(WhiteBoxObservationOracle(demo2d_system), test_words=tests,
-                             max_outputs=6)
+    store = stocked_store(WhiteBoxObservationOracle(demo2d_system), test_words=tests[1:],
+                          max_outputs=6)
     store.fetch([(E1,) + t for t in tests])
     spent, lookups, expected = store.spent, [], row((E1,), tests, store.label)
     monkeypatch.setattr(learner, "cached_output",
@@ -292,8 +291,8 @@ def test_build_three_node_hypothesis(demo2d_system):
 
 
 def test_build_four_node_hypothesis_is_equivalent(demo2d_system):
-    store = fresh_store(demo2d_system, access_words=[(), (E1,), (E2,), (E1, E2)],
-                        test_words=[(), (E2,)])
+    store = fresh_store(demo2d_system, access_words=[(E1,), (E2,), (E1, E2)],
+                        test_words=[(E2,)])
     hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     assert hyp.fa.num_nodes == 4
     assert WhiteBoxEquivalenceOracle(demo2d_system).check(hyp) is None
@@ -390,20 +389,6 @@ def test_learn_round_budget(demo2d_system):
         learn(WhiteBoxObservationOracle(demo2d_system),
               WhiteBoxEquivalenceOracle(demo2d_system),
               demo2d_system.fa.alphabet, max_rounds=1)
-
-
-@pytest.mark.parametrize("words", [
-    {"access_words": [(E1,)]},
-    {"access_words": [(E1,), ()]},
-    {"access_words": []},
-    {"test_words": [(E2,)]},
-    {"test_words": []},
-], ids=["access-(e1)", "access-(e1)-()", "access-none", "test-(e2)", "test-none"])
-def test_store_word_lists_must_start_with_the_empty_word(demo2d_system, words):
-    # a table whose first access word is not the empty word would give the
-    # hypothesis's initial node the label of another node
-    with pytest.raises(ValueError, match="start with the empty word"):
-        fresh_store(demo2d_system, **words)
 
 
 @pytest.mark.parametrize("max_outputs", [None, 5])

@@ -274,7 +274,7 @@ def reference_output(obs, registry, cache, word):
 def test_cached_output_no_extra_queries(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
     registry = LabelRegistry()
-    cache = {}
+    cache = registry.cache
     first = cached_output(obs, registry, cache, (E1, E2))
     spent = obs.stats.io_queries
     second = cached_output(obs, registry, cache, (E1, E2))
@@ -286,7 +286,7 @@ def test_cache_clear_reproduces_ids(demo2d_system):
     obs = WhiteBoxObservationOracle(demo2d_system)
     registry = LabelRegistry()
     words = [(), (E1,), (E2,), (E1, E1), (E1, E2), (E2, E1), (E2, E2)]
-    cache = {}
+    cache = registry.cache
     ids = [cached_output(obs, registry, cache, w) for w in words]
     cache.clear()
     again = [cached_output(obs, registry, cache, w) for w in words]
@@ -301,7 +301,7 @@ def test_registry_never_exceeds_hidden_label_count():
         system = random_system(config)
         obs = WhiteBoxObservationOracle(system)
         registry = LabelRegistry()
-        cache = {}
+        cache = registry.cache
         rng = np.random.default_rng(seed)
         for _ in range(40):
             word = tuple(int(e) for e in rng.integers(0, 2, rng.integers(0, 9)))
@@ -323,12 +323,12 @@ def test_cached_outputs_matches_cached_output_word_by_word():
                  for _ in range(3 * PROBE_BATCH)]
         one, many = WhiteBoxObservationOracle(system), WhiteBoxObservationOracle(system)
         one_registry, many_registry = LabelRegistry(), LabelRegistry()
-        one_cache, many_cache = {}, {}
+        one_cache, many_cache = one_registry.cache, many_registry.cache
         for w in words[:5]:
             cached_output(many, many_registry, many_cache, w)
         pending = [w for w in words if w not in many_cache]
         io, fallbacks = many.stats.io_queries, many_registry.fallbacks
-        cached_outputs(many, many_registry, many_cache, words)
+        cached_outputs(many, many_registry, words)
         ids = [reference_output(one, one_registry, one_cache, w) for w in words]
         assert [many_cache[w] for w in words] == ids
         # one column per maximal word, and d per word no label or several pass
@@ -344,16 +344,16 @@ def test_cached_outputs_matches_cached_output_word_by_word():
 def test_cached_outputs_reads_prefixes_off_one_trace(demo2d_system):
     # every label is known, so the three words cost one trace of one column
     obs = WhiteBoxObservationOracle(demo2d_system)
-    cache = {}
-    cached_outputs(obs, LabelRegistry(canonical=DEMO2D_MATRICES), cache, [(), (E1,), (E1, E2)])
+    registry = LabelRegistry(canonical=DEMO2D_MATRICES)
+    cached_outputs(obs, registry, [(), (E1,), (E1, E2)])
     assert obs.stats.io_queries == 1
     assert obs.stats.output_computations == 3
-    assert cache == {(): 0, (E1,): 2, (E1, E2): 1}
+    assert registry.cache == {(): 0, (E1,): 2, (E1, E2): 1}
     # with no label known, each word is a fallback: d = 2 more columns each
-    obs, cache = WhiteBoxObservationOracle(demo2d_system), {}
-    cached_outputs(obs, LabelRegistry(), cache, [(), (E1,), (E1, E2)])
+    obs, registry = WhiteBoxObservationOracle(demo2d_system), LabelRegistry()
+    cached_outputs(obs, registry, [(), (E1,), (E1, E2)])
     assert obs.stats.io_queries == 1 + 3 * 2
-    assert cache == {(): 0, (E1,): 1, (E1, E2): 2}
+    assert registry.cache == {(): 0, (E1,): 1, (E1, E2): 2}
 
 
 def one_node_system(matrix):
@@ -365,18 +365,18 @@ def test_cached_outputs_empty_word_output_is_its_image():
     # as in compute_output, not a solve against the identity basis
     system = one_node_system([[1.0, 0.3], [0.7, 1.2]])
     registry = LabelRegistry()
-    cached_outputs(WhiteBoxObservationOracle(system), registry, {}, [(), (0,)])
+    cached_outputs(WhiteBoxObservationOracle(system), registry, [(), (0,)])
     image = compute_output(WhiteBoxObservationOracle(system), ())
     assert np.array_equal(registry.canonical[0], image)
     # a non-finite image is refused like any non-finite output: nothing is
     # interned, and the refused word is counted
     system = one_node_system([[np.inf, 1.0], [1.0, 1.0]])
     obs = WhiteBoxObservationOracle(system)
-    registry, cache = LabelRegistry(), {}
+    registry = LabelRegistry()
     with np.errstate(invalid="ignore"), pytest.raises(
             SingularBasis, match=r"not finite: entry \(0, 0\) is inf"):
-        cached_outputs(obs, registry, cache, [(), (0,)])
-    assert len(registry) == 0 and cache == {}
+        cached_outputs(obs, registry, [(), (0,)])
+    assert len(registry) == 0 and registry.cache == {}
     assert obs.stats.output_computations == 1
 
 
@@ -428,7 +428,8 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
     oracle = OSErrorObservationOracle if untraceable else WhiteBoxObservationOracle
     sides = []
     for _ in range(2):
-        obs, registry, cache = oracle(system), LabelRegistry(tol), {}
+        obs, registry = oracle(system), LabelRegistry(tol)
+        cache = registry.cache
         for i in cached:
             if words:
                 try:
@@ -449,7 +450,7 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
     with mock.patch.object(output_query, "_refine", wraps=output_query._refine) as refine, \
             mock.patch.object(output_query, "rederive", wraps=output_query.rederive) as redo:
         try:
-            cached_outputs(many, many_registry, many_cache, words, limit)
+            cached_outputs(many, many_registry, words, limit)
             error = None
         except (SwitchLearnError, OSError) as exc:
             error = exc
@@ -462,7 +463,7 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
         # the accepted words whose re-derivation was refused: a raising
         # rederive leaves its words uncached, and only a raising one does
         k = counted - 1
-        dropped = {w for call in redo.call_args_list for w in call.args[3]
+        dropped = {w for call in redo.call_args_list for w in call.args[2]
                    if w not in many_cache}
         assert done == [w for w in pending[:k] if w not in dropped]
     # one column per maximal word, and d per word no label or several pass
@@ -516,7 +517,7 @@ def test_cached_outputs_matches_cached_output_property(d, events, labels, seed, 
             continue
         io, fallbacks = many.stats.io_queries, many_registry.fallbacks
         try:
-            rederive(many, many_registry, many_cache, [w])
+            rederive(many, many_registry, [w])
         except (SwitchLearnError, OSError):
             continue
         interned.add(label)
@@ -546,9 +547,10 @@ def test_lapack_singular_basis_mid_stack():
     good = [tuple(int(e) for e in rng.integers(0, 3, 6)) for _ in range(4)]
     words = good[:2] + [bad] + good[2:]
     one, many = WhiteBoxObservationOracle(system), WhiteBoxObservationOracle(system)
-    one_registry, one_cache, many_cache = LabelRegistry(), {}, {}
+    one_registry, many_registry = LabelRegistry(), LabelRegistry()
+    one_cache, many_cache = one_registry.cache, many_registry.cache
     with pytest.raises(SingularBasis, match="LAPACK"):
-        cached_outputs(many, LabelRegistry(), many_cache, words)
+        cached_outputs(many, many_registry, words)
     with pytest.raises(SingularBasis, match="LAPACK"):
         for w in words:
             reference_output(one, one_registry, one_cache, w)
@@ -557,21 +559,22 @@ def test_lapack_singular_basis_mid_stack():
 
 
 def test_cached_outputs_limit_counts_uncached_words(demo2d_system):
-    obs = WhiteBoxObservationOracle(demo2d_system)
-    cache = {}
-    cached_output(obs, LabelRegistry(), cache, (E1,))
+    obs, registry = WhiteBoxObservationOracle(demo2d_system), LabelRegistry()
+    cache = registry.cache
+    cached_output(obs, registry, cache, (E1,))
     words = [(E1,), (E2,), (E2,), (E1, E2), (E2, E1)]
-    cached_outputs(obs, LabelRegistry(), cache, words, limit=2)
+    cached_outputs(obs, registry, words, limit=2)
     assert list(cache) == [(E1,), (E2,), (E1, E2)]
     assert obs.stats.output_computations == 3
-    cached_outputs(obs, LabelRegistry(), cache, words, limit=0)
+    cached_outputs(obs, registry, words, limit=0)
     assert obs.stats.output_computations == 3
     # a negative limit would slice from the end of the uncached words
     with pytest.raises(ValueError, match="limit"):
-        cached_outputs(obs, LabelRegistry(), cache, words, limit=-1)
+        cached_outputs(obs, registry, words, limit=-1)
     assert list(cache) == [(E1,), (E2,), (E1, E2)]
     # one column per word; d = 2 more for (E1,) and (E2,), whose labels
-    # each call's new registry lacks, not for (E1, E2), labelled as (E2,)
+    # the registry lacks when they are read, not for (E1, E2), labelled as
+    # (E2,)
     assert obs.stats.as_dict() == {"io_queries": 3 + 2 * 2, "output_computations": 3,
                                    "equivalence_queries": 0}
 
@@ -596,7 +599,7 @@ def test_cached_outputs_raises_the_first_error_in_word_order(words, error):
     # of the earlier word still wins, after the same output computations
     obs, registry = ambiguous_then_singular()
     with pytest.raises(error):
-        cached_outputs(obs, registry, {}, words)
+        cached_outputs(obs, registry, words)
     one, one_registry = ambiguous_then_singular()
     with pytest.raises(error):
         for w in words:
@@ -609,10 +612,12 @@ def test_cached_outputs_caches_the_words_before_a_failing_trace():
     # the hidden system has events 0 and 1, so the trace query of (2,) raises
     system = random_system(GenConfig(3, 2, 2, 2, 0))
     words = [(0,), (1,), (2,)]
-    many, many_registry, many_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
+    many, many_registry = WhiteBoxObservationOracle(system), LabelRegistry()
+    many_cache = many_registry.cache
     with pytest.raises(InvalidEvent) as stacked:
-        cached_outputs(many, many_registry, many_cache, words)
-    one, one_registry, one_cache = WhiteBoxObservationOracle(system), LabelRegistry(), {}
+        cached_outputs(many, many_registry, words)
+    one, one_registry = WhiteBoxObservationOracle(system), LabelRegistry()
+    one_cache = one_registry.cache
     with pytest.raises(InvalidEvent) as single:
         for w in words:
             reference_output(one, one_registry, one_cache, w)
@@ -628,10 +633,9 @@ def test_cached_outputs_reads_the_prefixes_of_an_untraceable_word_off_another_tr
     # every word is read off the trace of (E1, E1, E2), which fails; the
     # others are read off the trace of (E1, E1), and only (E1, E1, E2) fails
     obs = OSErrorObservationOracle(demo2d_system)
-    cache = {}
+    registry = LabelRegistry(canonical=DEMO2D_MATRICES)
     with pytest.raises(OSError, match="trace lost"):
-        cached_outputs(obs, LabelRegistry(canonical=DEMO2D_MATRICES), cache,
-                       [(), (E1,), (E1, E1), (E1, E1, E2)])
-    assert list(cache) == [(), (E1,), (E1, E1)]
+        cached_outputs(obs, registry, [(), (E1,), (E1, E1), (E1, E1, E2)])
+    assert list(registry.cache) == [(), (E1,), (E1, E1)]
     assert obs.stats.output_computations == 4
     assert obs.stats.io_queries == 1  # one trace of (E1, E1), one column

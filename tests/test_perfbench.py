@@ -26,11 +26,18 @@ def test_perfbench_traced_run(workload):
     assert result["failed"] == 0, report["failures"]
 
 
-def test_perfbench_untraced_run():
-    # the run the benchmark makes, with tracing off: the north-star learn
-    # verified, at the query counts its table and label probe give
+# io_queries and output_computations at seed 1, per system on the workloads
+# of many systems (200 and 6)
+COUNTS = {"scaled-100": (1987, 2105), "suite-small": (10753 / 200, 10530 / 200),
+          "blackbox-bounded": (25543 / 6, 24818 / 6)}
+
+
+@pytest.mark.parametrize("workload", COUNTS)
+def test_perfbench_untraced_run(workload):
+    # the run the benchmark makes, with tracing off: every learn verified, at
+    # the query counts its table, label probe and equivalence oracle give
     run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "scaled-100",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.01", "--trace", "0"],
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -39,5 +46,5 @@ def test_perfbench_untraced_run():
     assert result["correct"] is True
     assert result["failed"] == 0, report["failures"]
     metrics = result["metrics"]
-    assert metrics["io_queries"]["value"] == 1987
-    assert metrics["output_computations"]["value"] == 2105
+    assert (metrics["io_queries"]["value"],
+            metrics["output_computations"]["value"]) == COUNTS[workload]

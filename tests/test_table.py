@@ -130,11 +130,11 @@ def handed_words(hidden, reference):
     handed, uncached = [], []
     original = learner.cached_outputs
 
-    def recording(obs, registry, cache, words, *args):
+    def recording(obs, registry, words, *args):
         words = list(words)
         handed.extend(words)
-        uncached.extend(w for w in dict.fromkeys(words) if w not in cache)
-        return original(obs, registry, cache, words, *args)
+        uncached.extend(w for w in dict.fromkeys(words) if w not in registry.cache)
+        return original(obs, registry, words, *args)
 
     with mock.patch.object(learner, "cached_outputs", recording), table(reference):
         result = learn(WhiteBoxObservationOracle(hidden),
@@ -227,7 +227,7 @@ def changed_store(change):
         # (e1,) taken for the empty word's label, as a probe may take a
         # new label for a known one: its row then equals the empty word's
         store.fetch([(), (0,)])
-        store._cache[(0,)] = store._cache[()]
+        store.registry.cache[(0,)] = store.registry.cache[()]
     learner.close_store(store, alphabet)
     before = learner.build_hypothesis(store, alphabet)
     counterexample = WhiteBoxEquivalenceOracle(hidden).check(before)
