@@ -9,7 +9,8 @@ checks the hypothesis's own label of each word on one trace column, as
 Freivalds's randomized check of a matrix product does (Freivalds, 1977),
 so every counterexample it returns is proven. A whole chain of words w,
 w·0, w·0·0, ... is checked off one trace query with one column per word,
-so a full search costs one trace column per word.
+so a full search costs one trace column per word; the white-box oracle
+traces the chains of a run of words in one stacked call (exec_queries).
 """
 
 import numpy as np
@@ -55,6 +56,23 @@ class ObservationOracle:
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
         raise NotImplementedError
 
+    def exec_queries(self, x0s: np.ndarray,
+                     words: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+        """Trace queries of the n words of one length L in the (n, L) integer
+        array words, in order, word i from the (d, m) start x0s[i]: the
+        (k, L + 2, d, m) states of the first k queries, and the exception
+        that query k + 1 raised (None when all n ran). This default makes
+        them one exec_query at a time, word i as a tuple of ints, and no
+        query after one that raises."""
+        traces, error = [], None
+        for x0, word in zip(x0s, words.tolist()):
+            try:
+                traces.append(self.exec_query(x0, tuple(word)))
+            except Exception as exc:
+                error = exc
+                break
+        return np.array(traces).reshape(len(traces), words.shape[1] + 2, *x0s.shape[1:]), error
+
 
 class EquivalenceOracle:
     """Compares a hypothesis against the hidden system's behaviour."""
@@ -79,10 +97,26 @@ class WhiteBoxObservationOracle(ObservationOracle):
         return self._hidden.fa.alphabet
 
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
-        # charged before execute checks x0, so a refused query still counts
+        """execute(hidden, x0, word), word also an (n, L) array of words (see
+        execute); one io query is charged per column of x0 before execute
+        checks x0 and word, so a refused query still counts."""
         shape = x0.shape if isinstance(x0, np.ndarray) else np.shape(x0)
         self.stats.io_queries += shape[1] if len(shape) == 2 else 1
         return execute(self._hidden, x0, word)
+
+    def exec_queries(self, x0s: np.ndarray,
+                     words: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+        """One exec_query of all n words from one (d, n·m) block of starts,
+        charged n·m io, when n >= 2 and no query can raise (hidden dimension
+        and events); else, or when exec_query is overridden on a subclass or
+        an instance, which must then see every query, the default's loop."""
+        (n, d, m), hidden = x0s.shape, self._hidden
+        own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
+        if (n < 2 or d != hidden.d or not own
+                or words.size and (words.min() < 0 or words.max() >= len(hidden.fa.alphabet))):
+            return super().exec_queries(x0s, words)
+        states = self.exec_query(x0s.transpose(1, 0, 2).reshape(d, n * m), words)
+        return states.reshape(-1, d, n, m).transpose(2, 0, 1, 3), None
 
 
 class WhiteBoxEquivalenceOracle(EquivalenceOracle):
@@ -208,30 +242,32 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
 
     Cost: one trace query per chain, with one column per word of the
     chain, so a full search costs one trace column per word,
-    (|events|^(l_max+1) - 1) / (|events| - 1) in all. Words are compared in
-    runs of CHECK_BATCH of one length, one output computation counted per
-    compared word, through the counterexample. When a word cannot be
-    checked, the words before it are compared first; then it is counted
-    and its error (SingularBasis when its pair of states is not finite, or
-    whatever the word's own trace query raised) raised. Up to
-    CHECK_BATCH - 1 later words of the last run may have been traced
+    (|events|^(l_max+1) - 1) / (|events| - 1) in all (l_max + 1 over one
+    event); a run's chains are traced in one obs.exec_queries call. Words
+    are compared in runs of CHECK_BATCH of one length, one output
+    computation counted per compared word, through the counterexample.
+    When a word cannot be checked, the words before it are compared first;
+    then it is counted and its error (SingularBasis when its pair of states
+    is not finite, or whatever the word's own trace query raised) raised.
+    Up to CHECK_BATCH - 1 later words of the last run may have been traced
     without being compared or counted. Besides its trace queries, a check
     works per length and per run, not per word: a length's chain heads,
     their starts and their words are formed at once, and one search splits
     the heads among the runs. A chain's trace query gets its start and word
-    as they are; only when it raises are they cut to w's own. A run copies
-    its chains' states into the pairs in one gather, tests them for
-    finiteness once and compares its words in one stacked product. The
-    check ignores floating-point errors (np.errstate), its trace queries
-    included, so a state that overflows is not warned about but raised as
-    SingularBasis.
+    as they are; only when it raises are they cut to w's own (the run's
+    later chains then go in a new call). A run copies its chains' states
+    into the pairs in one gather, tests them for finiteness once and
+    compares its words in one stacked product. The check ignores
+    floating-point errors (np.errstate), its trace queries included, so a
+    state that overflows is not warned about but raised as SingularBasis.
 
     Memory: the pairs of the words of the current length and of the later
     words of their chains, one (|events|^|w|, l_max - |w| + 1, 2, d) array
     (two at the step to the next length); the hypothesis node and d x d
     inverse prefix product of every word of the current length; and, for
     the chains that words of that length head, their words, their starts
-    and the (m, heads, d, d) inverse products that _starts forms them from.
+    and the (m, heads, d, d) inverse products that _starts forms them from;
+    and the (chains, l_max + 2, d, m) states of one run's chains.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
@@ -279,31 +315,26 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
                 chains, positions = _words(heads, length, events, m - 1), heads.tolist()
                 # heads[cuts[k]:cuts[k + 1]] are the heads among the words of run k
                 cuts = heads.searchsorted(np.arange(0, size + CHECK_BATCH, CHECK_BATCH)).tolist()
-                j = np.arange(m)[:, None, None]  # pair j of a chain: states j, j + 1 of column j
-                index = (j + np.arange(2)[:, None]) * d * m + np.arange(d) * m + j
+                j = np.arange(m)[:, None]  # pair j of a chain: states j, j + 1 of column j
+                steps = length + j + np.arange(2)
                 for begin, lo, hi in zip(range(0, size, CHECK_BATCH), cuts, cuts[1:]):
                     end, error = min(begin + CHECK_BATCH, size), None
-                    traces = []  # states |w| on of the chains headed here
-                    for i, start, chain in zip(positions[lo:hi], starts[lo:hi],
-                                               map(tuple, chains[lo:hi].tolist())):
-                        try:
-                            traces.extend(obs.exec_query(start, chain)[length:])
-                            continue
-                        except Exception as exc:  # raised once the words before it are compared
-                            error = exc
-                        if m > 1:  # w alone from column 0, padded to a chain's shape
-                            try:
-                                states = obs.exec_query(start[:, :1], chain[:length])[length:]
-                                traces.extend(np.pad(states, ((0, m - 1), (0, 0), (0, m - 1))))
-                                served[i], error = 1, None  # w·0 heads a chain
-                                continue
-                            except Exception as exc:
-                                error = exc
-                        end = i
-                        break
-                    if traces:
-                        traced = np.concatenate(traces).reshape(len(traces) // (m + 1), -1)
-                        pairs[heads[lo:lo + len(traced)]] = traced[:, index]
+                    while lo < hi:  # the chains headed here, resumed after a refused one
+                        states, error = obs.exec_queries(starts[lo:hi], chains[lo:hi])
+                        # indexing puts the (m, 2) pair axes ahead of the chains'
+                        traced = states[:, steps, :, j].transpose(2, 0, 1, 3)
+                        pairs[heads[lo:lo + len(traced)]] = traced
+                        lo += len(traced)
+                        if error is None:
+                            break
+                        i = positions[lo]  # raised once the words before it are compared
+                        if m > 1:  # w alone from column 0
+                            states, error = obs.exec_queries(starts[lo:lo + 1, :, :1],
+                                                             chains[lo:lo + 1, :length])
+                        if error is not None:
+                            end = i
+                            break
+                        pairs[i, 0], served[i], lo = states[0, length:, :, 0], 1, lo + 1
                     block = pairs[begin:end, 0]
                     if not np.isfinite(block).all():
                         end = begin + int(np.isfinite(block).all(axis=(1, 2)).argmin())

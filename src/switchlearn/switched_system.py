@@ -8,6 +8,7 @@ therefore produces n + 2 states.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,12 @@ class SwitchedSystem:
         object.__setattr__(self, "_node_matrices",
                            tuple(self.matrices[label] for label in self.fa.gamma))
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node matrices and transitions as arrays for execute's word arrays,
+        built at the first such call: most systems made are never traced."""
+        return np.stack(self._node_matrices), np.array(self.fa.delta)
+
 
 def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarray]:
     """State sequence from x0 under word; length |word| + 2.
@@ -61,8 +68,16 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     is matrix.dot(x), the same BLAS product as matrix @ x and bit-equal to
     it, without the ufunc dispatch that @ pays per call; the automaton is
     walked in the same loop, reading each node's matrix directly.
+
+    word may instead be an (n, L) integer array of n words: x0 is then
+    (d, n·m), word i reading its i-th block of m columns (else
+    DimensionMismatch), events are checked in row order, and the result is
+    one (L + 2, d, n·m) array equal to n single-word calls, each step one
+    stacked np.matmul that ignores floating-point errors (np.errstate).
     """
     x = np.asarray(x0, dtype=float)
+    if isinstance(word, np.ndarray) and word.ndim == 2:
+        return _execute_words(system, x, word)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
@@ -76,6 +91,28 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
         node = delta[node][e]
         x = node_matrices[node].dot(x)
         states.append(x)
+    return states
+
+
+def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """execute for an (n, L) array of words, x0 already a float array."""
+    (n, length), d, fa = words.shape, system.d, system.fa
+    m = x.shape[-1] // n if n else 0
+    if x.ndim != 2 or x.shape[0] != d or x.shape[1] != n * m:
+        raise DimensionMismatch(f"initial state has shape {x.shape}, expected {d} rows "
+                                f"and {n} equal blocks of columns")
+    if words.size and (words.min() < 0 or words.max() >= len(fa.alphabet)):
+        check_word(fa, words.ravel().tolist())
+    matrices, delta = system._stacked
+    nodes = np.full((length + 1, n), fa.initial, dtype=np.intp)  # row t: after t events
+    for step, events in enumerate(words.T):
+        nodes[step + 1] = delta[nodes[step], events]
+    states = np.empty((length + 2, d, n * m))
+    blocks = states.reshape(length + 2, d, n, m).transpose(0, 2, 1, 3)  # (L + 2, n, d, m)
+    states[0] = x
+    with np.errstate(all="ignore"):
+        for step, node_matrices in enumerate(matrices[nodes]):
+            np.matmul(node_matrices, blocks[step], out=blocks[step + 1])
     return states
 
 

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          DimensionMismatch, EventAlphabet, Fa, GenConfig, InvalidEvent,
-                         SingularBasis, SwitchedSystem, SwitchLearnError,
+                         ObservationOracle, SingularBasis, SwitchedSystem, SwitchLearnError,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
-                         compute_output, language_equivalent, learn, mat_approx_eq,
+                         compute_output, execute, language_equivalent, learn, mat_approx_eq,
                          output_of, random_system)
+from switchlearn import oracle, switched_system
 from switchlearn.linalg import LABEL_TOL, identity
 from switchlearn.oracle import CHECK_BATCH, PROBE_SEED, _inverses
 
@@ -822,3 +823,143 @@ def test_black_box_learn_at_the_benchmark_shape_makes_the_pinned_queries(seed, c
     assert (stats["io_queries"], stats["output_computations"],
             stats["equivalence_queries"]) == counts
     assert WhiteBoxEquivalenceOracle(hidden).check(result.system) is None
+
+
+class LoopingObservationOracle(WhiteBoxObservationOracle):
+    """A white-box oracle whose exec_query is its own, so that exec_queries
+    makes its queries one at a time, as for any oracle that overrides it."""
+
+    def exec_query(self, x0, word):
+        return super().exec_query(x0, word)
+
+
+def traced_check(make_obs, hidden, hypothesis, l_max):
+    """(verdict or error, output computations, io queries) of one bounded
+    check on a fresh make_obs(hidden), and the number of its trace calls."""
+    obs, calls = make_obs(hidden), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "execute",
+                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        try:
+            with np.errstate(all="ignore"):  # traces through overflowing labels
+                verdict = BoundedTestingEquivalenceOracle(obs, l_max).check(hypothesis)
+        except SwitchLearnError as exc:
+            verdict = (type(exc), str(exc))
+    return (verdict, obs.stats.output_computations, obs.stats.io_queries), len(calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), num_events=st.integers(1, 3),
+       l_max=st.integers(0, 7), overflow=st.booleans(),
+       hypothesis_kind=st.sampled_from(["same", "relabel", "random", "singular"]))
+def test_stacked_check_equals_the_per_chain_loop(seed, d, num_events, l_max, overflow,
+                                                 hypothesis_kind):
+    # the systems of test_bounded_check_asks_the_reference_queries: the
+    # white-box oracle traces each run's chains in one call, the looping one
+    # chain by chain, with the same verdict or error and the same counts
+    rng = np.random.default_rng(seed)
+    num_labels = int(rng.integers(1, 4))
+    matrices = [random_matrix(rng, d) for _ in range(num_labels)]
+    fa = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
+    label = int(rng.integers(num_labels))
+    if overflow:
+        matrices[label] *= 1e160
+    if hypothesis_kind == "singular":
+        matrices[label][:, -1] = 0.0
+    hidden = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
+    if hypothesis_kind == "relabel":
+        gamma = list(fa.gamma)
+        node = int(rng.integers(fa.num_nodes))
+        gamma[node] = (gamma[node] + 1) % (num_labels + 1)
+        fa = Fa(num_nodes=fa.num_nodes, initial=0, alphabet=fa.alphabet, delta=fa.delta,
+                gamma=tuple(gamma))
+        matrices.append(random_matrix(rng, d))
+    elif hypothesis_kind == "random":
+        fa = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
+    hypothesis = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
+    stacked, stacked_calls = traced_check(WhiteBoxObservationOracle, hidden, hypothesis, l_max)
+    looped, looped_calls = traced_check(LoopingObservationOracle, hidden, hypothesis, l_max)
+    assert stacked == looped
+    assert stacked_calls <= looped_calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_check_equals_the_per_chain_loop_at_the_benchmark_shape(seed):
+    hidden = random_system(GenConfig(5, 2, 3, 3, seed))
+    fa = hidden.fa
+    gamma = fa.gamma[:-1] + ((fa.gamma[-1] + 1) % len(hidden.matrices),)
+    relabelled = SwitchedSystem(fa=Fa(num_nodes=fa.num_nodes, initial=fa.initial,
+                                      alphabet=fa.alphabet, delta=fa.delta, gamma=gamma),
+                                matrices=hidden.matrices, d=hidden.d)
+    outcomes = {}
+    for hypothesis in (hidden, relabelled):
+        stacked, stacked_calls = traced_check(WhiteBoxObservationOracle, hidden, hypothesis, 11)
+        looped, looped_calls = traced_check(LoopingObservationOracle, hidden, hypothesis, 11)
+        assert stacked == looped
+        outcomes[hypothesis] = stacked[0], stacked_calls, looped_calls
+    # the hidden system's check traces all 2,048 chains, which the white-box
+    # oracle takes in one call per run of up to 32 words of one length
+    verdict, stacked_calls, looped_calls = outcomes[hidden]
+    assert (verdict, looped_calls) == (None, 2048)
+    assert stacked_calls == sum(-(-2**length // CHECK_BATCH) for length in range(12)) == 132
+    assert outcomes[relabelled][0] is not None
+
+
+class RefusingObservationOracle(ObservationOracle):
+    """A trace oracle that is not white-box: it refuses every word that
+    contains event 1, and charges one io query per column of the others."""
+
+    def __init__(self, hidden):
+        super().__init__()
+        self._hidden = hidden
+        self.words = []
+
+    def exec_query(self, x0, word):
+        self.words.append(word)
+        if 1 in word:
+            raise OSError("event 1 refused")
+        self.stats.io_queries += x0.shape[1]
+        return execute(self._hidden, x0, word)
+
+
+def test_exec_queries_default_stops_at_the_first_refused_query(demo2d_system):
+    obs = RefusingObservationOracle(demo2d_system)
+    words = np.array([[0, 0], [0, 0], [0, 1], [0, 0]], dtype=np.uint8)
+    x0s = np.random.default_rng(3).standard_normal((4, 2, 3))
+    states, error = obs.exec_queries(x0s, words)
+    assert states.shape == (2, 4, 2, 3)
+    for x0, trace in zip(x0s, states):
+        assert np.array_equal(np.stack(execute(demo2d_system, x0, (0, 0))), trace)
+    assert isinstance(error, OSError) and str(error) == "event 1 refused"
+    assert obs.words == [(0, 0), (0, 0), (0, 1)]
+    assert obs.stats.io_queries == 6
+    # every query runs: no exception
+    states, error = obs.exec_queries(x0s[:2], words[:2])
+    assert states.shape == (2, 4, 2, 3) and error is None
+    states, error = obs.exec_queries(x0s[2:], words[2:])
+    assert states.shape == (0, 4, 2, 3) and isinstance(error, OSError)
+
+
+def test_white_box_exec_queries_is_one_charged_query(demo2d_system):
+    words = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+    x0s = np.random.default_rng(4).standard_normal((3, 2, 2))
+    obs, looping = (make(demo2d_system)
+                    for make in (WhiteBoxObservationOracle, LoopingObservationOracle))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "execute",
+                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        (states, error), (looped, looped_error) = (o.exec_queries(x0s, words)
+                                                   for o in (obs, looping))
+    # one trace of the whole array, then three of one word each
+    assert [np.shape(word) for word in calls] == [(3, 2), (2,), (2,), (2,)]
+    assert error is looped_error is None
+    assert np.array_equal(states, looped)
+    assert obs.stats.io_queries == looping.stats.io_queries == 6
+    # a word with an event that is not hidden is traced through the loop,
+    # so the queries before it are charged and the ones after it are not
+    words[1, 0] = 2
+    for o in (obs, looping):
+        states, error = o.exec_queries(x0s, words)
+        assert states.shape == (1, 4, 2, 2) and isinstance(error, InvalidEvent)
+    assert obs.stats.io_queries == looping.stats.io_queries == 6 + 4

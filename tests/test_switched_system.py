@@ -162,6 +162,55 @@ def test_execute_prefix_property(indices, cut):
         assert np.array_equal(full[i], partial[i])
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 20), num_events=st.integers(1, 3),
+       n=st.integers(0, 6), m=st.integers(1, 4), length=st.integers(0, 12))
+def test_execute_of_a_word_array_equals_single_word_calls(seed, d, num_events, n, m, length):
+    # block i of the columns reads word i, and each state equals that of a
+    # single-word call bit for bit: both step each block with one BLAS product
+    system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
+                                     dim=d, seed=seed))
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
+    x0 = rng.uniform(-1, 1, (d, n * m))
+    states = execute(system, x0, words)
+    assert states.shape == (length + 2, d, n * m)
+    for i, word in enumerate(words.tolist()):
+        block = slice(i * m, (i + 1) * m)
+        single = execute(system, x0[:, block], tuple(word))
+        assert np.array_equal(np.stack(single), states[:, :, block])
+
+
+def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
+    words = np.array([[E1, E2], [E2, E1], [E1, E1]])
+    for shape in ((2, 4), (2,), (3, 6)):
+        with pytest.raises(DimensionMismatch, match="3 equal blocks of columns"):
+            execute(demo2d_system, np.zeros(shape), words)
+    assert execute(demo2d_system, np.zeros((2, 0)), words[:0]).shape == (4, 2, 0)
+    # the first out-of-range event in row order is named, as for one word
+    for bad in (2, -1):
+        words[1, 1], words[2, 0] = bad, 7
+        with pytest.raises(InvalidEvent) as refused:
+            execute(demo2d_system, np.zeros((2, 3)), words)
+        with pytest.raises(InvalidEvent) as single:
+            execute(demo2d_system, np.zeros(2), (E2, bad))
+        assert str(refused.value) == str(single.value) == (
+            f"event index {bad} out of range for 2 events")
+
+
+def test_execute_of_a_word_array_overflows_without_a_warning():
+    # the stacked product ignores floating-point errors; pytest makes a
+    # RuntimeWarning an error, so this would fail if it warned
+    fa = make_demo2d_system().fa
+    system = SwitchedSystem(fa=fa, matrices=(np.eye(2) * 1e200,) * 3, d=2)
+    words = np.zeros((2, 3), dtype=int)
+    states = execute(system, np.ones((2, 2)), words)
+    assert not np.isfinite(states[-1]).any()
+    with np.errstate(all="ignore"):  # a single word's dot warns
+        single = execute(system, np.ones((2, 1)), (0, 0, 0))
+    assert np.array_equal(np.stack(single), states[:, :, :1], equal_nan=True)
+
+
 def test_validate_ok(demo2d_system):
     assert validate(demo2d_system) == []
 
