@@ -70,10 +70,10 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     walked in the same loop, reading each node's matrix directly.
 
     word may instead be an (n, L) integer array of n words: x0 is then
-    (d, n·m), word i reading its i-th block of m columns (else
-    DimensionMismatch), events are checked in row order, and the result is
-    one (L + 2, d, n·m) array equal to n single-word calls, each step one
-    stacked np.matmul that ignores floating-point errors (np.errstate).
+    (d, n), word i reading column i (else DimensionMismatch), events are
+    checked in row order, and the result is one (L + 2, d, n) array equal
+    to n single-word calls on (d, 1) columns, each step one stacked
+    np.matmul that ignores floating-point errors (np.errstate).
     """
     x = np.asarray(x0, dtype=float)
     if isinstance(word, np.ndarray) and word.ndim == 2:
@@ -97,23 +97,22 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
 def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray) -> np.ndarray:
     """execute for an (n, L) array of words, x0 already a float array."""
     (n, length), d, fa = words.shape, system.d, system.fa
-    m = x.shape[-1] // n if n else 0
-    if x.ndim != 2 or x.shape[0] != d or x.shape[1] != n * m:
-        raise DimensionMismatch(f"initial state has shape {x.shape}, expected {d} rows "
-                                f"and {n} equal blocks of columns")
+    if x.shape != (d, n):
+        raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
+                                "one column per word")
     if words.size and (words.min() < 0 or words.max() >= len(fa.alphabet)):
         check_word(fa, words.ravel().tolist())
     matrices, delta = system._stacked
     nodes = np.full((length + 1, n), fa.initial, dtype=np.intp)  # row t: after t events
     for step, events in enumerate(words.T):
         nodes[step + 1] = delta[nodes[step], events]
-    states = np.empty((length + 2, d, n * m))
-    blocks = states.reshape(length + 2, d, n, m).transpose(0, 2, 1, 3)  # (L + 2, n, d, m)
-    states[0] = x
+    states = np.empty((length + 2, n, d))
+    columns = states[..., None]  # (L + 2, n, d, 1)
+    states[0] = x.T
     with np.errstate(all="ignore"):
         for step, node_matrices in enumerate(matrices[nodes]):
-            np.matmul(node_matrices, blocks[step], out=blocks[step + 1])
-    return states
+            np.matmul(node_matrices, columns[step], out=columns[step + 1])
+    return states.transpose(0, 2, 1)
 
 
 def validate(system: SwitchedSystem) -> list[Violation]:

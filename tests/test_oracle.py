@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
@@ -118,9 +118,8 @@ def test_bounded_oracle_never_exceeds_depth(demo2d_system):
 
 
 def test_deep_search_that_ends_early_asks_the_reference_queries(demo2d_system):
-    # at depth 70 a chain's position among the words of its length, up to
-    # 2^70, does not fit an int64, yet the search ends at the first
-    # counterexample, of length 3, as the reference's does
+    # the words of lengths up to 70 would number 2^71, yet the search ends
+    # at the first counterexample, of length 3, as the reference's does
     hypothesis = make_three_node_hypothesis()
     outcome = recorded_check(BoundedTestingEquivalenceOracle.check, demo2d_system, hypothesis,
                              70, None)
@@ -343,15 +342,13 @@ def test_exact_check_propagates_a_label_eq_error(demo2d_system):
 
 
 def test_full_search_traces_one_column_per_word(demo2d_system):
-    # one trace query per word ending in a non-zero event, plus the empty
-    # word's, with one column for each word of its chain: 2**6 traces and
-    # 127 columns for the 127 words up to length 6
+    # one trace query of one column for each of the 127 words up to length 6
     obs = WhiteBoxObservationOracle(demo2d_system)
     calls = []
     query = obs.exec_query
     obs.exec_query = lambda x0, word: calls.append(word) or query(x0, word)
     assert BoundedTestingEquivalenceOracle(obs, 6).check(demo2d_system) is None
-    assert len(calls) == 2**6
+    assert len(calls) == 127
     assert (obs.stats.output_computations, obs.stats.io_queries) == (127, 127)
 
 
@@ -390,43 +387,10 @@ def test_difference_in_a_contracted_direction_is_found():
     # from an unpreconditioned start the state before the last step of
     # (0, 0, 0, 0) is A^4 x0, whose second entry is 1e-12 of x0's, far below
     # tol * ||x||_1
-    assert search_outcome(hidden, hypothesis, 6) == ((0, 0, 0, 0), 5, 7)
+    assert search_outcome(hidden, hypothesis, 6) == ((0, 0, 0, 0), 5, 5)
 
 
-class RefuseOnceObservationOracle(WhiteBoxObservationOracle):
-    """A trace oracle that refuses the first query of the word (1, 0, 0)."""
-
-    def __init__(self, hidden):
-        super().__init__(hidden)
-        self.refused = False
-        self.calls = []
-        self.starts = []
-
-    def exec_query(self, x0, word):
-        self.calls.append((word, x0.shape[1] if x0.ndim == 2 else 1))
-        self.starts.append(x0.copy())
-        if word == (1, 0, 0) and not self.refused:
-            self.refused = True
-            raise OSError("trace refused")
-        return super().exec_query(x0, word)
-
-
-def test_refused_chain_lets_the_next_word_head_its_own_chain(demo2d_system):
-    # the chain of (1,) is refused, so (1,) is traced alone on one column,
-    # and (1, 0) heads the chain (1, 0, 0) again on two columns of its own
-    obs = RefuseOnceObservationOracle(demo2d_system)
-    assert BoundedTestingEquivalenceOracle(obs, 3).check(demo2d_system) is None
-    assert obs.calls == [((0, 0, 0), 4), ((1, 0, 0), 3), ((1,), 1),
-                         ((0, 1, 0), 2), ((1, 0, 0), 2), ((1, 1, 0), 2),
-                         ((0, 0, 1), 1), ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 1), 1)]
-    # the second chain (1, 0, 0) starts from columns preconditioned for
-    # (1, 0), not from those of the head (0, 1) before it
-    assert not np.array_equal(obs.starts[4], obs.starts[3])
-    # each of the 15 words is checked once, on one column of a trace
-    assert (obs.stats.output_computations, obs.stats.io_queries) == (15, 15)
-
-
-def test_one_event_alphabet_makes_one_trace():
+def test_one_event_alphabet_makes_one_trace_per_word():
     hidden = SwitchedSystem(
         fa=Fa(num_nodes=2, initial=0, alphabet=EventAlphabet(("go",)),
               delta=((1,), (0,)), gamma=(0, 1)),
@@ -437,8 +401,8 @@ def test_one_event_alphabet_makes_one_trace():
     query = obs.exec_query
     obs.exec_query = lambda x0, word: calls.append(word) or query(x0, word)
     assert BoundedTestingEquivalenceOracle(obs, 7).check(hidden) is None
-    assert calls == [(0,) * 7]
-    assert obs.stats.output_computations == 8
+    assert calls == [(0,) * length for length in range(8)]
+    assert (obs.stats.output_computations, obs.stats.io_queries) == (8, 8)
 
 
 def singular_at_length_three():
@@ -531,9 +495,9 @@ class ShortTraceObservationOracle(WhiteBoxObservationOracle):
 
 
 def test_failing_chain_trace_is_not_charged_to_its_first_word(demo2d_system):
-    # every chain of the depth-5 search is longer than 3 events, yet each of
-    # the 15 words up to length 3 is traced alone, on one column, and
-    # compared; the first word of length 4 fails on its own trace
+    # each of the 15 words up to length 3 is traced on one column and
+    # compared; the first word of length 4 fails on its own trace, which is
+    # not charged, and is counted
     assert search_outcome(demo2d_system, demo2d_system, 5, ShortTraceObservationOracle) == (
         (OSError, "trace too long"), 16, 15)
 
@@ -616,113 +580,46 @@ def test_equivalence_oracles_reject_bad_tol(demo2d_system, tol):
     assert obs.stats.io_queries == 0
 
 
-class ReferenceChainedProbe:
-    """The bounded check's chain probe as a per-length object, as it was
-    before the check held its state itself: it tracks the positions whose
-    parent's chain was refused (orphans) to find a length's chain heads,
-    and hands the check its pairs run by run. Kept as the reference whose
-    trace queries the check must repeat."""
-
-    def __init__(self, obs, hypothesis, l_max):
-        fa = hypothesis.fa
-        self._obs, self._l_max, self._d = obs, l_max, hypothesis.d
-        self._events = len(fa.alphabet)
-        self._delta, self._gamma = np.array(fa.delta), np.array(fa.gamma)
-        self._inverses = _inverses(np.stack(hypothesis.matrices))
-        self._rng = np.random.default_rng(PROBE_SEED)
-        self._length = 0
-        self.nodes = np.array([fa.initial])
-        self._prefix = identity(self._d)[None]
-        self._pending = {}
-        self._orphans, self._next_orphans = set(), set()
-        self._starts = self._rows = np.empty(0)
-
-    def next_length(self):
-        parents = np.arange(len(self.nodes)) // self._events
-        with np.errstate(all="ignore"):
-            self._prefix = self._prefix[parents] @ self._inverses[self._gamma[self.nodes]]
-        self.nodes = self._delta[self.nodes].reshape(-1)
-        self._length += 1
-        self._orphans, self._next_orphans = self._next_orphans, set()
-
-    def _precondition(self):
-        index = np.arange(len(self.nodes))
-        head = index % self._events != 0 if self._length else index == 0
-        if self._orphans:
-            head |= np.isin(index, list(self._orphans))
-        heads = index[head]
-        m = self._l_max - self._length + 1
-        r = self._rng.standard_normal((len(heads), self._d, m))
-        starts = np.empty_like(r)
-        prefix, nodes = self._prefix[heads // self._events], self.nodes[heads]
-        with np.errstate(all="ignore"):
-            for j in range(m):
-                starts[:, :, j] = (prefix @ r[:, :, j, None])[..., 0]
-                if j + 1 < m:
-                    prefix = prefix @ self._inverses[self._gamma[nodes]]
-                    nodes = self._delta[nodes, 0]
-        bad = ~np.isfinite(starts).all(axis=1)
-        starts.transpose(0, 2, 1)[bad] = r.transpose(0, 2, 1)[bad]
-        self._starts, self._rows = starts, np.cumsum(head) - 1
-
-    def _trace(self, word, position):
-        start = self._starts[self._rows[position]]
-        chain = word + (0,) * (self._l_max - len(word))
-        if chain != word:
-            try:
-                return self._obs.exec_query(start, chain)[len(word):]
-            except Exception:
-                self._next_orphans.add(position * self._events)
-        return self._obs.exec_query(start[:, :1], word)[len(word):]
-
-    def pairs(self, words, begin):
-        if begin == 0:
-            self._precondition()
-        xs, ys = np.empty((2, len(words), self._d))
-        error = None
-        for i, word in enumerate(words):
-            tail = self._pending.pop(word, None)
-            if tail is None:
-                try:
-                    tail = self._trace(word, begin + i)
-                except Exception as exc:
-                    xs, ys, error = xs[:i], ys[:i], exc
-                    break
-            j = tail[0].shape[1] + 1 - len(tail)
-            xs[i], ys[i] = tail[0][:, j], tail[1][:, j]
-            if len(tail) > 2:
-                self._pending[word + (0,)] = tail[1:]
-        finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
-        if not finite.all():
-            bad = int(finite.argmin())
-            error = SingularBasis(f"trace state of word {words[bad]} before or after its "
-                                  f"last step is not finite")
-            xs, ys = xs[:bad], ys[:bad]
-        return xs, ys, error
-
-
 def reference_check(eq, hypothesis):
-    """eq.check(hypothesis) through ReferenceChainedProbe."""
+    """eq.check(hypothesis) word by word: the words of each length in lex
+    order, each traced by one exec_query from its own (d, 1) column Ĥ⁻¹ r
+    (r itself where that is not finite), with the r of a length drawn as
+    the check draws them; a run's words are all traced, up to one whose
+    query raises, before they are compared in order. Kept as the reference
+    whose trace queries the check must repeat."""
     eq.stats.equivalence_queries += 1
-    obs, fa = eq._obs, hypothesis.fa
-    claims, gamma = np.stack(hypothesis.matrices), np.array(fa.gamma)
-    probe = ReferenceChainedProbe(obs, hypothesis, eq._l_max)
+    obs, fa, d = eq._obs, hypothesis.fa, hypothesis.d
+    inverses = _inverses(np.stack(hypothesis.matrices))
+    rng = np.random.default_rng(PROBE_SEED)
     for length in range(eq._l_max + 1):
-        if length:
-            probe.next_length()
-        words = itertools.product(range(len(fa.alphabet)), repeat=length)
-        for begin in range(0, len(probe.nodes), CHECK_BATCH):
-            batch = list(itertools.islice(words, CHECK_BATCH))
-            xs, ys, error = probe.pairs(batch, begin)
-            claimed = claims[gamma[probe.nodes[begin:begin + len(xs)]]]
-            with np.errstate(all="ignore"):
-                residual = np.abs(ys - (claimed @ xs[:, :, None])[..., 0]).max(axis=1)
-                differs = residual > eq._tol * np.abs(xs).sum(axis=1)
-            if differs.any():
-                first = int(differs.argmax())
-                obs.stats.output_computations += first + 1
-                return batch[first]
-            obs.stats.output_computations += len(xs)
+        words = list(itertools.product(range(len(fa.alphabet)), repeat=length))
+        r = rng.standard_normal((len(words), d))
+        for begin in range(0, len(words), CHECK_BATCH):
+            traced, error = [], None
+            for word, column in zip(words[begin:begin + CHECK_BATCH], r[begin:]):
+                prefix, node = identity(d), fa.initial
+                for event in word:
+                    prefix, node = prefix @ inverses[fa.gamma[node]], fa.delta[node][event]
+                with np.errstate(all="ignore"):
+                    start = prefix @ column
+                if not np.isfinite(start).all():
+                    start = column
+                try:
+                    states = obs.exec_query(start[:, None], word)
+                except Exception as exc:
+                    error = exc
+                    break
+                traced.append((word, fa.gamma[node], states[length][:, 0],
+                               states[length + 1][:, 0]))
+            for word, label, x, y in traced:
+                obs.stats.output_computations += 1
+                if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                    raise SingularBasis(f"trace state of word {word} before or after its "
+                                        "last step is not finite")
+                with np.errstate(all="ignore"):
+                    residual = np.abs(y - hypothesis.matrices[label] @ x).max()
+                    if residual > eq._tol * np.abs(x).sum():
+                        return word
             if error is not None:
                 obs.stats.output_computations += 1
                 raise error
@@ -758,12 +655,10 @@ def recorded_check(check, hidden, hypothesis, l_max, k):
     return verdict, obs.stats.output_computations, obs.stats.io_queries, obs.calls
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), num_events=st.integers(1, 3),
-       l_max=st.integers(0, 7), k=st.none() | st.integers(0, 7), overflow=st.booleans(),
-       hypothesis_kind=st.sampled_from(["same", "relabel", "random", "singular"]))
-def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k, overflow,
-                                                  hypothesis_kind):
+def drawn_systems(seed, d, num_events, overflow, hypothesis_kind):
+    """A random hidden system and a hypothesis for it, of the given kind:
+    the system itself, one node relabelled, another random automaton, or
+    the system with one label made singular (in both)."""
     rng = np.random.default_rng(seed)
     num_labels = int(rng.integers(1, 4))
     matrices = [random_matrix(rng, d) for _ in range(num_labels)]
@@ -771,7 +666,7 @@ def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k,
     label = int(rng.integers(num_labels))
     if overflow:  # states can overflow two steps after this label
         matrices[label] *= 1e160
-    if hypothesis_kind == "singular":  # in both systems: the columns behind it start from r_j
+    if hypothesis_kind == "singular":  # the columns behind it start from r
         matrices[label][:, -1] = 0.0
     hidden = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
     if hypothesis_kind == "relabel":
@@ -783,7 +678,32 @@ def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k,
         matrices.append(random_matrix(rng, d))
     elif hypothesis_kind == "random":
         fa = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
-    hypothesis = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
+    return hidden, SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
+
+
+def benchmark_systems(seed):
+    """The blackbox-bounded workload's system of generator seed seed, and a
+    copy whose last node has the next label."""
+    hidden = random_system(GenConfig(5, 2, 3, 3, seed))
+    fa = hidden.fa
+    gamma = fa.gamma[:-1] + ((fa.gamma[-1] + 1) % len(hidden.matrices),)
+    relabelled = SwitchedSystem(fa=Fa(num_nodes=fa.num_nodes, initial=fa.initial,
+                                      alphabet=fa.alphabet, delta=fa.delta, gamma=gamma),
+                                matrices=hidden.matrices, d=hidden.d)
+    return hidden, relabelled
+
+
+SYSTEM_DRAWS = dict(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+                    num_events=st.integers(1, 3), l_max=st.integers(0, 7),
+                    overflow=st.booleans(),
+                    hypothesis_kind=st.sampled_from(["same", "relabel", "random", "singular"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.none() | st.integers(0, 7), **SYSTEM_DRAWS)
+def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k, overflow,
+                                                  hypothesis_kind):
+    hidden, hypothesis = drawn_systems(seed, d, num_events, overflow, hypothesis_kind)
     outcome = recorded_check(BoundedTestingEquivalenceOracle.check, hidden, hypothesis,
                              l_max, k)
     assert outcome == recorded_check(reference_check, hidden, hypothesis, l_max, k)
@@ -792,15 +712,9 @@ def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k,
 @pytest.mark.parametrize("seed", range(6))
 def test_bounded_check_asks_the_reference_queries_at_the_benchmark_shape(seed):
     # the blackbox-bounded workload's systems at the `learn --eq bounded`
-    # default depth 2n + 1 = 11, where chains span up to 12 lengths (the
-    # property test above stops at depth 7): the hidden system itself and
-    # a copy whose last node has the next label
-    hidden = random_system(GenConfig(5, 2, 3, 3, seed))
-    fa = hidden.fa
-    gamma = fa.gamma[:-1] + ((fa.gamma[-1] + 1) % len(hidden.matrices),)
-    relabelled = SwitchedSystem(fa=Fa(num_nodes=fa.num_nodes, initial=fa.initial,
-                                      alphabet=fa.alphabet, delta=fa.delta, gamma=gamma),
-                                matrices=hidden.matrices, d=hidden.d)
+    # default depth 2n + 1 = 11 (the property test above stops at depth 7):
+    # the hidden system itself and a relabelled copy
+    hidden, relabelled = benchmark_systems(seed)
     for hypothesis, equivalent in ((hidden, True), (relabelled, False)):
         outcome = recorded_check(BoundedTestingEquivalenceOracle.check, hidden, hypothesis,
                                  11, None)
@@ -808,21 +722,58 @@ def test_bounded_check_asks_the_reference_queries_at_the_benchmark_shape(seed):
         assert outcome == recorded_check(reference_check, hidden, hypothesis, 11, None)
 
 
-@pytest.mark.parametrize("seed, counts", [(0, (4278, 4142, 3)), (1, (4161, 4118, 2)),
-                                          (2, (4503, 4185, 4)), (3, (4242, 4134, 3)),
-                                          (4, (4197, 4120, 2)), (5, (4162, 4119, 2))])
+class CheckCostOracle(BoundedTestingEquivalenceOracle):
+    """A bounded oracle that records each check's io minus its output
+    computations."""
+
+    def __init__(self, obs, l_max):
+        super().__init__(obs, l_max)
+        self.excess = []
+
+    def check(self, hypothesis):
+        stats = self._obs.stats
+        before = stats.io_queries - stats.output_computations
+        try:
+            return super().check(hypothesis)
+        finally:
+            self.excess.append(stats.io_queries - stats.output_computations - before)
+
+
+@pytest.mark.parametrize("seed, counts", [(0, (4150, 4142, 3)), (1, (4125, 4118, 2)),
+                                          (2, (4211, 4185, 4)), (3, (4142, 4134, 3)),
+                                          (4, (4133, 4120, 2)), (5, (4126, 4119, 2))])
 def test_black_box_learn_at_the_benchmark_shape_makes_the_pinned_queries(seed, counts):
     # the blackbox-bounded workload's systems learned through the bounded
     # check at the `learn --eq bounded` default depth 11: the io, output
     # computations and equivalence queries of the whole learn, not only of
-    # its final check, and a model the exact check accepts
+    # its final check, and a model the exact check accepts; no check traces
+    # more than the rest of one run past its last compared word
     hidden = random_system(GenConfig(5, 2, 3, 3, seed))
     obs = WhiteBoxObservationOracle(hidden)
-    result = learn(obs, BoundedTestingEquivalenceOracle(obs, 11), hidden.fa.alphabet)
+    eq = CheckCostOracle(obs, 11)
+    result = learn(obs, eq, hidden.fa.alphabet)
     stats = result.stats_dict()
     assert (stats["io_queries"], stats["output_computations"],
             stats["equivalence_queries"]) == counts
     assert WhiteBoxEquivalenceOracle(hidden).check(result.system) is None
+    assert len(eq.excess) == counts[2] and max(eq.excess) <= CHECK_BATCH - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.none() | st.integers(0, 7), **SYSTEM_DRAWS)
+def test_bounded_check_traces_at_most_one_run_past_its_last_compared_word(
+        seed, d, num_events, l_max, k, overflow, hypothesis_kind):
+    # io beyond the compared words is bounded by the rest of the last run,
+    # whether the run is traced in one call or word by word up to a refusal;
+    # the search is steered towards checks that trace the most past them
+    hidden, hypothesis = drawn_systems(seed, d, num_events, overflow, hypothesis_kind)
+    _, outputs, io, _ = recorded_check(BoundedTestingEquivalenceOracle.check, hidden,
+                                       hypothesis, l_max, k)
+    (_, stacked_outputs, stacked_io), _ = traced_check(WhiteBoxObservationOracle, hidden,
+                                                       hypothesis, l_max)
+    excess = max(io - outputs, stacked_io - stacked_outputs)
+    target(excess)
+    assert excess <= CHECK_BATCH - 1
 
 
 class LoopingObservationOracle(WhiteBoxObservationOracle):
@@ -849,34 +800,13 @@ def traced_check(make_obs, hidden, hypothesis, l_max):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), num_events=st.integers(1, 3),
-       l_max=st.integers(0, 7), overflow=st.booleans(),
-       hypothesis_kind=st.sampled_from(["same", "relabel", "random", "singular"]))
-def test_stacked_check_equals_the_per_chain_loop(seed, d, num_events, l_max, overflow,
-                                                 hypothesis_kind):
+@given(**SYSTEM_DRAWS)
+def test_stacked_check_equals_the_per_word_loop(seed, d, num_events, l_max, overflow,
+                                                hypothesis_kind):
     # the systems of test_bounded_check_asks_the_reference_queries: the
-    # white-box oracle traces each run's chains in one call, the looping one
-    # chain by chain, with the same verdict or error and the same counts
-    rng = np.random.default_rng(seed)
-    num_labels = int(rng.integers(1, 4))
-    matrices = [random_matrix(rng, d) for _ in range(num_labels)]
-    fa = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
-    label = int(rng.integers(num_labels))
-    if overflow:
-        matrices[label] *= 1e160
-    if hypothesis_kind == "singular":
-        matrices[label][:, -1] = 0.0
-    hidden = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
-    if hypothesis_kind == "relabel":
-        gamma = list(fa.gamma)
-        node = int(rng.integers(fa.num_nodes))
-        gamma[node] = (gamma[node] + 1) % (num_labels + 1)
-        fa = Fa(num_nodes=fa.num_nodes, initial=0, alphabet=fa.alphabet, delta=fa.delta,
-                gamma=tuple(gamma))
-        matrices.append(random_matrix(rng, d))
-    elif hypothesis_kind == "random":
-        fa = random_fa(rng, int(rng.integers(1, 5)), num_events, num_labels)
-    hypothesis = SwitchedSystem(fa=fa, matrices=tuple(matrices), d=d)
+    # white-box oracle traces each run in one call, the looping one word by
+    # word, with the same verdict or error and the same counts
+    hidden, hypothesis = drawn_systems(seed, d, num_events, overflow, hypothesis_kind)
     stacked, stacked_calls = traced_check(WhiteBoxObservationOracle, hidden, hypothesis, l_max)
     looped, looped_calls = traced_check(LoopingObservationOracle, hidden, hypothesis, l_max)
     assert stacked == looped
@@ -884,23 +814,18 @@ def test_stacked_check_equals_the_per_chain_loop(seed, d, num_events, l_max, ove
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_stacked_check_equals_the_per_chain_loop_at_the_benchmark_shape(seed):
-    hidden = random_system(GenConfig(5, 2, 3, 3, seed))
-    fa = hidden.fa
-    gamma = fa.gamma[:-1] + ((fa.gamma[-1] + 1) % len(hidden.matrices),)
-    relabelled = SwitchedSystem(fa=Fa(num_nodes=fa.num_nodes, initial=fa.initial,
-                                      alphabet=fa.alphabet, delta=fa.delta, gamma=gamma),
-                                matrices=hidden.matrices, d=hidden.d)
+def test_stacked_check_equals_the_per_word_loop_at_the_benchmark_shape(seed):
+    hidden, relabelled = benchmark_systems(seed)
     outcomes = {}
     for hypothesis in (hidden, relabelled):
         stacked, stacked_calls = traced_check(WhiteBoxObservationOracle, hidden, hypothesis, 11)
         looped, looped_calls = traced_check(LoopingObservationOracle, hidden, hypothesis, 11)
         assert stacked == looped
         outcomes[hypothesis] = stacked[0], stacked_calls, looped_calls
-    # the hidden system's check traces all 2,048 chains, which the white-box
+    # the hidden system's check traces all 4,095 words, which the white-box
     # oracle takes in one call per run of up to 32 words of one length
     verdict, stacked_calls, looped_calls = outcomes[hidden]
-    assert (verdict, looped_calls) == (None, 2048)
+    assert (verdict, looped_calls) == (None, 4095)
     assert stacked_calls == sum(-(-2**length // CHECK_BATCH) for length in range(12)) == 132
     assert outcomes[relabelled][0] is not None
 
@@ -925,24 +850,25 @@ class RefusingObservationOracle(ObservationOracle):
 def test_exec_queries_default_stops_at_the_first_refused_query(demo2d_system):
     obs = RefusingObservationOracle(demo2d_system)
     words = np.array([[0, 0], [0, 0], [0, 1], [0, 0]], dtype=np.uint8)
-    x0s = np.random.default_rng(3).standard_normal((4, 2, 3))
+    x0s = np.random.default_rng(3).standard_normal((4, 2))
     states, error = obs.exec_queries(x0s, words)
-    assert states.shape == (2, 4, 2, 3)
+    assert states.shape == (2, 4, 2)
     for x0, trace in zip(x0s, states):
-        assert np.array_equal(np.stack(execute(demo2d_system, x0, (0, 0))), trace)
+        assert np.array_equal(np.stack(execute(demo2d_system, x0[:, None], (0, 0)))[..., 0],
+                              trace)
     assert isinstance(error, OSError) and str(error) == "event 1 refused"
     assert obs.words == [(0, 0), (0, 0), (0, 1)]
-    assert obs.stats.io_queries == 6
+    assert obs.stats.io_queries == 2
     # every query runs: no exception
     states, error = obs.exec_queries(x0s[:2], words[:2])
-    assert states.shape == (2, 4, 2, 3) and error is None
+    assert states.shape == (2, 4, 2) and error is None
     states, error = obs.exec_queries(x0s[2:], words[2:])
-    assert states.shape == (0, 4, 2, 3) and isinstance(error, OSError)
+    assert states.shape == (0, 4, 2) and isinstance(error, OSError)
 
 
 def test_white_box_exec_queries_is_one_charged_query(demo2d_system):
     words = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
-    x0s = np.random.default_rng(4).standard_normal((3, 2, 2))
+    x0s = np.random.default_rng(4).standard_normal((3, 2))
     obs, looping = (make(demo2d_system)
                     for make in (WhiteBoxObservationOracle, LoopingObservationOracle))
     calls = []
@@ -955,11 +881,11 @@ def test_white_box_exec_queries_is_one_charged_query(demo2d_system):
     assert [np.shape(word) for word in calls] == [(3, 2), (2,), (2,), (2,)]
     assert error is looped_error is None
     assert np.array_equal(states, looped)
-    assert obs.stats.io_queries == looping.stats.io_queries == 6
+    assert obs.stats.io_queries == looping.stats.io_queries == 3
     # a word with an event that is not hidden is traced through the loop,
     # so the queries before it are charged and the ones after it are not
     words[1, 0] = 2
     for o in (obs, looping):
         states, error = o.exec_queries(x0s, words)
-        assert states.shape == (1, 4, 2, 2) and isinstance(error, InvalidEvent)
-    assert obs.stats.io_queries == looping.stats.io_queries == 6 + 4
+        assert states.shape == (1, 4, 2) and isinstance(error, InvalidEvent)
+    assert obs.stats.io_queries == looping.stats.io_queries == 3 + 2

@@ -29,7 +29,7 @@ def test_perfbench_traced_run(workload):
 # io_queries and output_computations at seed 1, per system on the workloads
 # of many systems (200 and 6)
 COUNTS = {"scaled-100": (1987, 2105), "suite-small": (10753 / 200, 10530 / 200),
-          "blackbox-bounded": (25543 / 6, 24818 / 6)}
+          "blackbox-bounded": (24887 / 6, 24818 / 6)}
 
 
 @pytest.mark.parametrize("workload", COUNTS)

@@ -164,27 +164,26 @@ def test_execute_prefix_property(indices, cut):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 20), num_events=st.integers(1, 3),
-       n=st.integers(0, 6), m=st.integers(1, 4), length=st.integers(0, 12))
-def test_execute_of_a_word_array_equals_single_word_calls(seed, d, num_events, n, m, length):
-    # block i of the columns reads word i, and each state equals that of a
-    # single-word call bit for bit: both step each block with one BLAS product
+       n=st.integers(0, 6), length=st.integers(0, 12))
+def test_execute_of_a_word_array_equals_single_word_calls(seed, d, num_events, n, length):
+    # column i reads word i, and each state equals that of a single-word
+    # call on that column bit for bit: both step it with one BLAS product
     system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
                                      dim=d, seed=seed))
     rng = np.random.default_rng(seed)
     words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
-    x0 = rng.uniform(-1, 1, (d, n * m))
+    x0 = rng.uniform(-1, 1, (d, n))
     states = execute(system, x0, words)
-    assert states.shape == (length + 2, d, n * m)
+    assert states.shape == (length + 2, d, n)
     for i, word in enumerate(words.tolist()):
-        block = slice(i * m, (i + 1) * m)
-        single = execute(system, x0[:, block], tuple(word))
-        assert np.array_equal(np.stack(single), states[:, :, block])
+        single = execute(system, x0[:, i:i + 1], tuple(word))
+        assert np.array_equal(np.stack(single), states[:, :, i:i + 1])
 
 
 def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
     words = np.array([[E1, E2], [E2, E1], [E1, E1]])
-    for shape in ((2, 4), (2,), (3, 6)):
-        with pytest.raises(DimensionMismatch, match="3 equal blocks of columns"):
+    for shape in ((2, 4), (2,), (3, 3), (2, 6)):
+        with pytest.raises(DimensionMismatch, match=r"expected \(2, 3\): one column per word"):
             execute(demo2d_system, np.zeros(shape), words)
     assert execute(demo2d_system, np.zeros((2, 0)), words[:0]).shape == (4, 2, 0)
     # the first out-of-range event in row order is named, as for one word
