@@ -8,9 +8,12 @@ verdict is only as strong as the search depth). It recovers no output: it
 checks the hypothesis's own label of each word on one trace column, as
 Freivalds's randomized check of a matrix product does (Freivalds, 1977),
 so every counterexample it returns is proven, at one trace column per
-word; the white-box oracle traces a run of words of one length in one
-stacked call (exec_queries).
+word. The white-box oracle traces a run of words in one stacked call
+(exec_queries): the bounded check's runs of one length, and the learner's
+wide stacks of words of mixed lengths.
 """
+
+import itertools
 
 import numpy as np
 
@@ -56,22 +59,29 @@ class ObservationOracle:
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def exec_queries(self, x0s: np.ndarray,
-                     words: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-        """Trace queries of the n words of one length L in the (n, L) integer
-        array words, in order, word i from the start column x0s[i] of the
-        (n, d) array x0s: the (k, L + 2, d) states of the first k queries,
+    def exec_queries(self, x0s: np.ndarray, words) -> tuple[np.ndarray, Exception | None]:
+        """Trace queries of the n words of words, in order, word i from the
+        start column x0s[i] of the (n, d) array x0s: the (k, L + 2, d)
+        states of the first k queries, L the length of the longest word,
         and the exception that query k + 1 raised (None when all n ran).
-        This default makes them one exec_query at a time, word i as a tuple
-        of ints from a (d, 1) column, and no query after one that raises."""
+        words is an (n, L) integer array, one word of length L per row, or a
+        list of n words of any lengths; the states of a word after its own
+        last one are unspecified. This default makes them one exec_query at
+        a time, word i as a tuple of ints from a (d, 1) column, and no query
+        after one that raises."""
+        if isinstance(words, np.ndarray):
+            length, words = words.shape[1], words.tolist()
+        else:
+            length = max(map(len, words), default=0)
         traces, error = [], None
-        for x0, word in zip(x0s[..., None], words.tolist()):
+        for x0, word in zip(x0s[..., None], words):
             try:
-                traces.append(self.exec_query(x0, tuple(word)))
+                trace = self.exec_query(x0, tuple(word))
             except Exception as exc:
                 error = exc
                 break
-        return np.array(traces).reshape(len(traces), words.shape[1] + 2, x0s.shape[1]), error
+            traces.append([*trace] + [trace[-1]] * (length - len(word)))  # padded to L + 2
+        return np.array(traces).reshape(len(traces), length + 2, x0s.shape[1]), error
 
 
 class EquivalenceOracle:
@@ -96,27 +106,48 @@ class WhiteBoxObservationOracle(ObservationOracle):
     def alphabet(self) -> EventAlphabet:
         return self._hidden.fa.alphabet
 
-    def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
-        """execute(hidden, x0, word), word also an (n, L) array of words (see
-        execute); one io query is charged per column of x0 before execute
-        checks x0 and word, so a refused query still counts."""
+    def exec_query(self, x0: np.ndarray, word: Word,
+                   lengths: np.ndarray | None = None) -> list[np.ndarray]:
+        """execute(hidden, x0, word, lengths), word also an (n, L) array of
+        words (see execute); one io query is charged per column of x0
+        before execute checks x0 and word, so a refused query still counts."""
         shape = x0.shape if isinstance(x0, np.ndarray) else np.shape(x0)
         self.stats.io_queries += shape[1] if len(shape) == 2 else 1
-        return execute(self._hidden, x0, word)
+        return execute(self._hidden, x0, word, lengths)
 
-    def exec_queries(self, x0s: np.ndarray,
-                     words: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+    def exec_queries(self, x0s: np.ndarray, words) -> tuple[np.ndarray, Exception | None]:
         """One exec_query of all n words from the (d, n) matrix of their
         starts, charged n io, when n >= 2 and no query can raise (hidden
         dimension and events); else, or when exec_query is overridden on a
         subclass or an instance, which must then see every query, the
-        default's loop."""
+        default's loop. A list of words is stacked into a zero-padded array
+        with their lengths. The events are tested here, once: for an array
+        of an unsigned type of up to 32 bits, as a stacked list's and the
+        bounded check's are, execute's walk makes no second test."""
         (n, d), hidden = x0s.shape, self._hidden
         own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
-        if (n < 2 or d != hidden.d or not own
-                or words.size and (words.min() < 0 or words.max() >= len(hidden.fa.alphabet))):
-            return super().exec_queries(x0s, words)
-        return self.exec_query(x0s.T, words).transpose(2, 0, 1), None
+        if n >= 2 and d == hidden.d and own:
+            stacked = _word_array(words, len(hidden.fa.alphabet))
+            if stacked is not None:
+                return self.exec_query(x0s.T, *stacked).transpose(2, 0, 1), None
+        return super().exec_queries(x0s, words)
+
+
+def _word_array(words, events: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """words as an (n, L) array and their lengths (None for an array, whose
+    rows are all of length L), when every event is one of events; else
+    None. A list is stacked into an array of the least unsigned type that
+    holds an event, each row padded with zeros."""
+    if isinstance(words, np.ndarray):
+        valid = not words.size or (words.min() >= 0 and words.max() < events)
+        return (words, None) if valid else None
+    lengths = np.fromiter(map(len, words), np.intp, len(words))
+    flat = np.fromiter(itertools.chain.from_iterable(words), np.intp, int(lengths.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= events):
+        return None
+    array = np.zeros((len(words), lengths.max()), dtype=np.min_scalar_type(events - 1))
+    array[np.arange(array.shape[1]) < lengths[:, None]] = flat
+    return array, lengths
 
 
 class WhiteBoxEquivalenceOracle(EquivalenceOracle):

@@ -23,6 +23,13 @@ label or several labels pass is recovered on d columns as compute_output
 does (a fallback), and the recovered matrix must pass the same check on the
 word's probe column before it is classified, or SingularBasis is raised.
 
+The one-column traces are made per stack of PROBE_BATCH words: the maximal
+words (those no other word of the call extends) that the stack's words are
+read off are traced from their own columns, together. With at least
+STACK_MIN of them the stack is traced in one ObservationOracle.exec_queries
+call, which the white-box oracle answers with one stacked trace; the oracle
+is asked the same queries, in the same order, either way.
+
 A passing label is only as sure as the spread of x and the gap between
 labels: a new label passes as a known one when every product along a word
 contracts the direction in which they differ, or when they differ by
@@ -46,6 +53,13 @@ from .linalg import LABEL_TOL, check_finite, check_label_tol, identity, recover_
 # Words classified per stacked probe check: the residuals of a stack are one
 # (labels, d, words) array, about 400 kB at d=20 with 10 labels.
 PROBE_BATCH = 256
+
+# The maximal words of a stack (its covers) are traced with one
+# obs.exec_queries call when there are at least this many, else one
+# exec_query at a time: a stacked call costs a few microseconds per step
+# whatever its width, so it pays on wide stacks only. At 16, suite-small's
+# stacks of 16 to 63 covers made its learns about 3% slower.
+STACK_MIN = 64
 
 # A recovery whose error bound, REFINE_FACTOR * d * EPS * cond(basis) * |M|
 # with cond(basis) bounded by |basis| |basis^-1|, may exceed half the label
@@ -297,13 +311,14 @@ def _identify(obs, registry: LabelRegistry, words: list[Word], pairs: np.ndarray
     Each label is screened once: the labels known at the start against every
     word, and the labels a fallback adds against the words still to come.
     A screen's passes are merged into each word's count of passing labels
-    and the first of them. The pairs of accepted words go to the registry."""
-    cache, accepted = registry.cache, []
+    and the first of them. The words up to the next fallback are accepted
+    together, and the pairs of accepted words go to the registry."""
+    cache, accepted, n = registry.cache, [], len(words)
     # per word: how many labels it passes, and the first of them
-    hits, first = [0] * len(words), [0] * len(words)
-    known = 0
+    hits, first = [0] * n, [0] * n
+    known = i = 0
     try:
-        for i, word in enumerate(words):
+        while i < n:
             if len(registry) != known:
                 ratios = _ratios(registry._labels[known:], pairs[i:, 0], pairs[i:, 1],
                                  registry.tol)
@@ -315,17 +330,23 @@ def _identify(obs, registry: LabelRegistry, words: list[Word], pairs: np.ndarray
                               for h, f, g in zip(hits[i:], first[i:], firsts)]
                     passes = [h + p for h, p in zip(hits[i:], passes)]
                 hits[i:], first[i:], known = passes, firsts, len(registry)
+            stop = i  # the next fallback, or n
+            while stop < n and hits[stop] == 1:
+                stop += 1
+            if stop > i:
+                cache.update(zip(words[i:stop], first[i:stop]))
+                obs.stats.output_computations += stop - i
+                accepted.extend(range(i, stop))
+            if stop == n:
+                break
             obs.stats.output_computations += 1
-            if hits[i] == 1:
-                cache[word] = first[i]
-                accepted.append(i)
-                continue
             # the accepted pairs are rescreened if this fallback adds a label
             registry._keep(words, pairs, accepted)
             accepted = []
             registry.fallbacks += 1
-            matrix = _derive(obs, word, registry.tol, pairs[i])
-            cache[word] = _intern(obs, registry, matrix)
+            matrix = _derive(obs, words[stop], registry.tol, pairs[stop])
+            cache[words[stop]] = _intern(obs, registry, matrix)
+            i = stop + 1
     finally:
         registry._keep(words, pairs, accepted)
 
@@ -342,17 +363,22 @@ def cached_outputs(obs, registry: LabelRegistry, words, limit: int | None = None
     the words this call accepted.
 
     Only the maximal words, those no other of these words extends, are
-    traced: one trace query each from its own random column, made when the
-    first word read off it is reached. A word w read off the trace of a
-    longer word takes states |w| and |w|+1 of it as its pair (x, y), equal
-    to those of a trace of w alone from the same column because the trace
-    oracle has the prefix property (a trace of w·u starts with the trace of
-    w). Each pair is written into one (words, 2, d) array as its trace
-    arrives; whole traces are never kept.
+    traced, each from its own random column, as the cover of the words
+    read off its trace. A word w takes states |w| and |w|+1 of its cover's
+    trace as its pair (x, y), equal to those of a trace of w alone from the
+    same column because the trace oracle has the prefix property (a trace
+    of w·u starts with the trace of w). The covers that the words of a
+    stack of PROBE_BATCH need are traced in the order of the first word
+    read off each: with one obs.exec_queries call, one trace query per
+    cover, when there are at least STACK_MIN of them, and one exec_query
+    at a time otherwise (see _trace).
     The words read off one trace are prefixes of each other; when that
     trace query raises for a word other than the traced one, they are read
     off the trace of the longest of them other than the traced word
-    instead, so a word fails only when its own trace query would.
+    instead, which is traced first, followed by the covers after it, so a
+    word fails only when its own trace query would, and an oracle that
+    answers one query at a time is asked what a trace of one cover at a
+    time would ask.
 
     The words of each stack of PROBE_BATCH are checked against every label
     in one call, and a label a fallback adds mid-stack against the words
@@ -380,42 +406,60 @@ def cached_outputs(obs, registry: LabelRegistry, words, limit: int | None = None
     # that a word traced after its cover's trace failed has one too
     columns = registry.rng.standard_normal((len(pending), obs.dimension()))
     pairs = np.empty((len(pending), 2, obs.dimension()))  # (x, y) of each word
-    xs, ys = pairs[:, 0], pairs[:, 1]
-    traced = [False] * len(pending)
-
-    def trace(i: int) -> None:
-        """Write the pairs of the words read off the trace of word i's
-        cover; i is the first of them, so it is reached first."""
+    traced = [False] * len(pending)  # per cover: its trace is read
+    for start in range(0, len(pending), PROBE_BATCH):
+        stop, error = min(start + PROBE_BATCH, len(pending)), None
         while True:
-            cover = covers[i]
-            try:
-                states = obs.exec_query(columns[cover], pending[cover])
+            # the covers still to trace, each where its first reader is
+            todo = [c for c in dict.fromkeys(covers[start:stop]) if not traced[c]]
+            if not todo:
                 break
-            except Exception:
-                if cover == i:
-                    raise
+            done, error = _trace(obs, pending, todo, readers, columns, pairs)
+            for c in todo[:done]:
+                traced[c] = True
+            if error is None:
+                break
+            cover = todo[done]
+            if readers[cover][0] == cover:  # its own trace failed: raised once
+                stop = cover                # the words before it are cached
+                break
             chain = [j for j in readers.pop(cover) if j != cover]
             longest = max(chain, key=lambda j: len(pending[j]))
             readers[cover], readers[longest] = [cover], chain
             for j in chain:
                 covers[j] = longest
-        for j in readers[cover]:
-            n = len(pending[j])
-            xs[j], ys[j] = states[n], states[n + 1]
-            traced[j] = True
-
-    for start in range(0, len(pending), PROBE_BATCH):
-        chunk = pending[start:start + PROBE_BATCH]
-        untraced = None
-        for k in range(len(chunk)):
-            if not traced[start + k]:
-                try:
-                    trace(start + k)
-                except Exception as exc:  # raised once the words before it are cached
-                    chunk, untraced = chunk[:k], exc
-                    break
-        if chunk:
-            _identify(obs, registry, chunk, pairs[start:start + len(chunk)])
-        if untraced is not None:
+        if stop > start:
+            _identify(obs, registry, pending[start:stop], pairs[start:stop])
+        if error is not None:
             obs.stats.output_computations += 1
-            raise untraced
+            raise error
+
+
+def _trace(obs, words: list[Word], covers: list[int], readers: dict[int, list[int]],
+           columns: np.ndarray, pairs: np.ndarray) -> tuple[int, Exception | None]:
+    """Trace the covers (indices of words), in order, each from its row of
+    columns, and write into pairs the (x, y) pair of each word read off it
+    (its readers): the number of covers traced, and the exception that the
+    next one's trace query raised (None when all ran). At least STACK_MIN
+    covers are traced with one obs.exec_queries call, whose default loop
+    passes each column as (d, 1), and their pairs read with one index;
+    fewer, one exec_query of a 1-D column and one row write at a time."""
+    if len(covers) < STACK_MIN:
+        xs, ys = pairs[:, 0], pairs[:, 1]
+        for k, cover in enumerate(covers):
+            try:
+                states = obs.exec_query(columns[cover], words[cover])
+            except Exception as exc:
+                return k, exc
+            for j in readers[cover]:
+                n = len(words[j])
+                xs[j], ys[j] = states[n], states[n + 1]
+        return len(covers), None
+    states, error = obs.exec_queries(columns[covers], [words[c] for c in covers])
+    done = covers[:len(states)]
+    read = [j for c in done for j in readers[c]]
+    if read:  # states |w| and |w|+1 of each reader, off its cover's trace
+        at = [k for k, c in enumerate(done) for _ in readers[c]]
+        steps = [len(words[j]) for j in read]
+        pairs[read] = states[np.array(at)[:, None], np.add.outer(steps, (0, 1))]
+    return len(states), error

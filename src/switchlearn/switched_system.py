@@ -52,13 +52,15 @@ class SwitchedSystem:
                            tuple(self.matrices[label] for label in self.fa.gamma))
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node matrices and transitions as arrays for execute's word arrays,
-        built at the first such call: most systems made are never traced."""
-        return np.stack(self._node_matrices), np.array(self.fa.delta)
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Label matrices, node labels and transitions as arrays for
+        execute's word arrays, built at the first such call: most systems
+        made are never traced."""
+        return np.stack(self.matrices), np.array(self.fa.gamma), np.array(self.fa.delta)
 
 
-def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarray]:
+def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
+            lengths: np.ndarray | None = None) -> list[np.ndarray]:
     """State sequence from x0 under word; length |word| + 2.
 
     x0 may be a single state (1-D, d entries) or a matrix of k column
@@ -69,15 +71,21 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     it, without the ufunc dispatch that @ pays per call; the automaton is
     walked in the same loop, reading each node's matrix directly.
 
-    word may instead be an (n, L) integer array of n words: x0 is then
-    (d, n), word i reading column i (else DimensionMismatch), events are
-    checked in row order, and the result is one (L + 2, d, n) array equal
-    to n single-word calls on (d, 1) columns, each step one stacked
-    np.matmul that ignores floating-point errors (np.errstate).
+    word may instead be an (n, L) unsigned or signed integer array of n
+    words, and lengths their n lengths (each at most L; all L when None):
+    word i is word[i, :lengths[i]], and the entries after it are not read.
+    x0 is then (d, n), word i reading column i (else DimensionMismatch),
+    and the result is one (L + 2, d, n) array whose column i holds, up to
+    state lengths[i] + 1, the states of a single-word call on that (d, 1)
+    column, bit for bit; its later states are unspecified. The events are
+    validated before any step (InvalidEvent on the first out-of-range one
+    in row order), each step is one gather of the running words' label
+    matrices and one stacked np.matmul, which ignores floating-point errors
+    (np.errstate), and a word stops being stepped at its own end.
     """
     x = np.asarray(x0, dtype=float)
     if isinstance(word, np.ndarray) and word.ndim == 2:
-        return _execute_words(system, x, word)
+        return _execute_words(system, x, word, lengths)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
@@ -94,24 +102,76 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     return states
 
 
-def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """execute for an (n, L) array of words, x0 already a float array."""
+# The label matrices of a word array's steps are gathered all at once when
+# they take at most this many floats (128 kB), else for one step and at most
+# STEP_BLOCK words at a time (100 kB at d=20), so that a stacked trace needs
+# little memory besides its states.
+GATHER_FLOATS = 1 << 14
+STEP_BLOCK = 32
+
+
+def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
+                   lengths: np.ndarray | None) -> np.ndarray:
+    """execute for an (n, L) array of words, x0 already a float array.
+
+    Words of mixed lengths are stepped longest first, so that the running
+    ones are a prefix, and their states put back in order at the end. The
+    walk's indexing of the transition table refuses an event past the last
+    one; only where a negative event could pass it (signed dtypes, and
+    64-bit unsigned ones, which numpy reads as signed when indexing) is the
+    whole array tested first."""
     (n, length), d, fa = words.shape, system.d, system.fa
     if x.shape != (d, n):
         raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
                                 "one column per word")
-    if words.size and (words.min() < 0 or words.max() >= len(fa.alphabet)):
-        check_word(fa, words.ravel().tolist())
-    matrices, delta = system._stacked
+    given = words
+
+    def refuse():  # InvalidEvent on the first bad event in row order
+        real = given.ravel() if lengths is None else given[np.arange(length) < lengths[:, None]]
+        check_word(fa, real.tolist())
+
+    if lengths is None:
+        order, running = None, [n] * (length + 1)
+    else:
+        counts = np.bincount(lengths, minlength=length + 1)  # ValueError below 0
+        if lengths.shape != (n,) or len(counts) > length + 1:
+            raise ValueError(f"expected {n} word lengths of at most {length}, "
+                             f"got {lengths.tolist()}")
+        order = np.argsort(-lengths, kind="stable")
+        # running[t]: the words of at least t events, which reach state t + 1
+        running = (n - np.cumsum(counts) + counts).tolist()
+        words = words[order]
+    matrices, gamma, delta = system._stacked
+    if (words.size and (words.dtype.kind != "u" or words.dtype.itemsize == 8)
+            and (words.min() < 0 or words.max() >= len(fa.alphabet))):
+        refuse()
     nodes = np.full((length + 1, n), fa.initial, dtype=np.intp)  # row t: after t events
-    for step, events in enumerate(words.T):
-        nodes[step + 1] = delta[nodes[step], events]
+    try:
+        for step, events in enumerate(words.T):
+            count = running[step + 1]
+            nodes[step + 1, :count] = delta[nodes[step, :count], events[:count]]
+    except IndexError:
+        refuse()
+        raise
+    labels = gamma[nodes]
+    gathered = matrices.take(labels, axis=0) if labels.size * d * d <= GATHER_FLOATS else None
     states = np.empty((length + 2, n, d))
     columns = states[..., None]  # (L + 2, n, d, 1)
-    states[0] = x.T
+    states[0] = x.T if order is None else x.T[order]
     with np.errstate(all="ignore"):
-        for step, node_matrices in enumerate(matrices[nodes]):
-            np.matmul(node_matrices, columns[step], out=columns[step + 1])
+        for step, count in enumerate(running):
+            if gathered is not None:
+                np.matmul(gathered[step, :count], columns[step, :count],
+                          out=columns[step + 1, :count])
+                continue
+            for begin in range(0, count, STEP_BLOCK):
+                end = min(count, begin + STEP_BLOCK)
+                np.matmul(matrices.take(labels[step, begin:end], axis=0),
+                          columns[step, begin:end], out=columns[step + 1, begin:end])
+    if order is not None:  # back into the words' order, a state row at a time
+        inverse = np.argsort(order)
+        for row in states:
+            row[:] = row.take(inverse, axis=0)
     return states.transpose(0, 2, 1)
 
 

@@ -12,8 +12,8 @@ from switchlearn import (AmbiguousLabel, DimensionMismatch, EventAlphabet, Fa, G
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
                          recover_transform, run)
-from switchlearn import output_query
-from switchlearn.output_query import PROBE_BATCH, rederive
+from switchlearn import oracle, output_query, switched_system
+from switchlearn.output_query import PROBE_BATCH, STACK_MIN, rederive
 
 from conftest import (DEMO2D_MATRICES, OSErrorObservationOracle, count_maximal,
                       make_contracting_system)
@@ -639,3 +639,117 @@ def test_cached_outputs_reads_the_prefixes_of_an_untraceable_word_off_another_tr
     assert list(registry.cache) == [(), (E1,), (E1, E1)]
     assert obs.stats.output_computations == 4
     assert obs.stats.io_queries == 1  # one trace of (E1, E1), one column
+
+
+class LoopingObservationOracle(WhiteBoxObservationOracle):
+    """A white-box oracle whose exec_query is its own: exec_queries makes its
+    queries one at a time, as for any oracle that overrides it. It records
+    the word of each one-column query."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.words = []
+
+    def exec_query(self, x0, word):
+        if np.size(x0) == self.dimension():
+            self.words.append(tuple(word))
+        return super().exec_query(x0, word)
+
+
+def first_reader_order(words):
+    """The maximal words among words, each in the place of the first word
+    it is the least maximal extension of: the one-column traces that
+    cached_outputs makes for words, in order, when none is cached."""
+    words = list(dict.fromkeys(words))
+    maximal = sorted(w for w in words
+                     if not any(len(v) > len(w) and v[:len(w)] == w for v in words))
+    covers = [next(m for m in maximal if m[:len(w)] == w) for w in words]
+    return list(dict.fromkeys(covers))
+
+
+def test_cached_outputs_traces_each_stack_in_one_stacked_call():
+    # three stacks of mostly maximal words: the white-box oracle traces the
+    # covers of each in one call of a word array, the looping oracle one
+    # word at a time, in the same order as a trace of one cover at a time;
+    # labels, health and counts agree
+    system = conditioned_system(12, 4, 4, 4, 7)
+    rng = np.random.default_rng(7)
+    words = [tuple(int(e) for e in rng.integers(0, 4, rng.integers(4, 10)))
+             for _ in range(3 * PROBE_BATCH)]
+    # prefixes, read off the traces of longer words, mixed into each stack
+    for at in range(10, 3 * PROBE_BATCH, 25):
+        words.insert(at, words[at + 1][:2])
+    outcomes = []
+    for make in (WhiteBoxObservationOracle, LoopingObservationOracle):
+        obs, registry, calls = make(system), LabelRegistry(), []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "execute",
+                          lambda *args: calls.append(args) or switched_system.execute(*args))
+            cached_outputs(obs, registry, words)
+        outcomes.append((obs, registry, calls))
+    (stacked, stacked_registry, stacked_calls), (looped, looped_registry, looped_calls) = outcomes
+    assert stacked_registry.cache == looped_registry.cache
+    assert len(stacked_registry.cache) == len(set(words))
+    assert (np.stack(stacked_registry.canonical).tobytes()
+            == np.stack(looped_registry.canonical).tobytes())
+    assert stacked_registry.margin_min == looped_registry.margin_min
+    assert stacked_registry.fallbacks == looped_registry.fallbacks
+    assert stacked.stats.as_dict() == looped.stats.as_dict()
+    # one word array per stack, whose rows are the words the looping oracle
+    # traced on one column, in order; every other call is a recovery on d
+    arrays = [args for args in stacked_calls if np.ndim(args[2]) == 2]
+    assert len(arrays) == 3 and all(len(args[2]) >= STACK_MIN for args in arrays)
+    traced = [tuple(row[:n]) for _, _, array, lengths in arrays
+              for row, n in zip(array.tolist(), lengths.tolist())]
+    assert traced == looped.words == first_reader_order(words)
+    assert all(np.shape(args[1]) == (4, 4) for args in stacked_calls if np.ndim(args[2]) == 1)
+    assert len(looped_calls) == len(looped.words) + len(stacked_calls) - 3
+
+
+class RefusingLoopingOracle(OSErrorObservationOracle):
+    """OSErrorObservationOracle (traces of words holding event 1 fail) that
+    records the word of each query, refused ones included, and the number
+    of words of each exec_queries call."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.words, self.calls = [], []
+
+    def exec_query(self, x0, word):
+        self.words.append(tuple(word))
+        return super().exec_query(x0, word)
+
+    def exec_queries(self, x0s, words):
+        self.calls.append(len(words))
+        return super().exec_queries(x0s, words)
+
+
+def test_a_wide_stack_re_routes_refused_traces_as_a_narrow_one_does(monkeypatch):
+    # every cover w·1 is refused: its first reader w is read off a trace of
+    # w alone, in a new call with the covers after it, until a cover that
+    # is its own first reader is refused and raised; traced one cover at a
+    # time (STACK_MIN out of reach), the queries, labels and counts are
+    # the same
+    system = conditioned_system(12, 3, 3, 3, 5)
+    rng = np.random.default_rng(5)
+    words = [tuple(int(e) for e in 2 * rng.integers(0, 2, rng.integers(6, 11)))
+             for _ in range(150)]
+    words += [w + (1,) for w in words[:60:6]]  # refused covers, after their readers
+    outcomes, calls = [], []
+    for stack_min in (STACK_MIN, 10**9):
+        monkeypatch.setattr(output_query, "STACK_MIN", stack_min)
+        obs, registry = RefusingLoopingOracle(system), LabelRegistry()
+        with pytest.raises(OSError, match="trace lost"):
+            cached_outputs(obs, registry, words)
+        outcomes.append((obs.words, registry.cache, obs.stats.as_dict()))
+        calls.append(obs.calls)
+    assert outcomes[0] == outcomes[1]
+    # the wide stack's covers went in one call, and those left in one more
+    # after each refusal; traced one at a time, no call was made
+    wide, narrow = calls
+    assert len(wide) > 2 and min(wide) >= STACK_MIN and narrow == []
+    queried, cache, _ = outcomes[0]
+    *rerouted, raised = [w for w in queried if 1 in w]
+    assert rerouted and raised == words[150]
+    assert all(w[:-1] in cache for w in rerouted)
+    assert list(cache) == list(dict.fromkeys(words[:150]))

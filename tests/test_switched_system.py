@@ -180,6 +180,70 @@ def test_execute_of_a_word_array_equals_single_word_calls(seed, d, num_events, n
         assert np.array_equal(np.stack(single), states[:, :, i:i + 1])
 
 
+@st.composite
+def mixed_words(draw, num_events):
+    """Words over num_events events of lengths 0 to 8, with duplicates and
+    prefixes of drawn words (the empty word among them) appended."""
+    words = draw(st.lists(st.lists(st.integers(0, num_events - 1), max_size=8).map(tuple),
+                          max_size=8))
+    for source, cut in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 8)),
+                                     max_size=4)):
+        if words:
+            words.append(words[source % len(words)][:cut])
+    return words
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 20]) | st.integers(1, 20),
+       num_events=st.integers(1, 3), data=st.data(),
+       dtype=st.sampled_from([np.uint8, np.uint64, np.int64]))
+def test_execute_of_mixed_length_words_equals_single_word_calls(seed, d, num_events, data,
+                                                                dtype):
+    # word i is row i up to lengths[i]: its states up to its own end equal
+    # those of a single-word call on its column bit for bit, and the entries
+    # after it, here an event out of range, are never read
+    system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
+                                     dim=d, seed=seed))
+    words = data.draw(mixed_words(num_events))
+    lengths = np.array([len(w) for w in words], dtype=np.intp)
+    width = max(lengths, default=0) + data.draw(st.integers(0, 2))
+    array = np.full((len(words), width), num_events + 1, dtype=dtype)
+    for row, word in zip(array, words):
+        row[:len(word)] = word
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1, 1, (d, len(words)))
+    states = execute(system, x0, array, lengths)
+    assert states.shape == (width + 2, d, len(words))
+    for i, word in enumerate(words):
+        single = np.stack(execute(system, x0[:, i:i + 1], word))
+        column = np.ascontiguousarray(states[:len(word) + 2, :, i:i + 1])
+        assert single.tobytes() == column.tobytes()
+    # errors as the one-length form raises them: columns, then the first
+    # out-of-range event in row order, as a single word of all the events
+    with pytest.raises(DimensionMismatch,
+                       match=rf"expected \({d}, {len(words)}\): one column per word"):
+        execute(system, np.zeros((d, len(words) + 1)), array, lengths)
+    bad = data.draw(st.sampled_from([num_events, num_events + 7] + [-1] * (dtype is np.int64)))
+    if words and lengths.any():
+        row = data.draw(st.sampled_from(np.flatnonzero(lengths).tolist()))
+        array[row, data.draw(st.integers(0, lengths[row] - 1))] = bad
+        events = [e for r, n in zip(array.tolist(), lengths.tolist()) for e in r[:n]]
+        with pytest.raises(InvalidEvent) as refused:
+            execute(system, x0, array, lengths)
+        with pytest.raises(InvalidEvent) as single:
+            execute(system, np.zeros(d), tuple(events))
+        assert str(refused.value) == str(single.value)
+
+
+def test_execute_of_mixed_length_words_checks_the_lengths(demo2d_system):
+    words = np.array([[E1, E2], [E2, E1]])
+    for lengths in ([3, 1], [-1, 2], [2]):
+        with pytest.raises(ValueError):
+            execute(demo2d_system, np.zeros((2, 2)), words, np.array(lengths))
+    states = execute(demo2d_system, np.ones((2, 2)), words, np.array([0, 2]))
+    assert np.array_equal(states[:2, :, 0], np.stack(execute(demo2d_system, np.ones(2), ())))
+
+
 def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
     words = np.array([[E1, E2], [E2, E1], [E1, E1]])
     for shape in ((2, 4), (2,), (3, 3), (2, 6)):
