@@ -124,12 +124,6 @@ def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
     if x.shape != (d, n):
         raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
                                 "one column per word")
-    given = words
-
-    def refuse():  # InvalidEvent on the first bad event in row order
-        real = given.ravel() if lengths is None else given[np.arange(length) < lengths[:, None]]
-        check_word(fa, real.tolist())
-
     if lengths is None:
         order, running = None, [n] * (length + 1)
     else:
@@ -140,18 +134,20 @@ def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
         order = np.argsort(-lengths, kind="stable")
         # running[t]: the words of at least t events, which reach state t + 1
         running = (n - np.cumsum(counts) + counts).tolist()
-        words = words[order]
     matrices, gamma, delta = system._stacked
     if (words.size and (words.dtype.kind != "u" or words.dtype.itemsize == 8)
             and (words.min() < 0 or words.max() >= len(fa.alphabet))):
-        refuse()
+        _refuse(fa, words, lengths)
     nodes = np.full((length + 1, n), fa.initial, dtype=np.intp)  # row t: after t events
     try:
-        for step, events in enumerate(words.T):
-            count = running[step + 1]
-            nodes[step + 1, :count] = delta[nodes[step, :count], events[:count]]
+        for step, events in enumerate((words if order is None else words[order]).T):
+            if order is None:  # one length: whole rows, with no slicing
+                nodes[step + 1] = delta[nodes[step], events]
+            else:
+                count = running[step + 1]
+                nodes[step + 1, :count] = delta[nodes[step, :count], events[:count]]
     except IndexError:
-        refuse()
+        _refuse(fa, words, lengths)
         raise
     labels = gamma[nodes]
     gathered = matrices.take(labels, axis=0) if labels.size * d * d <= GATHER_FLOATS else None
@@ -160,19 +156,29 @@ def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
     states[0] = x.T if order is None else x.T[order]
     with np.errstate(all="ignore"):
         for step, count in enumerate(running):
-            if gathered is not None:
+            if gathered is None:
+                for begin in range(0, count, STEP_BLOCK):
+                    end = min(count, begin + STEP_BLOCK)
+                    np.matmul(matrices.take(labels[step, begin:end], axis=0),
+                              columns[step, begin:end], out=columns[step + 1, begin:end])
+            elif order is None:
+                np.matmul(gathered[step], columns[step], out=columns[step + 1])
+            else:
                 np.matmul(gathered[step, :count], columns[step, :count],
                           out=columns[step + 1, :count])
-                continue
-            for begin in range(0, count, STEP_BLOCK):
-                end = min(count, begin + STEP_BLOCK)
-                np.matmul(matrices.take(labels[step, begin:end], axis=0),
-                          columns[step, begin:end], out=columns[step + 1, begin:end])
     if order is not None:  # back into the words' order, a state row at a time
         inverse = np.argsort(order)
         for row in states:
             row[:] = row.take(inverse, axis=0)
     return states.transpose(0, 2, 1)
+
+
+def _refuse(fa: Fa, words: np.ndarray, lengths: np.ndarray | None) -> None:
+    """InvalidEvent on the first out-of-range event of the word array words
+    in row order, row i read up to lengths[i] when lengths is given."""
+    if lengths is not None:
+        words = words[np.arange(words.shape[1]) < lengths[:, None]]
+    check_word(fa, words.ravel().tolist())
 
 
 def validate(system: SwitchedSystem) -> list[Violation]:
