@@ -6,19 +6,18 @@ words. A word's row is the tuple of output labels of the word followed by
 each test word; two words are told apart exactly when their rows differ.
 The table is also the learn's one membership path: every output label the
 learner uses is read through it (see output_query.cached_outputs), within
-the learn's output budget. It stores the row of every access word and every
-one-event extension it has read, and extends a row by one cell per test
-word added since, so each cell is read into the table once per learn. Its
-index maps each access row to the first access word having it, rebuilt from
-the stored rows when a test word is added; the representatives found in
-it are kept until it is dropped. The loop closes the access set under
-one-event extensions (an extension whose row is not in the index becomes a
-new access word), builds a hypothesis whose transitions are the
-representatives that closure found, asks the equivalence oracle, and on a
-counterexample locates (by binary search over output labels along the
-hypothesis run) one new access word and one new test word. Access words
-only ever grow, and their number is bounded by the hidden node count, so
-the loop terminates with a language-equivalent system.
+the learn's output budget. Its one read path, ObservationStore.rows,
+fetches the cells that a list of words lacks in one call, in the order
+they are read, and extends each word's stored row from the output cache,
+so each cell is read into the table once per learn. The loop closes the
+access set under one-event extensions in waves, one rows call each (an
+extension whose row no access word has becomes a new access word), builds
+a hypothesis whose transitions are the representatives that closure left
+on the table, asks the equivalence oracle, and on a counterexample
+locates (by binary search over output labels along the hypothesis run)
+one new access word and one new test word. Access words only ever grow,
+and their number is bounded by the hidden node count, so the loop
+terminates with a language-equivalent system.
 """
 
 import math
@@ -38,9 +37,13 @@ class ObservationStore:
     words (the empty word leads both), the row of every word read so far,
     and the outputs behind them.
 
-    Both word lists are public and append-only. A stored row is extended by
-    the cells it lacks when it is next read, so appending to either list
-    needs no further step, and each (word, test word) cell is read once.
+    Both word lists are public and append-only. Rows are read through rows,
+    which extends a stored row by the cells it lacks, so appending to either
+    list needs no further step, and each (word, test word) cell is read once.
+    transitions is what close_store leaves for build_hypothesis: the key
+    (access count, test count, registry.relabels) of the table it closed,
+    and the representative of each one-event extension of each access word
+    in order (None, None before a closure).
 
     Labels are read from obs through label (one word) and fetch (many), into
     one LabelRegistry at label_tol (positive and finite, ValueError
@@ -50,7 +53,7 @@ class ObservationStore:
     store's creation on (spent): label refuses an uncached word once they
     are spent, before computing it. rederive re-derives words on d columns
     outside the budget. When a re-derivation changes a cached label, the
-    stored rows and the index are rebuilt from the cache.
+    stored rows are read again from the cache.
     """
 
     def __init__(self, obs: ObservationOracle, *, label_tol: float = LABEL_TOL,
@@ -59,16 +62,11 @@ class ObservationStore:
         self.test_words: list[Word] = [EPSILON]
         self.registry = LabelRegistry(tol=label_tol)
         self.max_outputs = max_outputs
+        self.transitions: tuple = (None, None)
         self._obs = obs
         self._outputs0 = obs.stats.output_computations
         self._relabels = 0  # registry.relabels when the rows were last rebuilt
         self._rows: dict[Word, tuple[int, ...]] = {}
-        # the first access index of each row of the leading _indexed access
-        # words, under the first _width test words, and the representatives
-        # found in it, by word; both are dropped together
-        self._index: dict[tuple[int, ...], int] = {}
-        self._representatives: dict[Word, int] = {}
-        self._indexed = self._width = 0
 
     @property
     def spent(self) -> int:
@@ -107,86 +105,45 @@ class ObservationStore:
             self._refresh()
 
     def _refresh(self) -> None:
-        """Drop the stored rows and the index, to be read again from the
-        cache, when a re-derivation changed a cached label since. label,
-        fetch and rederive call it also when they raise, since a rescreen
-        may have changed a label before the error."""
+        """Drop the stored rows, to be read again from the cache, when a
+        re-derivation changed a cached label since. label, fetch and
+        rederive call it also when they raise, since a rescreen may have
+        changed a label before the error."""
         if self.registry.relabels != self._relabels:
             self._rows.clear()
-            self._drop_index()
             self._relabels = self.registry.relabels
 
-    def _drop_index(self) -> None:
-        """Drop the index and the representatives found in it."""
-        self._index, self._indexed, self._representatives = {}, 0, {}
-
-    def drop_shared_rows(self) -> None:
-        """Keep only the first access word of each row. Access rows become
-        equal only when a re-derivation changes a cached label."""
-        index = self.index()
-        if len(index) < len(self.access_words):
-            self.access_words[:] = [self.access_words[i] for i in sorted(index.values())]
-            self._drop_index()
-
-    def missing_cells(self, words):
-        """The list of cells the rows of words lack, word by word, each as
-        the word followed by the test word."""
-        rows, tests = self._rows, self.test_words
-        return [w + t for w in words for t in tests[len(rows.get(w, ())):]]
+    def rows(self, words: list[Word]) -> list[tuple[int, ...]]:
+        """The rows of words, in order, each stored. The cells they lack are
+        fetched together, in the order they are read, and each row is then
+        extended from the output cache. A cell the budget left uncomputed
+        goes through label, which refuses it with BudgetExceeded; the rows
+        of the words before it are stored by then."""
+        stored, tests, cache = self._rows, self.test_words, self.registry.cache
+        self.fetch([w + t for w in words for t in tests[len(stored.get(w, ())):]])
+        rows = []
+        for w in words:
+            cells = stored.get(w, ())
+            if len(cells) < len(tests):
+                try:
+                    cells += tuple([cache[w + t] for t in tests[len(cells):]])
+                except KeyError as missing:  # past the budget: label refuses it
+                    self.label(missing.args[0])
+                    raise
+                stored[w] = cells
+            rows.append(cells)
+        return rows
 
     def row(self, word: Word) -> tuple[int, ...]:
-        """word's row: its stored cells, extended by the cells it lacks. A
-        cached cell is read straight from the output cache; only a missing
-        one goes through label, which may refuse it or change cached labels."""
-        cells, tests = self._rows.get(word, ()), self.test_words
-        if len(cells) < len(tests):
-            relabels = self._relabels
-            cells += self._cells(word, tests[len(cells):])
-            if self._relabels != relabels:  # a cached label changed meanwhile
-                cells = self._cells(word, tests)
-            self._rows[word] = cells
-        return cells
-
-    def _cells(self, word: Word, tests: list[Word]) -> tuple[int, ...]:
-        get, cells = self.registry.cache.get, []
-        for t in tests:
-            cell = get(word + t)
-            cells.append(self.label(word + t) if cell is None else cell)
-        return tuple(cells)
+        """word's row (see rows)."""
+        return self.rows([word])[0]
 
     def index(self) -> dict[tuple[int, ...], int]:
-        """Map from each access word's row to the first access word having
-        it: extended by the access words added since the last call, and
-        rebuilt from the stored rows when a test word was added."""
-        if self._width != len(self.test_words):
-            self._drop_index()
-            self._width = len(self.test_words)
-        while self._indexed < len(self.access_words):
-            word, relabels = self.access_words[self._indexed], self._relabels
-            row = self.row(word)
-            if self._relabels == relabels:  # else the index was dropped meanwhile
-                self._representatives[word] = self._index.setdefault(row, self._indexed)
-                self._indexed += 1
-        return self._index
-
-    def representative(self, word: Word) -> int | None:
-        """Index of the first access word whose row equals word's row, or
-        None; one found is kept in representatives()."""
-        index, found = self.index(), self._representatives
-        target = index.get(self.row(word))
-        # found is that index's own dict: when reading the row dropped the
-        # index, the target is dropped with it
-        if target is not None:
-            found[word] = target
-        return target
-
-    def representatives(self) -> dict[Word, int]:
-        """The representatives found since the index was last dropped, by
-        word: each indexed access word's, and each that representative
-        looked up. They hold while the index does: access words are only
-        appended, which adds rows to the index but never remaps one."""
-        self.index()
-        return self._representatives
+        """Map from each access word's row to the first access word having it."""
+        index: dict[tuple[int, ...], int] = {}
+        for i, row in enumerate(self.rows(self.access_words)):
+            index.setdefault(row, i)
+        return index
 
 
 @dataclass
@@ -210,51 +167,50 @@ class LearnResult:
                 "label_margin_min": self.label_margin_min}
 
 
-# the representative lookup as a function of (store, word): the name
-# close_store calls, which perfbench/tracing.py wraps
-find_representative = ObservationStore.representative
+def find_representative(store: ObservationStore, word: Word) -> int | None:
+    """Index of the first access word whose row equals word's row, or None."""
+    return store.index().get(store.row(word))
 
 
 def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
     """Add one-event extensions to the access words until every extension
-    has a representative. Each added extension has a row unlike every access
-    word when it is added. The test words stay fixed, so an addition never
-    takes a representative away from an earlier extension, and one pass over
-    the growing access list suffices unless a cached label changes: a
-    re-derivation (see ObservationStore) can show two access rows equal
-    after the fact. So each pass first keeps only the first access word of
-    each row, and a pass that changed a label is made again; the table is
-    left closed and separable.
+    has a representative, an access word with its row.
 
-    Each lookup keeps the representative it finds in the store (see
-    ObservationStore.representatives), so the last pass leaves every
-    extension's transition for build_hypothesis.
+    A pass indexes the access rows, keeping the first access word of each
+    (access rows become equal only when a re-derivation changes a cached
+    label). It then reads the extension rows in waves of one rows call: the
+    extensions of every access word, then those of the access words the
+    last wave added. An extension whose row is not in the index becomes an
+    access word. The test words stay fixed, so an addition never takes a
+    representative away from an earlier extension, and one pass suffices
+    unless a cached label changes: once one has changed, the index is
+    rebuilt after each wave, and the pass is made again. The table is left
+    closed and separable, the last pass's representatives in
+    store.transitions.
 
-    The cells the table lacks that a pass will certainly read are fetched
-    together, in the order it reads them: those of the access rows, then, on
-    reaching the first access word not yet covered, those of the extensions
-    of it and every later access word. Access words are only appended within
-    a pass, so it computes the same words in the same order as reading each
-    cell on its own when first needed, and labels and counts are the same.
+    A wave fetches its missing cells in read order, and access words are
+    only appended within a pass, so a pass computes the same words in the
+    same order as reading each cell on its own when first needed.
     """
-    events = range(len(alphabet))
+    events, words = range(len(alphabet)), store.access_words
     while True:
         relabels = store.registry.relabels
-        store.fetch(store.missing_cells(store.access_words))
-        # store the access rows, so that the extension fetch below does not
-        # hand over again the cells of access words that are extensions too
-        store.drop_shared_rows()
-        fetched = 0  # access words whose extension cells were fetched
-        for i, word in enumerate(store.access_words):  # also visits words appended below
-            if i == fetched:
-                fetched = len(store.access_words)
-                store.fetch(store.missing_cells([w + (e,) for w in store.access_words[i:]
-                                                 for e in events]))
-            for e in events:
-                extension = word + (e,)
-                if find_representative(store, extension) is None:
-                    store.access_words.append(extension)
+        index = store.index()
+        if len(index) < len(words):
+            words[:] = [words[i] for i in index.values()]
+            index = store.index()
+        targets, start = [], 0
+        while start < len(words):
+            wave, start = [w + (e,) for w in words[start:] for e in events], len(words)
+            rows = store.rows(wave)
+            if store.registry.relabels != relabels:
+                index = store.index()
+            for extension, row in zip(wave, rows):
+                targets.append(index.setdefault(row, len(words)))
+                if targets[-1] == len(words):
+                    words.append(extension)
         if store.registry.relabels == relabels:
+            store.transitions = ((len(words), len(store.test_words), relabels), targets)
             return
 
 
@@ -262,24 +218,26 @@ def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> Switch
     """Hypothesis system over the current words: one node per access word
     (empty word initial), transitions to the representative of each
     one-event extension, node labels taken from the word's own output, the
-    first cell of its row. After close_store every representative is one
-    its last pass found, and no row is read; a representative dropped since
-    with the index (a test word added, a relabel, drop_shared_rows), or
-    never looked up, is looked up by the extension's row, and NotClosed is
-    raised when there is none."""
-    found, events, delta = store.representatives(), range(len(alphabet)), []
-    for word in store.access_words:
-        targets = tuple([found.get(word + (e,)) for e in events])
-        if None in targets:  # not found since the index was dropped: read the rows
-            targets = tuple(store.representative(word + (e,)) for e in events)
+    first cell of its row. When the table is the one close_store last
+    closed, its transitions are taken as they are and no row is read;
+    otherwise the access and extension rows are read together, and
+    NotClosed is raised when an extension has no representative."""
+    words, events = store.access_words, len(alphabet)
+    key, targets = store.transitions
+    if key != (len(words), len(store.test_words), store.registry.relabels):
+        # every row read by one fetch, so that the index fetches none and no
+        # relabel falls between the access rows and the rest
+        rows = store.rows(words + [w + (e,) for w in words for e in range(events)])
+        index = store.index()
+        targets = [index.get(row) for row in rows[len(words):]]
         if None in targets:
-            raise NotClosed(f"extension of {word!r} by event {targets.index(None)} has "
+            word, e = divmod(targets.index(None), events)
+            raise NotClosed(f"extension of {words[word]!r} by event {e} has "
                             "no representative; close the store first")
-        delta.append(targets)
-    cache = store.registry.cache  # holds the label of every access word the index has read
-    gamma = tuple(cache[word] for word in store.access_words)
-    fa = Fa(num_nodes=len(store.access_words), initial=0, alphabet=alphabet,
-            delta=tuple(delta), gamma=gamma)
+    delta = tuple(tuple(targets[i:i + events]) for i in range(0, len(targets), events))
+    cache = store.registry.cache  # holds the label of every access word read
+    gamma = tuple(cache[word] for word in words)
+    fa = Fa(num_nodes=len(words), initial=0, alphabet=alphabet, delta=delta, gamma=gamma)
     canonical = store.registry.canonical
     return SwitchedSystem(fa=fa, matrices=tuple(canonical), d=canonical[0].shape[0])
 

@@ -276,6 +276,20 @@ def test_row_reads_cached_cells_from_the_cache(demo2d_system, monkeypatch):
         store.row((E2,))
     assert labelled == [(E2, E2)] and lookups == [] and store.spent == spent
     assert (E2,) not in store._rows
+    # rows reads its words in order: at a budget that covers only the first
+    # word's missing cells, that word's row is stored, and only the second
+    # word's first missing cell in test-word order reaches label
+    store = stocked_store(WhiteBoxObservationOracle(demo2d_system), test_words=tests[1:],
+                          max_outputs=6)
+    store.fetch([(E2,), (E2, E1)])
+    labelled = []
+    monkeypatch.setattr(store, "label", lambda word: labelled.append(word) or
+                        ObservationStore.label(store, word))
+    with pytest.raises(BudgetExceeded):
+        store.rows([(E1,), (E2,)])
+    assert store._rows[(E1,)] == tuple(store.registry.cache[(E1,) + t] for t in tests)
+    assert labelled == [(E2, E2)] and lookups == [] and store.spent == 6
+    assert (E2,) not in store._rows
 
 
 def test_build_three_node_hypothesis(demo2d_system):

@@ -167,8 +167,8 @@ def test_prefetches_hand_over_each_table_cell_once():
 
 @contextmanager
 def rows_read():
-    """Within the block, the number of calls to ObservationStore.row and
-    ObservationStore._cells, by name."""
+    """Within the block, the number of calls to ObservationStore.rows and
+    ObservationStore.row, by name."""
     counts = Counter()
 
     def counted(name):
@@ -179,8 +179,8 @@ def rows_read():
             return method(self, *args)
         return counting
 
-    with mock.patch.object(ObservationStore, "row", counted("row")), \
-            mock.patch.object(ObservationStore, "_cells", counted("_cells")):
+    with mock.patch.object(ObservationStore, "rows", counted("rows")), \
+            mock.patch.object(ObservationStore, "row", counted("row")):
         yield counts
 
 
@@ -218,8 +218,8 @@ def test_hypothesis_of_a_closed_store_reads_no_row():
 def changed_store(change):
     """The demo model's store after its first closure and hypothesis, then
     changed: the counterexample's test word or access word appended, or a
-    label cached wrongly before the closure re-derived (a relabel) and the
-    shared rows dropped; and that first hypothesis, saved."""
+    label cached wrongly before the closure re-derived (a relabel); and that
+    first hypothesis, saved."""
     hidden = make_demo2d_system()
     alphabet = hidden.fa.alphabet
     store = ObservationStore(WhiteBoxObservationOracle(hidden))
@@ -239,15 +239,14 @@ def changed_store(change):
     else:
         store.rederive([(0,)])
         assert store.registry.relabels == 1
-        store.drop_shared_rows()
     return store, alphabet, save_json(before)
 
 
 @pytest.mark.parametrize("change", ["test word", "access word", "relabel"])
 def test_hypothesis_after_a_change_is_read_from_the_rows(change):
-    # a test word or a relabel drops the transitions close_store found, with
-    # the index; an access word adds rows to the index and remaps none. The
-    # hypothesis is the reference's, or both refuse it
+    # a test word, an access word or a relabel changes the table that
+    # close_store closed, so its transitions are not taken. The hypothesis
+    # is the reference's, or both refuse it
     store, alphabet, before = changed_store(change)
     hypothesis = hypothesis_or_refusal(learner.build_hypothesis, store, alphabet)
     assert hypothesis == hypothesis_or_refusal(reference_build_hypothesis, store, alphabet)
