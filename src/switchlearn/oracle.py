@@ -8,9 +8,10 @@ verdict is only as strong as the search depth). It recovers no output: it
 checks the hypothesis's own label of each word on one trace column, as
 Freivalds's randomized check of a matrix product does (Freivalds, 1977),
 so every counterexample it returns is proven, at one trace column per
-word. The white-box oracle traces a run of words in one stacked call
-(exec_queries): the bounded check's runs of one length, and the learner's
-wide stacks of words of mixed lengths.
+word. The white-box oracle traces a run of words in one stacked call: the
+learner's wide stacks of words of mixed lengths (exec_queries), and the
+bounded check's runs of one length (exec_runs), for which it walks the
+hidden automaton once per length.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from .errors import AlphabetMismatch, DimensionMismatch, SingularBasis
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import PROBE_SEED, compute_output  # noqa: F401
-from .switched_system import SwitchedSystem, execute
+from .switched_system import SwitchedSystem, execute, walk
 
 # Words of one length traced and compared per run by the bounded oracle: when
 # a word cannot be checked, the later words of its run may have been traced
@@ -83,6 +84,19 @@ class ObservationOracle:
             traces.append([*trace] + [trace[-1]] * (length - len(word)))  # padded to L + 2
         return np.array(traces).reshape(len(traces), length + 2, x0s.shape[1]), error
 
+    def exec_runs(self, x0s: np.ndarray, words: np.ndarray, size: int):
+        """Trace queries of the n words of the (n, L) integer array words
+        from the rows of the (n, d) array x0s, as exec_queries makes them,
+        in runs of size words: a generator of each run's (states, error),
+        as exec_queries returns them, lazily, so a caller that stops
+        reading makes no more queries. This default makes one exec_queries
+        call per run and stops after the first run with an error."""
+        for begin in range(0, len(words), size):
+            states, error = self.exec_queries(x0s[begin:begin + size], words[begin:begin + size])
+            yield states, error
+            if error is not None:
+                return
+
 
 class EquivalenceOracle:
     """Compares a hypothesis against the hidden system's behaviour."""
@@ -106,14 +120,22 @@ class WhiteBoxObservationOracle(ObservationOracle):
     def alphabet(self) -> EventAlphabet:
         return self._hidden.fa.alphabet
 
-    def exec_query(self, x0: np.ndarray, word: Word,
-                   lengths: np.ndarray | None = None) -> list[np.ndarray]:
-        """execute(hidden, x0, word, lengths), word also an (n, L) array of
-        words (see execute); one io query is charged per column of x0
-        before execute checks x0 and word, so a refused query still counts."""
+    def exec_query(self, x0: np.ndarray, word: Word, lengths: np.ndarray | None = None,
+                   labels: np.ndarray | None = None) -> list[np.ndarray]:
+        """execute(hidden, x0, word, lengths, labels), word also an (n, L)
+        array of words (see execute); one io query is charged per column
+        of x0 before execute checks x0 and word, so a refused query still
+        counts."""
         shape = x0.shape if isinstance(x0, np.ndarray) else np.shape(x0)
         self.stats.io_queries += shape[1] if len(shape) == 2 else 1
-        return execute(self._hidden, x0, word, lengths)
+        return execute(self._hidden, x0, word, lengths, labels)
+
+    def _stacks(self, d: int) -> bool:
+        """True when starts of dimension d are the hidden one's and
+        exec_query is this class's own: one overridden on a subclass or an
+        instance must see every query, one word at a time."""
+        own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
+        return own and d == self._hidden.d
 
     def exec_queries(self, x0s: np.ndarray, words) -> tuple[np.ndarray, Exception | None]:
         """One exec_query of all n words from the (d, n) matrix of their
@@ -122,15 +144,32 @@ class WhiteBoxObservationOracle(ObservationOracle):
         subclass or an instance, which must then see every query, the
         default's loop. A list of words is stacked into a zero-padded array
         with their lengths. The events are tested here, once: for an array
-        of an unsigned type of up to 32 bits, as a stacked list's and the
-        bounded check's are, execute's walk makes no second test."""
-        (n, d), hidden = x0s.shape, self._hidden
-        own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
-        if n >= 2 and d == hidden.d and own:
-            stacked = _word_array(words, len(hidden.fa.alphabet))
+        of an unsigned type of up to 32 bits, as a stacked list's is,
+        execute's walk makes no second test."""
+        n, d = x0s.shape
+        if n >= 2 and self._stacks(d):
+            stacked = _word_array(words, len(self._hidden.fa.alphabet))
             if stacked is not None:
                 return self.exec_query(x0s.T, *stacked).transpose(2, 0, 1), None
         return super().exec_queries(x0s, words)
+
+    def exec_runs(self, x0s: np.ndarray, words: np.ndarray, size: int):
+        """The default's runs, states (bit for bit) and io. When no query
+        can raise (as for exec_queries), the events are tested and the
+        hidden automaton walked once for the whole array (walk), and each
+        run of k words is one exec_query of its (d, k) starts, charged k
+        io, stepped from its columns of the walk's label rows; else the
+        default makes the runs."""
+        if not (self._stacks(x0s.shape[1])
+                and _word_array(words, len(self._hidden.fa.alphabet)) is not None):
+            yield from super().exec_runs(x0s, words, size)
+            return
+        labels = walk(self._hidden, words)
+        for begin in range(0, len(words), size):
+            end = begin + size
+            states = self.exec_query(x0s[begin:end].T, words[begin:end], None,
+                                     labels[:, begin:end])
+            yield states.transpose(2, 0, 1), None
 
 
 def _word_array(words, events: int) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -192,14 +231,15 @@ def _inverses(matrices: np.ndarray) -> np.ndarray:
     return inverses
 
 
-def _words(length: int, events: int) -> np.ndarray:
-    """The events^length words of length in lex order, one row each, in the
-    least unsigned integer type that holds an event."""
-    rest = np.arange(events ** length)
-    digits = np.zeros((len(rest), length), dtype=np.min_scalar_type(events - 1))
-    for k in reversed(range(length)):
-        rest, digits[:, k] = np.divmod(rest, events)
-    return digits
+def _words(shorter: np.ndarray, events: int) -> np.ndarray:
+    """The words one event longer than the rows of shorter, all the words
+    of their length in lex order, over events events: each row of shorter
+    repeated events times, then the events tiled as the last column, in
+    shorter's type."""
+    words = np.empty((len(shorter) * events, shorter.shape[1] + 1), dtype=shorter.dtype)
+    words[:, :-1] = shorter.repeat(events, axis=0)
+    words[:, -1] = np.tile(np.arange(events, dtype=shorter.dtype), len(shorter))
+    return words
 
 
 class BoundedTestingEquivalenceOracle(EquivalenceOracle):
@@ -234,25 +274,29 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
 
     Cost: one trace column per word, (|events|^(l_max+1) - 1) / (|events| -
     1) in all for a full search (l_max + 1 over one event). Words are
-    traced and compared in runs of CHECK_BATCH of one length, each run in
-    one obs.exec_queries call, one output computation counted per compared
-    word, through the counterexample. When a word cannot be checked, the
-    words before it are compared first; then it is counted and its error
+    traced and compared in runs of CHECK_BATCH of one length, each length
+    read through one obs.exec_runs stream of its runs, which traces a run
+    only when the check reads it, one output computation counted per
+    compared word, through the counterexample. When a word cannot be
+    checked, the words before it are compared first; then it is counted
+    and its error
     (SingularBasis when its pair of states is not finite, or whatever its
     trace query raised) raised. Only up to CHECK_BATCH - 1 later words of
     the last run may have been traced without being compared or counted,
     so a check's io exceeds its output computations by at most that.
     Besides its trace queries, a check works per length and per run, not
-    per word: a length's words and starts are formed at once, and a run's
-    pairs are tested for finiteness once and compared in one stacked
-    product. The check ignores floating-point errors (np.errstate), its
-    trace queries included, so a state that overflows is not warned about
-    but raised as SingularBasis.
+    per word: a length's words (from the previous length's) and starts
+    are formed at once, and a run's pairs are compared in one stacked
+    product and tested for finiteness only when a word does not pass,
+    since a passing word's states are finite. The check ignores
+    floating-point errors (np.errstate), its trace queries included, so a
+    state that overflows is not warned about but raised as SingularBasis.
 
     Memory: for the words of the current length, their hypothesis nodes,
     events, random columns and starts, and the d x d inverse prefix product
-    that each |events| of them share; and the (CHECK_BATCH, l_max + 2, d)
-    states of one run at most.
+    that each |events| of them share; the white-box oracle's label rows of
+    their walk through the hidden automaton, (length + 1) small ints per
+    word; and the (CHECK_BATCH, l_max + 2, d) states of one run at most.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
@@ -277,41 +321,49 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
         events, claims = len(fa.alphabet), np.stack(hypothesis.matrices)
         gamma, delta, inverses = np.array(fa.gamma), np.array(fa.delta), _inverses(claims)
         rng = np.random.default_rng(PROBE_SEED)
-        # hypothesis nodes of the words of the current length, in lex order;
-        # Ĥ⁻¹ of the word at position i is prefix[i // events], since Ĥ does
-        # not depend on a word's last event
+        # the words of the current length in lex order and their hypothesis
+        # nodes; Ĥ⁻¹ of the word at position i is prefix[i // events], since
+        # Ĥ does not depend on a word's last event
+        words = np.zeros((1, 0), dtype=np.min_scalar_type(events - 1))
         nodes, prefix = np.array([fa.initial]), identity(d)[None]
         with np.errstate(all="ignore"):  # a non-finite state is raised as SingularBasis
             for length in range(l_max + 1):
                 if length:
                     prefix = prefix[np.arange(len(nodes)) // events] @ inverses[gamma[nodes]]
                     nodes = delta[nodes].reshape(-1)
-                words, labels, size = _words(length, events), gamma[nodes], len(nodes)
+                    words = _words(words, events)
+                labels, size = gamma[nodes], len(nodes)
                 r = rng.standard_normal((size, d))
                 # each prefix times the r of its |events| words, without repeating it
                 starts = np.matmul(prefix[:, None], r.reshape(len(prefix), -1, d, 1))
                 starts = starts.reshape(size, d)
                 bad = ~np.isfinite(starts).all(axis=1)
                 starts[bad] = r[bad]
-                for begin in range(0, size, CHECK_BATCH):
-                    states, error = obs.exec_queries(starts[begin:begin + CHECK_BATCH],
-                                                     words[begin:begin + CHECK_BATCH])
+                runs = obs.exec_runs(starts, words, CHECK_BATCH)
+                for begin, (states, error) in zip(range(0, size, CHECK_BATCH), runs):
                     # each word's states before and after its last step; an
                     # error was raised by the word after the traced ones
-                    block, end = states[:, length:], begin + len(states)
-                    if not np.isfinite(block).all():
-                        end = begin + int(np.isfinite(block).all(axis=(1, 2)).argmin())
-                        error = SingularBasis(f"trace state of word {tuple(words[end].tolist())}"
-                                              " before or after its last step is not finite")
-                        block = block[:end - begin]
-                    xs = block[:, 0]
-                    residual = block[:, 1] - (claims[labels[begin:end]] @ xs[..., None])[..., 0]
+                    xs, ys, end = states[:, length], states[:, length + 1], begin + len(states)
+                    residual = ys - (claims[labels[begin:end]] @ xs[..., None])[..., 0]
+                    residual = np.abs(residual, out=residual).max(axis=1)
                     bound = tol * np.abs(xs).sum(axis=1)
-                    differs = np.abs(residual, out=residual).max(axis=1) > bound
-                    if differs.any():
-                        first = int(differs.argmax())
-                        obs.stats.output_computations += first + 1
-                        return tuple(words[begin + first].tolist())
+                    # a word passes when its residual is within a finite
+                    # bound, which needs both its states finite (inf <= inf
+                    # would pass an overflowed x): a run of passing words
+                    # has nothing to raise or return, so only a run with a
+                    # word that does not pass is tested for finite states
+                    if not ((residual <= bound) & (bound < np.inf)).all():
+                        finite = np.isfinite(states[:, length:]).all(axis=(1, 2))
+                        if not finite.all():
+                            end = begin + int(finite.argmin())
+                            word = tuple(words[end].tolist())
+                            error = SingularBasis(f"trace state of word {word} before or "
+                                                  "after its last step is not finite")
+                        differs = residual[:end - begin] > bound[:end - begin]
+                        if differs.any():
+                            first = int(differs.argmax())
+                            obs.stats.output_computations += first + 1
+                            return tuple(words[begin + first].tolist())
                     obs.stats.output_computations += end - begin
                     if error is not None:
                         obs.stats.output_computations += 1

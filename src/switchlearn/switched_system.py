@@ -55,12 +55,15 @@ class SwitchedSystem:
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Label matrices, node labels and transitions as arrays for
         execute's word arrays, built at the first such call: most systems
-        made are never traced."""
-        return np.stack(self.matrices), np.array(self.fa.gamma), np.array(self.fa.delta)
+        made are never traced. The node labels are of the least unsigned
+        type that holds a label, as are the label rows that walk returns."""
+        labels = np.array(self.fa.gamma, dtype=np.min_scalar_type(len(self.matrices) - 1))
+        return np.stack(self.matrices), labels, np.array(self.fa.delta)
 
 
 def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
-            lengths: np.ndarray | None = None) -> list[np.ndarray]:
+            lengths: np.ndarray | None = None,
+            labels: np.ndarray | None = None) -> list[np.ndarray]:
     """State sequence from x0 under word; length |word| + 2.
 
     x0 may be a single state (1-D, d entries) or a matrix of k column
@@ -82,10 +85,16 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
     in row order), each step is one gather of the running words' label
     matrices and one stacked np.matmul, which ignores floating-point errors
     (np.errstate), and a word stops being stepped at its own end.
+
+    For words of one length (lengths None), labels may hold their walk:
+    the (L + 1, n) label rows that walk(system, word) returns, or these
+    words' columns of the rows of a larger array walked once. The words
+    are then neither walked nor validated again; labels of another shape
+    raise ValueError.
     """
     x = np.asarray(x0, dtype=float)
     if isinstance(word, np.ndarray) and word.ndim == 2:
-        return _execute_words(system, x, word, lengths)
+        return _execute_words(system, x, word, lengths, labels)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
@@ -110,17 +119,22 @@ GATHER_FLOATS = 1 << 14
 STEP_BLOCK = 32
 
 
+def walk(system: SwitchedSystem, words: np.ndarray) -> np.ndarray:
+    """The labels of the nodes that the n words of the (n, L) integer array
+    words visit, as (L + 1, n) rows of the least unsigned type that holds
+    a label: row t holds each word's label after t events. InvalidEvent on
+    the first out-of-range event in row order."""
+    return _walk(system, words, None, None, None)
+
+
 def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
-                   lengths: np.ndarray | None) -> np.ndarray:
+                   lengths: np.ndarray | None, labels: np.ndarray | None) -> np.ndarray:
     """execute for an (n, L) array of words, x0 already a float array.
 
-    Words of mixed lengths are stepped longest first, so that the running
-    ones are a prefix, and their states put back in order at the end. The
-    walk's indexing of the transition table refuses an event past the last
-    one; only where a negative event could pass it (signed dtypes, and
-    64-bit unsigned ones, which numpy reads as signed when indexing) is the
-    whole array tested first."""
-    (n, length), d, fa = words.shape, system.d, system.fa
+    Words of mixed lengths are walked and stepped longest first, so that
+    the running ones are a prefix, and their states put back in order at
+    the end."""
+    (n, length), d = words.shape, system.d
     if x.shape != (d, n):
         raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
                                 "one column per word")
@@ -134,24 +148,54 @@ def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
         order = np.argsort(-lengths, kind="stable")
         # running[t]: the words of at least t events, which reach state t + 1
         running = (n - np.cumsum(counts) + counts).tolist()
-    matrices, gamma, delta = system._stacked
+    if labels is None:
+        labels = _walk(system, words, lengths, order, running)
+    elif lengths is not None or labels.shape != (length + 1, n):
+        raise ValueError(f"expected the ({length + 1}, {n}) label rows of words of one "
+                         f"length, got shape {labels.shape} and lengths {lengths}")
+    return _step(system, x, labels, order, running)
+
+
+def _walk(system: SwitchedSystem, words: np.ndarray, lengths: np.ndarray | None,
+          order: np.ndarray | None, running: list[int] | None) -> np.ndarray:
+    """walk, for words of the given lengths taken in order (all of length
+    L, in their own order, when order is None), the words running at each
+    step listed in running; the rows after a word's end hold the initial
+    node's label. The walk's indexing of the transition table refuses an
+    event past the last one; only where a negative event could pass it
+    (signed dtypes, and 64-bit unsigned ones, which numpy reads as signed
+    when indexing) is the whole array tested first."""
+    (n, length), fa = words.shape, system.fa
+    _, gamma, delta = system._stacked
     if (words.size and (words.dtype.kind != "u" or words.dtype.itemsize == 8)
             and (words.min() < 0 or words.max() >= len(fa.alphabet))):
         _refuse(fa, words, lengths)
-    nodes = np.full((length + 1, n), fa.initial, dtype=np.intp)  # row t: after t events
+    labels = np.full((length + 1, n), gamma[fa.initial])  # row t: after t events
+    nodes = np.full(n, fa.initial, dtype=np.intp)
     try:
-        for step, events in enumerate((words if order is None else words[order]).T):
-            if order is None:  # one length: whole rows, with no slicing
-                nodes[step + 1] = delta[nodes[step], events]
-            else:
-                count = running[step + 1]
-                nodes[step + 1, :count] = delta[nodes[step, :count], events[:count]]
+        if order is None:  # one length: whole rows, with no slicing
+            for step, events in enumerate(words.T, 1):
+                nodes = delta[nodes, events]
+                labels[step] = gamma[nodes]
+        else:
+            for step, events in enumerate(words[order].T, 1):
+                count = running[step]
+                nodes[:count] = delta[nodes[:count], events[:count]]
+                labels[step, :count] = gamma[nodes[:count]]
     except IndexError:
         _refuse(fa, words, lengths)
         raise
-    labels = gamma[nodes]
+    return labels
+
+
+def _step(system: SwitchedSystem, x: np.ndarray, labels: np.ndarray,
+          order: np.ndarray | None, running: list[int]) -> np.ndarray:
+    """The (L + 2, d, n) states of _execute_words from the (d, n) starts x
+    and the walk's label rows, the words taken in order (their own when
+    None)."""
+    n, d, matrices = labels.shape[1], system.d, system._stacked[0]
     gathered = matrices.take(labels, axis=0) if labels.size * d * d <= GATHER_FLOATS else None
-    states = np.empty((length + 2, n, d))
+    states = np.empty((len(running) + 1, n, d))
     columns = states[..., None]  # (L + 2, n, d, 1)
     states[0] = x.T if order is None else x.T[order]
     with np.errstate(all="ignore"):

@@ -448,6 +448,31 @@ def test_non_finite_state_raised_after_earlier_words_are_counted():
         assert search_outcome(hidden, claimed, 4)[:2] == ((1,), 3)
 
 
+def overflowing_chain(claims):
+    """A one-dimensional system over events a and b: b walks 0 -> 1 -> 2,
+    and a or b from node 2 on reach node 3, with the labels claims."""
+    fa = Fa(num_nodes=4, initial=0, alphabet=EventAlphabet(("a", "b")),
+            delta=((0, 1), (1, 2), (3, 3), (3, 3)), gamma=(0, 1, 2, 3))
+    return SwitchedSystem(fa=fa, matrices=tuple(np.array([[c]]) for c in claims), d=1)
+
+
+def test_overflowed_state_before_the_last_step_is_raised_not_passed():
+    # the hypothesis's zero label at node 2 has no inverse, so (1, 1, 0)
+    # starts from its random column itself, and the hidden labels 1e200 at
+    # nodes 0 and 1 overflow its state x before the last step; node 3's
+    # claimed -1 against the hidden 1 makes its residual inf, as is its
+    # bound tol * ||x||_1, and inf <= inf must not pass it: it is raised
+    # once the six words of its run before it are compared, as word by word
+    hidden = overflowing_chain((1e200, 1e200, 1e-7, 1.0))
+    hypothesis = overflowing_chain((1e200, 1e200, 0.0, -1.0))
+    raised = (SingularBasis, "trace state of word (1, 1, 0) before or after its last step "
+              "is not finite")
+    for make_obs in (WhiteBoxObservationOracle, LoopingObservationOracle):
+        assert search_outcome(hidden, hypothesis, 4, make_obs) == (raised, 7 + 7, 7 + 8)
+    outcome = recorded_check(BoundedTestingEquivalenceOracle.check, hidden, hypothesis, 4, None)
+    assert outcome == recorded_check(reference_check, hidden, hypothesis, 4, None)
+
+
 def test_counterexample_before_singular_basis_wins():
     # the hypothesis disagrees on (0, 0, 0) only, ahead of (1, 1, 0), whose
     # prefix product is singular to 1e-15
@@ -889,3 +914,142 @@ def test_white_box_exec_queries_is_one_charged_query(demo2d_system):
         states, error = o.exec_queries(x0s, words)
         assert states.shape == (1, 4, 2) and isinstance(error, InvalidEvent)
     assert obs.stats.io_queries == looping.stats.io_queries == 3 + 2
+
+
+def test_words_of_each_length_extend_the_shorter_ones():
+    # every word of a length in lex order, one row each, in the least
+    # unsigned type that holds an event
+    for events in (1, 2, 3, 300):
+        words = np.zeros((1, 0), dtype=np.min_scalar_type(events - 1))
+        for length in range(1, 5 if events < 300 else 3):
+            words = oracle._words(words, events)
+            expected = np.array(list(itertools.product(range(events), repeat=length)),
+                                dtype=np.min_scalar_type(events - 1))
+            assert words.dtype == expected.dtype and words.tobytes() == expected.tobytes()
+
+
+def run_outcomes(obs, x0s, words, size):
+    """Each run of obs.exec_runs(x0s, words, size) as (states bytes, error
+    type and message, io charged once the run is read)."""
+    outcomes = []
+    for states, error in obs.exec_runs(x0s, words, size):
+        outcomes.append((states.shape, states.tobytes(), error and (type(error), str(error)),
+                         obs.stats.io_queries))
+    return outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3, 20]), num_events=st.integers(1, 3),
+       n=st.integers(0, 70), length=st.integers(0, 8), size=st.integers(1, 40))
+def test_white_box_runs_equal_the_default_loop(seed, d, num_events, n, length, size):
+    # one walk of the whole array, then one charged exec_query per run: the
+    # states of every run, bit for bit, and the io after each, as the
+    # default's exec_queries per run and the word-by-word loop give them
+    hidden = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
+                                     dim=d, seed=seed))
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
+    x0s = rng.standard_normal((n, d))
+    obs = WhiteBoxObservationOracle(hidden)
+    runs = run_outcomes(obs, x0s, words, size)
+    default = WhiteBoxObservationOracle(hidden)
+    default.exec_runs = lambda *args: ObservationOracle.exec_runs(default, *args)
+    assert len(runs) == -(-n // size)
+    assert runs == run_outcomes(default, x0s, words, size)
+    assert runs == run_outcomes(LoopingObservationOracle(hidden), x0s, words, size)
+
+
+def traced_runs(make_obs, hidden, x0s, words, size):
+    """run_outcomes on a fresh make_obs(hidden), and the words that reached
+    execute, one row of a word array at a time."""
+    obs, traced = make_obs(hidden), []
+
+    def record(*args):
+        word = args[2]
+        traced.extend(map(tuple, word.tolist()) if np.ndim(word) == 2 else [tuple(word)])
+        return switched_system.execute(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "execute", record)
+        return run_outcomes(obs, x0s, words, size), traced
+
+
+def test_white_box_runs_with_an_event_that_is_not_hidden_are_the_default_loop(demo2d_system):
+    # an event past the hidden ones in run 2 of 3: the whole array goes the
+    # default's way, run 1 in one stacked call and run 2 word by word up to
+    # the refused word, whose InvalidEvent ends the stream; run 3 is never
+    # traced
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, 2, (12, 3)).astype(np.uint8)
+    words[6, 1] = 2
+    x0s = rng.standard_normal((12, 2))
+    runs, traced = traced_runs(WhiteBoxObservationOracle, demo2d_system, x0s, words, 4)
+    looped_runs, looped = traced_runs(LoopingObservationOracle, demo2d_system, x0s, words, 4)
+    assert runs == looped_runs
+    assert traced == looped == list(map(tuple, words[:7].tolist()))
+    assert [run[0] for run in runs] == [(4, 5, 2), (2, 5, 2)]
+    assert runs[1][2] == (InvalidEvent, "event index 2 out of range for 2 events")
+    # the refused query is charged, as exec_query charges before it traces
+    assert [run[3] for run in runs] == [4, 4 + 3]
+
+
+def test_exec_runs_of_an_oracle_that_overrides_exec_query_is_lazy(demo2d_system):
+    # each run is one exec_queries call of exec_query per word, made only
+    # when the run is read; the stream ends with the first run that has an
+    # error, after the words before the refused one
+    obs = RefusingObservationOracle(demo2d_system)
+    words = np.array([[0, 0], [0, 0], [0, 0], [0, 1], [0, 0]], dtype=np.uint8)
+    x0s = np.random.default_rng(6).standard_normal((5, 2))
+    runs = obs.exec_runs(x0s, words, 2)
+    assert obs.words == []
+    states, error = next(runs)
+    assert states.shape == (2, 4, 2) and error is None and obs.words == [(0, 0)] * 2
+    states, error = next(runs)
+    assert states.shape == (1, 4, 2) and str(error) == "event 1 refused"
+    assert obs.words == [(0, 0)] * 3 + [(0, 1)] and obs.stats.io_queries == 3
+    assert next(runs, None) is None
+    assert obs.words == [(0, 0)] * 3 + [(0, 1)]
+    # an instance's own exec_query sees every query too
+    white = WhiteBoxObservationOracle(demo2d_system)
+    query, seen = white.exec_query, []
+    white.exec_query = lambda x0, word: seen.append(word) or query(x0, word)
+    assert len(list(white.exec_runs(x0s, words, 2))) == 3
+    assert seen == list(map(tuple, words.tolist()))
+
+
+def test_depth_eleven_check_walks_the_hidden_automaton_once_per_length(monkeypatch):
+    # the 4,095 words of a full check at the benchmark shape: one walk of
+    # each length's words, and still one execute call per run of 32 words
+    hidden = random_system(GenConfig(5, 2, 3, 3, 0))
+    walks, calls = [], []
+    walk = switched_system._walk
+    monkeypatch.setattr(switched_system, "_walk", lambda *args: walks.append(args[1].shape)
+                        or walk(*args))
+    monkeypatch.setattr(oracle, "execute",
+                        lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+    obs = WhiteBoxObservationOracle(hidden)
+    assert BoundedTestingEquivalenceOracle(obs, 11).check(hidden) is None
+    assert walks == [(2**length, length) for length in range(12)]
+    assert len(calls) == 132 and obs.stats.io_queries == 4095
+
+
+def test_exec_query_wrapped_on_the_class_sees_every_io_column(monkeypatch):
+    # perfbench counts io by wrapping WhiteBoxObservationOracle.exec_query
+    # on the class, and its traced run checks that count against the io
+    # charged: every charged column must pass through exec_query, all
+    # 4,095 of a depth-11 check (in one call per run, the stacked way) and
+    # every one of a black-box learn
+    columns = []
+    query = WhiteBoxObservationOracle.exec_query
+
+    def counted(self, x0, *args, **kwargs):
+        columns.append(np.shape(x0)[1] if np.ndim(x0) == 2 else 1)
+        return query(self, x0, *args, **kwargs)
+    monkeypatch.setattr(WhiteBoxObservationOracle, "exec_query", counted)
+    hidden = random_system(GenConfig(5, 2, 3, 3, 0))
+    obs = WhiteBoxObservationOracle(hidden)
+    assert BoundedTestingEquivalenceOracle(obs, 11).check(hidden) is None
+    assert (len(columns), sum(columns), obs.stats.io_queries) == (132, 4095, 4095)
+    columns.clear()
+    obs = WhiteBoxObservationOracle(hidden)
+    learn(obs, BoundedTestingEquivalenceOracle(obs, 11), hidden.fa.alphabet)
+    assert sum(columns) == obs.stats.io_queries == 4150

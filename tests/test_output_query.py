@@ -699,7 +699,7 @@ def test_cached_outputs_traces_each_stack_in_one_stacked_call():
     # traced on one column, in order; every other call is a recovery on d
     arrays = [args for args in stacked_calls if np.ndim(args[2]) == 2]
     assert len(arrays) == 3 and all(len(args[2]) >= STACK_MIN for args in arrays)
-    traced = [tuple(row[:n]) for _, _, array, lengths in arrays
+    traced = [tuple(row[:n]) for _, _, array, lengths, _ in arrays
               for row, n in zip(array.tolist(), lengths.tolist())]
     assert traced == looped.words == first_reader_order(words)
     assert all(np.shape(args[1]) == (4, 4) for args in stacked_calls if np.ndim(args[2]) == 1)

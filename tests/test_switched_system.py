@@ -10,6 +10,8 @@ from switchlearn import (DimensionMismatch, GenConfig, InvalidEvent, ParseError,
                          WhiteBoxObservationOracle, execute, language_of, load_json,
                          random_system, save_json, validate)
 
+from switchlearn.switched_system import walk
+
 from conftest import DEMO2D_MATRICES, make_demo2d_system
 
 E1, E2 = 0, 1
@@ -259,6 +261,45 @@ def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
             execute(demo2d_system, np.zeros(2), (E2, bad))
         assert str(refused.value) == str(single.value) == (
             f"event index {bad} out of range for 2 events")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3, 20]), num_events=st.integers(1, 3),
+       n=st.integers(1, 40), length=st.integers(0, 9), cut=st.data())
+def test_execute_steps_a_slice_of_a_larger_walk_as_its_own(seed, d, num_events, n, length, cut):
+    # a run's columns of the label rows of one walk of a larger array give
+    # the states of a walk of the run alone, bit for bit; row t holds each
+    # word's label after t events
+    system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
+                                     dim=d, seed=seed))
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
+    labels = walk(system, words)
+    assert labels.shape == (length + 1, n) and labels.dtype == np.uint8
+    for i, word in enumerate(words.tolist()):
+        node = system.fa.initial
+        for t, event in enumerate([None] + word):
+            node = node if event is None else system.fa.delta[node][event]
+            assert labels[t, i] == system.fa.gamma[node]
+    begin = cut.draw(st.integers(0, n - 1))
+    end = cut.draw(st.integers(begin + 1, n))
+    x0 = rng.uniform(-1, 1, (d, end - begin))
+    stepped = execute(system, x0, words[begin:end], None, labels[:, begin:end])
+    assert stepped.tobytes() == execute(system, x0, words[begin:end]).tobytes()
+
+
+def test_execute_refuses_label_rows_that_are_not_a_one_length_walk(demo2d_system):
+    words = np.array([[E1, E2], [E2, E1], [E1, E1]], dtype=np.uint8)
+    labels = walk(demo2d_system, words)
+    for bad, lengths in ((labels[:, :2], None), (labels[1:], None), (labels, np.array([2, 2, 2]))):
+        with pytest.raises(ValueError, match=r"expected the \(3, 3\) label rows"):
+            execute(demo2d_system, np.zeros((2, 3)), words, lengths, bad)
+    # walk names the first out-of-range event in row order, as execute does
+    for bad in (2, -1):
+        signed = words.astype(np.int64)
+        signed[1, 1], signed[2, 0] = bad, 7
+        with pytest.raises(InvalidEvent, match=f"event index {bad} out of range for 2 events"):
+            walk(demo2d_system, signed)
 
 
 def test_execute_of_a_word_array_overflows_without_a_warning():
