@@ -8,10 +8,14 @@ verdict is only as strong as the search depth). It recovers no output: it
 checks the hypothesis's own label of each word on one trace column, as
 Freivalds's randomized check of a matrix product does (Freivalds, 1977),
 so every counterexample it returns is proven, at one trace column per
-word. The white-box oracle traces a run of words in one stacked call: the
-learner's wide stacks of words of mixed lengths (exec_queries), and the
-bounded check's runs of one length (exec_runs), for which it walks the
-hidden automaton once per length.
+word.
+
+Batched trace queries have one entry point, ObservationOracle.exec_runs: a
+lazy stream of runs over words of any lengths, whose default makes one
+exec_query per word. The learner's wide stacks of words of mixed lengths
+are each one run, and the bounded check reads each length as a stream of
+runs of one length. The white-box oracle answers a stream with one walk of
+the hidden automaton for all its words and one stacked exec_query per run.
 """
 
 import itertools
@@ -60,42 +64,45 @@ class ObservationOracle:
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def exec_queries(self, x0s: np.ndarray, words) -> tuple[np.ndarray, Exception | None]:
-        """Trace queries of the n words of words, in order, word i from the
-        start column x0s[i] of the (n, d) array x0s: the (k, L + 2, d)
-        states of the first k queries, L the length of the longest word,
-        and the exception that query k + 1 raised (None when all n ran).
-        words is an (n, L) integer array, one word of length L per row, or a
-        list of n words of any lengths; the states of a word after its own
-        last one are unspecified. This default makes them one exec_query at
-        a time, word i as a tuple of ints from a (d, 1) column, and no query
-        after one that raises."""
-        if isinstance(words, np.ndarray):
-            length, words = words.shape[1], words.tolist()
-        else:
-            length = max(map(len, words), default=0)
-        traces, error = [], None
-        for x0, word in zip(x0s[..., None], words):
-            try:
-                trace = self.exec_query(x0, tuple(word))
-            except Exception as exc:
-                error = exc
-                break
-            traces.append([*trace] + [trace[-1]] * (length - len(word)))  # padded to L + 2
-        return np.array(traces).reshape(len(traces), length + 2, x0s.shape[1]), error
+    def exec_runs(self, x0s: np.ndarray, words, size: int):
+        """Trace queries of the n words of words, in order, word i from row
+        i of the (n, d) array x0s, in runs of size words: a generator of
+        each run's (states, error), lazily, so a caller that stops reading
+        makes no more queries. states holds the (k, L + 2, d) states of the
+        run's first k queries, L the length of the longest word, and error
+        is the exception that query k + 1 raised (None when the whole run
+        ran); the stream ends after the first run with an error.
 
-    def exec_runs(self, x0s: np.ndarray, words: np.ndarray, size: int):
-        """Trace queries of the n words of the (n, L) integer array words
-        from the rows of the (n, d) array x0s, as exec_queries makes them,
-        in runs of size words: a generator of each run's (states, error),
-        as exec_queries returns them, lazily, so a caller that stops
-        reading makes no more queries. This default makes one exec_queries
-        call per run and stops after the first run with an error."""
+        words is an (n, L) integer array, one word of length L per row, or
+        a list of n words of any lengths; the states of a word after its
+        own last one are unspecified. Starts and words of different counts
+        raise DimensionMismatch, and a size below 1 ValueError, before any
+        query. This default makes the queries one exec_query at a time,
+        word i as a tuple of ints from a (d, 1) column."""
+        _check_runs(x0s, words, size)
+        stacked = isinstance(words, np.ndarray)
+        length = words.shape[1] if stacked else max(map(len, words), default=0)
         for begin in range(0, len(words), size):
-            states, error = self.exec_queries(x0s[begin:begin + size], words[begin:begin + size])
-            yield states, error
+            run, traces, error = words[begin:begin + size], [], None
+            for x0, word in zip(x0s[begin:begin + size, :, None], run.tolist() if stacked else run):
+                try:
+                    trace = self.exec_query(x0, tuple(word))
+                except Exception as exc:
+                    error = exc
+                    break
+                traces.append([*trace] + [trace[-1]] * (length - len(word)))  # padded to L + 2
+            yield np.array(traces).reshape(len(traces), length + 2, x0s.shape[1]), error
             if error is not None:
                 return
+
+
+def _check_runs(x0s: np.ndarray, words, size: int) -> None:
+    """exec_runs' refusals: DimensionMismatch unless there is one start per
+    word, ValueError for a run size below 1."""
+    if len(x0s) != len(words):
+        raise DimensionMismatch(f"{len(x0s)} starts for {len(words)} words: one start per word")
+    if size < 1:
+        raise ValueError(f"run size must be >= 1, got {size}")
 
 
 class EquivalenceOracle:
@@ -120,73 +127,51 @@ class WhiteBoxObservationOracle(ObservationOracle):
     def alphabet(self) -> EventAlphabet:
         return self._hidden.fa.alphabet
 
-    def exec_query(self, x0: np.ndarray, word: Word, lengths: np.ndarray | None = None,
+    def exec_query(self, x0: np.ndarray, word: Word,
                    labels: np.ndarray | None = None) -> list[np.ndarray]:
-        """execute(hidden, x0, word, lengths, labels), word also an (n, L)
-        array of words (see execute); one io query is charged per column
-        of x0 before execute checks x0 and word, so a refused query still
+        """execute(hidden, x0, word, labels), word also an (n, L) array of
+        words (see execute); one io query is charged per column of x0
+        before execute checks x0 and word, so a refused query still
         counts."""
         shape = x0.shape if isinstance(x0, np.ndarray) else np.shape(x0)
         self.stats.io_queries += shape[1] if len(shape) == 2 else 1
-        return execute(self._hidden, x0, word, lengths, labels)
+        return execute(self._hidden, x0, word, labels)
 
-    def _stacks(self, d: int) -> bool:
-        """True when starts of dimension d are the hidden one's and
-        exec_query is this class's own: one overridden on a subclass or an
-        instance must see every query, one word at a time."""
+    def exec_runs(self, x0s: np.ndarray, words, size: int):
+        """The default's runs, with its io and, up to each word's end, its
+        states bit for bit. When the starts are of the hidden dimension,
+        every event is a hidden one and exec_query is this class's own (one
+        overridden on a subclass or an instance must see every query), the
+        words are stacked into one array, a list zero-padded, the hidden
+        automaton is walked once for it (walk), and each run of k words is
+        one exec_query of its (d, k) starts, charged k io, stepped from its
+        columns of the walk's label rows; else the default makes the runs."""
         own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
-        return own and d == self._hidden.d
-
-    def exec_queries(self, x0s: np.ndarray, words) -> tuple[np.ndarray, Exception | None]:
-        """One exec_query of all n words from the (d, n) matrix of their
-        starts, charged n io, when n >= 2 and no query can raise (hidden
-        dimension and events); else, or when exec_query is overridden on a
-        subclass or an instance, which must then see every query, the
-        default's loop. A list of words is stacked into a zero-padded array
-        with their lengths. The events are tested here, once: for an array
-        of an unsigned type of up to 32 bits, as a stacked list's is,
-        execute's walk makes no second test."""
-        n, d = x0s.shape
-        if n >= 2 and self._stacks(d):
-            stacked = _word_array(words, len(self._hidden.fa.alphabet))
-            if stacked is not None:
-                return self.exec_query(x0s.T, *stacked).transpose(2, 0, 1), None
-        return super().exec_queries(x0s, words)
-
-    def exec_runs(self, x0s: np.ndarray, words: np.ndarray, size: int):
-        """The default's runs, states (bit for bit) and io. When no query
-        can raise (as for exec_queries), the events are tested and the
-        hidden automaton walked once for the whole array (walk), and each
-        run of k words is one exec_query of its (d, k) starts, charged k
-        io, stepped from its columns of the walk's label rows; else the
-        default makes the runs."""
-        if not (self._stacks(x0s.shape[1])
-                and _word_array(words, len(self._hidden.fa.alphabet)) is not None):
+        array = (_word_array(words, len(self._hidden.fa.alphabet))
+                 if own and x0s.shape[1] == self._hidden.d else None)
+        if array is None:
             yield from super().exec_runs(x0s, words, size)
             return
-        labels = walk(self._hidden, words)
-        for begin in range(0, len(words), size):
-            end = begin + size
-            states = self.exec_query(x0s[begin:end].T, words[begin:end], None,
-                                     labels[:, begin:end])
-            yield states.transpose(2, 0, 1), None
+        _check_runs(x0s, words, size)
+        labels = walk(self._hidden, array)
+        for begin in range(0, len(array), size):
+            run = slice(begin, begin + size)
+            yield self.exec_query(x0s[run].T, array[run], labels[:, run]).transpose(2, 0, 1), None
 
 
-def _word_array(words, events: int) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """words as an (n, L) array and their lengths (None for an array, whose
-    rows are all of length L), when every event is one of events; else
+def _word_array(words, events: int) -> np.ndarray | None:
+    """words as an (n, L) array when every event is one of events, else
     None. A list is stacked into an array of the least unsigned type that
-    holds an event, each row padded with zeros."""
+    holds an event, each row padded with zeros to the longest word."""
     if isinstance(words, np.ndarray):
-        valid = not words.size or (words.min() >= 0 and words.max() < events)
-        return (words, None) if valid else None
+        return words if not words.size or (words.min() >= 0 and words.max() < events) else None
     lengths = np.fromiter(map(len, words), np.intp, len(words))
     flat = np.fromiter(itertools.chain.from_iterable(words), np.intp, int(lengths.sum()))
     if flat.size and (flat.min() < 0 or flat.max() >= events):
         return None
-    array = np.zeros((len(words), lengths.max()), dtype=np.min_scalar_type(events - 1))
+    array = np.zeros((len(words), lengths.max(initial=0)), dtype=np.min_scalar_type(events - 1))
     array[np.arange(array.shape[1]) < lengths[:, None]] = flat
-    return array, lengths
+    return array
 
 
 class WhiteBoxEquivalenceOracle(EquivalenceOracle):

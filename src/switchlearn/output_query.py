@@ -26,9 +26,10 @@ word's probe column before it is classified, or SingularBasis is raised.
 The one-column traces are made per stack of PROBE_BATCH words: the maximal
 words (those no other word of the call extends) that the stack's words are
 read off are traced from their own columns, together. With at least
-STACK_MIN of them the stack is traced in one ObservationOracle.exec_queries
-call, which the white-box oracle answers with one stacked trace; the oracle
-is asked the same queries, in the same order, either way.
+STACK_MIN of them the stack is traced as one run of
+ObservationOracle.exec_runs, which the white-box oracle answers with one
+stacked trace; the oracle is asked the same queries, in the same order,
+either way.
 
 A passing label is only as sure as the spread of x and the gap between
 labels: a new label passes as a known one when every product along a word
@@ -54,11 +55,11 @@ from .linalg import LABEL_TOL, check_finite, check_label_tol, identity, recover_
 # (labels, d, words) array, about 400 kB at d=20 with 10 labels.
 PROBE_BATCH = 256
 
-# The maximal words of a stack (its covers) are traced with one
-# obs.exec_queries call when there are at least this many, else one
-# exec_query at a time: a stacked call costs a few microseconds per step
-# whatever its width, so it pays on wide stacks only. At 16, suite-small's
-# stacks of 16 to 63 covers made its learns about 3% slower.
+# The maximal words of a stack (its covers) are traced as one run of
+# obs.exec_runs when there are at least this many, else one exec_query at a
+# time: a stacked call costs a few microseconds per step whatever its width,
+# so it pays on wide stacks only. At 16, suite-small's stacks of 16 to 63
+# covers made its learns about 3% slower; at 2, about 26% slower.
 STACK_MIN = 64
 
 # A recovery whose error bound, REFINE_FACTOR * d * EPS * cond(basis) * |M|
@@ -369,9 +370,9 @@ def cached_outputs(obs, registry: LabelRegistry, words, limit: int | None = None
     same column because the trace oracle has the prefix property (a trace
     of w·u starts with the trace of w). The covers that the words of a
     stack of PROBE_BATCH need are traced in the order of the first word
-    read off each: with one obs.exec_queries call, one trace query per
-    cover, when there are at least STACK_MIN of them, and one exec_query
-    at a time otherwise (see _trace).
+    read off each: as one run of obs.exec_runs, one trace query per cover,
+    when there are at least STACK_MIN of them, and one exec_query at a
+    time otherwise (see _trace).
     The words read off one trace are prefixes of each other; when that
     trace query raises for a word other than the traced one, they are read
     off the trace of the longest of them other than the traced word
@@ -441,9 +442,10 @@ def _trace(obs, words: list[Word], covers: list[int], readers: dict[int, list[in
     columns, and write into pairs the (x, y) pair of each word read off it
     (its readers): the number of covers traced, and the exception that the
     next one's trace query raised (None when all ran). At least STACK_MIN
-    covers are traced with one obs.exec_queries call, whose default loop
-    passes each column as (d, 1), and their pairs read with one index;
-    fewer, one exec_query of a 1-D column and one row write at a time."""
+    covers are traced as the one run of an obs.exec_runs stream, whose
+    default loop passes each column as (d, 1), and their pairs read with
+    one index; fewer, one exec_query of a 1-D column and one row write at
+    a time."""
     if len(covers) < STACK_MIN:
         xs, ys = pairs[:, 0], pairs[:, 1]
         for k, cover in enumerate(covers):
@@ -455,7 +457,7 @@ def _trace(obs, words: list[Word], covers: list[int], readers: dict[int, list[in
                 n = len(words[j])
                 xs[j], ys[j] = states[n], states[n + 1]
         return len(covers), None
-    states, error = obs.exec_queries(columns[covers], [words[c] for c in covers])
+    states, error = next(obs.exec_runs(columns[covers], [words[c] for c in covers], len(covers)))
     done = covers[:len(states)]
     read = [j for c in done for j in readers[c]]
     if read:  # states |w| and |w|+1 of each reader, off its cover's trace

@@ -3,7 +3,9 @@ full-rank square matrices, with trace semantics and JSON (de)serialization.
 
 Reading a word walks the automaton; each visited node applies its matrix to
 the current state, including the last node reached. A word of length n
-therefore produces n + 2 states.
+therefore produces n + 2 states. execute also traces an (n, L) array of
+words of one length at once, stepped from its walk of the automaton (walk),
+which a caller may make once for the runs of a larger array.
 """
 
 import json
@@ -62,7 +64,6 @@ class SwitchedSystem:
 
 
 def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
-            lengths: np.ndarray | None = None,
             labels: np.ndarray | None = None) -> list[np.ndarray]:
     """State sequence from x0 under word; length |word| + 2.
 
@@ -75,26 +76,22 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
     walked in the same loop, reading each node's matrix directly.
 
     word may instead be an (n, L) unsigned or signed integer array of n
-    words, and lengths their n lengths (each at most L; all L when None):
-    word i is word[i, :lengths[i]], and the entries after it are not read.
-    x0 is then (d, n), word i reading column i (else DimensionMismatch),
-    and the result is one (L + 2, d, n) array whose column i holds, up to
-    state lengths[i] + 1, the states of a single-word call on that (d, 1)
-    column, bit for bit; its later states are unspecified. The events are
-    validated before any step (InvalidEvent on the first out-of-range one
-    in row order), each step is one gather of the running words' label
-    matrices and one stacked np.matmul, which ignores floating-point errors
-    (np.errstate), and a word stops being stepped at its own end.
+    words of length L. x0 is then (d, n), word i reading column i (else
+    DimensionMismatch), and the result is one (L + 2, d, n) array whose
+    column i holds the states of a single-word call on that (d, 1) column,
+    bit for bit. The words are walked first (see walk, which validates
+    their events), and each step is one gather of the label matrices and
+    one stacked np.matmul, which ignores floating-point errors
+    (np.errstate).
 
-    For words of one length (lengths None), labels may hold their walk:
-    the (L + 1, n) label rows that walk(system, word) returns, or these
-    words' columns of the rows of a larger array walked once. The words
-    are then neither walked nor validated again; labels of another shape
-    raise ValueError.
+    labels may hold the words' walk instead: the (L + 1, n) label rows
+    that walk(system, word) returns, or these words' columns of the rows of
+    a larger array walked once. The words are then neither walked nor
+    validated again; labels of another shape raise ValueError.
     """
     x = np.asarray(x0, dtype=float)
     if isinstance(word, np.ndarray) and word.ndim == 2:
-        return _execute_words(system, x, word, lengths, labels)
+        return _execute_words(system, x, word, labels)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
@@ -123,106 +120,62 @@ def walk(system: SwitchedSystem, words: np.ndarray) -> np.ndarray:
     """The labels of the nodes that the n words of the (n, L) integer array
     words visit, as (L + 1, n) rows of the least unsigned type that holds
     a label: row t holds each word's label after t events. InvalidEvent on
-    the first out-of-range event in row order."""
-    return _walk(system, words, None, None, None)
+    the first out-of-range event in row order.
 
-
-def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
-                   lengths: np.ndarray | None, labels: np.ndarray | None) -> np.ndarray:
-    """execute for an (n, L) array of words, x0 already a float array.
-
-    Words of mixed lengths are walked and stepped longest first, so that
-    the running ones are a prefix, and their states put back in order at
-    the end."""
-    (n, length), d = words.shape, system.d
-    if x.shape != (d, n):
-        raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
-                                "one column per word")
-    if lengths is None:
-        order, running = None, [n] * (length + 1)
-    else:
-        counts = np.bincount(lengths, minlength=length + 1)  # ValueError below 0
-        if lengths.shape != (n,) or len(counts) > length + 1:
-            raise ValueError(f"expected {n} word lengths of at most {length}, "
-                             f"got {lengths.tolist()}")
-        order = np.argsort(-lengths, kind="stable")
-        # running[t]: the words of at least t events, which reach state t + 1
-        running = (n - np.cumsum(counts) + counts).tolist()
-    if labels is None:
-        labels = _walk(system, words, lengths, order, running)
-    elif lengths is not None or labels.shape != (length + 1, n):
-        raise ValueError(f"expected the ({length + 1}, {n}) label rows of words of one "
-                         f"length, got shape {labels.shape} and lengths {lengths}")
-    return _step(system, x, labels, order, running)
-
-
-def _walk(system: SwitchedSystem, words: np.ndarray, lengths: np.ndarray | None,
-          order: np.ndarray | None, running: list[int] | None) -> np.ndarray:
-    """walk, for words of the given lengths taken in order (all of length
-    L, in their own order, when order is None), the words running at each
-    step listed in running; the rows after a word's end hold the initial
-    node's label. The walk's indexing of the transition table refuses an
-    event past the last one; only where a negative event could pass it
-    (signed dtypes, and 64-bit unsigned ones, which numpy reads as signed
-    when indexing) is the whole array tested first."""
+    The walk's indexing of the transition table refuses an event past the
+    last one; only where a negative event could pass it (signed dtypes,
+    and 64-bit unsigned ones, which numpy reads as signed when indexing)
+    is the whole array tested first."""
     (n, length), fa = words.shape, system.fa
     _, gamma, delta = system._stacked
     if (words.size and (words.dtype.kind != "u" or words.dtype.itemsize == 8)
             and (words.min() < 0 or words.max() >= len(fa.alphabet))):
-        _refuse(fa, words, lengths)
+        check_word(fa, words.ravel().tolist())  # InvalidEvent
     labels = np.full((length + 1, n), gamma[fa.initial])  # row t: after t events
     nodes = np.full(n, fa.initial, dtype=np.intp)
     try:
-        if order is None:  # one length: whole rows, with no slicing
-            for step, events in enumerate(words.T, 1):
-                nodes = delta[nodes, events]
-                labels[step] = gamma[nodes]
-        else:
-            for step, events in enumerate(words[order].T, 1):
-                count = running[step]
-                nodes[:count] = delta[nodes[:count], events[:count]]
-                labels[step, :count] = gamma[nodes[:count]]
+        for step, events in enumerate(words.T, 1):
+            nodes = delta[nodes, events]
+            labels[step] = gamma[nodes]
     except IndexError:
-        _refuse(fa, words, lengths)
+        check_word(fa, words.ravel().tolist())  # InvalidEvent
         raise
     return labels
 
 
-def _step(system: SwitchedSystem, x: np.ndarray, labels: np.ndarray,
-          order: np.ndarray | None, running: list[int]) -> np.ndarray:
+def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
+                   labels: np.ndarray | None) -> np.ndarray:
+    """execute for an (n, L) array of words, x0 already a float array."""
+    (n, length), d = words.shape, system.d
+    if x.shape != (d, n):
+        raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
+                                "one column per word")
+    if labels is None:
+        labels = walk(system, words)
+    elif labels.shape != (length + 1, n):
+        raise ValueError(f"expected the ({length + 1}, {n}) label rows of the words' walk, "
+                         f"got shape {labels.shape}")
+    return _step(system, x, labels)
+
+
+def _step(system: SwitchedSystem, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The (L + 2, d, n) states of _execute_words from the (d, n) starts x
-    and the walk's label rows, the words taken in order (their own when
-    None)."""
-    n, d, matrices = labels.shape[1], system.d, system._stacked[0]
+    and the walk's (L + 1, n) label rows."""
+    (steps, n), d, matrices = labels.shape, system.d, system._stacked[0]
     gathered = matrices.take(labels, axis=0) if labels.size * d * d <= GATHER_FLOATS else None
-    states = np.empty((len(running) + 1, n, d))
+    states = np.empty((steps + 1, n, d))
     columns = states[..., None]  # (L + 2, n, d, 1)
-    states[0] = x.T if order is None else x.T[order]
+    states[0] = x.T
     with np.errstate(all="ignore"):
-        for step, count in enumerate(running):
+        for step in range(steps):
             if gathered is None:
-                for begin in range(0, count, STEP_BLOCK):
-                    end = min(count, begin + STEP_BLOCK)
-                    np.matmul(matrices.take(labels[step, begin:end], axis=0),
-                              columns[step, begin:end], out=columns[step + 1, begin:end])
-            elif order is None:
-                np.matmul(gathered[step], columns[step], out=columns[step + 1])
+                for begin in range(0, n, STEP_BLOCK):
+                    block = slice(begin, begin + STEP_BLOCK)
+                    np.matmul(matrices.take(labels[step, block], axis=0), columns[step, block],
+                              out=columns[step + 1, block])
             else:
-                np.matmul(gathered[step, :count], columns[step, :count],
-                          out=columns[step + 1, :count])
-    if order is not None:  # back into the words' order, a state row at a time
-        inverse = np.argsort(order)
-        for row in states:
-            row[:] = row.take(inverse, axis=0)
+                np.matmul(gathered[step], columns[step], out=columns[step + 1])
     return states.transpose(0, 2, 1)
-
-
-def _refuse(fa: Fa, words: np.ndarray, lengths: np.ndarray | None) -> None:
-    """InvalidEvent on the first out-of-range event of the word array words
-    in row order, row i read up to lengths[i] when lengths is given."""
-    if lengths is not None:
-        words = words[np.arange(words.shape[1]) < lengths[:, None]]
-    check_word(fa, words.ravel().tolist())
 
 
 def validate(system: SwitchedSystem) -> list[Violation]:

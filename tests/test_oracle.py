@@ -802,7 +802,7 @@ def test_bounded_check_traces_at_most_one_run_past_its_last_compared_word(
 
 
 class LoopingObservationOracle(WhiteBoxObservationOracle):
-    """A white-box oracle whose exec_query is its own, so that exec_queries
+    """A white-box oracle whose exec_query is its own, so that exec_runs
     makes its queries one at a time, as for any oracle that overrides it."""
 
     def exec_query(self, x0, word):
@@ -872,11 +872,13 @@ class RefusingObservationOracle(ObservationOracle):
         return execute(self._hidden, x0, word)
 
 
-def test_exec_queries_default_stops_at_the_first_refused_query(demo2d_system):
+def test_exec_runs_default_stops_at_the_first_refused_query(demo2d_system):
+    # one run of all four words: the queries up to the refused one, and its
+    # error, which ends the stream
     obs = RefusingObservationOracle(demo2d_system)
     words = np.array([[0, 0], [0, 0], [0, 1], [0, 0]], dtype=np.uint8)
     x0s = np.random.default_rng(3).standard_normal((4, 2))
-    states, error = obs.exec_queries(x0s, words)
+    [(states, error)] = obs.exec_runs(x0s, words, 4)
     assert states.shape == (2, 4, 2)
     for x0, trace in zip(x0s, states):
         assert np.array_equal(np.stack(execute(demo2d_system, x0[:, None], (0, 0)))[..., 0],
@@ -885,13 +887,13 @@ def test_exec_queries_default_stops_at_the_first_refused_query(demo2d_system):
     assert obs.words == [(0, 0), (0, 0), (0, 1)]
     assert obs.stats.io_queries == 2
     # every query runs: no exception
-    states, error = obs.exec_queries(x0s[:2], words[:2])
+    [(states, error)] = obs.exec_runs(x0s[:2], words[:2], 2)
     assert states.shape == (2, 4, 2) and error is None
-    states, error = obs.exec_queries(x0s[2:], words[2:])
+    [(states, error)] = obs.exec_runs(x0s[2:], words[2:], 2)
     assert states.shape == (0, 4, 2) and isinstance(error, OSError)
 
 
-def test_white_box_exec_queries_is_one_charged_query(demo2d_system):
+def test_white_box_exec_runs_is_one_charged_query(demo2d_system):
     words = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
     x0s = np.random.default_rng(4).standard_normal((3, 2))
     obs, looping = (make(demo2d_system)
@@ -900,8 +902,8 @@ def test_white_box_exec_queries_is_one_charged_query(demo2d_system):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "execute",
                       lambda *args: calls.append(args[2]) or switched_system.execute(*args))
-        (states, error), (looped, looped_error) = (o.exec_queries(x0s, words)
-                                                   for o in (obs, looping))
+        [(states, error)], [(looped, looped_error)] = (o.exec_runs(x0s, words, 3)
+                                                       for o in (obs, looping))
     # one trace of the whole array, then three of one word each
     assert [np.shape(word) for word in calls] == [(3, 2), (2,), (2,), (2,)]
     assert error is looped_error is None
@@ -911,7 +913,7 @@ def test_white_box_exec_queries_is_one_charged_query(demo2d_system):
     # so the queries before it are charged and the ones after it are not
     words[1, 0] = 2
     for o in (obs, looping):
-        states, error = o.exec_queries(x0s, words)
+        [(states, error)] = o.exec_runs(x0s, words, 3)
         assert states.shape == (1, 4, 2) and isinstance(error, InvalidEvent)
     assert obs.stats.io_queries == looping.stats.io_queries == 3 + 2
 
@@ -929,26 +931,37 @@ def test_words_of_each_length_extend_the_shorter_ones():
 
 
 def run_outcomes(obs, x0s, words, size):
-    """Each run of obs.exec_runs(x0s, words, size) as (states bytes, error
-    type and message, io charged once the run is read)."""
-    outcomes = []
+    """Each run of obs.exec_runs(x0s, words, size) as (states shape, the
+    bytes of each word's states up to its own end, error type and message,
+    io charged once the run is read)."""
+    outcomes, begin = [], 0
     for states, error in obs.exec_runs(x0s, words, size):
-        outcomes.append((states.shape, states.tobytes(), error and (type(error), str(error)),
-                         obs.stats.io_queries))
+        ends = [len(word) + 2 for word in words[begin:begin + len(states)]]
+        outcomes.append((states.shape, [trace[:end].tobytes() for trace, end in zip(states, ends)],
+                         error and (type(error), str(error)), obs.stats.io_queries))
+        begin += size
     return outcomes
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3, 20]), num_events=st.integers(1, 3),
-       n=st.integers(0, 70), length=st.integers(0, 8), size=st.integers(1, 40))
-def test_white_box_runs_equal_the_default_loop(seed, d, num_events, n, length, size):
-    # one walk of the whole array, then one charged exec_query per run: the
-    # states of every run, bit for bit, and the io after each, as the
-    # default's exec_queries per run and the word-by-word loop give them
+       n=st.integers(0, 70), length=st.integers(0, 8), size=st.integers(1, 40),
+       mixed=st.booleans())
+def test_white_box_runs_equal_the_default_loop(seed, d, num_events, n, length, size, mixed):
+    # one walk of all the words, then one charged exec_query per run: the
+    # states of every run, bit for bit up to each word's end, and the io
+    # after each, as the default's loop and the word-by-word loop give them;
+    # the words are one (n, L) array, or a list of n words of lengths 0 to
+    # L, which the white-box oracle pads with zeros and the default with
+    # each word's last state
     hidden = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
                                      dim=d, seed=seed))
     rng = np.random.default_rng(seed)
-    words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
+    if mixed:
+        words = [tuple(rng.integers(0, num_events, rng.integers(0, length + 1)).tolist())
+                 for _ in range(n)]
+    else:
+        words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
     x0s = rng.standard_normal((n, d))
     obs = WhiteBoxObservationOracle(hidden)
     runs = run_outcomes(obs, x0s, words, size)
@@ -993,9 +1006,9 @@ def test_white_box_runs_with_an_event_that_is_not_hidden_are_the_default_loop(de
 
 
 def test_exec_runs_of_an_oracle_that_overrides_exec_query_is_lazy(demo2d_system):
-    # each run is one exec_queries call of exec_query per word, made only
-    # when the run is read; the stream ends with the first run that has an
-    # error, after the words before the refused one
+    # each run is one exec_query per word, made only when the run is read;
+    # the stream ends with the first run that has an error, after the words
+    # before the refused one
     obs = RefusingObservationOracle(demo2d_system)
     words = np.array([[0, 0], [0, 0], [0, 0], [0, 1], [0, 0]], dtype=np.uint8)
     x0s = np.random.default_rng(6).standard_normal((5, 2))
@@ -1016,14 +1029,44 @@ def test_exec_runs_of_an_oracle_that_overrides_exec_query_is_lazy(demo2d_system)
     assert seen == list(map(tuple, words.tolist()))
 
 
+@pytest.mark.parametrize("make_obs", [WhiteBoxObservationOracle, LoopingObservationOracle,
+                                      RefusingObservationOracle])
+def test_exec_runs_refuses_starts_and_words_of_different_counts(demo2d_system, make_obs):
+    # 3 starts for 2 words, or 2 for 3, as an array or a list: refused on
+    # the stacked path and the default loop alike, before any query
+    words = np.array([[0, 0], [1, 0], [0, 0]], dtype=np.uint8)
+    x0s = np.random.default_rng(7).standard_normal((3, 2))
+    obs, calls = make_obs(demo2d_system), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "execute",
+                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        for starts, stack in ((x0s, words[:2]), (x0s[:2], words), (x0s, words.tolist()[:2])):
+            with pytest.raises(DimensionMismatch, match="one start per word"):
+                next(obs.exec_runs(starts, stack, 2))
+    assert calls == [] and obs.stats.io_queries == 0
+    assert getattr(obs, "words", []) == []
+
+
+@pytest.mark.parametrize("make_obs", [WhiteBoxObservationOracle, LoopingObservationOracle,
+                                      RefusingObservationOracle])
+def test_exec_runs_refuses_a_run_size_below_one(demo2d_system, make_obs):
+    words = np.array([[0, 0], [1, 0]], dtype=np.uint8)
+    x0s = np.random.default_rng(8).standard_normal((2, 2))
+    obs = make_obs(demo2d_system)
+    for size in (0, -1):
+        for stack in (words, words.tolist(), words[:0]):
+            with pytest.raises(ValueError, match=f"run size must be >= 1, got {size}"):
+                next(obs.exec_runs(x0s[:len(stack)], stack, size))
+    assert obs.stats.io_queries == 0 and getattr(obs, "words", []) == []
+
+
 def test_depth_eleven_check_walks_the_hidden_automaton_once_per_length(monkeypatch):
     # the 4,095 words of a full check at the benchmark shape: one walk of
     # each length's words, and still one execute call per run of 32 words
     hidden = random_system(GenConfig(5, 2, 3, 3, 0))
     walks, calls = [], []
-    walk = switched_system._walk
-    monkeypatch.setattr(switched_system, "_walk", lambda *args: walks.append(args[1].shape)
-                        or walk(*args))
+    monkeypatch.setattr(oracle, "walk", lambda *args: walks.append(args[1].shape)
+                        or switched_system.walk(*args))
     monkeypatch.setattr(oracle, "execute",
                         lambda *args: calls.append(args[2]) or switched_system.execute(*args))
     obs = WhiteBoxObservationOracle(hidden)

@@ -642,7 +642,7 @@ def test_cached_outputs_reads_the_prefixes_of_an_untraceable_word_off_another_tr
 
 
 class LoopingObservationOracle(WhiteBoxObservationOracle):
-    """A white-box oracle whose exec_query is its own: exec_queries makes its
+    """A white-box oracle whose exec_query is its own: exec_runs makes its
     queries one at a time, as for any oracle that overrides it. It records
     the word of each one-column query."""
 
@@ -696,12 +696,17 @@ def test_cached_outputs_traces_each_stack_in_one_stacked_call():
     assert stacked_registry.fallbacks == looped_registry.fallbacks
     assert stacked.stats.as_dict() == looped.stats.as_dict()
     # one word array per stack, whose rows are the words the looping oracle
-    # traced on one column, in order; every other call is a recovery on d
-    arrays = [args for args in stacked_calls if np.ndim(args[2]) == 2]
-    assert len(arrays) == 3 and all(len(args[2]) >= STACK_MIN for args in arrays)
-    traced = [tuple(row[:n]) for _, _, array, lengths, _ in arrays
-              for row, n in zip(array.tolist(), lengths.tolist())]
-    assert traced == looped.words == first_reader_order(words)
+    # traced on one column, in order, zero-padded to the stack's longest;
+    # every other call is a recovery on d
+    arrays = [args[2] for args in stacked_calls if np.ndim(args[2]) == 2]
+    assert len(arrays) == 3 and all(len(array) >= STACK_MIN for array in arrays)
+    assert looped.words == first_reader_order(words)
+    rows, padded = [], []
+    for array in arrays:
+        stack = looped.words[len(rows):len(rows) + len(array)]
+        padded += [w + (0,) * (max(map(len, stack)) - len(w)) for w in stack]
+        rows += map(tuple, array.tolist())
+    assert rows == padded and len(rows) == len(looped.words)
     assert all(np.shape(args[1]) == (4, 4) for args in stacked_calls if np.ndim(args[2]) == 1)
     assert len(looped_calls) == len(looped.words) + len(stacked_calls) - 3
 
@@ -709,7 +714,7 @@ def test_cached_outputs_traces_each_stack_in_one_stacked_call():
 class RefusingLoopingOracle(OSErrorObservationOracle):
     """OSErrorObservationOracle (traces of words holding event 1 fail) that
     records the word of each query, refused ones included, and the number
-    of words of each exec_queries call."""
+    of words of each exec_runs call."""
 
     def __init__(self, hidden):
         super().__init__(hidden)
@@ -719,9 +724,9 @@ class RefusingLoopingOracle(OSErrorObservationOracle):
         self.words.append(tuple(word))
         return super().exec_query(x0, word)
 
-    def exec_queries(self, x0s, words):
+    def exec_runs(self, x0s, words, size):
         self.calls.append(len(words))
-        return super().exec_queries(x0s, words)
+        return super().exec_runs(x0s, words, size)
 
 
 def test_a_wide_stack_re_routes_refused_traces_as_a_narrow_one_does(monkeypatch):

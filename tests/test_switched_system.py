@@ -166,84 +166,29 @@ def test_execute_prefix_property(indices, cut):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 20), num_events=st.integers(1, 3),
-       n=st.integers(0, 6), length=st.integers(0, 12))
-def test_execute_of_a_word_array_equals_single_word_calls(seed, d, num_events, n, length):
+       n=st.integers(0, 6), length=st.integers(0, 12),
+       dtype=st.sampled_from([np.uint8, np.uint64, np.int64]))
+def test_execute_of_a_word_array_equals_single_word_calls(seed, d, num_events, n, length, dtype):
     # column i reads word i, and each state equals that of a single-word
-    # call on that column bit for bit: both step it with one BLAS product
+    # call on that column bit for bit: both step it with one BLAS product;
+    # an event out of range is named as in a single word of all the events
     system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
                                      dim=d, seed=seed))
     rng = np.random.default_rng(seed)
-    words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
+    words = rng.integers(0, num_events, (n, length)).astype(dtype)
     x0 = rng.uniform(-1, 1, (d, n))
     states = execute(system, x0, words)
     assert states.shape == (length + 2, d, n)
     for i, word in enumerate(words.tolist()):
         single = execute(system, x0[:, i:i + 1], tuple(word))
         assert np.array_equal(np.stack(single), states[:, :, i:i + 1])
-
-
-@st.composite
-def mixed_words(draw, num_events):
-    """Words over num_events events of lengths 0 to 8, with duplicates and
-    prefixes of drawn words (the empty word among them) appended."""
-    words = draw(st.lists(st.lists(st.integers(0, num_events - 1), max_size=8).map(tuple),
-                          max_size=8))
-    for source, cut in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 8)),
-                                     max_size=4)):
-        if words:
-            words.append(words[source % len(words)][:cut])
-    return words
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 20]) | st.integers(1, 20),
-       num_events=st.integers(1, 3), data=st.data(),
-       dtype=st.sampled_from([np.uint8, np.uint64, np.int64]))
-def test_execute_of_mixed_length_words_equals_single_word_calls(seed, d, num_events, data,
-                                                                dtype):
-    # word i is row i up to lengths[i]: its states up to its own end equal
-    # those of a single-word call on its column bit for bit, and the entries
-    # after it, here an event out of range, are never read
-    system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
-                                     dim=d, seed=seed))
-    words = data.draw(mixed_words(num_events))
-    lengths = np.array([len(w) for w in words], dtype=np.intp)
-    width = max(lengths, default=0) + data.draw(st.integers(0, 2))
-    array = np.full((len(words), width), num_events + 1, dtype=dtype)
-    for row, word in zip(array, words):
-        row[:len(word)] = word
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(-1, 1, (d, len(words)))
-    states = execute(system, x0, array, lengths)
-    assert states.shape == (width + 2, d, len(words))
-    for i, word in enumerate(words):
-        single = np.stack(execute(system, x0[:, i:i + 1], word))
-        column = np.ascontiguousarray(states[:len(word) + 2, :, i:i + 1])
-        assert single.tobytes() == column.tobytes()
-    # errors as the one-length form raises them: columns, then the first
-    # out-of-range event in row order, as a single word of all the events
-    with pytest.raises(DimensionMismatch,
-                       match=rf"expected \({d}, {len(words)}\): one column per word"):
-        execute(system, np.zeros((d, len(words) + 1)), array, lengths)
-    bad = data.draw(st.sampled_from([num_events, num_events + 7] + [-1] * (dtype is np.int64)))
-    if words and lengths.any():
-        row = data.draw(st.sampled_from(np.flatnonzero(lengths).tolist()))
-        array[row, data.draw(st.integers(0, lengths[row] - 1))] = bad
-        events = [e for r, n in zip(array.tolist(), lengths.tolist()) for e in r[:n]]
+    if words.size:
+        words[rng.integers(n), rng.integers(length)] = num_events
         with pytest.raises(InvalidEvent) as refused:
-            execute(system, x0, array, lengths)
+            execute(system, x0, words)
         with pytest.raises(InvalidEvent) as single:
-            execute(system, np.zeros(d), tuple(events))
+            execute(system, np.zeros(d), tuple(words.ravel().tolist()))
         assert str(refused.value) == str(single.value)
-
-
-def test_execute_of_mixed_length_words_checks_the_lengths(demo2d_system):
-    words = np.array([[E1, E2], [E2, E1]])
-    for lengths in ([3, 1], [-1, 2], [2]):
-        with pytest.raises(ValueError):
-            execute(demo2d_system, np.zeros((2, 2)), words, np.array(lengths))
-    states = execute(demo2d_system, np.ones((2, 2)), words, np.array([0, 2]))
-    assert np.array_equal(states[:2, :, 0], np.stack(execute(demo2d_system, np.ones(2), ())))
 
 
 def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
@@ -284,16 +229,16 @@ def test_execute_steps_a_slice_of_a_larger_walk_as_its_own(seed, d, num_events, 
     begin = cut.draw(st.integers(0, n - 1))
     end = cut.draw(st.integers(begin + 1, n))
     x0 = rng.uniform(-1, 1, (d, end - begin))
-    stepped = execute(system, x0, words[begin:end], None, labels[:, begin:end])
+    stepped = execute(system, x0, words[begin:end], labels[:, begin:end])
     assert stepped.tobytes() == execute(system, x0, words[begin:end]).tobytes()
 
 
 def test_execute_refuses_label_rows_that_are_not_a_one_length_walk(demo2d_system):
     words = np.array([[E1, E2], [E2, E1], [E1, E1]], dtype=np.uint8)
     labels = walk(demo2d_system, words)
-    for bad, lengths in ((labels[:, :2], None), (labels[1:], None), (labels, np.array([2, 2, 2]))):
+    for bad in (labels[:, :2], labels[1:], labels[None]):
         with pytest.raises(ValueError, match=r"expected the \(3, 3\) label rows"):
-            execute(demo2d_system, np.zeros((2, 3)), words, lengths, bad)
+            execute(demo2d_system, np.zeros((2, 3)), words, bad)
     # walk names the first out-of-range event in row order, as execute does
     for bad in (2, -1):
         signed = words.astype(np.int64)
