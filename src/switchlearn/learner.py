@@ -81,46 +81,39 @@ class ObservationStore:
         if (self.max_outputs is not None and word not in cache
                 and self.spent >= self.max_outputs):
             raise BudgetExceeded(f"more than {self.max_outputs} output computations")
-        try:
-            return cached_output(self._obs, self.registry, cache, word)
-        finally:
-            self._refresh()
+        return cached_output(self._obs, self.registry, cache, word)
 
     def fetch(self, words) -> None:
         """Compute the labels of an iterable of words together, in order, so
         that label finds them cached. Capped at the budget, so label refuses
         the same word as without the fetch."""
         limit = None if self.max_outputs is None else max(0, self.max_outputs - self.spent)
-        try:
-            cached_outputs(self._obs, self.registry, words, limit)
-        finally:
-            self._refresh()
+        cached_outputs(self._obs, self.registry, words, limit)
 
     def rederive(self, words) -> None:
         """Re-derive the labels of words on d columns (see
         output_query.rederive): trace queries, but no output computations."""
-        try:
-            rederive(self._obs, self.registry, words)
-        finally:
-            self._refresh()
+        rederive(self._obs, self.registry, words)
 
     def _refresh(self) -> None:
         """Drop the stored rows, to be read again from the cache, when a
-        re-derivation changed a cached label since. label, fetch and
-        rederive call it also when they raise, since a rescreen may have
-        changed a label before the error."""
+        re-derivation changed a cached label since. Only rows reads them: it
+        calls this on entry, for a change by any call since (a failed one
+        too), and after its fetch."""
         if self.registry.relabels != self._relabels:
             self._rows.clear()
             self._relabels = self.registry.relabels
 
     def rows(self, words: list[Word]) -> list[tuple[int, ...]]:
-        """The rows of words, in order, each stored. The cells they lack are
-        fetched together, in the order they are read, and each row is then
-        extended from the output cache. A cell the budget left uncomputed
-        goes through label, which refuses it with BudgetExceeded; the rows
-        of the words before it are stored by then."""
+        """The rows of words, in order, each stored (see _refresh). The cells
+        they lack are fetched together, in the order they are read, and each
+        row is then extended from the output cache. A cell the budget left
+        uncomputed goes through label, which refuses it with BudgetExceeded;
+        the rows of the words before it are stored by then."""
+        self._refresh()
         stored, tests, cache = self._rows, self.test_words, self.registry.cache
         self.fetch([w + t for w in words for t in tests[len(stored.get(w, ())):]])
+        self._refresh()
         rows = []
         for w in words:
             cells = stored.get(w, ())

@@ -19,6 +19,8 @@ the hidden automaton for all its words and one stacked exec_query per run.
 """
 
 import itertools
+import numbers
+import operator
 
 import numpy as np
 
@@ -75,10 +77,10 @@ class ObservationOracle:
 
         words is an (n, L) integer array, one word of length L per row, or
         a list of n words of any lengths; the states of a word after its
-        own last one are unspecified. Starts and words of different counts
-        raise DimensionMismatch, and a size below 1 ValueError, before any
-        query. This default makes the queries one exec_query at a time,
-        word i as a tuple of ints from a (d, 1) column."""
+        own last one are unspecified. Starts that are not an (n, d) array, or
+        not one per word, raise DimensionMismatch, and a size below 1
+        ValueError, before any query. This default makes the queries one
+        exec_query at a time, word i as a tuple of ints from a (d, 1) column."""
         _check_runs(x0s, words, size)
         stacked = isinstance(words, np.ndarray)
         length = words.shape[1] if stacked else max(map(len, words), default=0)
@@ -97,10 +99,11 @@ class ObservationOracle:
 
 
 def _check_runs(x0s: np.ndarray, words, size: int) -> None:
-    """exec_runs' refusals: DimensionMismatch unless there is one start per
-    word, ValueError for a run size below 1."""
-    if len(x0s) != len(words):
-        raise DimensionMismatch(f"{len(x0s)} starts for {len(words)} words: one start per word")
+    """exec_runs' refusals: DimensionMismatch unless the starts are an (n, d)
+    array with one start per word, ValueError for a run size below 1."""
+    if np.ndim(x0s) != 2 or len(x0s) != len(words):
+        raise DimensionMismatch(f"starts of shape {np.shape(x0s)} for {len(words)} words: "
+                                "one start per word, in an (n, d) array")
     if size < 1:
         raise ValueError(f"run size must be >= 1, got {size}")
 
@@ -139,7 +142,7 @@ class WhiteBoxObservationOracle(ObservationOracle):
 
     def exec_runs(self, x0s: np.ndarray, words, size: int):
         """The default's runs, with its io and, up to each word's end, its
-        states bit for bit. When the starts are of the hidden dimension,
+        states bit for bit. When the starts are (n, d) for the hidden d,
         every event is a hidden one and exec_query is this class's own (one
         overridden on a subclass or an instance must see every query), the
         words are stacked into one array, a list zero-padded, the hidden
@@ -148,7 +151,7 @@ class WhiteBoxObservationOracle(ObservationOracle):
         columns of the walk's label rows; else the default makes the runs."""
         own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
         array = (_word_array(words, len(self._hidden.fa.alphabet))
-                 if own and x0s.shape[1] == self._hidden.d else None)
+                 if own and x0s.shape[1:] == (self._hidden.d,) else None)
         if array is None:
             yield from super().exec_runs(x0s, words, size)
             return
@@ -286,12 +289,10 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):
         super().__init__()
-        if not isinstance(l_max, int) or isinstance(l_max, bool):
-            raise ValueError(f"l_max must be an integer, got {l_max!r}")
-        if l_max < 0:
-            raise ValueError(f"l_max must be >= 0, got {l_max}")
+        if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral) or l_max < 0:
+            raise ValueError(f"l_max must be an integer >= 0, got {l_max!r}")
         self._obs = obs
-        self._l_max = l_max
+        self._l_max = operator.index(l_max)  # a numpy integer as an int
         self._tol = check_label_tol(tol)
 
     def check(self, hypothesis: SwitchedSystem) -> Word | None:

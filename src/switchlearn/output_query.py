@@ -148,9 +148,9 @@ class LabelRegistry:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def _keep(self, words: list[Word], pairs: np.ndarray, rows: list[int]) -> None:
-        if rows:
-            self._kept.append(([words[i] for i in rows], pairs[rows]))
+    def _keep(self, words: list[Word], pairs: np.ndarray) -> None:
+        if words:
+            self._kept.append((words, pairs))
 
     def _note(self, ratios: np.ndarray) -> None:
         """Lower margin_min to the smallest of ratios that does not pass."""
@@ -244,11 +244,10 @@ def _intern(obs, registry: LabelRegistry, matrix: np.ndarray) -> int:
         pairs = np.concatenate([kept for _, kept in registry._kept])
         again = _ratios(matrix[None], pairs[:, 0], pairs[:, 1], registry.tol)[0] <= 1
         if again.any():
-            flags = again.tolist()
             words = [w for kept, _ in registry._kept for w in kept]
             registry._kept = []
-            registry._keep(words, pairs, [i for i, a in enumerate(flags) if not a])
-            rederive(obs, registry, [w for w, a in zip(words, flags) if a], pairs[again])
+            registry._keep([w for w, a in zip(words, again) if not a], pairs[~again])
+            rederive(obs, registry, [w for w, a in zip(words, again) if a], pairs[again])
     return label
 
 
@@ -309,47 +308,34 @@ def _identify(obs, registry: LabelRegistry, words: list[Word], pairs: np.ndarray
     """Label the stack words, in order, from their probe pairs (the (words,
     2, d) array pairs), into registry.cache: the one label a word passes,
     or else a fallback.
-    Each label is screened once: the labels known at the start against every
-    word, and the labels a fallback adds against the words still to come.
-    A screen's passes are merged into each word's count of passing labels
-    and the first of them. The words up to the next fallback are accepted
-    together, and the pairs of accepted words go to the registry."""
-    cache, accepted, n = registry.cache, [], len(words)
-    # per word: how many labels it passes, and the first of them
-    hits, first = [0] * n, [0] * n
-    known = i = 0
-    try:
-        while i < n:
-            if len(registry) != known:
-                ratios = _ratios(registry._labels[known:], pairs[i:, 0], pairs[i:, 1],
-                                 registry.tol)
-                registry._note(ratios)
-                passed = ratios <= 1
-                passes, firsts = passed.sum(axis=0).tolist(), passed.argmax(axis=0).tolist()
-                if known:  # merge with the passes of the labels screened before
-                    firsts = [f if h else known + g
-                              for h, f, g in zip(hits[i:], first[i:], firsts)]
-                    passes = [h + p for h, p in zip(hits[i:], passes)]
-                hits[i:], first[i:], known = passes, firsts, len(registry)
-            stop = i  # the next fallback, or n
-            while stop < n and hits[stop] == 1:
-                stop += 1
-            if stop > i:
-                cache.update(zip(words[i:stop], first[i:stop]))
-                obs.stats.output_computations += stop - i
-                accepted.extend(range(i, stop))
-            if stop == n:
-                break
-            obs.stats.output_computations += 1
-            # the accepted pairs are rescreened if this fallback adds a label
-            registry._keep(words, pairs, accepted)
-            accepted = []
-            registry.fallbacks += 1
-            matrix = _derive(obs, words[stop], registry.tol, pairs[stop])
-            cache[words[stop]] = _intern(obs, registry, matrix)
-            i = stop + 1
-    finally:
-        registry._keep(words, pairs, accepted)
+    Every label is screened against the words still to come in one call, at
+    the start and again after each fallback that adds a label; a fallback
+    that adds none leaves the screen standing. The words up to the next
+    fallback are accepted together, and their pairs go to the registry."""
+    cache, n = registry.cache, len(words)
+    # per word from base on: how many labels it passes, and the first of them
+    hits, first, base, known, i = [0] * n, [0] * n, 0, 0, 0
+    while i < n:
+        if len(registry) != known:
+            known, base = len(registry), i
+            ratios = _ratios(registry._labels, pairs[i:, 0], pairs[i:, 1], registry.tol)
+            registry._note(ratios)
+            passed = ratios <= 1
+            hits, first = passed.sum(axis=0).tolist(), passed.argmax(axis=0).tolist()
+        stop = i  # the next fallback, or n
+        while stop < n and hits[stop - base] == 1:
+            stop += 1
+        cache.update(zip(words[i:stop], first[i - base:stop - base]))
+        obs.stats.output_computations += stop - i
+        # kept, to be rescreened if a later fallback adds a label
+        registry._keep(words[i:stop], pairs[i:stop].copy())
+        if stop == n:
+            break
+        obs.stats.output_computations += 1
+        registry.fallbacks += 1
+        matrix = _derive(obs, words[stop], registry.tol, pairs[stop])
+        cache[words[stop]] = _intern(obs, registry, matrix)
+        i = stop + 1
 
 
 def cached_outputs(obs, registry: LabelRegistry, words, limit: int | None = None) -> None:
@@ -382,10 +368,10 @@ def cached_outputs(obs, registry: LabelRegistry, words, limit: int | None = None
     time would ask.
 
     The words of each stack of PROBE_BATCH are checked against every label
-    in one call, and a label a fallback adds mid-stack against the words
-    after it in one more (see _identify). A fallback, a word that no label
-    or several labels pass, costs one more trace query of d columns, and
-    another when it is refined.
+    in one call, and the words after a fallback that adds a label against
+    every label again in one more (see _identify). A fallback, a word that
+    no label or several labels pass, costs one more trace query of d
+    columns, and another when it is refined.
 
     If a fallback's recovery is refused (see _derive), its output not finite
     or not passing the probe check, its label ambiguous, or a trace query

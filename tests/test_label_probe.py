@@ -3,6 +3,7 @@ labels recovered on d columns, and the guards against a probe that takes a
 new label for a known one."""
 
 import importlib.util
+import itertools
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -451,8 +452,9 @@ def word_by_word_ratios(matrices, xs, ys, tol):
 
 
 def rescreening_identify(obs, registry, words, pairs):
-    """Reference for output_query._identify: whenever a fallback adds a
-    label, every label is screened again against the words still to come."""
+    """Reference for output_query._identify, one word at a time: whenever a
+    fallback adds a label, every label is screened again against the words
+    still to come."""
     cache, accepted, known = registry.cache, [], -1
     try:
         for i, word in enumerate(words):
@@ -470,13 +472,13 @@ def rescreening_identify(obs, registry, words, pairs):
                 cache[word] = first[i - base]
                 accepted.append(i)
                 continue
-            registry._keep(words, pairs, accepted)
+            registry._keep([words[j] for j in accepted], pairs[accepted])
             accepted = []
             registry.fallbacks += 1
             matrix = output_query._derive(obs, word, registry.tol, pairs[i])
             cache[word] = output_query._intern(obs, registry, matrix)
     finally:
-        registry._keep(words, pairs, accepted)
+        registry._keep([words[j] for j in accepted], pairs[accepted])
 
 
 def stacks_outcome(hidden, tol, known, stacks, identify, ratios):
@@ -504,12 +506,13 @@ def stacks_outcome(hidden, tol, known, stacks, identify, ratios):
        seed=st.integers(0, 10_000), num_events=st.integers(1, 3),
        num_labels=st.integers(2, 8), known=st.integers(0, 2), stress=st.booleans(),
        sizes=st.lists(st.integers(1, 80), min_size=1, max_size=3), word_by_word=st.booleans())
-def test_identify_screens_each_label_once(d, tol, seed, num_events, num_labels, known, stress,
-                                          sizes, word_by_word):
-    # a label a fallback adds mid-stack is screened alone against the words
-    # after it; the outcome is that of screening every label again. The
-    # stress chain's long a-words pass A while they reach B, so there B,
-    # interned mid-stack, often re-derives words accepted before it
+def test_identify_matches_the_per_word_rescreening_reference(d, tol, seed, num_events,
+                                                             num_labels, known, stress, sizes,
+                                                             word_by_word):
+    # _identify accepts the words up to the next fallback at once; the
+    # outcome is that of labelling them one at a time. The stress chain's
+    # long a-words pass A while they reach B, so there B, interned
+    # mid-stack, often re-derives words accepted before it
     if stress:
         hidden, num_events, known = stress_chain(4 + seed % 13, shortcut=True), 2, 1
         lengths = 16
@@ -533,24 +536,42 @@ def test_identify_screens_each_label_once(d, tol, seed, num_events, num_labels, 
         assert margin == pytest.approx(expected_margin, rel=1e-8)
 
 
-def test_a_label_added_mid_stack_is_screened_alone(demo2d_system):
-    # each of the demo model's three labels is new when its first word is
-    # reached, so every screen after the first word is of one new label
+def recorded_screens(obs, registry, words):
+    """cached_outputs(obs, registry, words), and the (labels, words) shape of
+    each screen it made: each _ratios call on the registry's label stack,
+    not those of the probe check of a recovery or of a rescreen."""
     screens = []
 
     def recording_ratios(matrices, xs, ys, tol):
-        screens.append(len(matrices))
+        if matrices is registry._labels:
+            screens.append((len(matrices), len(xs)))
         return RATIOS(matrices, xs, ys, tol)
 
-    words = [(), (0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1)]
-    obs, registry = WhiteBoxObservationOracle(demo2d_system), LabelRegistry()
     with mock.patch.object(output_query, "_ratios", recording_ratios):
         cached_outputs(obs, registry, words)
-    assert len(registry) == 3 and obs.stats.output_computations == len(words)
-    assert screens and set(screens) == {1}
+    return screens
+
+
+def test_identify_screens_every_label_again_only_after_a_new_label(demo2d_system):
+    hidden = demo2d_system
+    # each of the demo model's three labels is new when its first word is
+    # reached: each fallback that interns one is followed by one screen of
+    # every label against the words after it
+    words = [(), (0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1)]
+    obs, registry = WhiteBoxObservationOracle(hidden), LabelRegistry()
+    assert recorded_screens(obs, registry, words) == [(1, 6), (2, 5), (3, 4)]
+    assert len(registry) == 3 and registry.fallbacks == 3
+    assert obs.stats.output_computations == len(words)
     assert registry.cache == {
-        w: registry.classify(demo2d_system.matrices[output_of(demo2d_system.fa, w)])
-        for w in words}
+        w: registry.classify(hidden.matrices[output_of(hidden.fa, w)]) for w in words}
+    # at tol 1.0 the demo model's labels, 1.1 to 2.3 apart, pass many words
+    # together: their fallbacks add no label, so the stack is screened once
+    words = [w for n in range(6) for w in itertools.product(range(2), repeat=n)]
+    obs = WhiteBoxObservationOracle(hidden)
+    registry = LabelRegistry(1.0, canonical=hidden.matrices)
+    assert recorded_screens(obs, registry, words) == [(3, len(words))]
+    assert len(registry) == 3 and registry.fallbacks > len(words) // 2
+    assert registry.cache == {w: output_of(hidden.fa, w) for w in words}
 
 
 @lru_cache(maxsize=None)

@@ -588,11 +588,20 @@ def test_bounded_oracle_rejects_hypothesis_that_misses_or_reorders_hidden_events
         WhiteBoxEquivalenceOracle(demo2d_system).check(hypothesis)
 
 
-@pytest.mark.parametrize("l_max", [-1, True, False, 2.0, "3", None])
+@pytest.mark.parametrize("l_max", [-1, True, False, 2.0, "3", None, np.True_, np.False_,
+                                   np.float64(2.0), np.int64(-1), np.array(3), np.array([3])])
 def test_bounded_oracle_rejects_bad_depth(demo2d_system, l_max):
     obs = WhiteBoxObservationOracle(demo2d_system)
     with pytest.raises(ValueError, match="l_max"):
         BoundedTestingEquivalenceOracle(obs, l_max)
+
+
+@pytest.mark.parametrize("l_max", [0, 3, np.int64(3), np.uint8(3), np.int32(0)])
+def test_bounded_oracle_accepts_any_integer_depth(demo2d_system, l_max):
+    # a numpy integer searches as deep as the int of its value
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    assert BoundedTestingEquivalenceOracle(obs, l_max).check(demo2d_system) is None
+    assert obs.stats.io_queries == 2 ** (int(l_max) + 1) - 1
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -1033,7 +1042,8 @@ def test_exec_runs_of_an_oracle_that_overrides_exec_query_is_lazy(demo2d_system)
                                       RefusingObservationOracle])
 def test_exec_runs_refuses_starts_and_words_of_different_counts(demo2d_system, make_obs):
     # 3 starts for 2 words, or 2 for 3, as an array or a list: refused on
-    # the stacked path and the default loop alike, before any query
+    # the stacked path and the default loop alike, before any query; so are
+    # starts that are not an (n, d) array, one per word or not
     words = np.array([[0, 0], [1, 0], [0, 0]], dtype=np.uint8)
     x0s = np.random.default_rng(7).standard_normal((3, 2))
     obs, calls = make_obs(demo2d_system), []
@@ -1043,6 +1053,10 @@ def test_exec_runs_refuses_starts_and_words_of_different_counts(demo2d_system, m
         for starts, stack in ((x0s, words[:2]), (x0s[:2], words), (x0s, words.tolist()[:2])):
             with pytest.raises(DimensionMismatch, match="one start per word"):
                 next(obs.exec_runs(starts, stack, 2))
+        for starts in (x0s[:, 0], x0s[:2, 0], x0s[..., None], x0s[:, None], x0s[0, 0]):
+            for stack in (words, words.tolist()):
+                with pytest.raises(DimensionMismatch, match=r"in an \(n, d\) array"):
+                    next(obs.exec_runs(starts, stack, 2))
     assert calls == [] and obs.stats.io_queries == 0
     assert getattr(obs, "words", []) == []
 
