@@ -14,8 +14,9 @@ Batched trace queries have one entry point, ObservationOracle.exec_runs: a
 lazy stream of runs over words of any lengths, whose default makes one
 exec_query per word. The learner's wide stacks of words of mixed lengths
 are each one run, and the bounded check reads each length as a stream of
-runs of one length. The white-box oracle answers a stream with one walk of
-the hidden automaton for all its words and one stacked exec_query per run.
+runs of one length. The white-box oracle steps a stream's words in blocks
+of whole runs, one stacked execute per block of up to GATHER_FLOATS floats
+of states, and charges each run with one exec_query of its stepped states.
 """
 
 import itertools
@@ -25,11 +26,11 @@ import operator
 import numpy as np
 
 from .automaton import EventAlphabet, Word, language_equivalent
-from .errors import AlphabetMismatch, DimensionMismatch, SingularBasis
+from .errors import AlphabetMismatch, DimensionMismatch, InvalidEvent, SingularBasis
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import PROBE_SEED, compute_output  # noqa: F401
-from .switched_system import SwitchedSystem, execute, walk
+from .switched_system import GATHER_FLOATS, SwitchedSystem, execute
 
 # Words of one length traced and compared per run by the bounded oracle: when
 # a word cannot be checked, the later words of its run may have been traced
@@ -78,32 +79,45 @@ class ObservationOracle:
         words is an (n, L) integer array, one word of length L per row, or
         a list of n words of any lengths; the states of a word after its
         own last one are unspecified. Starts that are not an (n, d) array, or
-        not one per word, raise DimensionMismatch, and a size below 1
-        ValueError, before any query. This default makes the queries one
+        not one per word, raise DimensionMismatch, a word array whose type is
+        not an integer one InvalidEvent, and a size below 1 ValueError,
+        before any query. This default makes the queries one
         exec_query at a time, word i as a tuple of ints from a (d, 1) column."""
         _check_runs(x0s, words, size)
-        stacked = isinstance(words, np.ndarray)
-        length = words.shape[1] if stacked else max(map(len, words), default=0)
-        for begin in range(0, len(words), size):
-            run, traces, error = words[begin:begin + size], [], None
-            for x0, word in zip(x0s[begin:begin + size, :, None], run.tolist() if stacked else run):
-                try:
-                    trace = self.exec_query(x0, tuple(word))
-                except Exception as exc:
-                    error = exc
-                    break
-                traces.append([*trace] + [trace[-1]] * (length - len(word)))  # padded to L + 2
-            yield np.array(traces).reshape(len(traces), length + 2, x0s.shape[1]), error
-            if error is not None:
-                return
+        yield from _query_runs(self, x0s, words, size)
+
+
+def _query_runs(obs: ObservationOracle, x0s: np.ndarray, words, size: int):
+    """The default exec_runs once its arguments are checked: one
+    obs.exec_query per word."""
+    stacked = isinstance(words, np.ndarray)
+    length = words.shape[1] if stacked else max(map(len, words), default=0)
+    for begin in range(0, len(words), size):
+        run, traces, error = words[begin:begin + size], [], None
+        for x0, word in zip(x0s[begin:begin + size, :, None], run.tolist() if stacked else run):
+            try:
+                trace = obs.exec_query(x0, tuple(word))
+            except Exception as exc:
+                error = exc
+                break
+            traces.append([*trace] + [trace[-1]] * (length - len(word)))  # padded to L + 2
+        yield np.array(traces).reshape(len(traces), length + 2, x0s.shape[1]), error
+        if error is not None:
+            return
 
 
 def _check_runs(x0s: np.ndarray, words, size: int) -> None:
     """exec_runs' refusals: DimensionMismatch unless the starts are an (n, d)
-    array with one start per word, ValueError for a run size below 1."""
-    if np.ndim(x0s) != 2 or len(x0s) != len(words):
-        raise DimensionMismatch(f"starts of shape {np.shape(x0s)} for {len(words)} words: "
+    array with one start per word, InvalidEvent for a word array of a type
+    that is not an integer one (a float or bool array included), ValueError
+    for a run size below 1."""
+    if not isinstance(x0s, np.ndarray) or x0s.ndim != 2 or len(x0s) != len(words):
+        starts = (f"of shape {x0s.shape}" if isinstance(x0s, np.ndarray)
+                  else f"of type {type(x0s).__name__}")
+        raise DimensionMismatch(f"starts {starts} for {len(words)} words: "
                                 "one start per word, in an (n, d) array")
+    if isinstance(words, np.ndarray) and words.dtype.kind not in "iu":
+        raise InvalidEvent(f"words of type {words.dtype}: events must be integers")
     if size < 1:
         raise ValueError(f"run size must be >= 1, got {size}")
 
@@ -131,35 +145,45 @@ class WhiteBoxObservationOracle(ObservationOracle):
         return self._hidden.fa.alphabet
 
     def exec_query(self, x0: np.ndarray, word: Word,
-                   labels: np.ndarray | None = None) -> list[np.ndarray]:
-        """execute(hidden, x0, word, labels), word also an (n, L) array of
-        words (see execute); one io query is charged per column of x0
-        before execute checks x0 and word, so a refused query still
-        counts."""
+                   trace: np.ndarray | None = None) -> list[np.ndarray]:
+        """execute(hidden, x0, word), word also an (n, L) array of words
+        (see execute), or trace when given: the states that exec_runs
+        stepped already for these columns, returned as they are. One io
+        query is charged per column of x0 before execute checks x0 and
+        word, so a refused query still counts."""
         shape = x0.shape if isinstance(x0, np.ndarray) else np.shape(x0)
         self.stats.io_queries += shape[1] if len(shape) == 2 else 1
-        return execute(self._hidden, x0, word, labels)
+        return execute(self._hidden, x0, word) if trace is None else trace
 
     def exec_runs(self, x0s: np.ndarray, words, size: int):
         """The default's runs, with its io and, up to each word's end, its
-        states bit for bit. When the starts are (n, d) for the hidden d,
-        every event is a hidden one and exec_query is this class's own (one
-        overridden on a subclass or an instance must see every query), the
-        words are stacked into one array, a list zero-padded, the hidden
-        automaton is walked once for it (walk), and each run of k words is
-        one exec_query of its (d, k) starts, charged k io, stepped from its
-        columns of the walk's label rows; else the default makes the runs."""
-        own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
-        array = (_word_array(words, len(self._hidden.fa.alphabet))
-                 if own and x0s.shape[1:] == (self._hidden.d,) else None)
-        if array is None:
-            yield from super().exec_runs(x0s, words, size)
-            return
+        states bit for bit, and its refusals. When the starts are (n, d) for
+        the hidden d, every event is a hidden one and exec_query is this
+        class's own (one overridden on a subclass or an instance must see
+        every query), the words are stacked into one array, a list
+        zero-padded, and stepped in blocks of whole runs: one execute per
+        block of as many runs as fit GATHER_FLOATS floats of states, at
+        least one, made when its first run is read. Each run of k words is
+        then one exec_query of its (d, k) starts, charged k io, that
+        returns its columns of the block's states; the states of runs never
+        read are dropped uncharged. Else the default makes the runs."""
         _check_runs(x0s, words, size)
-        labels = walk(self._hidden, array)
-        for begin in range(0, len(array), size):
-            run = slice(begin, begin + size)
-            yield self.exec_query(x0s[run].T, array[run], labels[:, run]).transpose(2, 0, 1), None
+        own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
+        d = self._hidden.d
+        array = (_word_array(words, len(self._hidden.fa.alphabet))
+                 if own and x0s.shape[1] == d else None)
+        if array is None:
+            yield from _query_runs(self, x0s, words, size)
+            return
+        n, length = array.shape
+        block = max(1, GATHER_FLOATS // ((length + 2) * d * size)) * size
+        for first in range(0, n, block):
+            starts, stack = x0s[first:first + block], array[first:first + block]
+            states = execute(self._hidden, starts.T, stack)
+            for begin in range(0, len(stack), size):
+                run = slice(begin, begin + size)
+                trace = self.exec_query(starts[run].T, stack[run], states[..., run])
+                yield trace.transpose(2, 0, 1), None
 
 
 def _word_array(words, events: int) -> np.ndarray | None:
@@ -263,7 +287,7 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     Cost: one trace column per word, (|events|^(l_max+1) - 1) / (|events| -
     1) in all for a full search (l_max + 1 over one event). Words are
     traced and compared in runs of CHECK_BATCH of one length, each length
-    read through one obs.exec_runs stream of its runs, which traces a run
+    read through one obs.exec_runs stream of its runs, which charges a run
     only when the check reads it, one output computation counted per
     compared word, through the counterexample. When a word cannot be
     checked, the words before it are compared first; then it is counted
@@ -282,9 +306,11 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
 
     Memory: for the words of the current length, their hypothesis nodes,
     events, random columns and starts, and the d x d inverse prefix product
-    that each |events| of them share; the white-box oracle's label rows of
-    their walk through the hidden automaton, (length + 1) small ints per
-    word; and the (CHECK_BATCH, l_max + 2, d) states of one run at most.
+    that each |events| of them share; and the states of the block of runs
+    being read, at most GATHER_FLOATS floats or one run's (CHECK_BATCH,
+    length + 2, d) states, with, for the white-box oracle, the label rows of
+    the block's walk through the hidden automaton, (length + 1) small ints
+    per word.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):

@@ -4,8 +4,7 @@ full-rank square matrices, with trace semantics and JSON (de)serialization.
 Reading a word walks the automaton; each visited node applies its matrix to
 the current state, including the last node reached. A word of length n
 therefore produces n + 2 states. execute also traces an (n, L) array of
-words of one length at once, stepped from its walk of the automaton (walk),
-which a caller may make once for the runs of a larger array.
+words of one length at once, stepped from its walk of the automaton (walk).
 """
 
 import json
@@ -63,8 +62,7 @@ class SwitchedSystem:
         return np.stack(self.matrices), labels, np.array(self.fa.delta)
 
 
-def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
-            labels: np.ndarray | None = None) -> list[np.ndarray]:
+def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarray]:
     """State sequence from x0 under word; length |word| + 2.
 
     x0 may be a single state (1-D, d entries) or a matrix of k column
@@ -83,15 +81,10 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
     their events), and each step is one gather of the label matrices and
     one stacked np.matmul, which ignores floating-point errors
     (np.errstate).
-
-    labels may hold the words' walk instead: the (L + 1, n) label rows
-    that walk(system, word) returns, or these words' columns of the rows of
-    a larger array walked once. The words are then neither walked nor
-    validated again; labels of another shape raise ValueError.
     """
     x = np.asarray(x0, dtype=float)
     if isinstance(word, np.ndarray) and word.ndim == 2:
-        return _execute_words(system, x, word, labels)
+        return _execute_words(system, x, word)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
@@ -110,10 +103,10 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word,
 
 # The label matrices of a word array's steps are gathered all at once when
 # they take at most this many floats (128 kB), else for one step and at most
-# STEP_BLOCK words at a time (100 kB at d=20), so that a stacked trace needs
-# little memory besides its states.
+# GATHER_FLOATS // d² words at a time, so that a stacked trace needs little
+# memory besides its states; the white-box oracle's exec_runs bounds those
+# states by it too, stepping whole runs in blocks of at most this many floats.
 GATHER_FLOATS = 1 << 14
-STEP_BLOCK = 32
 
 
 def walk(system: SwitchedSystem, words: np.ndarray) -> np.ndarray:
@@ -143,36 +136,25 @@ def walk(system: SwitchedSystem, words: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray,
-                   labels: np.ndarray | None) -> np.ndarray:
+def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray) -> np.ndarray:
     """execute for an (n, L) array of words, x0 already a float array."""
     (n, length), d = words.shape, system.d
     if x.shape != (d, n):
         raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
                                 "one column per word")
-    if labels is None:
-        labels = walk(system, words)
-    elif labels.shape != (length + 1, n):
-        raise ValueError(f"expected the ({length + 1}, {n}) label rows of the words' walk, "
-                         f"got shape {labels.shape}")
-    return _step(system, x, labels)
-
-
-def _step(system: SwitchedSystem, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The (L + 2, d, n) states of _execute_words from the (d, n) starts x
-    and the walk's (L + 1, n) label rows."""
-    (steps, n), d, matrices = labels.shape, system.d, system._stacked[0]
+    labels, matrices = walk(system, words), system._stacked[0]
     gathered = matrices.take(labels, axis=0) if labels.size * d * d <= GATHER_FLOATS else None
-    states = np.empty((steps + 1, n, d))
+    block = max(1, GATHER_FLOATS // (d * d))
+    states = np.empty((length + 2, n, d))
     columns = states[..., None]  # (L + 2, n, d, 1)
     states[0] = x.T
     with np.errstate(all="ignore"):
-        for step in range(steps):
+        for step in range(length + 1):
             if gathered is None:
-                for begin in range(0, n, STEP_BLOCK):
-                    block = slice(begin, begin + STEP_BLOCK)
-                    np.matmul(matrices.take(labels[step, block], axis=0), columns[step, block],
-                              out=columns[step + 1, block])
+                for begin in range(0, n, block):
+                    part = slice(begin, begin + block)
+                    np.matmul(matrices.take(labels[step, part], axis=0), columns[step, part],
+                              out=columns[step + 1, part])
             else:
                 np.matmul(gathered[step], columns[step], out=columns[step + 1])
     return states.transpose(0, 2, 1)

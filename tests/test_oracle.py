@@ -15,6 +15,7 @@ from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
 from switchlearn import oracle, switched_system
 from switchlearn.linalg import LABEL_TOL, identity
 from switchlearn.oracle import CHECK_BATCH, PROBE_SEED, _inverses
+from switchlearn.switched_system import GATHER_FLOATS, walk
 
 from conftest import (OSErrorObservationOracle, make_four_node_hypothesis,
                       make_three_node_hypothesis)
@@ -857,11 +858,24 @@ def test_stacked_check_equals_the_per_word_loop_at_the_benchmark_shape(seed):
         assert stacked == looped
         outcomes[hypothesis] = stacked[0], stacked_calls, looped_calls
     # the hidden system's check traces all 4,095 words, which the white-box
-    # oracle takes in one call per run of up to 32 words of one length
+    # oracle steps in one call per block of whole runs of 32 words of one
+    # length, as many runs as fit GATHER_FLOATS floats of d=3 states
     verdict, stacked_calls, looped_calls = outcomes[hidden]
     assert (verdict, looped_calls) == (None, 4095)
-    assert stacked_calls == sum(-(-2**length // CHECK_BATCH) for length in range(12)) == 132
+    assert stacked_calls == len(benchmark_blocks()) == 19
     assert outcomes[relabelled][0] is not None
+
+
+def benchmark_blocks():
+    """The (words, length) shape of each block that the white-box oracle
+    steps a full depth-11 bounded check's words in, at d=3 over two events:
+    each block as many whole runs as fit GATHER_FLOATS floats of states."""
+    blocks = []
+    for length in range(12):
+        block = max(1, GATHER_FLOATS // ((length + 2) * 3 * CHECK_BATCH)) * CHECK_BATCH
+        blocks += [(min(block, 2**length - first), length)
+                   for first in range(0, 2**length, block)]
+    return blocks
 
 
 class RefusingObservationOracle(ObservationOracle):
@@ -907,14 +921,21 @@ def test_white_box_exec_runs_is_one_charged_query(demo2d_system):
     x0s = np.random.default_rng(4).standard_normal((3, 2))
     obs, looping = (make(demo2d_system)
                     for make in (WhiteBoxObservationOracle, LoopingObservationOracle))
-    calls = []
+    calls, queries, query = [], [], WhiteBoxObservationOracle.exec_query
+
+    def recorded(self, x0, word, *trace):
+        queries.append((self, np.shape(x0), np.shape(word), *map(np.shape, trace)))
+        return query(self, x0, word, *trace)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "execute",
                       lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        patch.setattr(WhiteBoxObservationOracle, "exec_query", recorded)
         [(states, error)], [(looped, looped_error)] = (o.exec_runs(x0s, words, 3)
                                                        for o in (obs, looping))
-    # one trace of the whole array, then three of one word each
+    # one trace of the whole array, charged by one query of its states, then
+    # three traces of one word each, each its own query
     assert [np.shape(word) for word in calls] == [(3, 2), (2,), (2,), (2,)]
+    assert queries == [(obs, (2, 3), (3, 2), (4, 2, 3))] + [(looping, (2, 1), (2,))] * 3
     assert error is looped_error is None
     assert np.array_equal(states, looped)
     assert obs.stats.io_queries == looping.stats.io_queries == 3
@@ -952,17 +973,10 @@ def run_outcomes(obs, x0s, words, size):
     return outcomes
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3, 20]), num_events=st.integers(1, 3),
-       n=st.integers(0, 70), length=st.integers(0, 8), size=st.integers(1, 40),
-       mixed=st.booleans())
-def test_white_box_runs_equal_the_default_loop(seed, d, num_events, n, length, size, mixed):
-    # one walk of all the words, then one charged exec_query per run: the
-    # states of every run, bit for bit up to each word's end, and the io
-    # after each, as the default's loop and the word-by-word loop give them;
-    # the words are one (n, L) array, or a list of n words of lengths 0 to
-    # L, which the white-box oracle pads with zeros and the default with
-    # each word's last state
+def drawn_runs(seed, d, num_events, n, length, mixed):
+    """A random hidden system, n starts and n words for it: one (n, L)
+    array, or a list of n words of lengths 0 to L, which the white-box
+    oracle pads with zeros and the default with each word's last state."""
     hidden = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
                                      dim=d, seed=seed))
     rng = np.random.default_rng(seed)
@@ -971,7 +985,22 @@ def test_white_box_runs_equal_the_default_loop(seed, d, num_events, n, length, s
                  for _ in range(n)]
     else:
         words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
-    x0s = rng.standard_normal((n, d))
+    return hidden, rng.standard_normal((n, d)), words
+
+
+RUN_DRAWS = dict(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3, 20]),
+                 num_events=st.integers(1, 3), n=st.integers(0, 70), length=st.integers(0, 8),
+                 size=st.integers(1, 40), mixed=st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(**RUN_DRAWS)
+def test_white_box_runs_equal_the_default_loop(seed, d, num_events, n, length, size, mixed):
+    # one stacked trace per block of whole runs, then one charged
+    # exec_query per run: the states of every run, bit for bit up to each
+    # word's end, and the io after each, as the default's loop and the
+    # word-by-word loop give them
+    hidden, x0s, words = drawn_runs(seed, d, num_events, n, length, mixed)
     obs = WhiteBoxObservationOracle(hidden)
     runs = run_outcomes(obs, x0s, words, size)
     default = WhiteBoxObservationOracle(hidden)
@@ -979,6 +1008,60 @@ def test_white_box_runs_equal_the_default_loop(seed, d, num_events, n, length, s
     assert len(runs) == -(-n // size)
     assert runs == run_outcomes(default, x0s, words, size)
     assert runs == run_outcomes(LoopingObservationOracle(hidden), x0s, words, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**RUN_DRAWS)
+def test_white_box_runs_across_block_boundaries_equal_the_default_loop(seed, d, num_events, n,
+                                                                      length, size, mixed):
+    # the property above with a budget of 64 floats, so that most streams
+    # are stepped in several blocks of whole runs, and a run larger than
+    # the budget is a block of its own; the stacked steps gather at most
+    # 64 floats of label matrices at a time too
+    hidden, x0s, words = drawn_runs(seed, d, num_events, n, length, mixed)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "GATHER_FLOATS", 64)
+        patch.setattr(switched_system, "GATHER_FLOATS", 64)
+        patch.setattr(oracle, "execute",
+                      lambda *args: calls.append(len(args[2])) or switched_system.execute(*args))
+        runs = run_outcomes(WhiteBoxObservationOracle(hidden), x0s, words, size)
+    longest = max(map(len, words), default=0) if mixed else length
+    block = max(1, 64 // ((longest + 2) * d * size)) * size
+    assert calls == [min(block, n - first) for first in range(0, n, block)]
+    assert runs == run_outcomes(LoopingObservationOracle(hidden), x0s, words, size)
+
+
+def test_white_box_runs_step_a_block_only_when_its_first_run_is_read():
+    # 1,000 words of length 11 at d=3 in runs of 32: blocks of 13 runs, 416
+    # words; reading the first run steps the first block and charges only
+    # that run, and the rest of the block's states are dropped uncharged
+    hidden = random_system(GenConfig(5, 2, 3, 3, 0))
+    rng = np.random.default_rng(10)
+    words = rng.integers(0, 2, (1000, 11)).astype(np.uint8)
+    x0s = rng.standard_normal((1000, 3))
+    calls, queries, query = [], [], WhiteBoxObservationOracle.exec_query
+
+    def counted(self, x0, *args):
+        queries.append(x0.shape[1])
+        return query(self, x0, *args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "execute",
+                      lambda *args: calls.append(len(args[2])) or switched_system.execute(*args))
+        patch.setattr(WhiteBoxObservationOracle, "exec_query", counted)
+        obs = WhiteBoxObservationOracle(hidden)
+        runs = obs.exec_runs(x0s, words, CHECK_BATCH)
+        assert (calls, queries, obs.stats.io_queries) == ([], [], 0)
+        states, error = next(runs)
+        assert (calls, queries, obs.stats.io_queries) == ([416], [32], 32)
+        assert states.shape == (32, 13, 3) and error is None
+        runs.close()
+        assert (calls, queries, obs.stats.io_queries) == ([416], [32], 32)
+        # read to the end: three blocks, 32 runs, every word charged once
+        obs = WhiteBoxObservationOracle(hidden)
+        assert len(list(obs.exec_runs(x0s, words, CHECK_BATCH))) == 32
+    assert calls[1:] == [416, 416, 168] and obs.stats.io_queries == 1000
+    assert queries[1:] == [32] * 31 + [8]
 
 
 def traced_runs(make_obs, hidden, x0s, words, size):
@@ -1043,7 +1126,8 @@ def test_exec_runs_of_an_oracle_that_overrides_exec_query_is_lazy(demo2d_system)
 def test_exec_runs_refuses_starts_and_words_of_different_counts(demo2d_system, make_obs):
     # 3 starts for 2 words, or 2 for 3, as an array or a list: refused on
     # the stacked path and the default loop alike, before any query; so are
-    # starts that are not an (n, d) array, one per word or not
+    # starts that are not an (n, d) array, one per word or not, a nested
+    # list of one start per word included
     words = np.array([[0, 0], [1, 0], [0, 0]], dtype=np.uint8)
     x0s = np.random.default_rng(7).standard_normal((3, 2))
     obs, calls = make_obs(demo2d_system), []
@@ -1053,10 +1137,32 @@ def test_exec_runs_refuses_starts_and_words_of_different_counts(demo2d_system, m
         for starts, stack in ((x0s, words[:2]), (x0s[:2], words), (x0s, words.tolist()[:2])):
             with pytest.raises(DimensionMismatch, match="one start per word"):
                 next(obs.exec_runs(starts, stack, 2))
-        for starts in (x0s[:, 0], x0s[:2, 0], x0s[..., None], x0s[:, None], x0s[0, 0]):
+        for starts in (x0s[:, 0], x0s[:2, 0], x0s[..., None], x0s[:, None], x0s[0, 0],
+                       x0s.tolist()):
             for stack in (words, words.tolist()):
                 with pytest.raises(DimensionMismatch, match=r"in an \(n, d\) array"):
                     next(obs.exec_runs(starts, stack, 2))
+    assert calls == [] and obs.stats.io_queries == 0
+    assert getattr(obs, "words", []) == []
+
+
+@pytest.mark.parametrize("make_obs", [WhiteBoxObservationOracle, LoopingObservationOracle,
+                                      RefusingObservationOracle])
+def test_exec_runs_refuses_word_arrays_that_are_not_of_an_integer_type(demo2d_system, make_obs):
+    # a float or bool array of events, empty or not, is refused with one
+    # typed error before any query, on the stacked path and the default
+    # loop alike: not traced as the events it compares equal to
+    words = np.array([[0, 0], [1, 0], [0, 1]])
+    x0s = np.random.default_rng(9).standard_normal((3, 2))
+    obs, calls = make_obs(demo2d_system), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "execute",
+                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        for dtype in (float, bool, np.float32, object):
+            for stack in (words.astype(dtype), words[:0].astype(dtype)):
+                with pytest.raises(InvalidEvent, match=f"words of type {stack.dtype}: "
+                                                       "events must be integers"):
+                    next(obs.exec_runs(x0s[:len(stack)], stack, 2))
     assert calls == [] and obs.stats.io_queries == 0
     assert getattr(obs, "words", []) == []
 
@@ -1074,19 +1180,20 @@ def test_exec_runs_refuses_a_run_size_below_one(demo2d_system, make_obs):
     assert obs.stats.io_queries == 0 and getattr(obs, "words", []) == []
 
 
-def test_depth_eleven_check_walks_the_hidden_automaton_once_per_length(monkeypatch):
-    # the 4,095 words of a full check at the benchmark shape: one walk of
-    # each length's words, and still one execute call per run of 32 words
+def test_depth_eleven_check_walks_the_hidden_automaton_once_per_block(monkeypatch):
+    # the 4,095 words of a full check at the benchmark shape: one walk and
+    # one execute call per block of whole runs of 32 words of one length,
+    # each block as many runs as fit GATHER_FLOATS floats of states
     hidden = random_system(GenConfig(5, 2, 3, 3, 0))
     walks, calls = [], []
-    monkeypatch.setattr(oracle, "walk", lambda *args: walks.append(args[1].shape)
-                        or switched_system.walk(*args))
+    monkeypatch.setattr(switched_system, "walk", lambda system, words: walks.append(words.shape)
+                        or walk(system, words))
     monkeypatch.setattr(oracle, "execute",
-                        lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+                        lambda *args: calls.append(args[2].shape) or switched_system.execute(*args))
     obs = WhiteBoxObservationOracle(hidden)
     assert BoundedTestingEquivalenceOracle(obs, 11).check(hidden) is None
-    assert walks == [(2**length, length) for length in range(12)]
-    assert len(calls) == 132 and obs.stats.io_queries == 4095
+    assert walks == calls == benchmark_blocks()
+    assert len(calls) == 19 and obs.stats.io_queries == 4095
 
 
 def test_exec_query_wrapped_on_the_class_sees_every_io_column(monkeypatch):

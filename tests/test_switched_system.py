@@ -212,9 +212,9 @@ def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3, 20]), num_events=st.integers(1, 3),
        n=st.integers(1, 40), length=st.integers(0, 9), cut=st.data())
 def test_execute_steps_a_slice_of_a_larger_walk_as_its_own(seed, d, num_events, n, length, cut):
-    # a run's columns of the label rows of one walk of a larger array give
-    # the states of a walk of the run alone, bit for bit; row t holds each
-    # word's label after t events
+    # row t of the walk holds each word's label after t events, and a run's
+    # columns of the states of one stacked call on a larger array are the
+    # states of a call on the run alone, bit for bit
     system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
                                      dim=d, seed=seed))
     rng = np.random.default_rng(seed)
@@ -228,18 +228,15 @@ def test_execute_steps_a_slice_of_a_larger_walk_as_its_own(seed, d, num_events, 
             assert labels[t, i] == system.fa.gamma[node]
     begin = cut.draw(st.integers(0, n - 1))
     end = cut.draw(st.integers(begin + 1, n))
-    x0 = rng.uniform(-1, 1, (d, end - begin))
-    stepped = execute(system, x0, words[begin:end], labels[:, begin:end])
-    assert stepped.tobytes() == execute(system, x0, words[begin:end]).tobytes()
+    x0 = rng.uniform(-1, 1, (d, n))
+    stepped = execute(system, x0, words)[..., begin:end]
+    alone = execute(system, x0[:, begin:end], words[begin:end])
+    assert stepped.tobytes() == alone.tobytes()
 
 
-def test_execute_refuses_label_rows_that_are_not_a_one_length_walk(demo2d_system):
+def test_walk_names_the_first_out_of_range_event_in_row_order(demo2d_system):
+    # named as execute names it
     words = np.array([[E1, E2], [E2, E1], [E1, E1]], dtype=np.uint8)
-    labels = walk(demo2d_system, words)
-    for bad in (labels[:, :2], labels[1:], labels[None]):
-        with pytest.raises(ValueError, match=r"expected the \(3, 3\) label rows"):
-            execute(demo2d_system, np.zeros((2, 3)), words, bad)
-    # walk names the first out-of-range event in row order, as execute does
     for bad in (2, -1):
         signed = words.astype(np.int64)
         signed[1, 1], signed[2, 0] = bad, 7
