@@ -15,8 +15,9 @@ lazy stream of runs over words of any lengths, whose default makes one
 exec_query per word. The learner's wide stacks of words of mixed lengths
 are each one run, and the bounded check reads each length as a stream of
 runs of one length. The white-box oracle steps a stream's words in blocks
-of whole runs, one stacked execute per block of up to GATHER_FLOATS floats
-of states, and charges each run with one exec_query of its stepped states.
+of whole runs, one stacked trace (_trace_words) per block of up to
+GATHER_FLOATS floats of states, and charges each run with one exec_query
+of its stepped states; execute traces one word.
 """
 
 import itertools
@@ -30,8 +31,12 @@ from .errors import AlphabetMismatch, DimensionMismatch, InvalidEvent, SingularB
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
 from .output_query import PROBE_SEED, compute_output  # noqa: F401
-from .switched_system import GATHER_FLOATS, SwitchedSystem, execute
+from .switched_system import SwitchedSystem, execute
 
+# A white-box trace stream is stepped in blocks of as many whole runs as fit
+# this many floats of states (128 kB), at least one run, each step gathering
+# the label matrices of at most GATHER_FLOATS // d² words at a time.
+GATHER_FLOATS = 1 << 14
 # Words of one length traced and compared per run by the bounded oracle: when
 # a word cannot be checked, the later words of its run may have been traced
 # already.
@@ -65,6 +70,13 @@ class ObservationOracle:
         raise NotImplementedError
 
     def exec_query(self, x0: np.ndarray, word: Word) -> list[np.ndarray]:
+        """The hidden system's trace of word from x0: x0 is one start (1-D,
+        d entries) or a (d, k) matrix of k column starts, and word a
+        sequence of event indices (ints) into alphabet(). Returns the
+        |word| + 2 states, each shaped like x0, the first x0 itself. A
+        refused query raises InvalidEvent (an event that is not one of
+        alphabet()'s) or DimensionMismatch (x0 of another shape). Each query
+        charges one io query per start column to stats.io_queries."""
         raise NotImplementedError
 
     def exec_runs(self, x0s: np.ndarray, words, size: int):
@@ -146,10 +158,10 @@ class WhiteBoxObservationOracle(ObservationOracle):
 
     def exec_query(self, x0: np.ndarray, word: Word,
                    trace: np.ndarray | None = None) -> list[np.ndarray]:
-        """execute(hidden, x0, word), word also an (n, L) array of words
-        (see execute), or trace when given: the states that exec_runs
-        stepped already for these columns, returned as they are. One io
-        query is charged per column of x0 before execute checks x0 and
+        """execute(hidden, x0, word), or trace when given: the (k, L + 2,
+        d) states that exec_runs stepped already for the k columns of x0
+        and the k words of the (k, L) array word, returned as they are. One
+        io query is charged per column of x0 before execute checks x0 and
         word, so a refused query still counts."""
         shape = x0.shape if isinstance(x0, np.ndarray) else np.shape(x0)
         self.stats.io_queries += shape[1] if len(shape) == 2 else 1
@@ -161,11 +173,11 @@ class WhiteBoxObservationOracle(ObservationOracle):
         the hidden d, every event is a hidden one and exec_query is this
         class's own (one overridden on a subclass or an instance must see
         every query), the words are stacked into one array, a list
-        zero-padded, and stepped in blocks of whole runs: one execute per
-        block of as many runs as fit GATHER_FLOATS floats of states, at
+        zero-padded, and stepped in blocks of whole runs: one _trace_words
+        per block of as many runs as fit GATHER_FLOATS floats of states, at
         least one, made when its first run is read. Each run of k words is
         then one exec_query of its (d, k) starts, charged k io, that
-        returns its columns of the block's states; the states of runs never
+        returns its rows of the block's states; the states of runs never
         read are dropped uncharged. Else the default makes the runs."""
         _check_runs(x0s, words, size)
         own = getattr(self.exec_query, "__func__", None) is WhiteBoxObservationOracle.exec_query
@@ -179,26 +191,56 @@ class WhiteBoxObservationOracle(ObservationOracle):
         block = max(1, GATHER_FLOATS // ((length + 2) * d * size)) * size
         for first in range(0, n, block):
             starts, stack = x0s[first:first + block], array[first:first + block]
-            states = execute(self._hidden, starts.T, stack)
+            states = _trace_words(self._hidden, starts, stack)
             for begin in range(0, len(stack), size):
                 run = slice(begin, begin + size)
-                trace = self.exec_query(starts[run].T, stack[run], states[..., run])
-                yield trace.transpose(2, 0, 1), None
+                yield self.exec_query(starts[run].T, stack[run], states[run]), None
 
 
 def _word_array(words, events: int) -> np.ndarray | None:
     """words as an (n, L) array when every event is one of events, else
     None. A list is stacked into an array of the least unsigned type that
-    holds an event, each row padded with zeros to the longest word."""
+    holds an event, each row padded with zeros to the longest word; one
+    with an event past 255 is left to the default loop too."""
     if isinstance(words, np.ndarray):
         return words if not words.size or (words.min() >= 0 and words.max() < events) else None
     lengths = np.fromiter(map(len, words), np.intp, len(words))
-    flat = np.fromiter(itertools.chain.from_iterable(words), np.intp, int(lengths.sum()))
-    if flat.size and (flat.min() < 0 or flat.max() >= events):
+    try:  # bytes refuses an event that is not an integer, as tuple indexing does
+        flat = np.frombuffer(bytes(itertools.chain.from_iterable(words)), np.uint8)
+    except (TypeError, ValueError):  # ValueError: an event outside 0 to 255
+        return None
+    if flat.size and flat.max() >= events:
         return None
     array = np.zeros((len(words), lengths.max(initial=0)), dtype=np.min_scalar_type(events - 1))
     array[np.arange(array.shape[1]) < lengths[:, None]] = flat
     return array
+
+
+def _trace_words(system: SwitchedSystem, starts: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The (n, L + 2, d) states of the n words of the (n, L) array words on
+    system, word i from row i of the (n, d) starts, bit for bit the states
+    of execute on that start as a (d, 1) column. Checks neither starts nor
+    events (exec_runs' _check_runs and _word_array do). The words walk the
+    automaton together; each step is one stacked np.matmul per
+    GATHER_FLOATS // d² words of their gathered label matrices, ignoring
+    floating-point errors. The states are a view of step-major storage, so
+    that a step, and a reader of one step's states, touch one block."""
+    (n, length), d = words.shape, system.d
+    matrices, gamma, delta = system._stacked
+    block = max(1, GATHER_FLOATS // (d * d))
+    states = np.empty((length + 2, n, d))
+    states[0] = starts
+    nodes = np.full(n, system.fa.initial, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        for step in range(length + 1):
+            if step:
+                nodes = delta[nodes, words[:, step - 1]]
+            labels = gamma[nodes]
+            for begin in range(0, n, block):
+                part = slice(begin, begin + block)
+                np.matmul(matrices.take(labels[part], axis=0), states[step, part, :, None],
+                          out=states[step + 1, part, :, None])
+    return states.transpose(1, 0, 2)
 
 
 class WhiteBoxEquivalenceOracle(EquivalenceOracle):
@@ -308,9 +350,8 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     events, random columns and starts, and the d x d inverse prefix product
     that each |events| of them share; and the states of the block of runs
     being read, at most GATHER_FLOATS floats or one run's (CHECK_BATCH,
-    length + 2, d) states, with, for the white-box oracle, the label rows of
-    the block's walk through the hidden automaton, (length + 1) small ints
-    per word.
+    length + 2, d) states, with, for the white-box oracle, each word's
+    current node in the block's walk through the hidden automaton.
     """
 
     def __init__(self, obs: ObservationOracle, l_max: int, tol: float = LABEL_TOL):

@@ -3,8 +3,8 @@ full-rank square matrices, with trace semantics and JSON (de)serialization.
 
 Reading a word walks the automaton; each visited node applies its matrix to
 the current state, including the last node reached. A word of length n
-therefore produces n + 2 states. execute also traces an (n, L) array of
-words of one length at once, stepped from its walk of the automaton (walk).
+therefore produces n + 2 states. execute traces one word; stacked traces of
+many words at once belong to the white-box oracle's exec_runs.
 """
 
 import json
@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .automaton import EventAlphabet, Fa, Word, check_word
-from .errors import DimensionMismatch, ParseError, ValidationError
+from .errors import DimensionMismatch, InvalidEvent, ParseError, ValidationError
 from .linalg import is_full_rank
 
 
@@ -54,10 +54,10 @@ class SwitchedSystem:
 
     @cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Label matrices, node labels and transitions as arrays for
-        execute's word arrays, built at the first such call: most systems
-        made are never traced. The node labels are of the least unsigned
-        type that holds a label, as are the label rows that walk returns."""
+        """Label matrices, node labels and transitions as arrays for the
+        white-box oracle's stacked traces, built at the first one: most
+        systems made are never traced that way. The node labels are of the
+        least unsigned type that holds a label."""
         labels = np.array(self.fa.gamma, dtype=np.min_scalar_type(len(self.matrices) - 1))
         return np.stack(self.matrices), labels, np.array(self.fa.delta)
 
@@ -71,20 +71,10 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     as run does (InvalidEvent on its first out-of-range event). Each step
     is matrix.dot(x), the same BLAS product as matrix @ x and bit-equal to
     it, without the ufunc dispatch that @ pays per call; the automaton is
-    walked in the same loop, reading each node's matrix directly.
-
-    word may instead be an (n, L) unsigned or signed integer array of n
-    words of length L. x0 is then (d, n), word i reading column i (else
-    DimensionMismatch), and the result is one (L + 2, d, n) array whose
-    column i holds the states of a single-word call on that (d, 1) column,
-    bit for bit. The words are walked first (see walk, which validates
-    their events), and each step is one gather of the label matrices and
-    one stacked np.matmul, which ignores floating-point errors
-    (np.errstate).
+    walked in the same loop, reading each node's matrix directly, and an
+    event that is not an integer (a bool reads as 0 or 1) is InvalidEvent.
     """
     x = np.asarray(x0, dtype=float)
-    if isinstance(word, np.ndarray) and word.ndim == 2:
-        return _execute_words(system, x, word)
     if x.ndim not in (1, 2) or x.shape[0] != system.d:
         raise DimensionMismatch(
             f"initial state has shape {x.shape}, expected {system.d} rows")
@@ -94,70 +84,14 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     states = [x]
     x = node_matrices[node].dot(x)
     states.append(x)
-    for e in word:
-        node = delta[node][e]
-        x = node_matrices[node].dot(x)
-        states.append(x)
-    return states
-
-
-# The label matrices of a word array's steps are gathered all at once when
-# they take at most this many floats (128 kB), else for one step and at most
-# GATHER_FLOATS // d² words at a time, so that a stacked trace needs little
-# memory besides its states; the white-box oracle's exec_runs bounds those
-# states by it too, stepping whole runs in blocks of at most this many floats.
-GATHER_FLOATS = 1 << 14
-
-
-def walk(system: SwitchedSystem, words: np.ndarray) -> np.ndarray:
-    """The labels of the nodes that the n words of the (n, L) integer array
-    words visit, as (L + 1, n) rows of the least unsigned type that holds
-    a label: row t holds each word's label after t events. InvalidEvent on
-    the first out-of-range event in row order.
-
-    The walk's indexing of the transition table refuses an event past the
-    last one; only where a negative event could pass it (signed dtypes,
-    and 64-bit unsigned ones, which numpy reads as signed when indexing)
-    is the whole array tested first."""
-    (n, length), fa = words.shape, system.fa
-    _, gamma, delta = system._stacked
-    if (words.size and (words.dtype.kind != "u" or words.dtype.itemsize == 8)
-            and (words.min() < 0 or words.max() >= len(fa.alphabet))):
-        check_word(fa, words.ravel().tolist())  # InvalidEvent
-    labels = np.full((length + 1, n), gamma[fa.initial])  # row t: after t events
-    nodes = np.full(n, fa.initial, dtype=np.intp)
     try:
-        for step, events in enumerate(words.T, 1):
-            nodes = delta[nodes, events]
-            labels[step] = gamma[nodes]
-    except IndexError:
-        check_word(fa, words.ravel().tolist())  # InvalidEvent
-        raise
-    return labels
-
-
-def _execute_words(system: SwitchedSystem, x: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """execute for an (n, L) array of words, x0 already a float array."""
-    (n, length), d = words.shape, system.d
-    if x.shape != (d, n):
-        raise DimensionMismatch(f"initial state has shape {x.shape}, expected ({d}, {n}): "
-                                "one column per word")
-    labels, matrices = walk(system, words), system._stacked[0]
-    gathered = matrices.take(labels, axis=0) if labels.size * d * d <= GATHER_FLOATS else None
-    block = max(1, GATHER_FLOATS // (d * d))
-    states = np.empty((length + 2, n, d))
-    columns = states[..., None]  # (L + 2, n, d, 1)
-    states[0] = x.T
-    with np.errstate(all="ignore"):
-        for step in range(length + 1):
-            if gathered is None:
-                for begin in range(0, n, block):
-                    part = slice(begin, begin + block)
-                    np.matmul(matrices.take(labels[step, part], axis=0), columns[step, part],
-                              out=columns[step + 1, part])
-            else:
-                np.matmul(gathered[step], columns[step], out=columns[step + 1])
-    return states.transpose(0, 2, 1)
+        for e in word:
+            node = delta[node][e]
+            x = node_matrices[node].dot(x)
+            states.append(x)
+    except TypeError:
+        raise InvalidEvent(f"event {e!r} is not an integer") from None
+    return states
 
 
 def validate(system: SwitchedSystem) -> list[Violation]:

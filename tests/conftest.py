@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from switchlearn import (EventAlphabet, Fa, ObservationStore, SwitchedSystem,
-                         WhiteBoxObservationOracle, learner)
+                         WhiteBoxObservationOracle, learner, oracle)
 
 # 2-D demo model: four nodes on two events, three distinct subsystem
 # matrices, the middle label shared by two nodes.
@@ -30,6 +30,16 @@ def count_maximal(words) -> int:
     words = set(words)
     return sum(not any(len(v) > len(w) and v[:len(w)] == w for v in words)
                for w in words)
+
+
+def record_traces(patch, calls, key=lambda system, x0, words: words):
+    """Patch the oracle module's traces, execute (one word) and
+    _trace_words (the white-box stream's word arrays), so that each call
+    appends key(system, x0, words) to calls."""
+    for name in ("execute", "_trace_words"):
+        trace = getattr(oracle, name)
+        patch.setattr(oracle, name, lambda *args, trace=trace:
+                      calls.append(key(*args)) or trace(*args))
 
 
 def row(word, test_words, label) -> tuple[int, ...]:

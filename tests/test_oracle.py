@@ -12,13 +12,12 @@ from switchlearn import (AlphabetMismatch, BoundedTestingEquivalenceOracle,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          compute_output, execute, language_equivalent, learn, mat_approx_eq,
                          output_of, random_system)
-from switchlearn import oracle, switched_system
+from switchlearn import oracle
 from switchlearn.linalg import LABEL_TOL, identity
-from switchlearn.oracle import CHECK_BATCH, PROBE_SEED, _inverses
-from switchlearn.switched_system import GATHER_FLOATS, walk
+from switchlearn.oracle import CHECK_BATCH, GATHER_FLOATS, PROBE_SEED, _inverses
 
 from conftest import (OSErrorObservationOracle, make_four_node_hypothesis,
-                      make_three_node_hypothesis)
+                      make_three_node_hypothesis, record_traces)
 
 E1, E2 = 0, 1
 
@@ -824,8 +823,7 @@ def traced_check(make_obs, hidden, hypothesis, l_max):
     check on a fresh make_obs(hidden), and the number of its trace calls."""
     obs, calls = make_obs(hidden), []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "execute",
-                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        record_traces(patch, calls)
         try:
             with np.errstate(all="ignore"):  # traces through overflowing labels
                 verdict = BoundedTestingEquivalenceOracle(obs, l_max).check(hypothesis)
@@ -927,15 +925,14 @@ def test_white_box_exec_runs_is_one_charged_query(demo2d_system):
         queries.append((self, np.shape(x0), np.shape(word), *map(np.shape, trace)))
         return query(self, x0, word, *trace)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "execute",
-                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        record_traces(patch, calls)
         patch.setattr(WhiteBoxObservationOracle, "exec_query", recorded)
         [(states, error)], [(looped, looped_error)] = (o.exec_runs(x0s, words, 3)
                                                        for o in (obs, looping))
     # one trace of the whole array, charged by one query of its states, then
     # three traces of one word each, each its own query
     assert [np.shape(word) for word in calls] == [(3, 2), (2,), (2,), (2,)]
-    assert queries == [(obs, (2, 3), (3, 2), (4, 2, 3))] + [(looping, (2, 1), (2,))] * 3
+    assert queries == [(obs, (2, 3), (3, 2), (3, 4, 2))] + [(looping, (2, 1), (2,))] * 3
     assert error is looped_error is None
     assert np.array_equal(states, looped)
     assert obs.stats.io_queries == looping.stats.io_queries == 3
@@ -1022,9 +1019,7 @@ def test_white_box_runs_across_block_boundaries_equal_the_default_loop(seed, d, 
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "GATHER_FLOATS", 64)
-        patch.setattr(switched_system, "GATHER_FLOATS", 64)
-        patch.setattr(oracle, "execute",
-                      lambda *args: calls.append(len(args[2])) or switched_system.execute(*args))
+        record_traces(patch, calls, lambda system, x0s, words: len(words))
         runs = run_outcomes(WhiteBoxObservationOracle(hidden), x0s, words, size)
     longest = max(map(len, words), default=0) if mixed else length
     block = max(1, 64 // ((longest + 2) * d * size)) * size
@@ -1046,8 +1041,7 @@ def test_white_box_runs_step_a_block_only_when_its_first_run_is_read():
         queries.append(x0.shape[1])
         return query(self, x0, *args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "execute",
-                      lambda *args: calls.append(len(args[2])) or switched_system.execute(*args))
+        record_traces(patch, calls, lambda system, x0s, words: len(words))
         patch.setattr(WhiteBoxObservationOracle, "exec_query", counted)
         obs = WhiteBoxObservationOracle(hidden)
         runs = obs.exec_runs(x0s, words, CHECK_BATCH)
@@ -1065,36 +1059,68 @@ def test_white_box_runs_step_a_block_only_when_its_first_run_is_read():
 
 
 def traced_runs(make_obs, hidden, x0s, words, size):
-    """run_outcomes on a fresh make_obs(hidden), and the words that reached
-    execute, one row of a word array at a time."""
-    obs, traced = make_obs(hidden), []
-
-    def record(*args):
-        word = args[2]
-        traced.extend(map(tuple, word.tolist()) if np.ndim(word) == 2 else [tuple(word)])
-        return switched_system.execute(*args)
+    """run_outcomes on a fresh make_obs(hidden), and the words that were
+    traced, one row of a word array at a time."""
+    obs, calls = make_obs(hidden), []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "execute", record)
-        return run_outcomes(obs, x0s, words, size), traced
+        record_traces(patch, calls)
+        outcomes = run_outcomes(obs, x0s, words, size)
+    return outcomes, [tuple(word) for words in calls
+                      for word in (words.tolist() if np.ndim(words) == 2 else [words])]
 
 
 def test_white_box_runs_with_an_event_that_is_not_hidden_are_the_default_loop(demo2d_system):
-    # an event past the hidden ones in run 2 of 3: the whole array goes the
-    # default's way, run 1 in one stacked call and run 2 word by word up to
-    # the refused word, whose InvalidEvent ends the stream; run 3 is never
-    # traced
+    # an event out of range in run 2 of 3, past the hidden ones or
+    # negative, in a word array of an unsigned or signed type (numpy
+    # indexes with a uint64 as with an int64, so 2**63 reads as negative
+    # there) or in a list of words: the whole stream goes the default's
+    # way, word by word up to the refused word, whose InvalidEvent ends
+    # the stream; run 3 is never traced
     rng = np.random.default_rng(5)
-    words = rng.integers(0, 2, (12, 3)).astype(np.uint8)
-    words[6, 1] = 2
+    events = rng.integers(0, 2, (12, 3))
     x0s = rng.standard_normal((12, 2))
-    runs, traced = traced_runs(WhiteBoxObservationOracle, demo2d_system, x0s, words, 4)
-    looped_runs, looped = traced_runs(LoopingObservationOracle, demo2d_system, x0s, words, 4)
-    assert runs == looped_runs
-    assert traced == looped == list(map(tuple, words[:7].tolist()))
-    assert [run[0] for run in runs] == [(4, 5, 2), (2, 5, 2)]
-    assert runs[1][2] == (InvalidEvent, "event index 2 out of range for 2 events")
-    # the refused query is charged, as exec_query charges before it traces
-    assert [run[3] for run in runs] == [4, 4 + 3]
+    for dtype, bad in ((np.uint8, 2), (np.int64, -1), (np.uint64, 2**63), (list, -1),
+                       (list, 2)):
+        words = events.astype(np.int64 if dtype is list else dtype)
+        words[6, 1] = bad
+        if dtype is list:
+            words = list(map(tuple, words.tolist()))
+        runs, traced = traced_runs(WhiteBoxObservationOracle, demo2d_system, x0s, words, 4)
+        looped_runs, looped = traced_runs(LoopingObservationOracle, demo2d_system, x0s, words,
+                                          4)
+        assert runs == looped_runs
+        assert traced == looped == [tuple(word) for word in np.asarray(words)[:7].tolist()]
+        assert [run[0] for run in runs] == [(4, 5, 2), (2, 5, 2)]
+        assert runs[1][2] == (InvalidEvent, f"event index {bad} out of range for 2 events")
+        # the refused query is charged, as exec_query charges before it traces
+        assert [run[3] for run in runs] == [4, 4 + 3]
+
+
+def test_exec_runs_refuses_a_list_word_with_an_event_that_is_not_an_integer(demo2d_system):
+    # a float event, integral or not, in a list word: both oracles trace
+    # and charge the words before it, then charge and refuse its word with
+    # InvalidEvent, as execute refuses it; a bool event reads as 0 or 1.
+    # Over 2 events and over 300, whose event 299 no byte holds
+    wide = random_system(GenConfig(num_nodes=3, num_events=300, num_labels=2, dim=2, seed=0))
+    x0s = np.random.default_rng(11).standard_normal((4, 2))
+    for hidden, last in ((demo2d_system, 1), (wide, 299)):
+        for event in (1.5, 1.0, np.float64(0.0)):
+            words = [(0, last), (last, 1), (event, 0), (0, 0)]
+            runs, looped = (run_outcomes(make(hidden), x0s, words, 2)
+                            for make in (WhiteBoxObservationOracle, LoopingObservationOracle))
+            assert runs == looped
+            assert [run[0] for run in runs] == [(2, 4, 2), (0, 4, 2)]
+            assert runs[1][2:] == ((InvalidEvent, f"event {event!r} is not an integer"), 3)
+        bools, ints = [(0, last), (True, False), (1, 0)], [(0, last), (1, 0), (1, 0)]
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            record_traces(patch, calls, lambda system, x0, words: np.shape(words))
+            runs = run_outcomes(WhiteBoxObservationOracle(hidden), x0s[:3], bools, 3)
+        # one stacked trace where a byte holds every event, else one per word
+        assert calls == ([(3, 2)] if last < 256 else [(2,)] * 3)
+        looped, read = (run_outcomes(LoopingObservationOracle(hidden), x0s[:3], words, 3)
+                        for words in (bools, ints))
+        assert runs == looped == read
 
 
 def test_exec_runs_of_an_oracle_that_overrides_exec_query_is_lazy(demo2d_system):
@@ -1132,8 +1158,7 @@ def test_exec_runs_refuses_starts_and_words_of_different_counts(demo2d_system, m
     x0s = np.random.default_rng(7).standard_normal((3, 2))
     obs, calls = make_obs(demo2d_system), []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "execute",
-                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        record_traces(patch, calls)
         for starts, stack in ((x0s, words[:2]), (x0s[:2], words), (x0s, words.tolist()[:2])):
             with pytest.raises(DimensionMismatch, match="one start per word"):
                 next(obs.exec_runs(starts, stack, 2))
@@ -1156,8 +1181,7 @@ def test_exec_runs_refuses_word_arrays_that_are_not_of_an_integer_type(demo2d_sy
     x0s = np.random.default_rng(9).standard_normal((3, 2))
     obs, calls = make_obs(demo2d_system), []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "execute",
-                      lambda *args: calls.append(args[2]) or switched_system.execute(*args))
+        record_traces(patch, calls)
         for dtype in (float, bool, np.float32, object):
             for stack in (words.astype(dtype), words[:0].astype(dtype)):
                 with pytest.raises(InvalidEvent, match=f"words of type {stack.dtype}: "
@@ -1181,18 +1205,16 @@ def test_exec_runs_refuses_a_run_size_below_one(demo2d_system, make_obs):
 
 
 def test_depth_eleven_check_walks_the_hidden_automaton_once_per_block(monkeypatch):
-    # the 4,095 words of a full check at the benchmark shape: one walk and
-    # one execute call per block of whole runs of 32 words of one length,
-    # each block as many runs as fit GATHER_FLOATS floats of states
+    # the 4,095 words of a full check at the benchmark shape: one stacked
+    # trace, which walks its words together, per block of whole runs of 32
+    # words of one length, each block as many runs as fit GATHER_FLOATS
+    # floats of states, and no single-word trace
     hidden = random_system(GenConfig(5, 2, 3, 3, 0))
-    walks, calls = [], []
-    monkeypatch.setattr(switched_system, "walk", lambda system, words: walks.append(words.shape)
-                        or walk(system, words))
-    monkeypatch.setattr(oracle, "execute",
-                        lambda *args: calls.append(args[2].shape) or switched_system.execute(*args))
+    calls = []
+    record_traces(monkeypatch, calls, lambda system, x0, words: np.shape(words))
     obs = WhiteBoxObservationOracle(hidden)
     assert BoundedTestingEquivalenceOracle(obs, 11).check(hidden) is None
-    assert walks == calls == benchmark_blocks()
+    assert calls == benchmark_blocks()
     assert len(calls) == 19 and obs.stats.io_queries == 4095
 
 

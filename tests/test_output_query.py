@@ -12,11 +12,11 @@ from switchlearn import (AmbiguousLabel, DimensionMismatch, EventAlphabet, Fa, G
                          cached_output, cached_outputs, compute_output,
                          identity, mat_approx_eq, output_of, random_system,
                          recover_transform, run)
-from switchlearn import oracle, output_query, switched_system
+from switchlearn import output_query
 from switchlearn.output_query import PROBE_BATCH, STACK_MIN, rederive
 
 from conftest import (DEMO2D_MATRICES, OSErrorObservationOracle, count_maximal,
-                      make_contracting_system)
+                      make_contracting_system, record_traces)
 
 E1, E2 = 0, 1
 
@@ -683,8 +683,7 @@ def test_cached_outputs_traces_each_stack_in_one_stacked_call():
     for make in (WhiteBoxObservationOracle, LoopingObservationOracle):
         obs, registry, calls = make(system), LabelRegistry(), []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "execute",
-                          lambda *args: calls.append(args) or switched_system.execute(*args))
+            record_traces(patch, calls, lambda *args: args)
             cached_outputs(obs, registry, words)
         outcomes.append((obs, registry, calls))
     (stacked, stacked_registry, stacked_calls), (looped, looped_registry, looped_calls) = outcomes

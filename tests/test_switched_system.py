@@ -10,7 +10,7 @@ from switchlearn import (DimensionMismatch, GenConfig, InvalidEvent, ParseError,
                          WhiteBoxObservationOracle, execute, language_of, load_json,
                          random_system, save_json, validate)
 
-from switchlearn.switched_system import walk
+from switchlearn.oracle import _trace_words
 
 from conftest import DEMO2D_MATRICES, make_demo2d_system
 
@@ -169,42 +169,39 @@ def test_execute_prefix_property(indices, cut):
        n=st.integers(0, 6), length=st.integers(0, 12),
        dtype=st.sampled_from([np.uint8, np.uint64, np.int64]))
 def test_execute_of_a_word_array_equals_single_word_calls(seed, d, num_events, n, length, dtype):
-    # column i reads word i, and each state equals that of a single-word
-    # call on that column bit for bit: both step it with one BLAS product;
-    # an event out of range is named as in a single word of all the events
+    # the white-box oracle's stacked trace of a word array: row i reads
+    # word i, and each state equals that of execute on its start as a
+    # (d, 1) column bit for bit, since both step it with one BLAS product
     system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
                                      dim=d, seed=seed))
     rng = np.random.default_rng(seed)
     words = rng.integers(0, num_events, (n, length)).astype(dtype)
-    x0 = rng.uniform(-1, 1, (d, n))
-    states = execute(system, x0, words)
-    assert states.shape == (length + 2, d, n)
-    for i, word in enumerate(words.tolist()):
-        single = execute(system, x0[:, i:i + 1], tuple(word))
-        assert np.array_equal(np.stack(single), states[:, :, i:i + 1])
-    if words.size:
-        words[rng.integers(n), rng.integers(length)] = num_events
-        with pytest.raises(InvalidEvent) as refused:
-            execute(system, x0, words)
-        with pytest.raises(InvalidEvent) as single:
-            execute(system, np.zeros(d), tuple(words.ravel().tolist()))
-        assert str(refused.value) == str(single.value)
+    x0s = rng.uniform(-1, 1, (n, d))
+    states = _trace_words(system, x0s, words)
+    assert states.shape == (n, length + 2, d)
+    for x0, word, trace in zip(x0s, words.tolist(), states):
+        single = execute(system, x0[:, None], tuple(word))
+        assert np.array_equal(np.stack(single)[..., 0], trace)
 
 
 def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
+    # the stacked trace checks neither: exec_runs refuses starts that are
+    # not one (n, d) row per word before any query, and hands a word array
+    # with an event that is not hidden to the default loop, which names
+    # the first out-of-range event in row order as execute names it
     words = np.array([[E1, E2], [E2, E1], [E1, E1]])
-    for shape in ((2, 4), (2,), (3, 3), (2, 6)):
-        with pytest.raises(DimensionMismatch, match=r"expected \(2, 3\): one column per word"):
-            execute(demo2d_system, np.zeros(shape), words)
-    assert execute(demo2d_system, np.zeros((2, 0)), words[:0]).shape == (4, 2, 0)
-    # the first out-of-range event in row order is named, as for one word
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    for shape in ((4, 2), (2,), (2, 3), (6, 2)):
+        with pytest.raises(DimensionMismatch, match="one start per word"):
+            next(obs.exec_runs(np.zeros(shape), words, 3))
+    assert list(obs.exec_runs(np.zeros((0, 2)), words[:0], 1)) == []
+    assert _trace_words(demo2d_system, np.zeros((0, 2)), words[:0]).shape == (0, 4, 2)
     for bad in (2, -1):
         words[1, 1], words[2, 0] = bad, 7
-        with pytest.raises(InvalidEvent) as refused:
-            execute(demo2d_system, np.zeros((2, 3)), words)
+        [(states, refused)] = obs.exec_runs(np.zeros((3, 2)), words, 3)
         with pytest.raises(InvalidEvent) as single:
             execute(demo2d_system, np.zeros(2), (E2, bad))
-        assert str(refused.value) == str(single.value) == (
+        assert len(states) == 1 and str(refused) == str(single.value) == (
             f"event index {bad} out of range for 2 events")
 
 
@@ -212,36 +209,18 @@ def test_execute_of_a_word_array_checks_its_columns_and_events(demo2d_system):
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 3, 20]), num_events=st.integers(1, 3),
        n=st.integers(1, 40), length=st.integers(0, 9), cut=st.data())
 def test_execute_steps_a_slice_of_a_larger_walk_as_its_own(seed, d, num_events, n, length, cut):
-    # row t of the walk holds each word's label after t events, and a run's
-    # columns of the states of one stacked call on a larger array are the
-    # states of a call on the run alone, bit for bit
+    # a run's rows of the states of one stacked trace of a larger array are
+    # the states of a stacked trace of the run alone, bit for bit
     system = random_system(GenConfig(num_nodes=4, num_events=num_events, num_labels=3,
                                      dim=d, seed=seed))
     rng = np.random.default_rng(seed)
     words = rng.integers(0, num_events, (n, length)).astype(np.min_scalar_type(num_events))
-    labels = walk(system, words)
-    assert labels.shape == (length + 1, n) and labels.dtype == np.uint8
-    for i, word in enumerate(words.tolist()):
-        node = system.fa.initial
-        for t, event in enumerate([None] + word):
-            node = node if event is None else system.fa.delta[node][event]
-            assert labels[t, i] == system.fa.gamma[node]
     begin = cut.draw(st.integers(0, n - 1))
     end = cut.draw(st.integers(begin + 1, n))
-    x0 = rng.uniform(-1, 1, (d, n))
-    stepped = execute(system, x0, words)[..., begin:end]
-    alone = execute(system, x0[:, begin:end], words[begin:end])
+    x0s = rng.uniform(-1, 1, (n, d))
+    stepped = _trace_words(system, x0s, words)[begin:end]
+    alone = _trace_words(system, x0s[begin:end], words[begin:end])
     assert stepped.tobytes() == alone.tobytes()
-
-
-def test_walk_names_the_first_out_of_range_event_in_row_order(demo2d_system):
-    # named as execute names it
-    words = np.array([[E1, E2], [E2, E1], [E1, E1]], dtype=np.uint8)
-    for bad in (2, -1):
-        signed = words.astype(np.int64)
-        signed[1, 1], signed[2, 0] = bad, 7
-        with pytest.raises(InvalidEvent, match=f"event index {bad} out of range for 2 events"):
-            walk(demo2d_system, signed)
 
 
 def test_execute_of_a_word_array_overflows_without_a_warning():
@@ -250,11 +229,11 @@ def test_execute_of_a_word_array_overflows_without_a_warning():
     fa = make_demo2d_system().fa
     system = SwitchedSystem(fa=fa, matrices=(np.eye(2) * 1e200,) * 3, d=2)
     words = np.zeros((2, 3), dtype=int)
-    states = execute(system, np.ones((2, 2)), words)
-    assert not np.isfinite(states[-1]).any()
+    states = _trace_words(system, np.ones((2, 2)), words)
+    assert not np.isfinite(states[:, -1]).any()
     with np.errstate(all="ignore"):  # a single word's dot warns
         single = execute(system, np.ones((2, 1)), (0, 0, 0))
-    assert np.array_equal(np.stack(single), states[:, :, :1], equal_nan=True)
+    assert np.array_equal(np.stack(single)[..., 0], states[0], equal_nan=True)
 
 
 def test_validate_ok(demo2d_system):
