@@ -12,7 +12,7 @@ from .automaton import (EPSILON, EventAlphabet, Fa, Word, format_word,
 from .benchgen import GenConfig, random_system
 from .errors import (AlphabetMismatch, AmbiguousLabel, BudgetExceeded,
                      DimensionMismatch, GenerationFailed, InvalidEvent,
-                     NotACounterexample, NotClosed, ParseError, SingularBasis,
+                     NotACounterexample, ParseError, SingularBasis,
                      SwitchLearnError, ValidationError)
 from .learner import (LearnResult, ObservationStore, build_hypothesis,
                       close_store, learn, process_counterexample)

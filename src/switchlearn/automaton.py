@@ -6,6 +6,7 @@ also injects the label-comparison predicate where two automata are compared.
 Words are plain tuples of event indices; the empty tuple is the empty word.
 """
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -95,26 +96,30 @@ class Fa:
 
 
 def check_word(fa: Fa, word: Word) -> None:
-    """InvalidEvent naming the first event of word that is not an event
-    index of fa. A word is passed by one set test; only a word that it
-    refuses is walked, to name that event."""
+    """InvalidEvent naming the first event of word that is not an integer
+    (a bool reads as 0 or 1) or not an event index of fa. A word is passed
+    by one set test; only a word that it refuses is walked, to name that
+    event. The set test passes 1.0 (== 1): run and execute's walks refuse it."""
     if fa._events.issuperset(word):
         return
     num_events = len(fa.alphabet)
     for e in word:
-        if not 0 <= e < num_events:
-            raise InvalidEvent(f"event index {e} out of range for "
-                               f"{num_events} events")
+        try:
+            if not 0 <= operator.index(e) < num_events:
+                raise InvalidEvent(f"event index {e} out of range for {num_events} events")
+        except TypeError:
+            raise InvalidEvent(f"event {e!r} is not an integer") from None
 
 
 def run(fa: Fa, word: Word) -> list[int]:
     """Node sequence visited while reading word; length |word| + 1."""
     check_word(fa, word)
-    node = fa.initial
-    nodes = [node]
-    for e in word:
-        node = fa.delta[node][e]
-        nodes.append(node)
+    nodes = [fa.initial]
+    try:
+        for e in word:
+            nodes.append(fa.delta[nodes[-1]][e])
+    except TypeError:
+        raise InvalidEvent(f"event {e!r} is not an integer") from None
     return nodes
 
 

@@ -46,10 +46,6 @@ class AmbiguousLabel(SwitchLearnError):
     the label tolerance is misconfigured for this system."""
 
 
-class NotClosed(SwitchLearnError):
-    """Hypothesis construction was attempted on a non-closed word store."""
-
-
 class NotACounterexample(SwitchLearnError):
     """A word handed in as a counterexample does not actually separate the
     hypothesis from the hidden system."""

@@ -12,8 +12,8 @@ they are read, and extends each word's stored row from the output cache,
 so each cell is read into the table once per learn. The loop closes the
 access set under one-event extensions in waves, one rows call each (an
 extension whose row no access word has becomes a new access word), builds
-a hypothesis whose transitions are the representatives that closure left
-on the table, asks the equivalence oracle, and on a counterexample
+a hypothesis whose transitions are the representatives that closure
+found, asks the equivalence oracle, and on a counterexample
 locates (by binary search over output labels along the hypothesis run)
 one new access word and one new test word. Access words only ever grow,
 and their number is bounded by the hidden node count, so the loop
@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from .automaton import EPSILON, EventAlphabet, Fa, Word, run
-from .errors import BudgetExceeded, NotACounterexample, NotClosed
+from .errors import BudgetExceeded, NotACounterexample
 from .linalg import LABEL_TOL
 from .oracle import EquivalenceOracle, ObservationOracle, QueryStats
 from .output_query import LabelRegistry, cached_output, cached_outputs, rederive
@@ -40,10 +40,6 @@ class ObservationStore:
     Both word lists are public and append-only. Rows are read through rows,
     which extends a stored row by the cells it lacks, so appending to either
     list needs no further step, and each (word, test word) cell is read once.
-    transitions is what close_store leaves for build_hypothesis: the key
-    (access count, test count, registry.relabels) of the table it closed,
-    and the representative of each one-event extension of each access word
-    in order (None, None before a closure).
 
     Labels are read from obs through label (one word) and fetch (many), into
     one LabelRegistry at label_tol (positive and finite, ValueError
@@ -62,7 +58,6 @@ class ObservationStore:
         self.test_words: list[Word] = [EPSILON]
         self.registry = LabelRegistry(tol=label_tol)
         self.max_outputs = max_outputs
-        self.transitions: tuple = (None, None)
         self._obs = obs
         self._outputs0 = obs.stats.output_computations
         self._relabels = 0  # registry.relabels when the rows were last rebuilt
@@ -165,9 +160,10 @@ def find_representative(store: ObservationStore, word: Word) -> int | None:
     return store.index().get(store.row(word))
 
 
-def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
+def close_store(store: ObservationStore, alphabet: EventAlphabet) -> list[int]:
     """Add one-event extensions to the access words until every extension
-    has a representative, an access word with its row.
+    has a representative, an access word with its row; return the
+    representatives of the extensions of each access word, in order.
 
     A pass indexes the access rows, keeping the first access word of each
     (access rows become equal only when a re-derivation changes a cached
@@ -178,8 +174,7 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
     representative away from an earlier extension, and one pass suffices
     unless a cached label changes: once one has changed, the index is
     rebuilt after each wave, and the pass is made again. The table is left
-    closed and separable, the last pass's representatives in
-    store.transitions.
+    closed and separable, and the last pass's representatives are returned.
 
     A wave fetches its missing cells in read order, and access words are
     only appended within a pass, so a pass computes the same words in the
@@ -203,30 +198,15 @@ def close_store(store: ObservationStore, alphabet: EventAlphabet) -> None:
                 if targets[-1] == len(words):
                     words.append(extension)
         if store.registry.relabels == relabels:
-            store.transitions = ((len(words), len(store.test_words), relabels), targets)
-            return
+            return targets
 
 
 def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> SwitchedSystem:
-    """Hypothesis system over the current words: one node per access word
-    (empty word initial), transitions to the representative of each
-    one-event extension, node labels taken from the word's own output, the
-    first cell of its row. When the table is the one close_store last
-    closed, its transitions are taken as they are and no row is read;
-    otherwise the access and extension rows are read together, and
-    NotClosed is raised when an extension has no representative."""
-    words, events = store.access_words, len(alphabet)
-    key, targets = store.transitions
-    if key != (len(words), len(store.test_words), store.registry.relabels):
-        # every row read by one fetch, so that the index fetches none and no
-        # relabel falls between the access rows and the rest
-        rows = store.rows(words + [w + (e,) for w in words for e in range(events)])
-        index = store.index()
-        targets = [index.get(row) for row in rows[len(words):]]
-        if None in targets:
-            word, e = divmod(targets.index(None), events)
-            raise NotClosed(f"extension of {words[word]!r} by event {e} has "
-                            "no representative; close the store first")
+    """Close the table (close_store) and return the hypothesis system over
+    its words: one node per access word (empty word initial), transitions
+    to the representative of each one-event extension, node labels taken
+    from the word's own output, the first cell of its row."""
+    targets, words, events = close_store(store, alphabet), store.access_words, len(alphabet)
     delta = tuple(tuple(targets[i:i + events]) for i in range(0, len(targets), events))
     cache = store.registry.cache  # holds the label of every access word read
     gamma = tuple(cache[word] for word in words)
@@ -237,7 +217,8 @@ def build_hypothesis(store: ObservationStore, alphabet: EventAlphabet) -> Switch
 
 def process_counterexample(word: Word, hypothesis: SwitchedSystem,
                            store: ObservationStore) -> tuple[Word, Word]:
-    """Extract one new access word and one new test word from a counterexample.
+    """Extract one new access word and one new test word from a
+    counterexample, any sequence of event indices.
 
     Along the hypothesis run of the counterexample, splice each visited
     node's access word with the remaining suffix and query its output label.
@@ -250,6 +231,7 @@ def process_counterexample(word: Word, hypothesis: SwitchedSystem,
     position yields an access word not yet in the store and a suffix
     distinguishing it from its current representative.
     """
+    word = tuple(word)
     n = len(word)
     nodes = run(hypothesis.fa, word)
 
@@ -299,7 +281,6 @@ def learn(obs: ObservationOracle, eq: EquivalenceOracle, alphabet: EventAlphabet
     while True:
         if max_rounds is not None and rounds >= max_rounds:
             raise BudgetExceeded(f"no equivalent hypothesis after {rounds} rounds")
-        close_store(store, alphabet)
         hypothesis = build_hypothesis(store, alphabet)
         rounds += 1
         counterexample = eq.check(hypothesis)

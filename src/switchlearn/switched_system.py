@@ -68,7 +68,7 @@ def execute(system: SwitchedSystem, x0: np.ndarray, word: Word) -> list[np.ndarr
     x0 may be a single state (1-D, d entries) or a matrix of k column
     states; every state in the result has the same shape as x0, and the
     first is x0 as a float array. The word is validated before any step,
-    as run does (InvalidEvent on its first out-of-range event). Each step
+    as run does (InvalidEvent naming its first bad event). Each step
     is matrix.dot(x), the same BLAS product as matrix @ x and bit-equal to
     it, without the ufunc dispatch that @ pays per call; the automaton is
     walked in the same loop, reading each node's matrix directly, and an

@@ -69,16 +69,17 @@ class NotSeparable(AssertionError):
 
 @contextmanager
 def separability_checked():
-    """Within the block, learn checks at each hypothesis that the table is
-    separable and raises NotSeparable otherwise. Between hypotheses the test
-    words are fixed and access words only appended, so this also covers
-    every earlier change to the table in that round."""
+    """Within the block, learn checks the table at each hypothesis, once
+    built, and raises NotSeparable when it is not separable. Between
+    hypotheses the test words are fixed and access words only appended, so
+    this also covers every earlier change to the table in that round."""
     build = learner.build_hypothesis
 
     def checked(store, alphabet):
+        hypothesis = build(store, alphabet)
         if not is_separable(store):
             raise NotSeparable(f"access words sharing a row: {store.access_words!r}")
-        return build(store, alphabet)
+        return hypothesis
 
     with mock.patch.object(learner, "build_hypothesis", checked):
         yield

@@ -2,16 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchlearn import (EPSILON, AlphabetMismatch, EventAlphabet, Fa,
-                         InvalidEvent, SwitchedSystem, WhiteBoxEquivalenceOracle,
+                         InvalidEvent, SwitchedSystem, WhiteBoxEquivalenceOracle, execute,
                          WhiteBoxObservationOracle, format_word, language_equivalent,
                          language_of, learn, load_json, output_of, parse_word,
                          reachable_nodes, reachable_part, run, save_json, to_dot)
 
-from conftest import DEMO2D_MATRICES, make_three_node_hypothesis
+from conftest import DEMO2D_MATRICES, make_demo2d_fa, make_three_node_hypothesis
 
 E1, E2 = 0, 1
 
@@ -57,6 +57,39 @@ def test_run_empty_word(demo2d_fa):
 def test_run_invalid_event(demo2d_fa):
     with pytest.raises(InvalidEvent):
         run(demo2d_fa, (0, 7))
+
+
+@pytest.mark.parametrize("read", [run, language_of, output_of])
+def test_a_float_event_is_refused_by_name(demo2d_fa, read):
+    # 1.0 passes check_word's set test (1.0 == 1); the walk refuses it
+    with pytest.raises(InvalidEvent, match=r"^event 1\.0 is not an integer$"):
+        read(demo2d_fa, (1.0, 0))
+    assert read(demo2d_fa, (True, False)) == read(demo2d_fa, (1, 0))
+
+
+# an event that no random_fa (at most 3 events) has: out of range, or a float
+BAD_EVENT = st.one_of(st.integers(3, 9), st.integers(-3, -1), st.floats(-3, 9, allow_nan=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fa_and_word(), st.lists(st.tuples(st.integers(0, 12), BAD_EVENT), min_size=1, max_size=3))
+@example((make_demo2d_fa(), (E1,)), [(0, 7), (0, 1.5)])
+def test_run_and_execute_name_the_first_bad_event_in_word_order(fa_word, inserts):
+    # inserts: (position, bad event) pairs, inserted into the word in turn
+    fa, word = fa_word
+    word = list(word)
+    for at, event in inserts:
+        word.insert(at, event)
+    num_events = len(fa.alphabet)
+    first = next(e for e in word if isinstance(e, float) or not 0 <= e < num_events)
+    message = (f"event {first!r} is not an integer" if isinstance(first, float)
+               else f"event index {first} out of range for {num_events} events")
+    system = SwitchedSystem(fa=fa, matrices=tuple(np.eye(1) * (label + 1)
+                                                  for label in range(max(fa.gamma) + 1)), d=1)
+    for walk in (lambda w: run(fa, w), lambda w: execute(system, np.ones(1), w)):
+        with pytest.raises(InvalidEvent) as refused:
+            walk(tuple(word))
+        assert str(refused.value) == message
 
 
 def test_language_five_event_word(demo2d_fa):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from switchlearn import (BoundedTestingEquivalenceOracle, BudgetExceeded,
-                         EventAlphabet, Fa, GenConfig, NotACounterexample, NotClosed,
+                         EventAlphabet, Fa, GenConfig, NotACounterexample,
                          ObservationStore, SingularBasis, SwitchedSystem,
                          WhiteBoxEquivalenceOracle, WhiteBoxObservationOracle,
                          build_hypothesis, close_store, learn, learner,
                          mat_approx_eq, process_counterexample, random_system, run,
-                         validate)
+                         save_json, validate)
 from switchlearn import output_query
 from switchlearn.learner import find_representative, max_outputs_for_counterexample
 from switchlearn.output_query import cached_output
@@ -294,7 +294,6 @@ def test_row_reads_cached_cells_from_the_cache(demo2d_system, monkeypatch):
 
 def test_build_three_node_hypothesis(demo2d_system):
     store = fresh_store(demo2d_system)
-    close_store(store, demo2d_system.fa.alphabet)
     hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     assert hyp.fa.num_nodes == 3
     assert hyp.fa.initial == 0
@@ -322,15 +321,8 @@ def test_build_single_node_hypothesis():
     assert hyp.fa.delta == ((0, 0),)
 
 
-def test_build_hypothesis_requires_closed_store(demo2d_system):
-    store = fresh_store(demo2d_system)
-    with pytest.raises(NotClosed):
-        build_hypothesis(store, demo2d_system.fa.alphabet)
-
-
 def test_counterexample_yields_access_and_test_word(demo2d_system):
     store = fresh_store(demo2d_system)
-    close_store(store, demo2d_system.fa.alphabet)
     hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     cex = WhiteBoxEquivalenceOracle(demo2d_system).check(hyp)
     assert cex == (E1, E2, E2)
@@ -345,7 +337,6 @@ def test_counterexample_yields_access_and_test_word(demo2d_system):
 
 def test_counterexample_on_fault_mode_system(fault_system):
     store = fresh_store(fault_system)
-    close_store(store, fault_system.fa.alphabet)
     hyp = build_hypothesis(store, fault_system.fa.alphabet)
     assert hyp.fa.num_nodes == 2
     cex = WhiteBoxEquivalenceOracle(fault_system).check(hyp)
@@ -357,7 +348,6 @@ def test_counterexample_on_fault_mode_system(fault_system):
 
 def test_non_counterexample_rejected(demo2d_system):
     store = fresh_store(demo2d_system)
-    close_store(store, demo2d_system.fa.alphabet)
     hyp = build_hypothesis(store, demo2d_system.fa.alphabet)
     with pytest.raises(NotACounterexample):
         process_counterexample((E1, E1), hyp, store)
@@ -374,6 +364,33 @@ def test_learn_demo_model(demo2d_system):
     assert result.access_words == [(), (E1,), (E2,), (E1, E2)]
     assert WhiteBoxEquivalenceOracle(demo2d_system).check(result.system) is None
     assert validate(result.system) == []
+
+
+class ConvertingEquivalenceOracle(WhiteBoxEquivalenceOracle):
+    """Exact equivalence that hands each counterexample over converted, as
+    a list (the form a JSON oracle reads) or a numpy array."""
+
+    def __init__(self, hidden, convert):
+        super().__init__(hidden)
+        self.convert = convert
+
+    def check(self, hypothesis):
+        counterexample = super().check(hypothesis)
+        return None if counterexample is None else self.convert(counterexample)
+
+
+@pytest.mark.parametrize("convert", [list, np.array])
+def test_learn_takes_a_counterexample_of_any_sequence_type(demo2d_system, convert):
+    def outcome(eq):
+        result = learn(WhiteBoxObservationOracle(demo2d_system), eq,
+                       demo2d_system.fa.alphabet)
+        counts = {k: v for k, v in result.stats_dict().items() if k != "wall_ms"}
+        return (save_json(result.system), result.access_words, result.test_words,
+                result.counterexample_costs, counts)
+
+    converted = outcome(ConvertingEquivalenceOracle(demo2d_system, convert))
+    assert converted == outcome(WhiteBoxEquivalenceOracle(demo2d_system))
+    assert converted[2] == [(), (E2,)]
 
 
 def test_learn_fault_mode_model(fault_system):
