@@ -30,7 +30,7 @@ from .automaton import EventAlphabet, Word, language_equivalent
 from .errors import AlphabetMismatch, DimensionMismatch, InvalidEvent, SingularBasis
 from .linalg import LABEL_TOL, check_label_tol, identity, mat_approx_eq
 # compute_output is looked up in this namespace by callers that wrap it
-from .output_query import PROBE_SEED, compute_output  # noqa: F401
+from .output_query import PROBE_SEED, _residual_ratios, compute_output  # noqa: F401
 from .switched_system import SwitchedSystem, execute
 
 # A white-box trace stream is stepped in blocks of as many whole runs as fit
@@ -304,7 +304,8 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
     word). Each word v is checked on one trace column: with x and y its
     states before and after its last step, v is returned as a
     counterexample when ||y - C x||_inf > tol * ||x||_1 for the
-    hypothesis's label C of v. Every matrix within tol of C (max-abs
+    hypothesis's label C of v (output_query._residual_ratios, the label
+    probe's one kernel, tests it). Every matrix within tol of C (max-abs
     entrywise) meets that bound, so the hidden output of a returned word
     differs from C by more than tol: a counterexample is proven, with no
     output recovered. Exhausting the search yields None, which is an
@@ -397,22 +398,17 @@ class BoundedTestingEquivalenceOracle(EquivalenceOracle):
                     # each word's states before and after its last step; an
                     # error was raised by the word after the traced ones
                     xs, ys, end = states[:, length], states[:, length + 1], begin + len(states)
-                    residual = ys - (claims[labels[begin:end]] @ xs[..., None])[..., 0]
-                    residual = np.abs(residual, out=residual).max(axis=1)
-                    bound = tol * np.abs(xs).sum(axis=1)
-                    # a word passes when its residual is within a finite
-                    # bound, which needs both its states finite (inf <= inf
-                    # would pass an overflowed x): a run of passing words
-                    # has nothing to raise or return, so only a run with a
-                    # word that does not pass is tested for finite states
-                    if not ((residual <= bound) & (bound < np.inf)).all():
+                    images = (claims[labels[begin:end]] @ xs[..., None])[..., 0]
+                    ratios = _residual_ratios(images.T, xs.T, ys.T, tol)
+                    # a run of passing words has nothing to raise or return
+                    if not (ratios <= 1).all():
                         finite = np.isfinite(states[:, length:]).all(axis=(1, 2))
                         if not finite.all():
                             end = begin + int(finite.argmin())
                             word = tuple(words[end].tolist())
                             error = SingularBasis(f"trace state of word {word} before or "
                                                   "after its last step is not finite")
-                        differs = residual[:end - begin] > bound[:end - begin]
+                        differs = ratios[:end - begin] > 1
                         if differs.any():
                             first = int(differs.argmax())
                             obs.stats.output_computations += first + 1

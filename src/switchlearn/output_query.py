@@ -17,11 +17,11 @@ does (Freivalds, 1977). A word traced from one random column has states x
 and y before and after its last step, and y = C x for its output C. Label
 C_j passes when the residual ||y - C_j x||_inf is at most tol * ||x||_1,
 the least bound that every matrix within tol of C_j (max-abs entrywise)
-meets. A word that exactly one label passes gets that label, with no
-inversion and no conditioning of a basis involved. Only a word that no
-label or several labels pass is recovered on d columns as compute_output
-does (a fallback), and the recovered matrix must pass the same check on the
-word's probe column before it is classified, or SingularBasis is raised.
+meets; _residual_ratios is the one kernel of this test, which the bounded
+equivalence check shares. A word that exactly one label passes gets that
+label, with no inversion and no conditioning of a basis involved. Only a
+word that no label or several labels pass is recovered on d columns (a
+fallback), through rederive, the one fallback path.
 
 The one-column traces are made per stack of PROBE_BATCH words: the maximal
 words (those no other word of the call extends) that the stack's words are
@@ -38,11 +38,10 @@ little more than tol. So the LabelRegistry, the one owner of a learn's
 labels and of its output cache, keeps the (x, y) pair of every word
 accepted on it, in any call, and when a new label is interned it rescreens
 them all against it in one call; a word that passes the new label too is
-re-derived on d columns (rederive), and its cached label is replaced when
-that derivation disagrees. An accepted word's label is thus always the one
+re-derived through rederive, and its cached label is replaced when that
+derivation disagrees. An accepted word's label is thus always the one
 interned label its pair passes: the true one whenever a label within tol of
-its output is interned. Re-derivations cost trace queries but no output
-computations.
+its output is interned.
 """
 
 import numpy as np
@@ -102,18 +101,20 @@ class LabelRegistry:
     registry: the generator of the probe columns (seeded, so runs on the
     same inputs are identical), the (x, y) rows of the words it accepted,
     16*d bytes each, to rescreen when a label is interned, and its health
-    counters, and the output cache, which maps each word labelled through
-    it to its label id and which its rescreens rewrite. fallbacks counts
-    the words recovered on d columns, fallbacks and re-derivations alike;
-    margin_min is the smallest residual of a label that did not pass a
-    word, as a multiple of that word's threshold (None until one is seen);
-    relabels counts the cached labels that a re-derivation changed or
-    dropped.
+    counters, and the output cache, which maps each word labelled through it
+    to its label id and which its rescreens rewrite. fallbacks counts the
+    words rederive recovered on d columns; margin_min is the smallest
+    residual of a label that did not pass a word, as a multiple of that
+    word's threshold (None until one is seen); relabels counts the cached
+    labels that rederive changed or dropped.
     """
 
     def __init__(self, tol: float = LABEL_TOL, canonical=()):
         self.tol = check_label_tol(tol)
         self._labels = np.array(canonical, dtype=float)  # shape (0,) until d is known
+        shape = self._labels.shape
+        if shape != (0,) and (len(shape) != 3 or shape[1] != shape[2]):
+            raise DimensionMismatch(f"canonical labels must be a (k, d, d) stack, got {shape}")
         self.rng = np.random.default_rng(PROBE_SEED)
         self.fallbacks = self.relabels = 0
         self.margin_min: float | None = None
@@ -129,9 +130,12 @@ class LabelRegistry:
     def classify(self, matrix: np.ndarray) -> int:
         """Id of the one label matrix agrees with, or of a new label for it
         when it agrees with none; AmbiguousLabel when it agrees with more,
-        DimensionMismatch when its shape is not that of the labels."""
+        DimensionMismatch, before any change, when it is not a square matrix
+        of the labels' shape."""
         matrix = np.asarray(matrix, dtype=float)
         if not len(self._labels):
+            if matrix.ndim != 2 or len(matrix) != matrix.shape[1]:
+                raise DimensionMismatch(f"a label must be a square matrix, got {matrix.shape}")
             self._labels = np.empty((0,) + matrix.shape)
         if matrix.shape != self._labels.shape[1:]:
             raise DimensionMismatch(f"cannot classify a matrix of shape {matrix.shape} "
@@ -159,20 +163,24 @@ class LabelRegistry:
             self.margin_min = margin
 
 
-def _ratios(matrices: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
-    """The probe check in one call: the residual ||y - C x||_inf over the
-    threshold tol * ||x||_1, for each matrix C of the (m, d, d) stack
-    matrices (rows) and each pair (x, y) of rows of the (k, d) arrays xs and
-    ys (columns). C passes when its ratio is at most 1; it is NaN or inf,
-    and never passes, where a state is not finite or x is zero.
+def _residual_ratios(images: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
+    """The probe check's one kernel: ||y - C x||_inf / (tol * ||x||_1) per
+    column, for the images C x in the (..., d, k) array images (overwritten)
+    and the pairs (x, y) in the (d, k) arrays xs and ys. A pair passes when
+    its ratio is at most 1; a NaN or inf one (a state not finite, or x zero)
+    never passes. Columns are the layout of _ratios's product: a transposed
+    view of it made the in-place difference 3 times slower."""
+    images -= ys
+    np.abs(images, out=images)
+    return images.max(axis=-2) / (tol * np.abs(xs).sum(axis=-2))
 
-    One stacked matrix product C xs^T makes the (m, d, k) residuals, which
-    are differenced and made absolute in place and reduced over d."""
+
+def _ratios(matrices: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
+    """_residual_ratios of each matrix C of the (m, d, d) stack matrices
+    (rows) on each pair of rows of the (k, d) arrays xs and ys (columns),
+    from one stacked product C xs^T."""
     with np.errstate(all="ignore"):
-        residuals = matrices @ xs.T
-        residuals -= ys.T
-        np.abs(residuals, out=residuals)
-        return residuals.max(axis=1) / (tol * np.abs(xs).sum(axis=1))
+        return _residual_ratios(matrices @ xs.T, xs.T, ys.T, tol)
 
 
 def _check(matrix: np.ndarray, pair: np.ndarray, tol: float) -> None:
@@ -186,9 +194,8 @@ def _check(matrix: np.ndarray, pair: np.ndarray, tol: float) -> None:
 def _derive(obs, word: Word, tol: float, pair=None) -> np.ndarray:
     """word's output recovered on d columns, refined when that recovery may
     be off by more than tol/2, then checked on the probe pair when given
-    (SingularBasis when the check fails). compute_output, the learner's
-    fallbacks and its re-derivations all recover through here, without
-    counting an output computation.
+    (SingularBasis when the check fails). compute_output and rederive
+    recover through here, without counting an output computation.
 
     Recovery solves M P = Y for the traced basis P, so its error is at most
     about d * eps * cond(P) * |M| (LU with partial pivoting; a factor 10
@@ -252,13 +259,13 @@ def _intern(obs, registry: LabelRegistry, matrix: np.ndarray) -> int:
 
 
 def rederive(obs, registry: LabelRegistry, words, pairs: np.ndarray | None = None) -> None:
-    """Re-derive the labels of words on d columns (see _derive), each
-    checked on its (x, y) pair in pairs when given, and cache them in
-    registry.cache; registry.relabels counts the cached labels this
-    changes. For words whose probe label is in doubt: it costs trace
-    queries and no output computation. When one fails, it and the words
-    after it are dropped from the cache (relabels too) before the error is
-    raised, so no label in doubt stays cached."""
+    """The one fallback path: derive the labels of words on d columns (see
+    _derive), each checked on its (x, y) pair in pairs when given, intern
+    them and cache them in registry.cache; registry.relabels counts the
+    cached labels this changes, which a fresh word's first label is not. It
+    costs trace queries and no output computation. When one fails, it and
+    the words after it are dropped from the cache (relabels too) before the
+    error is raised, so no label in doubt stays cached."""
     cache = registry.cache
     words = list(map(tuple, words))
     done = 0
@@ -267,7 +274,7 @@ def rederive(obs, registry: LabelRegistry, words, pairs: np.ndarray | None = Non
             registry.fallbacks += 1
             matrix = _derive(obs, word, registry.tol, None if pairs is None else pairs[i])
             label = _intern(obs, registry, matrix)
-            if cache.get(word) != label:
+            if cache.setdefault(word, label) != label:
                 cache[word] = label
                 registry.relabels += 1
             done += 1
@@ -307,7 +314,7 @@ def _covers(words: list[Word]) -> list[int]:
 def _identify(obs, registry: LabelRegistry, words: list[Word], pairs: np.ndarray) -> None:
     """Label the stack words, in order, from their probe pairs (the (words,
     2, d) array pairs), into registry.cache: the one label a word passes,
-    or else a fallback.
+    or else a fallback through rederive.
     Every label is screened against the words still to come in one call, at
     the start and again after each fallback that adds a label; a fallback
     that adds none leaves the screen standing. The words up to the next
@@ -332,9 +339,7 @@ def _identify(obs, registry: LabelRegistry, words: list[Word], pairs: np.ndarray
         if stop == n:
             break
         obs.stats.output_computations += 1
-        registry.fallbacks += 1
-        matrix = _derive(obs, words[stop], registry.tol, pairs[stop])
-        cache[words[stop]] = _intern(obs, registry, matrix)
+        rederive(obs, registry, words[stop:stop + 1], pairs[stop:stop + 1])
         i = stop + 1
 
 
@@ -373,12 +378,11 @@ def cached_outputs(obs, registry: LabelRegistry, words, limit: int | None = None
     no label or several labels pass, costs one more trace query of d
     columns, and another when it is refined.
 
-    If a fallback's recovery is refused (see _derive), its output not finite
-    or not passing the probe check, its label ambiguous, or a trace query
-    raises, the words before it are classified and cached, it is counted,
-    and its error is raised (the first in word order); the rest of its stack
-    may have been traced, so a failure can cost extra trace queries. An
-    accepted word whose re-derivation raised is dropped (see rederive).
+    If a fallback (see rederive) or a trace query raises, the words before
+    it are classified and cached, it is counted, and its error is raised
+    (the first in word order); the rest of its stack may have been traced,
+    so a failure can cost extra trace queries. An accepted word whose re-
+    derivation raised is dropped.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")

@@ -297,6 +297,26 @@ def test_known_labels_cost_one_column_per_maximal_word(demo2d_system):
     assert registry.margin_min > 1
 
 
+def test_a_fallback_that_interns_a_label_is_no_relabel(demo2d_system):
+    # (1,) passes no known label: its fallback goes through rederive, whose
+    # first label for a fresh word changes no cached label
+    obs = WhiteBoxObservationOracle(demo2d_system)
+    registry = LabelRegistry(canonical=DEMO2D_MATRICES[:1])
+    cached_outputs(obs, registry, [(), (1,), (1, 1)])
+    assert registry.cache == {(): 0, (1,): 1, (1, 1): 0} and len(registry) == 2
+    assert registry.fallbacks == 1 and registry.relabels == 0
+    assert obs.stats.output_computations == 3
+
+
+def test_rederive_caches_a_fresh_word_without_a_relabel(demo2d_system):
+    obs, registry = WhiteBoxObservationOracle(demo2d_system), LabelRegistry()
+    output_query.rederive(obs, registry, [(0, 1)])
+    assert registry.cache == {(0, 1): 0} and registry.fallbacks == 1
+    assert registry.relabels == 0
+    assert obs.stats.as_dict() == {"io_queries": 2, "output_computations": 0,
+                                   "equivalence_queries": 0}
+
+
 def test_fallback_refused_when_its_recovery_fails_the_probe_check(demo2d_system, monkeypatch):
     recover = output_query.recover_transform
     monkeypatch.setattr(output_query, "recover_transform",

@@ -743,6 +743,17 @@ def test_bounded_check_asks_the_reference_queries(seed, d, num_events, l_max, k,
     assert outcome == recorded_check(reference_check, hidden, hypothesis, l_max, k)
 
 
+def test_bounded_check_passes_an_overflowing_copy_of_its_hidden_system():
+    # a label scaled by 1e160 makes states near 1e160: the check's per-word
+    # product C x is bit-identical to the hidden step, so every residual is
+    # zero, where one GEMM per label rounds differently and shows a false
+    # counterexample
+    hidden, hypothesis = drawn_systems(0, 2, 2, True, "same")
+    outcome = recorded_check(BoundedTestingEquivalenceOracle.check, hidden, hypothesis, 1, None)
+    assert outcome[:3] == (None, 3, 3)
+    assert outcome == recorded_check(reference_check, hidden, hypothesis, 1, None)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_bounded_check_asks_the_reference_queries_at_the_benchmark_shape(seed):
     # the blackbox-bounded workload's systems at the `learn --eq bounded`

@@ -195,6 +195,22 @@ def test_registry_refuses_a_matrix_of_another_shape(first, other, canonical):
     assert len(registry) == 1 and registry.classify(first) == 0
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones((1, 2, 2)), np.ones(3),
+                                    np.array(5.0)])
+def test_registry_refuses_a_first_label_that_is_not_a_square_matrix(matrix):
+    registry = LabelRegistry()
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        registry.classify(matrix)
+    assert len(registry) == 0 and registry.classify(np.eye(2)) == 0
+
+
+@pytest.mark.parametrize("canonical", [np.ones((1, 2, 3)), np.ones((2, 2)), np.ones(3),
+                                       np.ones((1, 1, 2, 2))])
+def test_registry_refuses_canonical_labels_that_are_not_a_square_stack(canonical):
+    with pytest.raises(DimensionMismatch, match=r"\(k, d, d\) stack"):
+        LabelRegistry(canonical=canonical)
+
+
 def classify_by_loop(canonical, matrix, tol):
     """Reference interning: one max-abs comparison per canonical matrix."""
     hits = [i for i, known in enumerate(canonical)
